@@ -63,17 +63,20 @@ class CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# truncation-level oracle helpers (independent of the canonical algebra)
+# truncation-level oracle helpers (independent of the canonical algebra);
+# members keep the exact exponents of the generators, so sums of thirds
+# meet the closure of their exact total
 
 
-def _enum_closure(generators, re_max):
+def _enum_closure(generators, re_max, step=1):
+    """Members (re, im, k) of the closure with re <= re_max.  ``step`` is
+    the unit exponent step: D when exponents are scaled by D."""
     out = set()
     for (re, im, k) in generators:
-        n = 0
-        while float(re) + n <= float(re_max) + 1e-12:
+        while re <= re_max:
             for kk in range(k + 1):
-                out.add((round(float(re + n), 9), round(float(im), 9), kk))
-            n += 1
+                out.add((re, im, kk))
+            re += step
     return out
 
 
@@ -85,9 +88,8 @@ def _enum_add(A, B, re_max):
     out = set()
     for (ra, ia, ka) in A:
         for (rb, ib, kb) in B:
-            re = ra + rb
-            if re <= re_max + 1e-12:
-                out.add((round(re, 9), round(ia + ib, 9), ka + kb))
+            if ra + rb <= re_max:
+                out.add((ra + rb, ia + ib, ka + kb))
     return out
 
 
@@ -102,11 +104,11 @@ def _enum_eu(A, B, re_max):
         if key in max_a:
             for kk in range(max_a[key] + k + 2):
                 out.add((re, im, kk))
-    return {m for m in out if m[0] <= re_max + 1e-12}
+    return {m for m in out if m[0] <= re_max}
 
 
 def _enum_shift(A, r, re_max):
-    return {(round(re + r, 9), im, k) for (re, im, k) in A if re + r <= re_max + 1e-12}
+    return {(re + r, im, k) for (re, im, k) in A if re + r <= re_max}
 
 
 def _random_set(rng, max_gens=3, lo=-3, hi=5):
@@ -181,9 +183,20 @@ def _random_family(rng) -> IndexFamily:
 def _display_compose(I: IndexFamily, J: IndexFamily, A, cutoff, reach):
     """Second implementation of the composite family, straight from the
     displayed combination: extended unions of shifted sums, evaluated on
-    finite truncations."""
-    e = {name: _enum_set(I.face(name), reach) for name in I.faces}
-    g = {name: _enum_set(J.face(name), reach) for name in J.faces}
+    finite truncations.
+
+    Real parts are multiplied by the common denominator D of all
+    generators, so the enumeration adds integers; returns D and the four
+    truncations in that scale."""
+    D = math.lcm(*(Fraction(g[0]).denominator for F in (I, J) for name in F.faces
+                   for g in F.face(name).generators))
+    cutoff, reach, A = cutoff * D, reach * D, A * D
+
+    def closure(face):
+        return _enum_closure([(int(re * D), im, k) for (re, im, k) in face.generators], reach, D)
+
+    e = {name: closure(I.face(name)) for name in I.faces}
+    g = {name: closure(J.face(name)) for name in J.faces}
 
     def eu(*sets):
         acc = sets[0]
@@ -204,8 +217,8 @@ def _display_compose(I: IndexFamily, J: IndexFamily, A, cutoff, reach):
         _enum_shift(_enum_add(e["bf"], g["bf"], reach), A, reach),
         _enum_add(e["ff"], g["ff"], reach),
     )
-    trunc = lambda S: {m for m in S if m[0] <= cutoff + 1e-12}
-    return {"lf": trunc(Klf), "rf": trunc(Krf), "bf": trunc(Kbf), "ff": trunc(Kff)}
+    trunc = lambda S: {m for m in S if m[0] <= cutoff}
+    return D, {"lf": trunc(Klf), "rf": trunc(Krf), "bf": trunc(Kbf), "ff": trunc(Kff)}
 
 
 def criterion_2(model=None) -> CriterionResult:
@@ -221,12 +234,9 @@ def criterion_2(model=None) -> CriterionResult:
                 count += 1
                 geom = GeomConstants(a, b_dim)
                 got = compose(full_class("phi", 0, I), full_class("phi", 0, J), geom)
-                want = _display_compose(I, J, geom.A, cutoff, reach)
+                D, want = _display_compose(I, J, geom.A, cutoff, reach)
                 for name in ("lf", "rf", "bf", "ff"):
-                    mine = {
-                        (round(float(re), 9), round(float(im), 9), k)
-                        for (re, im, k) in got.spec.face(name).truncate(cutoff)
-                    }
+                    mine = {(re * D, im, k) for (re, im, k) in got.spec.face(name).truncate(cutoff)}
                     if mine != want[name]:
                         mismatches.append((name, I.to_json(), J.to_json(), a, b_dim))
     elapsed = time.perf_counter() - t0

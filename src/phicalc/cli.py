@@ -104,6 +104,8 @@ def _cmd_idx(args) -> int:
         write_json(out.to_json(), args.out)
         return 0
     if args.op == "scale":
+        if args.by is None or not args.by.is_integer():
+            raise JsonInputError(f"idx scale needs --by a positive integer, got {args.by}")
         out = indexsets.scale(I, int(args.by))
         write_json(out.to_json(), args.out)
         return 0
@@ -252,14 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="output report JSON")
     p.set_defaults(func=_cmd_parametrix)
 
-    p = sub.add_parser("imspec", help="critical-weight scan of an indicial family")
+    p = sub.add_parser("imspec", help="critical weights of an indicial family")
     p.add_argument("--model", default=None, help="model JSON (default: unit torus model)")
     p.add_argument("--window", type=float, nargs=2, default=(-2.5, 2.5), metavar=("LO", "HI"))
     p.add_argument("--modes", type=int, default=3, metavar="N")
     p.add_argument("--family", choices=["scalar", "gb", "hodge"], default="scalar")
     p.add_argument("--volume", choices=["b", "g"], default="b")
-    p.add_argument("--scan-step", type=float, default=1e-2)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--scan-step", type=float, default=1e-2,
+                   help="roots this close to either window end are flagged as at the edge")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="a root is accepted where the smallest singular value is below this")
     p.add_argument("--out", default=None, help="spectra CSV")
     p.set_defaults(func=_cmd_imspec)
 

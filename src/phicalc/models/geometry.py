@@ -326,18 +326,20 @@ class NormalFamily:
         self.frame = _Frame(model)
 
     def matrix(self, tau: float, eta, fiber_mode) -> np.ndarray:
+        """The family at one (tau, eta), or a stack of matrices when eta
+        is a stack of covariables with shape (..., b)."""
         fr = self.frame
         model = self.model
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if eta.shape != (model.b,):
+        if eta.shape[-1:] != (model.b,):
             raise ValueError(f"eta must have {model.b} entries")
         nu = model.fiber_frequency(fiber_mode)
-        M = (1j * tau) * fr.D(0).astype(complex)
-        for k in range(model.b):
-            M = M + (1j * eta[k]) * fr.D(1 + k)
+        A = tau * fr.D(0)
         for j in range(model.f):
-            M = M + (1j * nu[j]) * fr.D(1 + model.b + j)
-        return M
+            A = A + nu[j] * fr.D(1 + model.b + j)
+        for k in range(model.b):
+            A = A + eta[..., k, None, None] * fr.D(1 + k)
+        return 1j * A
 
 
 # ---------------------------------------------------------------------------

@@ -429,7 +429,6 @@ def verify_predictions(
     rel_tol: float = 0.02,
     t_max: float = 12.0,
     n: int = 2048,
-    threads: int | None = None,
 ) -> VerifyReport:
     """Cross-check the solved harmonic asymptotics against the spectrum.
 
@@ -438,15 +437,15 @@ def verify_predictions(
     from the metric-volume indicial roots; (ii) fibre-perpendicular modes
     decay superpolynomially; (iii) square integrability of each mode agrees
     with the exponent rule Re w > alpha for the b-volume.  The fits come
-    from finite-difference solves, the predictions from singular-value
-    root scans: two independent routes to the same exponents.
+    from finite-difference solves, the predictions from the eigen-solve of
+    the indicial polynomial: two independent routes to the same exponents.
     """
     if model.b != 1:
         raise ValueError("the verification sweep is wired for one base circle")
     builder = assemble_DV(model)
     family = builder.scalar("g")
     window = (-(model.a * model.f + base_mode_max + 2), base_mode_max + 2)
-    points = imspec(family, window=window, mode_cutoff=base_mode_max, threads=threads)
+    points = imspec(family, window=window, mode_cutoff=base_mode_max)
     roots = [p.lambda_root for p in points]
     elements = _predicted_elements(roots, alpha)
 

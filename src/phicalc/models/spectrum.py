@@ -1,28 +1,31 @@
-"""Critical-weight scans and the boundary normal-family gap.
+"""Critical weights and the boundary normal-family gap.
 
 The critical weights of a reduced x-direction operator are the real values
 s at which the indicial matrix family fails to be invertible on the ray
-lambda = -i s.  For the flat product models every such failure happens on
-this ray (each Fourier mode reduces to quadratics with real roots in s),
-so a scan plus local refinement of the smallest singular value finds the
-whole set.
+lambda = -i s.  Per Fourier mode the family is a matrix polynomial
+F(s) = C_0 + C_1 s + ... + C_d s^d of the family's order d (1 for
+Gauss-Bonnet, 2 for Hodge and the scalar block), so its critical weights
+are the real eigenvalues of the companion linearization (Tisseur &
+Meerbergen, "The quadratic eigenvalue problem", SIAM Review 43, 2001).  The
+coefficients are interpolated from d + 1 evaluations of the family, one
+generalized eigen-solve gives every root, and each root is confirmed by
+the smallest singular value of F at it.
 
 Pole orders: the vanishing order of the smallest singular value along s
 equals the pole order of the inverse family, which is the quantity the
-(weight, log power) bookkeeping needs; the vanishing order of |det| counts
-multiplicity instead.  Both are measured from log-log slopes and reported,
-and a disagreement beyond multiplicity-one is flagged rather than silently
-accepted.
+(weight, log power) bookkeeping needs; it is measured from a log-log slope
+around the root.  The algebraic multiplicity of the root, the size of its
+eigenvalue cluster, is the vanishing order of det F instead.  Both are
+reported, and a disagreement is flagged rather than silently accepted.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .geometry import IndicialFamily, ModelGeometry, NormalFamily
 
@@ -54,13 +57,6 @@ class SpectrumPoint:
         }
 
 
-def _threads(requested=None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("PHICALC_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _sigma_min(family: IndicialFamily, s: float, mode) -> float:
     return float(np.linalg.svd(family.matrix(s, mode), compute_uv=False)[-1])
 
@@ -81,73 +77,64 @@ def _log_slope(fn, s0: float, deltas) -> float:
     return float(slope)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# eigenvalues with |Im s| <= _REAL_TOL * max(1, |s|) are real roots; real
+# roots closer than _CLUSTER_TOL are one root (a defective double root splits
+# by about sqrt(machine eps) under rounding)
+_REAL_TOL = 1e-6
+_CLUSTER_TOL = 1e-6
+_SLOPE_DELTAS = (1e-3, 3e-4, 1e-4, 3e-5)
 
 
-def _golden_min(fn, a, b, width):
-    """Golden-section minimization to an absolute bracket width.
-
-    Unlike library bounded minimizers this has no sqrt(machine-eps)
-    tolerance floor, which matters because the singular value behaves like
-    |s - s0|^k near a root and must be localized to ~1e-10.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)
+def _coefficients(family: IndicialFamily, mode) -> np.ndarray:
+    """Coefficients C_0..C_d of F(s) = sum C_k s^k, interpolated from
+    d + 1 evaluations at nodes symmetric about 0."""
+    nodes = np.arange(family.order + 1) - family.order / 2
+    values = np.array([family.matrix(s, mode) for s in nodes])
+    coeffs = np.linalg.solve(np.vander(nodes, increasing=True), values.reshape(len(nodes), -1))
+    return coeffs.reshape(values.shape)
 
 
-def _scan_mode(family, mode, lo, hi, scan_step, sv_tol, refine_width, dip_threshold):
-    grid = np.arange(lo, hi + scan_step / 2, scan_step)
-    sig = np.array([_sigma_min(family, s, mode) for s in grid])
-    roots = []
-    for i in range(len(grid)):
-        left = sig[i - 1] if i > 0 else math.inf
-        right = sig[i + 1] if i + 1 < len(grid) else math.inf
-        if not (sig[i] <= left and sig[i] <= right and sig[i] < dip_threshold):
+def _companion_eigvals(C: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the first companion pencil A - s B of sum C_k s^k:
+    A z = s B z with z = (x, s x, ..., s^(d-1) x) holds iff F(s) x = 0."""
+    d, n = len(C) - 1, C.shape[1]
+    A = np.zeros((d * n, d * n), dtype=complex)
+    A[:-n, n:] = np.eye((d - 1) * n)
+    A[-n:, :] = -np.concatenate(C[:-1], axis=1)
+    B = np.eye(d * n, dtype=complex)
+    B[-n:, -n:] = C[-1]
+    return scipy.linalg.eigvals(A, B)
+
+
+def _mode_roots(family, mode, lo, hi, scan_step, sv_tol) -> list:
+    ev = _companion_eigvals(_coefficients(family, mode))
+    ev = ev[np.isfinite(ev)]
+    real = np.sort(ev[np.abs(ev.imag) <= _REAL_TOL * np.maximum(1.0, np.abs(ev))].real)
+    clusters = np.split(real, np.flatnonzero(np.diff(real) > _CLUSTER_TOL) + 1)
+
+    def sigma(s):
+        return _sigma_min(family, s, mode)
+
+    points = []
+    for cluster in clusters:
+        if not cluster.size:
             continue
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-        s_star, sig_star = _golden_min(
-            lambda s: _sigma_min(family, s, mode), float(a), float(b), refine_width
-        )
-        if sig_star >= sv_tol:
+        s_star = float(cluster.mean())
+        if not lo <= s_star <= hi or sigma(s_star) >= sv_tol:
             continue
-        if any(abs(s_star - r[0]) < 1e-8 for r in roots):
-            continue
-        # vanishing orders of the smallest singular value and of |det|
-        deltas = (1e-3, 3e-4, 1e-4, 3e-5)
-        sv_slope = _log_slope(lambda s: _sigma_min(family, s, mode), s_star, deltas)
-        det_slope = _log_slope(
-            lambda s: abs(np.linalg.det(family.matrix(s, mode))), s_star, deltas
+        slope = _log_slope(sigma, s_star, _SLOPE_DELTAS)
+        sv_order = int(round(slope)) if math.isfinite(slope) else 1
+        points.append(
+            SpectrumPoint(
+                lambda_root=s_star,
+                fourier_mode=tuple(mode),
+                pole_order_k=max(sv_order - 1, 0),
+                det_order=cluster.size,
+                order_mismatch=cluster.size != sv_order,
+                at_window_edge=s_star - lo < scan_step or hi - s_star < scan_step,
+            )
         )
-        sv_order = int(round(sv_slope)) if math.isfinite(sv_slope) else 1
-        det_order = int(round(det_slope)) if math.isfinite(det_slope) else None
-        edge = s_star - lo < scan_step or hi - s_star < scan_step
-        roots.append((s_star, sv_order, det_order, edge))
-    if not (np.all(np.isfinite(sig))):
-        raise ArithmeticError(f"singular-value scan failed for mode {mode}")
-    return [
-        SpectrumPoint(
-            lambda_root=s,
-            fourier_mode=tuple(mode),
-            pole_order_k=max(sv_order - 1, 0),
-            det_order=det_order,
-            order_mismatch=(det_order is not None and det_order != sv_order),
-            at_window_edge=edge,
-        )
-        for (s, sv_order, det_order, edge) in roots
-    ]
+    return points
 
 
 def imspec(
@@ -156,40 +143,25 @@ def imspec(
     mode_cutoff: int = 3,
     scan_step: float = 1e-2,
     sv_tol: float = 1e-8,
-    refine_width: float = 1e-10,
-    dip_threshold: float = 0.25,
-    threads: int | None = None,
     dedup: bool = True,
 ) -> list:
     """Critical weights of an indicial family inside a window.
 
-    Scans the smallest singular value on an s-grid per Fourier mode,
-    refines every dip by bounded minimization to width ``refine_width``,
-    and accepts roots where the singular value drops below ``sv_tol``.
-    Results are deduplicated across modes (keeping the representative with
-    the smallest mode) and sorted by root.
+    Per Fourier mode, solves the companion linearization of the family's
+    matrix polynomial once and keeps the real eigenvalues in the window,
+    merging clusters into one root whose size is ``det_order``.  A root is
+    accepted where the smallest singular value drops below ``sv_tol``, and
+    flagged ``at_window_edge`` when it lies within ``scan_step`` of either
+    end of the window.  Results are deduplicated across modes (keeping the
+    representative with the smallest mode) and sorted by root.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be a finite interval, got {window}")
+    if mode_cutoff < 0:
+        raise ValueError(f"mode cutoff must be non-negative, got {mode_cutoff}")
     modes = sorted(family.modes(mode_cutoff), key=lambda m: (sum(abs(v) for v in m), m))
-    nthreads = _threads(threads)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            batches = list(
-                pool.map(
-                    lambda mode: _scan_mode(
-                        family, mode, lo, hi, scan_step, sv_tol, refine_width, dip_threshold
-                    ),
-                    modes,
-                )
-            )
-    else:
-        batches = [
-            _scan_mode(family, mode, lo, hi, scan_step, sv_tol, refine_width, dip_threshold)
-            for mode in modes
-        ]
-    points = [p for batch in batches for p in batch]
+    points = [p for mode in modes for p in _mode_roots(family, mode, lo, hi, scan_step, sv_tol)]
     points.sort(key=lambda p: (p.lambda_root, sum(abs(v) for v in p.fourier_mode)))
     if not dedup:
         return points
@@ -236,7 +208,6 @@ def normal_family_gap(
     etas=None,
     mode_cutoff: int = 2,
     tol: float = 1e-8,
-    threads: int | None = None,
 ) -> GapReport:
     """Smallest singular value of the boundary normal family on the
     fibre-perpendicular modes, over a (tau, eta) grid.
@@ -245,37 +216,31 @@ def normal_family_gap(
     nonzero fibre Fourier modes, so the restriction is a per-mode matrix.
     Modes beyond the cutoff only increase the fibre frequency, hence the
     minimum over the scanned modes is the true gap.  Without a fiber the
-    perpendicular subspace is trivial and the gap is infinite.
+    perpendicular subspace is trivial and the gap is infinite.  The family
+    is i times a real antisymmetric matrix, hence Hermitian, so its singular
+    values are the absolute values of its eigenvalues; these are computed
+    for all eta points of one (fibre mode, tau) slice at once.
     """
+    if mode_cutoff < 0:
+        raise ValueError(f"mode cutoff must be non-negative, got {mode_cutoff}")
     taus = np.linspace(-5, 5, 21) if taus is None else np.asarray(taus, float)
     etas = np.linspace(-5, 5, 21) if etas is None else np.asarray(etas, float)
     lam1 = model.smallest_fiber_eigenvalue()
+    shape = (len(taus),) + (len(etas),) * model.b
     if model.f == 0:
-        gaps = np.full((len(taus),) + (len(etas),) * model.b, np.inf)
-        return GapReport(taus, etas, gaps, math.inf, lam1, True, tol)
+        return GapReport(taus, etas, np.full(shape, np.inf), math.inf, lam1, True, tol)
 
-    nf = NormalFamily(model)
     modes = model.fiber_modes(mode_cutoff, nonzero=True)
-    eta_grids = [etas] * model.b
-
-    def gap_at(point):
-        tau, eta = point
-        return min(
-            float(np.linalg.svd(nf.matrix(tau, eta, m), compute_uv=False)[-1])
-            for m in modes
-        )
-
-    points = []
-    for tau in taus:
-        for eta in np.stack(np.meshgrid(*eta_grids, indexing="ij"), axis=-1).reshape(-1, model.b):
-            points.append((float(tau), eta))
-    nthreads = _threads(threads)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            flat = list(pool.map(gap_at, points))
-    else:
-        flat = [gap_at(p) for p in points]
-    gaps = np.array(flat).reshape((len(taus),) + (len(etas),) * model.b)
+    if not modes:
+        raise ValueError("mode cutoff 0 leaves no fibre-perpendicular mode to scan")
+    nf = NormalFamily(model)
+    eta_points = np.stack(np.meshgrid(*[etas] * model.b, indexing="ij"), axis=-1).reshape(-1, model.b)
+    flat = np.full((len(taus), len(eta_points)), np.inf)
+    for m in modes:
+        for i, tau in enumerate(taus):
+            eig = np.linalg.eigvalsh(nf.matrix(tau, eta_points, m))
+            np.minimum(flat[i], np.abs(eig).min(axis=-1), out=flat[i])
+    gaps = flat.reshape(shape)
     min_gap = float(gaps.min())
     return GapReport(
         taus,
@@ -286,7 +251,8 @@ def normal_family_gap(
         normal_invertible=min_gap > tol and min_gap >= math.sqrt(lam1) - 1e-6,
         tol=tol,
         rows=[
-            {"tau": p[0], "eta": list(map(float, np.atleast_1d(p[1]))), "gap": g}
-            for p, g in zip(points, flat)
+            {"tau": float(tau), "eta": eta.tolist(), "gap": float(g)}
+            for tau, row in zip(taus, flat)
+            for eta, g in zip(eta_points, row)
         ],
     )

@@ -1,15 +1,24 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here works on *finite truncations*: an index set is represented
-as the plain Python set of its members (re, im, k) with Re z below a
-cutoff, enumerated directly from the defining closure rules.  None of it
-reuses the package's canonical-generator algebra, so agreement between the
-two is a genuine cross-check.
+The index-set oracles work on *finite truncations*: an index set is
+represented as the plain Python set of its members (re, im, k) with Re z
+below a cutoff, enumerated directly from the defining closure rules.  None
+of it reuses the package's canonical-generator algebra, so agreement
+between the two is a genuine cross-check.
+
+The critical-weight oracle finds roots of an indicial family by scanning
+its smallest singular value, with no use of the family's polynomial
+structure; the package solves the companion eigenproblem instead.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from phicalc.models.spectrum import SpectrumPoint, _log_slope
 
 KEY_DECIMALS = 9
 
@@ -79,3 +88,98 @@ def random_generators(rng, max_gens=4, allow_halves=True, allow_imag=True):
         k = rng.randrange(0, 3)
         gens.append(((re, im), k))
     return gens
+
+
+# ---------------------------------------------------------------------------
+# critical weights by a singular-value scan
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _sigma_min(family, s, mode):
+    return float(np.linalg.svd(family.matrix(s, mode), compute_uv=False)[-1])
+
+
+def _golden_min(fn, a, b, width):
+    """Golden-section minimization to an absolute bracket width.
+
+    Unlike library bounded minimizers this has no sqrt(machine-eps)
+    tolerance floor, which matters because the singular value behaves like
+    |s - s0|^k near a root and must be localized to ~1e-10.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > width:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    xm = 0.5 * (a + b)
+    return xm, fn(xm)
+
+
+def _scan_mode(family, mode, lo, hi, scan_step, sv_tol, refine_width, dip_threshold):
+    grid = np.arange(lo, hi + scan_step / 2, scan_step)
+    sig = np.array([_sigma_min(family, s, mode) for s in grid])
+    roots = []
+    for i in range(len(grid)):
+        left = sig[i - 1] if i > 0 else math.inf
+        right = sig[i + 1] if i + 1 < len(grid) else math.inf
+        if not (sig[i] <= left and sig[i] <= right and sig[i] < dip_threshold):
+            continue
+        a = grid[max(i - 1, 0)]
+        b = grid[min(i + 1, len(grid) - 1)]
+        s_star, sig_star = _golden_min(
+            lambda s: _sigma_min(family, s, mode), float(a), float(b), refine_width
+        )
+        if sig_star >= sv_tol:
+            continue
+        if any(abs(s_star - r[0]) < 1e-8 for r in roots):
+            continue
+        # vanishing orders of the smallest singular value and of |det|
+        deltas = (1e-3, 3e-4, 1e-4, 3e-5)
+        sv_slope = _log_slope(lambda s: _sigma_min(family, s, mode), s_star, deltas)
+        det_slope = _log_slope(
+            lambda s: abs(np.linalg.det(family.matrix(s, mode))), s_star, deltas
+        )
+        sv_order = int(round(sv_slope)) if math.isfinite(sv_slope) else 1
+        det_order = int(round(det_slope)) if math.isfinite(det_slope) else None
+        edge = s_star - lo < scan_step or hi - s_star < scan_step
+        roots.append((s_star, sv_order, det_order, edge))
+    return [
+        SpectrumPoint(
+            lambda_root=s,
+            fourier_mode=tuple(mode),
+            pole_order_k=max(sv_order - 1, 0),
+            det_order=det_order,
+            order_mismatch=(det_order is not None and det_order != sv_order),
+            at_window_edge=edge,
+        )
+        for (s, sv_order, det_order, edge) in roots
+    ]
+
+
+def scan_imspec(family, window, mode_cutoff, scan_step=1e-2, sv_tol=1e-8,
+                refine_width=1e-10, dip_threshold=0.25):
+    """Critical weights by scanning the smallest singular value on an
+    s-grid per mode and refining every dip by golden-section search; the
+    determinant order comes from the log-log slope of |det|.  Output as
+    ``imspec``: deduplicated across modes (smallest mode kept), sorted."""
+    lo, hi = float(window[0]), float(window[1])
+    modes = sorted(family.modes(mode_cutoff), key=lambda m: (sum(abs(v) for v in m), m))
+    points = [
+        p for mode in modes
+        for p in _scan_mode(family, mode, lo, hi, scan_step, sv_tol, refine_width, dip_threshold)
+    ]
+    points.sort(key=lambda p: (p.lambda_root, sum(abs(v) for v in p.fourier_mode)))
+    out = []
+    for p in points:
+        if not any(abs(p.lambda_root - q.lambda_root) < 1e-8 for q in out):
+            out.append(p)
+    return out

@@ -5,6 +5,8 @@ against the unit torus model and prints its verdict line.  Criteria carry
 their own runtime budgets, asserted here as well.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from phicalc import acceptance
@@ -92,3 +94,14 @@ def test_criterion_7_fredholm_gates(results):
 
 def test_all_criteria_pass(results):
     assert all(r.passed for r in results.values())
+
+
+def test_enum_oracle_is_exact_on_thirds():
+    third = acceptance._enum_closure([(Fraction(1, 3), 0, 0)], 2)
+    two_thirds = acceptance._enum_closure([(Fraction(2, 3), 0, 0)], 2)
+    sums = acceptance._enum_add(third, third, 2)
+    member = min(two_thirds)
+    assert member in sums
+    # the shared exponent 2/3 gets its log boost in the extended union
+    boosted = (member[0], member[1], 1)
+    assert boosted in acceptance._enum_eu(sums, two_thirds, 2)

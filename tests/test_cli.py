@@ -193,6 +193,27 @@ def test_bad_tolerance_exit_2(tmp_path):
     assert main(["imspec", "--model", m, "--tol", "-1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_idx_scale_rejects_non_integer_factor(tmp_path, capsys):
+    a = iset_file(tmp_path, "a.json", [(1, 0)])
+    out = str(tmp_path / "o.json")
+    assert main(["idx", "scale", a, "--by", "1.5", "--out", out]) == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert main(["idx", "scale", a, "--by", "2", "--out", out]) == 0
+    assert IndexSet.from_json(json.load(open(out))) == make_index_set([(2, 0)])
+
+
+def test_imspec_negative_modes_exit_2(tmp_path, capsys):
+    m = model_file(tmp_path)
+    assert main(["imspec", "--model", m, "--modes", "-1", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "mode cutoff" in capsys.readouterr().err
+
+
+def test_gap_negative_modes_exit_2(tmp_path, capsys):
+    m = model_file(tmp_path)
+    assert main(["gap", "--model", m, "--modes", "-1", "--out", str(tmp_path / "g.json")]) == 2
+    assert "mode cutoff" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

@@ -23,6 +23,8 @@ from phicalc.models import (
 from phicalc.models.harmonic import SampledSolution, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
 
+from oracles import scan_imspec
+
 GOLD = (-1 + math.sqrt(5)) / 2
 MODEL = ModelGeometry()  # a=1, one base circle, one fiber circle, both 2*pi
 
@@ -359,14 +361,36 @@ def test_two_dimensional_base_gap():
     assert abs(rep.min_gap - math.sqrt(10.0)) < 1e-6
 
 
-def test_mode_parallel_sweeps_are_deterministic(monkeypatch):
-    fam = assemble_DV(MODEL).scalar("b")
-    serial = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2, threads=1)
-    threaded = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2, threads=4)
-    assert [p.lambda_root for p in serial] == [p.lambda_root for p in threaded]
-    monkeypatch.setenv("PHICALC_THREADS", "3")
-    via_env = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
-    assert [p.lambda_root for p in via_env] == [p.lambda_root for p in serial]
+def test_imspec_matches_scan_oracle():
+    # two routes to the critical weights: the companion eigen-solve and a
+    # singular-value scan with golden-section refinement
+    builder = assemble_DV(MODEL)
+    for name in ("scalar", "gb", "hodge"):
+        for volume in ("b", "g"):
+            fam = builder.family(name, volume)
+            got = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
+            want = scan_imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
+            assert len(got) == len(want), (name, volume)
+            for p, q in zip(got, want):
+                assert abs(p.lambda_root - q.lambda_root) < 1e-8
+                assert (p.pole_order_k, p.det_order, p.at_window_edge) == (
+                    q.pole_order_k, q.det_order, q.at_window_edge)
+            assert imspec(fam, window=(-2.5, 2.5), mode_cutoff=2) == got
+
+
+@pytest.mark.parametrize("base", [(2 * math.pi,), (5.0, 2 * math.pi)])
+def test_batched_gap_matches_pointwise_svd(base):
+    model = ModelGeometry(base_circumferences=base, fiber_circumferences=(3.0,))
+    taus, etas = [-1.3, 0.2, 2.7], [-0.7, 1.1, 3.4]
+    rep = normal_family_gap(model, taus, etas)
+    nf = NormalFamily(model)
+    modes = model.fiber_modes(2, nonzero=True)
+    assert len(rep.rows) == len(taus) * len(etas) ** model.b
+    for row in rep.rows:
+        want = min(np.linalg.svd(nf.matrix(row["tau"], row["eta"], m), compute_uv=False)[-1]
+                   for m in modes)
+        assert abs(row["gap"] - want) < 1e-12
+    assert rep.min_gap == min(row["gap"] for row in rep.rows)
 
 
 # ---------------------------------------------------------------------------
