@@ -45,7 +45,10 @@ def _load_model(path: str | None) -> ModelGeometry:
     unknown = set(data) - _MODEL_KEYS
     if unknown:
         raise JsonInputError(f"{path}: unknown model fields {sorted(unknown)}")
-    return ModelGeometry.from_json(data)
+    try:
+        return ModelGeometry.from_json(data)
+    except (TypeError, ValueError) as exc:
+        raise JsonInputError(f"{path}: not a valid model document: {exc}")
 
 
 def _load_class(path: str):
@@ -181,6 +184,9 @@ def _cmd_solve(args) -> int:
     base = _parse_mode(args.mode[0])
     fiber = _parse_mode(args.mode[1])
     sol = solve_harmonic(model, args.degree, (base, fiber), t_max=t_max, n=n)
+    if sol.ill_conditioned():
+        print(f"warning: ill-conditioned mode solve (condition estimate {sol.cond_estimate:.2e}); "
+              "the growing branch may contaminate the solution", file=sys.stderr)
     try:
         fit = fit_exponents(sol)
         rows = [fit.to_row()]

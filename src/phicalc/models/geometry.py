@@ -53,14 +53,20 @@ class ModelGeometry:
     volume_convention: str = "b"
 
     def __post_init__(self):
-        if self.a < 1:
-            raise ValueError("degeneracy order a must be a positive integer")
+        a = self.a
+        numeric = isinstance(a, (int, float, np.integer, np.floating)) and not isinstance(a, bool)
+        if not (numeric and float(a).is_integer() and a >= 1):
+            raise ValueError(f"degeneracy order a must be a positive integer, got {a!r}")
+        object.__setattr__(self, "a", int(a))
         if self.volume_convention != "b":
             raise ValueError("the reference volume is the b-volume dx/x dy dz")
         object.__setattr__(self, "base_circumferences", tuple(float(L) for L in self.base_circumferences))
         object.__setattr__(self, "fiber_circumferences", tuple(float(L) for L in self.fiber_circumferences))
-        if any(L <= 0 for L in self.base_circumferences + self.fiber_circumferences):
-            raise ValueError("circumferences must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in self.base_circumferences + self.fiber_circumferences):
+            raise ValueError("circumferences must be finite and positive")
+        object.__setattr__(self, "x_max", float(self.x_max))
+        if not (math.isfinite(self.x_max) and self.x_max > 0):
+            raise ValueError(f"x_max must be finite and positive, got {self.x_max}")
 
     @property
     def b(self) -> int:
@@ -109,10 +115,10 @@ class ModelGeometry:
     @staticmethod
     def from_json(data: dict) -> "ModelGeometry":
         return ModelGeometry(
-            a=int(data.get("a", 1)),
+            a=data.get("a", 1),
             base_circumferences=tuple(data.get("base", {}).get("circumferences", (TWO_PI,))),
             fiber_circumferences=tuple(data.get("fiber", {}).get("circumferences", ())),
-            x_max=float(data.get("x_max", 1.0)),
+            x_max=data.get("x_max", 1.0),
         )
 
 
@@ -374,12 +380,15 @@ class ModeOperator:
     def max_dt_order(self) -> int:
         return max(p for p, _ in self.terms)
 
-    def coefficient(self, t: float, p: int) -> np.ndarray:
-        """Matrix coefficient of d_t^p at time t."""
-        M = np.zeros((self.dim, self.dim), dtype=complex)
+    def coefficient(self, t, p: int) -> np.ndarray:
+        """Matrix coefficient of d_t^p at time t, or the stack of
+        coefficients with shape t.shape + (dim, dim) when t is an array
+        of times."""
+        t = np.asarray(t, dtype=float)
+        M = np.zeros(t.shape + (self.dim, self.dim), dtype=complex)
         for (pp, q), block in self.terms.items():
             if pp == p:
-                M = M + block * math.exp(q * self.a * t)
+                M = M + block * np.exp(q * self.a * t)[..., None, None]
         return M
 
     def symbol_on_power(self, t: float, s: complex) -> np.ndarray:

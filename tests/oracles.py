@@ -9,6 +9,11 @@ between the two is a genuine cross-check.
 The critical-weight oracle finds roots of an indicial family by scanning
 its smallest singular value, with no use of the family's polynomial
 structure; the package solves the companion eigenproblem instead.
+
+The harmonic-solve oracles assemble the finite-difference mode system and
+its defect one grid row at a time, evaluating each coefficient matrix
+from the operator's terms at one time; the package builds all rows from
+stacked coefficient arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from phicalc.models.geometry import hodge_mode_operator
+from phicalc.models.harmonic import SampledSolution, _default_component
 from phicalc.models.spectrum import SpectrumPoint, _log_slope
 
 KEY_DECIMALS = 9
@@ -183,3 +192,98 @@ def scan_imspec(family, window, mode_cutoff, scan_step=1e-2, sv_tol=1e-8,
         if not any(abs(p.lambda_root - q.lambda_root) < 1e-8 for q in out):
             out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# harmonic mode solves, row by row
+
+
+def _coefficient(op, t, p):
+    """Matrix coefficient of d_t^p of a mode operator at one time t."""
+    M = np.zeros((op.dim, op.dim), dtype=complex)
+    for (pp, q), block in op.terms.items():
+        if pp == p:
+            M = M + block * math.exp(q * op.a * t)
+    return M
+
+
+def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2048):
+    """``solve_harmonic`` with unit boundary data on the default component,
+    assembled block by block with one coefficient evaluation per row."""
+    base_mode, fiber_mode = mode
+    op = hodge_mode_operator(model, base_mode, fiber_mode)
+    dim = op.dim
+    component = _default_component(model, form_degree)
+    g = np.zeros(dim, dtype=complex)
+    g[component] = 1.0
+
+    h = t_max / n
+    t = np.linspace(0.0, t_max, n + 1)
+    rows, cols, vals = [], [], []
+
+    def put(i, j, block):
+        nz = np.nonzero(block)
+        rows.extend((i * dim + nz[0]).tolist())
+        cols.extend((j * dim + nz[1]).tolist())
+        vals.extend(block[nz].tolist())
+
+    for i in range(1, n):
+        A2 = _coefficient(op, t[i], 2)
+        A1 = _coefficient(op, t[i], 1)
+        A0 = _coefficient(op, t[i], 0)
+        put(i, i - 1, A2 / h**2 - A1 / (2 * h))
+        put(i, i, -2 * A2 / h**2 + A0)
+        put(i, i + 1, A2 / h**2 + A1 / (2 * h))
+    put(0, 0, np.eye(dim))
+    put(n, n, np.eye(dim))
+
+    A = sp.csr_matrix(
+        (np.array(vals, dtype=complex), (rows, cols)), shape=((n + 1) * dim, (n + 1) * dim)
+    )
+    rhs = np.zeros((n + 1) * dim, dtype=complex)
+    rhs[:dim] = g
+    lu = spla.splu(A.tocsc())
+    u = lu.solve(rhs)
+    inv_op = spla.LinearOperator(
+        A.shape,
+        matvec=lu.solve,
+        rmatvec=lambda b: lu.solve(b, trans="H"),
+        dtype=complex,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = float(spla.onenormest(A) * spla.onenormest(inv_op))
+    return SampledSolution(
+        t=t,
+        x=model.x_max * np.exp(-t),
+        values=u.reshape(n + 1, dim),
+        base_mode=tuple(np.atleast_1d(base_mode).astype(int)),
+        fiber_mode=tuple(np.atleast_1d(fiber_mode).astype(int)),
+        form_degree=form_degree,
+        component=component,
+        cond_estimate=cond,
+        model=model,
+    )
+
+
+def loop_discrete_residual(model, base_mode, exponent, component=0, t_window=(1.0, 6.0), n=256):
+    """``discrete_residual`` evaluated one interior grid point at a time."""
+    op = hodge_mode_operator(model, base_mode, (0,) * model.f)
+    dim = op.dim
+    t0, t1 = t_window
+    h = (t1 - t0) / n
+    t = np.linspace(t0, t1, n + 1)
+    v = np.zeros(dim, dtype=complex)
+    v[component] = 1.0
+    u = np.exp(-exponent * t)[:, None] * v[None, :]
+    worst = 0.0
+    for i in range(1, n):
+        A2 = _coefficient(op, t[i], 2)
+        A1 = _coefficient(op, t[i], 1)
+        A0 = _coefficient(op, t[i], 0)
+        r = (
+            A2 @ (u[i + 1] - 2 * u[i] + u[i - 1]) / h**2
+            + A1 @ (u[i + 1] - u[i - 1]) / (2 * h)
+            + A0 @ u[i]
+        )
+        worst = max(worst, float(np.linalg.norm(r, ord=np.inf)))
+    return worst

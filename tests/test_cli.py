@@ -135,6 +135,30 @@ def test_solve_cli_samples(tmp_path):
     assert len(lines) == 514  # header + 513 grid points
 
 
+@pytest.mark.parametrize("grid", ["12,0", "12,1", "nan,2048", "inf,2048", "-12,2048"])
+def test_solve_rejects_bad_grid(tmp_path, capsys, grid):
+    out = str(tmp_path / "fits.csv")
+    assert main(["solve", "--mode", "1", "0", f"--grid={grid}", "--out", out]) == 2
+    assert "solve grid" in capsys.readouterr().err
+
+
+def test_solve_warns_when_ill_conditioned(tmp_path, capsys):
+    m = jdump(tmp_path, "a2.json", {
+        "a": 2,
+        "base": {"circumferences": [6.283185307179586]},
+        "fiber": {"circumferences": [6.283185307179586]},
+    })
+    out = str(tmp_path / "fits.csv")
+    assert main(["solve", "--model", m, "--mode", "0", "1", "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "e+23" in err and err.count("\n") == 1
+    lines = open(out).read().strip().splitlines()
+    assert lines[0] == "mode,exponent,log_power,residual,superpoly"
+    assert lines[1].endswith(",1")
+    assert main(["solve", "--model", model_file(tmp_path), "--mode", "1", "0", "--out", out]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_verify_cli(tmp_path):
     m = model_file(tmp_path)
     out = str(tmp_path / "verify.json")
@@ -186,6 +210,18 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 def test_unknown_model_field_exit_2(tmp_path):
     m = jdump(tmp_path, "m.json", {"a": 1, "base": {"circumferences": [6.28]}, "fiber": {"circumferences": []}, "extra": 1})
     assert main(["imspec", "--model", m]) == 2
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("gap", {"a": 1, "base": {"circumferences": [float("nan")]}, "fiber": {"circumferences": [6.28]}}),
+    ("imspec", {"a": 1.5, "base": {"circumferences": [6.28]}, "fiber": {"circumferences": [6.28]}}),
+    ("solve", {"a": 1, "base": {"circumferences": [6.28]}, "fiber": {"circumferences": []}, "x_max": 0}),
+])
+def test_invalid_model_values_exit_2(tmp_path, capsys, command, doc):
+    m = jdump(tmp_path, "m.json", doc)
+    extra = ["--mode", "1", "-"] if command == "solve" else []
+    assert main([command, "--model", m, *extra, "--out", str(tmp_path / "o")]) == 2
+    assert "not a valid model document" in capsys.readouterr().err
 
 
 def test_bad_tolerance_exit_2(tmp_path):

@@ -23,7 +23,7 @@ from phicalc.models import (
 from phicalc.models.harmonic import SampledSolution, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
 
-from oracles import scan_imspec
+from oracles import loop_discrete_residual, loop_solve_harmonic, scan_imspec
 
 GOLD = (-1 + math.sqrt(5)) / 2
 MODEL = ModelGeometry()  # a=1, one base circle, one fiber circle, both 2*pi
@@ -38,6 +38,20 @@ def test_model_validation_and_json():
         ModelGeometry(a=0)
     with pytest.raises(ValueError):
         ModelGeometry(base_circumferences=(-1.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ModelGeometry(base_circumferences=(bad,))
+        with pytest.raises(ValueError):
+            ModelGeometry(fiber_circumferences=(bad,))
+    for x_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ModelGeometry(x_max=x_max)
+    for a in (1.5, True, "2", math.nan):
+        with pytest.raises(ValueError):
+            ModelGeometry(a=a)
+    with pytest.raises(ValueError):
+        ModelGeometry.from_json({"a": 1.5})
+    assert ModelGeometry.from_json({"a": 2.0}).a == 2
     m = ModelGeometry(a=2, base_circumferences=(2 * math.pi,), fiber_circumferences=(math.pi,))
     again = ModelGeometry.from_json(m.to_json())
     assert again == m
@@ -334,6 +348,57 @@ def test_mode_operator_annihilates_exact_solution():
     v[0] = 1.0
     for t in (0.5, 2.0, 7.0):
         assert np.linalg.norm(op.symbol_on_power(t, GOLD) @ v) < 1e-12
+
+
+def test_mode_operator_coefficient_stack_matches_pointwise():
+    op = hodge_mode_operator(ModelGeometry(a=2), (1,), (1,))
+    t = np.array([0.0, 0.3, 2.5, 7.0])
+    for p in (0, 1, 2):
+        stack = op.coefficient(t, p)
+        assert stack.shape == (len(t), op.dim, op.dim)
+        for ti, M in zip(t, stack):
+            assert np.allclose(M, op.coefficient(ti, p), rtol=1e-15, atol=0)
+        assert op.coefficient(1.0, p).shape == (op.dim, op.dim)
+
+
+def _fit_outcome(sol):
+    try:
+        fit = fit_exponents(sol)
+    except FitError as exc:
+        return str(exc)
+    return fit.fitted_exponent, fit.fitted_log_power, fit.superpolynomial_flag
+
+
+def test_vectorized_solve_matches_loop_oracle():
+    # two assemblies of the same mode system: stacked coefficient arrays
+    # and one Python block insertion per grid row
+    models = (MODEL, ModelGeometry(a=2),
+              ModelGeometry(base_circumferences=(5.0,), fiber_circumferences=(3.0,)))
+    modes = [((j,), (0,)) for j in range(3)] + [((0,), (1,)), ((1,), (1,))]
+    rng_state = np.random.get_state()
+    try:
+        for model in models:
+            for mode in modes:
+                for degree in (0, 1):
+                    # onenormest draws random starting vectors from NumPy's
+                    # global generator; both routes get the same draws
+                    np.random.seed(0)
+                    got = solve_harmonic(model, degree, mode)
+                    np.random.seed(0)
+                    want = loop_solve_harmonic(model, degree, mode)
+                    case = (model.a, model.base_circumferences, mode, degree)
+                    scale = np.abs(want.values).max()
+                    assert np.abs(got.values - want.values).max() <= 1e-12 * scale, case
+                    assert abs(got.cond_estimate - want.cond_estimate) <= 1e-9 * want.cond_estimate, case
+                    assert _fit_outcome(got) == _fit_outcome(want), case
+    finally:
+        np.random.set_state(rng_state)
+    for model in models:
+        root = _scalar_root(model, 1)
+        for n in (128, 256, 512):
+            got = discrete_residual(model, (1,), root, n=n)
+            want = loop_discrete_residual(model, (1,), root, n=n)
+            assert abs(got - want) <= 1e-12 * want, (model.a, n)
 
 
 def test_gb_mode_operator_squares_to_hodge():
