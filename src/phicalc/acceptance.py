@@ -344,10 +344,9 @@ def criterion_5(model: ModelGeometry) -> CriterionResult:
     etas = np.linspace(-5, 5, 21)
     rep = normal_family_gap(model, taus, etas)
     lam1 = model.smallest_fiber_eigenvalue()
-    worst = 0.0
-    for row in rep.rows:
-        oracle = math.sqrt(lam1 + row["tau"] ** 2 + sum(v * v for v in row["eta"]))
-        worst = max(worst, abs(row["gap"] - oracle))
+    tau, *eta = np.meshgrid(rep.taus, *[rep.etas] * model.b, indexing="ij")
+    oracle = np.sqrt(lam1 + tau**2 + sum(v * v for v in eta))
+    worst = float(np.abs(rep.gaps - oracle).max())
     ok = worst < 1e-6 and rep.normal_invertible
     elapsed = time.perf_counter() - t0
     return CriterionResult(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from . import acceptance
 from .indexsets import IndexSet, geq, greater_than
@@ -103,11 +104,13 @@ def _cmd_idx(args) -> int:
         return 0
     I = _load_index_set(args.inputs[0])
     if args.op == "shift":
+        if args.by is None:
+            raise JsonInputError("idx shift needs --by")
         out = indexsets.shift(I, args.by)
         write_json(out.to_json(), args.out)
         return 0
     if args.op == "scale":
-        if args.by is None or not args.by.is_integer():
+        if args.by is None or args.by.denominator != 1:
             raise JsonInputError(f"idx scale needs --by a positive integer, got {args.by}")
         out = indexsets.scale(I, int(args.by))
         write_json(out.to_json(), args.out)
@@ -117,7 +120,7 @@ def _cmd_idx(args) -> int:
         raise JsonInputError("idx compare needs --alpha")
     write_json(
         {
-            "alpha": args.alpha,
+            "alpha": indexsets.number_to_json(args.alpha),
             "greater_than": greater_than(I, args.alpha),
             "geq": geq(I, args.alpha),
         },
@@ -233,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("idx", help="index-set operations on JSON files")
     p.add_argument("op", choices=["add", "union", "shift", "scale", "compare"])
     p.add_argument("inputs", nargs="+", help="input index-set JSON files")
-    p.add_argument("--by", type=float, help="shift amount or scale factor")
-    p.add_argument("--alpha", type=float, help="threshold for compare")
+    p.add_argument("--by", type=Fraction,
+                   help="shift amount or scale factor, read exactly (2, 0.25, 1/3)")
+    p.add_argument("--alpha", type=Fraction, help="threshold for compare, read exactly")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_idx)
 

@@ -12,14 +12,23 @@ z - z0 in N0 and k <= k0.  This makes membership decidable and gives a
 canonical form (no generator dominated by another), hence decidable
 equality.
 
-Exponents are kept exact (int / Fraction) when constructed symbolically.
-Exponents imported from numerics are floats and are compared with an
-absolute tolerance of 1e-9; in particular the log-boost rule of the
-extended union decides exponent equality at that tolerance.
+Exponents are exact: each real and imaginary part is an ``int`` or a
+``Fraction``.  Every real that enters an index set (generators, membership
+probes, shifts, comparison thresholds) passes once through
+:func:`exact_real`, which keeps ``int`` and ``Fraction`` and replaces a
+finite float, such as a critical weight from numerics, by the nearest
+fraction with denominator at most ``MAX_DENOMINATOR`` = 10**6.  A float
+within 1/(2 q 10**6) of a fraction p/q with q <= 10**6 becomes that
+fraction, so 1 + 2e-10 is 1.  From there on the algebra is exact: ``add``
+and ``extended_union`` are associative and commutative, the canonical form
+does not depend on the order of the generators, and the JSON form (whole
+numbers as ints, other fractions as "p/q" strings) reads back to the same
+set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -28,6 +37,10 @@ __all__ = [
     "IndexSet",
     "IndexFamily",
     "EMPTY",
+    "MAX_DENOMINATOR",
+    "exact_real",
+    "number_to_json",
+    "number_from_json",
     "make_index_set",
     "real_set",
     "add",
@@ -39,97 +52,68 @@ __all__ = [
 ]
 
 RealLike = Union[int, Fraction, float]
+Exact = Union[int, Fraction]
 
-#: absolute tolerance for float exponent comparisons
-TOL = 1e-9
-
-
-def _is_exact(v: RealLike) -> bool:
-    return not isinstance(v, float)
+#: largest denominator that :func:`exact_real` gives a float
+MAX_DENOMINATOR = 10**6
 
 
-def _req(u: RealLike, v: RealLike) -> bool:
-    """Real equality, exact when both operands are exact."""
-    if _is_exact(u) and _is_exact(v):
-        return u == v
-    return abs(u - v) <= TOL
+def exact_real(v: RealLike) -> Exact:
+    """The exact number a real exponent part stands for.
 
-
-def _is_nonneg_int(d: RealLike) -> bool:
-    """Is d a nonnegative integer (to tolerance when float)?"""
-    if _is_exact(d):
-        return d >= 0 and d.denominator == 1
-    n = round(d)
-    return n >= 0 and abs(d - n) <= TOL
-
-
-def _as_real(v) -> RealLike:
+    ``int`` and ``Fraction`` pass through.  A finite ``float`` becomes the
+    fraction nearest to it with denominator at most ``MAX_DENOMINATOR``, an
+    ``int`` when that is whole.  Booleans, NaN and infinities are rejected.
+    """
     if isinstance(v, bool):
         raise TypeError("boolean is not a valid exponent part")
     if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, float):
-        return v
-    raise TypeError(f"exponent part must be int, Fraction or float, got {type(v)!r}")
+    if not isinstance(v, float):
+        raise TypeError(f"exponent part must be int, Fraction or float, got {type(v)!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"exponent part must be finite, got {v}")
+    q = Fraction(v).limit_denominator(MAX_DENOMINATOR)
+    return q.numerator if q.denominator == 1 else q
 
 
-def _split_exponent(z) -> tuple[RealLike, RealLike]:
+def _split_exponent(z) -> tuple[Exact, Exact]:
     """Accept complex, (re, im) pairs or plain reals for an exponent."""
     if isinstance(z, complex):
-        re = z.real
-        im = z.imag
-        return (int(re) if re.is_integer() else re, int(im) if im.is_integer() else im)
+        return (exact_real(z.real), exact_real(z.imag))
     if isinstance(z, tuple):
         if len(z) != 2:
             raise TypeError("exponent tuple must be (re, im)")
-        return (_as_real(z[0]), _as_real(z[1]))
-    return (_as_real(z), 0)
+        return (exact_real(z[0]), exact_real(z[1]))
+    return (exact_real(z), 0)
 
 
 # A generator is a triple (re, im, k) with k a nonnegative int.
 Gen = tuple
 
 
-def _gen_key(g: Gen):
-    return (float(g[0]), float(g[1]), g[2])
-
-
-def _z_eq(g: Gen, h: Gen) -> bool:
-    return _req(g[0], h[0]) and _req(g[1], h[1])
-
-
-def _z_diff_nonneg_int(g: Gen, h: Gen) -> bool:
-    """True when h.z - g.z lies in N0 (so g's cone reaches h's exponent)."""
-    return _req(g[1], h[1]) and _is_nonneg_int(h[0] - g[0])
+def _reaches(g: Gen, re: Exact, im: Exact) -> bool:
+    """True when re + i im - g.z lies in N0 (so g's cone reaches it)."""
+    d = re - g[0]
+    return g[1] == im and d >= 0 and d.denominator == 1
 
 
 def _dominates(g: Gen, h: Gen) -> bool:
     """g dominates h when the closure of {g} already contains h."""
-    return h[2] <= g[2] and _z_diff_nonneg_int(g, h)
+    return h[2] <= g[2] and _reaches(g, h[0], h[1])
 
 
 def _canonical(gens: Iterable[Gen]) -> tuple[Gen, ...]:
-    gens = list(gens)
+    """The generators sorted, with every one dominated by another removed.
+
+    In (re, im, -k) order each generator comes after every generator that
+    dominates it, so one pass against the generators kept so far suffices.
+    """
     kept: list[Gen] = []
-    for i, h in enumerate(gens):
-        dominated = False
-        for j, g in enumerate(gens):
-            if i == j:
-                continue
-            if _dominates(g, h):
-                # identical pairs: keep the first occurrence only
-                if _dominates(h, g) and j > i:
-                    continue
-                dominated = True
-                break
-        if not dominated:
+    for h in sorted(gens, key=lambda g: (g[0], g[1], -g[2])):
+        if not any(_dominates(g, h) for g in kept):
             kept.append(h)
-    # collapse exact duplicates that survived mutual domination
-    out: list[Gen] = []
-    for g in sorted(kept, key=_gen_key):
-        if not any(_z_eq(g, h) and g[2] == h[2] for h in out):
-            out.append(g)
-    return tuple(out)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -154,43 +138,26 @@ class IndexSet:
 
     def min_re(self) -> RealLike:
         """Smallest real part among minimal elements (inf for the empty set)."""
-        if self.is_empty:
-            return float("inf")
-        return min((g[0] for g in self.generators), key=float)
+        return self.generators[0][0] if self.generators else float("inf")
 
-    def truncate(self, re_max: RealLike = 10) -> list[tuple[RealLike, RealLike, int]]:
+    def truncate(self, re_max: RealLike = 10) -> list[tuple[Exact, Exact, int]]:
         """All members (re, im, k) with re <= re_max, sorted.
 
         Used for display and serialization of the (infinite) closed set.
         """
-        seen: list[tuple[RealLike, RealLike, int]] = []
-        for (re, im, kmax) in self.generators:
-            n = 0
-            while float(re) + n <= float(re_max) + TOL:
-                for k in range(kmax + 1):
-                    cand = (re + n, im, k)
-                    if not any(
-                        _req(cand[0], s[0]) and _req(cand[1], s[1]) and cand[2] == s[2]
-                        for s in seen
-                    ):
-                        seen.append(cand)
-                n += 1
-        return sorted(seen, key=lambda s: (float(s[0]), float(s[1]), s[2]))
-
-    def close_to(self, other: "IndexSet", tol: float = TOL) -> bool:
-        """Generator-wise equality up to tolerance in the exponents."""
-        if len(self.generators) != len(other.generators):
-            return False
-        for g, h in zip(self.generators, other.generators):
-            if g[2] != h[2] or abs(g[0] - h[0]) > tol or abs(g[1] - h[1]) > tol:
-                return False
-        return True
+        re_max = exact_real(re_max)
+        return sorted({
+            (re + n, im, k)
+            for (re, im, kmax) in self.generators
+            for n in range(math.floor(re_max - re) + 1)
+            for k in range(kmax + 1)
+        })
 
     def to_json(self) -> dict:
         return {
             "empty": self.is_empty,
             "generators": [
-                {"re": _json_num(g[0]), "im": _json_num(g[1]), "k": g[2]}
+                {"re": number_to_json(g[0]), "im": number_to_json(g[1]), "k": g[2]}
                 for g in self.generators
             ],
         }
@@ -200,7 +167,7 @@ class IndexSet:
         if data.get("empty") and not data.get("generators"):
             return EMPTY
         gens = [
-            ((_load_num(g["re"]), _load_num(g["im"])), int(g["k"]))
+            ((number_from_json(g["re"]), number_from_json(g["im"])), int(g["k"]))
             for g in data.get("generators", [])
         ]
         return make_index_set(gens)
@@ -209,31 +176,31 @@ class IndexSet:
         if self.is_empty:
             return "IndexSet(∅)"
         parts = ", ".join(
-            f"({_fmt(g[0])}{'' if _req(g[1], 0) else '+' + _fmt(g[1]) + 'i'},{g[2]})"
+            f"({number_to_json(g[0])}{'' if g[1] == 0 else f'+{number_to_json(g[1])}i'},{g[2]})"
             for g in self.generators
         )
         return f"IndexSet[{parts}]"
 
 
-def _json_num(v: RealLike):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else float(v)
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v
+def number_to_json(v: RealLike):
+    """JSON form of a finite number: an int when it is whole, "p/q" for
+    any other Fraction, and any other float as it is."""
+    if isinstance(v, float):
+        return int(v) if v.is_integer() else v
+    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _load_num(v) -> RealLike:
+def number_from_json(v) -> RealLike:
+    """Read a number written by :func:`number_to_json`.  Strings ("p/q" or
+    decimal) are read exactly; a float stays a float unless it is whole."""
+    if isinstance(v, str):
+        q = Fraction(v)
+        return q.numerator if q.denominator == 1 else q
+    if isinstance(v, float):
+        return int(v) if v.is_integer() else v
     if isinstance(v, int):
         return v
-    f = float(v)
-    return int(f) if f.is_integer() else f
-
-
-def _fmt(v: RealLike) -> str:
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return f"{v.numerator}/{v.denominator}"
-    return str(_json_num(v))
+    raise TypeError(f"expected a number or a 'p/q' string, got {v!r}")
 
 
 EMPTY = IndexSet()
@@ -273,47 +240,37 @@ def add(I: IndexSet, J: IndexSet) -> IndexSet:
     return IndexSet(_canonical(gens))
 
 
-def _max_logpower(I: IndexSet, z: Gen) -> int:
-    """Largest k with (z, k) in I, or -1 when z is not an exponent of I."""
-    best = -1
-    for g in I.generators:
-        if _z_diff_nonneg_int(g, (z[0], z[1], 0)):
-            best = max(best, g[2])
-    return best
+def _max_logpower(I: IndexSet, re: Exact, im: Exact) -> int:
+    """Largest k with (re + i im, k) in I, or -1 when it is not an exponent of I."""
+    return max((g[2] for g in I.generators if _reaches(g, re, im)), default=-1)
 
 
 def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
     """Extended union: I u J plus (z, l1 + l2 + 1) at shared exponents z.
 
     The log boost applies at every exponent of the *closed* sets, not just
-    at generator exponents; the candidate scan below covers all points
-    where the combined maximal log power can jump.
+    at generator exponents; the generator exponents of I and J are all the
+    points where the combined maximal log power can jump.
     """
     if I.is_empty:
         return J
     if J.is_empty:
         return I
-    candidates: list[Gen] = []
-    for g in list(I.generators) + list(J.generators):
-        z = (g[0], g[1], 0)
-        if not any(_z_eq(z, c) for c in candidates):
-            candidates.append(z)
     gens = []
-    for z in candidates:
-        mi = _max_logpower(I, z)
-        mj = _max_logpower(J, z)
-        m = max(mi, mj)
-        if mi >= 0 and mj >= 0:
-            m = max(m, mi + mj + 1)
-        if m >= 0:
-            gens.append((z[0], z[1], m))
+    for (re, im, _) in I.generators + J.generators:
+        mi = _max_logpower(I, re, im)
+        mj = _max_logpower(J, re, im)
+        gens.append((re, im, mi + mj + 1 if mi >= 0 and mj >= 0 else max(mi, mj)))
     return IndexSet(_canonical(gens))
 
 
 def shift(I: IndexSet, r: RealLike) -> IndexSet:
-    """Shift every exponent by the real number r (empty set unchanged)."""
-    r = _as_real(r)
-    return IndexSet(_canonical((g[0] + r, g[1], g[2]) for g in I.generators))
+    """Shift every exponent by the real number r (empty set unchanged).
+
+    A common shift keeps the generators' order and domination, hence the
+    canonical form."""
+    r = exact_real(r)
+    return IndexSet(tuple((g[0] + r, g[1], g[2]) for g in I.generators))
 
 
 def scale(I: IndexSet, a: int) -> IndexSet:
@@ -327,25 +284,23 @@ def scale(I: IndexSet, a: int) -> IndexSet:
     return IndexSet(_canonical((a * g[0], a * g[1], g[2]) for g in I.generators))
 
 
+def _threshold(alpha: RealLike):
+    """A comparison threshold: exact, except that +-inf stays as it is."""
+    if isinstance(alpha, float) and math.isinf(alpha):
+        return alpha
+    return exact_real(alpha)
+
+
 def greater_than(I: IndexSet, alpha: RealLike) -> bool:
     """I > alpha: every element has Re z > alpha.  Empty set: True."""
-    alpha = _as_real(alpha)
-    for g in I.generators:
-        if _req(g[0], alpha) or float(g[0]) < float(alpha):
-            return False
-    return True
+    alpha = _threshold(alpha)
+    return all(g[0] > alpha for g in I.generators)
 
 
 def geq(I: IndexSet, alpha: RealLike) -> bool:
     """I >= alpha: Re z >= alpha throughout, and k = 0 where Re z = alpha."""
-    alpha = _as_real(alpha)
-    for g in I.generators:
-        if _req(g[0], alpha):
-            if g[2] != 0:
-                return False
-        elif float(g[0]) < float(alpha):
-            return False
-    return True
+    alpha = _threshold(alpha)
+    return all(g[0] > alpha or (g[0] == alpha and g[2] == 0) for g in I.generators)
 
 
 # ---------------------------------------------------------------------------

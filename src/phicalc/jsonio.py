@@ -2,7 +2,9 @@
 
 All emitted JSON uses sorted keys and Python's shortest-round-trip float
 representation, so identical inputs produce byte-identical files and every
-emitted document re-parses to the identical value.
+emitted document re-parses to the identical value.  Exact fractions are
+written as "p/q" strings by the documents themselves
+(:func:`phicalc.indexsets.number_to_json`).
 """
 
 from __future__ import annotations

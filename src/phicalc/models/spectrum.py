@@ -22,7 +22,7 @@ reported, and a disagreement is flagged rather than silently accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -190,7 +190,18 @@ class GapReport:
     lambda1: float
     normal_invertible: bool
     tol: float
-    rows: list = field(default_factory=list)
+
+    @property
+    def rows(self) -> list:
+        """One {"tau", "eta", "gap"} dict per grid point, built from the
+        arrays on each access; the report itself holds only the arrays."""
+        b = self.gaps.ndim - 1
+        eta_points = np.stack(np.meshgrid(*[self.etas] * b, indexing="ij"), axis=-1).reshape(-1, b)
+        return [
+            {"tau": float(tau), "eta": eta.tolist(), "gap": float(g)}
+            for tau, row in zip(self.taus, self.gaps.reshape(len(self.taus), -1))
+            for eta, g in zip(eta_points, row)
+        ]
 
     def to_json(self):
         return {
@@ -250,9 +261,4 @@ def normal_family_gap(
         lam1,
         normal_invertible=min_gap > tol and min_gap >= math.sqrt(lam1) - 1e-6,
         tol=tol,
-        rows=[
-            {"tau": float(tau), "eta": eta.tolist(), "gap": float(g)}
-            for tau, row in zip(taus, flat)
-            for eta, g in zip(eta_points, row)
-        ],
     )

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Union
 
 from .indexsets import (
@@ -44,7 +43,8 @@ from .indexsets import (
     shift,
     scale,
     small_family,
-    _req,
+    number_to_json,
+    number_from_json,
 )
 
 __all__ = [
@@ -153,12 +153,19 @@ class SobolevSpaceSpec:
         return f"x^{_fmtnum(self.weight)} {h}^{_fmtnum(self.order)}"
 
 
+#: absolute tolerance of float weights, orders and thresholds in _xeq
+_FLOAT_TOL = 1e-9
+
+
 def _xeq(u, v) -> bool:
-    """Extended-real equality (exact at infinities, tolerant for floats)."""
+    """Extended-real equality (exact at infinities and between exact
+    numbers, tolerant when a float is involved)."""
     uf, vf = float(u), float(v)
     if uf in (INF, -INF) or vf in (INF, -INF):
         return uf == vf
-    return _req(u, v)
+    if isinstance(u, float) or isinstance(v, float):
+        return abs(u - v) <= _FLOAT_TOL
+    return u == v
 
 
 def _xadd(u, v):
@@ -305,16 +312,11 @@ class OpClass:
 
 
 def _num_json(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else float(v)
-    if isinstance(v, float):
-        if v == INF:
-            return "inf"
-        if v == -INF:
-            return "-inf"
-        if v.is_integer():
-            return int(v)
-    return v
+    if v == INF:
+        return "inf"
+    if v == -INF:
+        return "-inf"
+    return number_to_json(v)
 
 
 def _num_load(v):
@@ -322,10 +324,7 @@ def _num_load(v):
         return INF
     if v == "-inf":
         return -INF
-    if isinstance(v, int):
-        return v
-    f = float(v)
-    return int(f) if f.is_integer() else f
+    return number_from_json(v)
 
 
 def _fmtnum(v):
@@ -511,7 +510,7 @@ class FoldedClass:
 
 def _face_eq(u, v):
     if isinstance(u, IndexSet) and isinstance(v, IndexSet):
-        return u == v or u.close_to(v)
+        return u == v
     if isinstance(u, Bound) and isinstance(v, Bound):
         return u.strict == v.strict and _xeq(u.threshold, v.threshold)
     return False
@@ -965,7 +964,7 @@ def rule_f(P: OpClass, c, Q: OpClass, trace=None) -> ClassSum:
         raise UnsupportedComposition("the mixed rule needs weight-tier factors")
     if P.kind not in ("b", "phi") or Q.kind != "phi":
         raise UnsupportedComposition("the mixed rule needs a b/phi times phi pair")
-    if not _req(P.spec.alpha, Q.spec.alpha):
+    if not _xeq(P.spec.alpha, Q.spec.alpha):
         raise UnsupportedComposition("the mixed rule needs equal weights")
     if float(c) < 0:
         raise UnsupportedComposition("the mixed rule requires c >= 0")
@@ -1155,7 +1154,7 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route, trace) -> Entry:
         return _compose_core(P, Q2, 0, geom, route, trace)
     if kp != kq:
         raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
-    if not _req(P.spec.alpha, Q.spec.alpha):
+    if not _xeq(P.spec.alpha, Q.spec.alpha):
         raise UnsupportedComposition(
             f"weight-tier composition needs equal weights, got "
             f"{P.spec.alpha} and {Q.spec.alpha}"

@@ -1,6 +1,7 @@
 """Command-line surface: wiring, exit codes, determinism, round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,21 @@ def test_idx_add_shift_scale_compare(tmp_path):
     assert main(["idx", "compare", a, "--alpha", "0.5", "--out", out]) == 0
     cmp_out = json.load(open(out))
     assert cmp_out["greater_than"] and cmp_out["geq"]
+
+
+def test_idx_shift_by_third_then_union_boosts_exactly(tmp_path, capsys):
+    a = iset_file(tmp_path, "a.json", [(0, 0)])
+    third = iset_file(tmp_path, "third.json", [(Fraction(1, 3), 0)])
+    shifted = str(tmp_path / "s.json")
+    out = str(tmp_path / "u.json")
+    assert main(["idx", "shift", a, "--by", "1/3", "--out", shifted]) == 0
+    assert json.load(open(shifted))["generators"] == [{"re": "1/3", "im": 0, "k": 0}]
+    assert main(["idx", "union", shifted, third, "--out", out]) == 0
+    assert IndexSet.from_json(json.load(open(out))) == make_index_set([(Fraction(1, 3), 1)])
+    assert main(["idx", "compare", third, "--alpha", "1/3", "--out", out]) == 0
+    assert json.load(open(out)) == {"alpha": "1/3", "greater_than": False, "geq": True}
+    assert main(["idx", "shift", a, "--out", out]) == 2
+    assert "needs --by" in capsys.readouterr().err
 
 
 def test_compose_cli(tmp_path):

@@ -1,17 +1,23 @@
 """Index-set algebra: worked examples, oracle agreement, and invariants."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phicalc.acceptance import _enum_add, _enum_closure, _enum_eu, _enum_shift
 from phicalc.indexsets import (
     EMPTY,
+    MAX_DENOMINATOR,
     IndexFamily,
     IndexSet,
     add,
+    exact_real,
     extended_union,
     geq,
     greater_than,
@@ -22,17 +28,20 @@ from phicalc.indexsets import (
     small_family,
 )
 
-from oracles import (
-    brute_add,
-    brute_extended_union,
-    closure_members,
-    random_generators,
-    truncation_of,
-)
+from oracles import random_generators
 
 
 def iset(*pairs):
     return make_index_set(list(pairs))
+
+
+def closure(gens, re_max):
+    """Exact members (re, im, k), re <= re_max, of the closure of ((re, im), k) pairs."""
+    return _enum_closure([(re, im, k) for ((re, im), k) in gens], re_max)
+
+
+def members(I, re_max):
+    return set(I.truncate(re_max))
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +61,13 @@ def test_dominated_generator_removed():
 
 def test_closure_membership_log_generator():
     # frozen from the brute-force closure of {(0,1)} below Re z <= 3
-    members = closure_members([(0, 1)], 3)
+    oracle = closure([((0, 0), 1)], 3)
     I = iset((0, 1))
     for probe in [(0, 0), (0, 1), (1, 1), (2, 0)]:
-        assert (float(probe[0]), 0.0, probe[1]) in members
+        assert (probe[0], 0, probe[1]) in oracle
         assert I.member(probe[0], probe[1])
     for probe in [(-1, 0), (0, 2)]:
-        assert (float(probe[0]), 0.0, probe[1]) not in members
+        assert (probe[0], 0, probe[1]) not in oracle
         assert not I.member(probe[0], probe[1])
 
 
@@ -147,6 +156,39 @@ def test_float_tolerance_in_union():
     assert got.generators[0][2] == 1
 
 
+def test_exact_real_quantizes_floats_once():
+    assert exact_real(3) == 3 and exact_real(Fraction(1, 3)) == Fraction(1, 3)
+    assert exact_real(0.5) == Fraction(1, 2)
+    assert exact_real(1 / 3) == Fraction(1, 3)
+    assert exact_real(1.0 + 2e-10) == 1 and type(exact_real(1.0 + 2e-10)) is int
+    assert exact_real(math.pi).denominator <= MAX_DENOMINATOR
+    with pytest.raises(TypeError):
+        exact_real(True)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            exact_real(bad)
+    with pytest.raises(ValueError):
+        make_index_set([(math.nan, 0)])
+
+
+def test_comparisons_against_infinite_thresholds():
+    I = iset((Fraction(1, 3), 1))
+    assert greater_than(I, -math.inf) and geq(I, -math.inf)
+    assert not greater_than(I, math.inf) and not geq(I, math.inf)
+    assert not greater_than(I, 1 / 3) and not geq(I, 1 / 3)
+    assert geq(iset((Fraction(1, 3), 0)), 1 / 3)
+
+
+def test_extended_union_associative_on_nearby_floats():
+    # neighbours within 1e-9, but 0 and 1.2e-9 are not: a 1e-9 tolerance
+    # merged them in one bracketing and not in the other
+    A, B, C = real_set(0.0), real_set(0.6e-9), real_set(1.2e-9)
+    assert A == B == C
+    lhs = extended_union(extended_union(A, B), C)
+    rhs = extended_union(A, extended_union(B, C))
+    assert lhs == rhs == iset((0, 2))
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement on random sets
 
@@ -156,8 +198,7 @@ def test_membership_matches_bruteforce_closure():
     for _ in range(300):
         gens = random_generators(rng)
         I = make_index_set(gens)
-        members = closure_members(gens, 8)
-        assert truncation_of(I, 8).keys() == members.keys()
+        assert members(I, 8) == closure(gens, 8)
 
 
 def test_add_matches_bruteforce():
@@ -168,9 +209,8 @@ def test_add_matches_bruteforce():
         cutoff = 8
         # enumerate each factor far enough that all sums below the cutoff appear
         reach = cutoff + 8
-        got = truncation_of(add(A, B), cutoff)
-        want = brute_add(closure_members(ga, reach), closure_members(gb, reach), cutoff)
-        assert got.keys() == want.keys()
+        want = _enum_add(closure(ga, reach), closure(gb, reach), cutoff)
+        assert members(add(A, B), cutoff) == want
 
 
 def test_extended_union_matches_bruteforce():
@@ -178,9 +218,8 @@ def test_extended_union_matches_bruteforce():
     for _ in range(150):
         ga, gb = random_generators(rng, 3), random_generators(rng, 3)
         A, B = make_index_set(ga), make_index_set(gb)
-        got = truncation_of(extended_union(A, B), 8)
-        want = brute_extended_union(closure_members(ga, 8), closure_members(gb, 8), 8)
-        assert got.keys() == want.keys()
+        want = _enum_eu(closure(ga, 8), closure(gb, 8), 8)
+        assert members(extended_union(A, B), 8) == want
 
 
 def test_extended_union_contains_union_equality_iff_disjoint_exponents():
@@ -188,15 +227,23 @@ def test_extended_union_contains_union_equality_iff_disjoint_exponents():
     for _ in range(150):
         ga, gb = random_generators(rng, 3), random_generators(rng, 3)
         A, B = make_index_set(ga), make_index_set(gb)
-        mem_a, mem_b = closure_members(ga, 8), closure_members(gb, 8)
-        union = dict(mem_a)
-        union.update(mem_b)
-        got = truncation_of(extended_union(A, B), 8)
-        assert union.keys() <= got.keys()
+        mem_a, mem_b = closure(ga, 8), closure(gb, 8)
+        union = mem_a | mem_b
+        got = members(extended_union(A, B), 8)
+        assert union <= got
         zs_a = {(r, i) for (r, i, _) in mem_a}
         zs_b = {(r, i) for (r, i, _) in mem_b}
         shares = bool(zs_a & zs_b)
-        assert (got.keys() == union.keys()) == (not shares)
+        assert (got == union) == (not shares)
+
+
+def test_shift_matches_bruteforce():
+    rng = random.Random(19)
+    for _ in range(150):
+        ga = random_generators(rng, 3)
+        r = rng.choice([Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3])), rng.uniform(-3, 3)])
+        got = members(shift(make_index_set(ga), r), 6)
+        assert got == _enum_shift(closure(ga, 12), exact_real(r), 6)
 
 
 def test_extended_union_associativity_probe():
@@ -210,7 +257,7 @@ def test_extended_union_associativity_probe():
         C = make_index_set(random_generators(rng, 3))
         lhs = extended_union(extended_union(A, B), C)
         rhs = extended_union(A, extended_union(B, C))
-        if truncation_of(lhs, 8).keys() != truncation_of(rhs, 8).keys():
+        if members(lhs, 8) != members(rhs, 8):
             counterexamples.append((A, B, C, lhs, rhs))
     assert not counterexamples, f"extended union not associative: {counterexamples[:3]}"
 
@@ -263,6 +310,58 @@ def test_monotonicity_of_add(ga, gb):
     assert greater_than(add(A, B), alpha + beta)
 
 
+# the same laws on exponents that enter as floats, mixed with exact ones
+float_reals = st.one_of(
+    exact_reals,
+    st.floats(min_value=-4, max_value=6, allow_nan=False, allow_infinity=False),
+)
+float_gen_lists = st.lists(
+    st.tuples(
+        st.tuples(float_reals, st.sampled_from([0, 0, 1, -1])),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=4,
+)
+NEARBY = [((0.0, 0), 0)], [((0.6e-9, 0), 0)], [((1.2e-9, 0), 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_gen_lists, float_gen_lists)
+@example(*NEARBY[:2])
+def test_float_add_and_union_commute(ga, gb):
+    A, B = make_index_set(ga), make_index_set(gb)
+    assert add(A, B) == add(B, A)
+    assert extended_union(A, B) == extended_union(B, A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_gen_lists, float_gen_lists, float_gen_lists)
+@example(*NEARBY)
+def test_float_add_and_union_associative(ga, gb, gc):
+    A, B, C = make_index_set(ga), make_index_set(gb), make_index_set(gc)
+    assert add(add(A, B), C) == add(A, add(B, C))
+    assert extended_union(extended_union(A, B), C) == extended_union(A, extended_union(B, C))
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_gen_lists, st.randoms(use_true_random=False))
+@example([((1.0, 0), 0), ((1.0 + 2e-10, 0), 0), ((1 / 3, 0), 1)], random.Random(0))
+def test_float_canonical_form_ignores_generator_order(ga, rnd):
+    shuffled = list(ga)
+    rnd.shuffle(shuffled)
+    assert make_index_set(shuffled) == make_index_set(ga)
+    assert make_index_set(ga[::-1]) == make_index_set(ga)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_gen_lists)
+@example([((Fraction(1, 3), 0), 0), ((2 / 3, -1), 2)])
+def test_float_json_round_trip_is_identity(ga):
+    I = make_index_set(ga)
+    assert IndexSet.from_json(I.to_json()) == I
+    assert IndexSet.from_json(json.loads(json.dumps(I.to_json()))) == I
+
+
 # ---------------------------------------------------------------------------
 # serialization and families
 
@@ -271,6 +370,27 @@ def test_json_round_trip():
     I = iset((Fraction(1, 2), 1), ((2, -1), 0))
     assert IndexSet.from_json(I.to_json()) == I
     assert IndexSet.from_json(EMPTY.to_json()) == EMPTY
+
+
+def test_json_writes_exact_exponents_and_reads_old_floats():
+    I = iset((Fraction(1, 3), 1), ((2, Fraction(-1, 2)), 0))
+    assert I.to_json()["generators"] == [
+        {"re": "1/3", "im": 0, "k": 1}, {"re": 2, "im": "-1/2", "k": 0},
+    ]
+    old_file = {"empty": False, "generators": [{"re": 0.3333333333333333, "im": 0.0, "k": 1},
+                                               {"re": 2.0, "im": -0.5, "k": 0}]}
+    assert IndexSet.from_json(old_file) == I
+    decimal = {"empty": False, "generators": [{"re": "0.25", "im": "0", "k": 0}]}
+    assert IndexSet.from_json(decimal) == real_set(Fraction(1, 4))
+
+
+def test_benchmark_nondyadic_sets_round_trip(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    from workloads import NONDYADIC
+
+    for gens in NONDYADIC:
+        I = make_index_set(gens)
+        assert IndexSet.from_json(json.loads(json.dumps(I.to_json()))) == I
 
 
 def test_family_validation():

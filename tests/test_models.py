@@ -209,9 +209,9 @@ def test_gap_matches_product_identity():
     taus = np.linspace(-5, 5, 5)
     etas = np.linspace(-5, 5, 5)
     rep = normal_family_gap(MODEL, taus, etas)
-    for row in rep.rows:
-        oracle = math.sqrt(1 + row["tau"] ** 2 + sum(e * e for e in row["eta"]))
-        assert abs(row["gap"] - oracle) < 1e-6
+    for (i, j), gap in np.ndenumerate(rep.gaps):
+        oracle = math.sqrt(1 + rep.taus[i] ** 2 + rep.etas[j] ** 2)
+        assert abs(gap - oracle) < 1e-6
     assert abs(rep.min_gap - 1.0) < 1e-6
     assert rep.normal_invertible
 
@@ -375,30 +375,42 @@ def test_vectorized_solve_matches_loop_oracle():
     models = (MODEL, ModelGeometry(a=2),
               ModelGeometry(base_circumferences=(5.0,), fiber_circumferences=(3.0,)))
     modes = [((j,), (0,)) for j in range(3)] + [((0,), (1,)), ((1,), (1,))]
-    rng_state = np.random.get_state()
-    try:
-        for model in models:
-            for mode in modes:
-                for degree in (0, 1):
-                    # onenormest draws random starting vectors from NumPy's
-                    # global generator; both routes get the same draws
-                    np.random.seed(0)
-                    got = solve_harmonic(model, degree, mode)
-                    np.random.seed(0)
-                    want = loop_solve_harmonic(model, degree, mode)
-                    case = (model.a, model.base_circumferences, mode, degree)
-                    scale = np.abs(want.values).max()
-                    assert np.abs(got.values - want.values).max() <= 1e-12 * scale, case
-                    assert abs(got.cond_estimate - want.cond_estimate) <= 1e-9 * want.cond_estimate, case
-                    assert _fit_outcome(got) == _fit_outcome(want), case
-    finally:
-        np.random.set_state(rng_state)
+    for model in models:
+        for mode in modes:
+            for degree in (0, 1):
+                got = solve_harmonic(model, degree, mode)
+                want = loop_solve_harmonic(model, degree, mode)
+                case = (model.a, model.base_circumferences, mode, degree)
+                scale = np.abs(want.values).max()
+                assert np.abs(got.values - want.values).max() <= 1e-12 * scale, case
+                assert abs(got.cond_estimate - want.cond_estimate) <= 1e-9 * want.cond_estimate, case
+                assert _fit_outcome(got) == _fit_outcome(want), case
     for model in models:
         root = _scalar_root(model, 1)
         for n in (128, 256, 512):
             got = discrete_residual(model, (1,), root, n=n)
             want = loop_discrete_residual(model, (1,), root, n=n)
             assert abs(got - want) <= 1e-12 * want, (model.a, n)
+
+
+def test_cond_estimate_is_reproducible_and_keeps_global_rng():
+    # onenormest draws its starting vectors from NumPy's global generator
+    model = ModelGeometry(base_circumferences=(5.0,), fiber_circumferences=(3.0,))
+    np.random.seed(12345)
+    state = np.random.get_state()
+    estimates = {solve_harmonic(model, 0, ((0,), (1,))).cond_estimate for _ in range(4)}
+    assert len(estimates) == 1
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+
+
+@pytest.mark.parametrize("t_window, n", [
+    ((1.0, 6.0), 1), ((1.0, 6.0), 0), ((6.0, 1.0), 64), ((1.0, 1.0), 64),
+    ((1.0, math.inf), 64), ((math.nan, 6.0), 64),
+])
+def test_discrete_residual_rejects_bad_grid(t_window, n):
+    with pytest.raises(ValueError, match="residual grid"):
+        discrete_residual(MODEL, (1,), 1.0, t_window=t_window, n=n)
 
 
 def test_gb_mode_operator_squares_to_hodge():
@@ -450,12 +462,13 @@ def test_batched_gap_matches_pointwise_svd(base):
     rep = normal_family_gap(model, taus, etas)
     nf = NormalFamily(model)
     modes = model.fiber_modes(2, nonzero=True)
-    assert len(rep.rows) == len(taus) * len(etas) ** model.b
-    for row in rep.rows:
-        want = min(np.linalg.svd(nf.matrix(row["tau"], row["eta"], m), compute_uv=False)[-1]
+    assert rep.gaps.shape == (len(taus),) + (len(etas),) * model.b
+    for (i, *js), gap in np.ndenumerate(rep.gaps):
+        eta = [rep.etas[j] for j in js]
+        want = min(np.linalg.svd(nf.matrix(rep.taus[i], eta, m), compute_uv=False)[-1]
                    for m in modes)
-        assert abs(row["gap"] - want) < 1e-12
-    assert rep.min_gap == min(row["gap"] for row in rep.rows)
+        assert abs(gap - want) < 1e-12
+    assert rep.min_gap == rep.gaps.min()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Operator-class algebra: combination rules, predicates, derivation replay."""
 
+from fractions import Fraction
+
 import pytest
 
 from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, small_family
@@ -471,6 +473,9 @@ def test_json_round_trip():
         full_class("phi", 0, phi_family(ff=real_set(0))),
         bphi_class(NEG_INF),
         OpClass("phi", -1, Weight(0), proj=("right", 2)),
+        OpClass("phi", Fraction(-1, 3), Weight(Fraction(1, 3)), xl=Fraction(2, 3),
+                proj=("right", Fraction(1, 3))),
+        full_class("phi", 0, phi_family(ff=real_set(Fraction(1, 3)))),
     ]:
         assert OpClass.from_json(cls.to_json()) == cls
 
