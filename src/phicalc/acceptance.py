@@ -111,15 +111,6 @@ def _enum_shift(A, r, re_max):
     return {(re + r, im, k) for (re, im, k) in A if re + r <= re_max}
 
 
-def _random_set(rng, max_gens=3, lo=-3, hi=5):
-    gens = []
-    for _ in range(rng.randrange(0, max_gens + 1)):
-        re = Fraction(rng.randrange(2 * lo, 2 * hi), 2)
-        im = rng.choice([0, 0, 0, 1, -1])
-        gens.append(((re, im), rng.randrange(0, 3)))
-    return make_index_set(gens)
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: index algebra
 

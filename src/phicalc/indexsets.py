@@ -29,6 +29,7 @@ set.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -88,6 +89,16 @@ def _split_exponent(z) -> tuple[Exact, Exact]:
     return (exact_real(z), 0)
 
 
+def _log_power(k) -> int:
+    """A log power: a nonnegative integer (booleans and floats rejected)."""
+    if isinstance(k, bool):
+        raise TypeError("log power must be an integer, got a boolean")
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError(f"log power must be nonnegative, got {k}")
+    return k
+
+
 # A generator is a triple (re, im, k) with k a nonnegative int.
 Gen = tuple
 
@@ -133,7 +144,7 @@ class IndexSet:
     def member(self, z, k: int = 0) -> bool:
         """Decide membership of (z, k) in the closed set."""
         re, im = _split_exponent(z)
-        probe = (re, im, int(k))
+        probe = (re, im, _log_power(k))
         return any(_dominates(g, probe) for g in self.generators)
 
     def min_re(self) -> RealLike:
@@ -167,7 +178,7 @@ class IndexSet:
         if data.get("empty") and not data.get("generators"):
             return EMPTY
         gens = [
-            ((number_from_json(g["re"]), number_from_json(g["im"])), int(g["k"]))
+            ((number_from_json(g["re"]), number_from_json(g["im"])), g["k"])
             for g in data.get("generators", [])
         ]
         return make_index_set(gens)
@@ -215,11 +226,8 @@ def make_index_set(generators: Sequence) -> IndexSet:
     """
     gens = []
     for z, k in generators:
-        k = int(k)
-        if k < 0:
-            raise ValueError(f"log power must be nonnegative, got {k}")
         re, im = _split_exponent(z)
-        gens.append((re, im, k))
+        gens.append((re, im, _log_power(k)))
     return IndexSet(_canonical(gens))
 
 

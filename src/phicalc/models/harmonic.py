@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+#: condition estimate above which a mode solve counts as ill-conditioned
+COND_LIMIT = 1e12
+
+
 class FitError(ValueError):
     pass
 
@@ -57,12 +61,8 @@ class SampledSolution:
     cond_estimate: float
     model: ModelGeometry
 
-    @property
-    def monitored(self) -> np.ndarray:
-        return self.values[:, self.component]
-
-    def ill_conditioned(self, threshold: float = 1e12) -> bool:
-        return self.cond_estimate > threshold
+    def ill_conditioned(self) -> bool:
+        return self.cond_estimate > COND_LIMIT
 
 
 @dataclass

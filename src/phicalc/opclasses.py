@@ -19,14 +19,16 @@ Sums of operator spaces (as produced by the mixed b/phi composition rule)
 are represented by :class:`ClassSum`; a predicate holds for a sum iff it
 holds for every summand.
 
-Composition applications can record a derivation chain of rule
-applications; :func:`replay_chain` re-executes a recorded chain and
-verifies that it reproduces the stated classes.
+Inside a ``with recording() as chain:`` block every rule application
+is appended to ``chain`` as a :class:`RuleApp`; :func:`replay_chain`
+re-checks each record of such a chain from its inputs and parameters.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -82,6 +84,7 @@ __all__ = [
     "eq_classes",
     "fold",
     "RuleApp",
+    "recording",
     "replay_chain",
 ]
 
@@ -413,11 +416,7 @@ class ClassSum:
             for j, s in enumerate(self.terms):
                 if i == j:
                     continue
-                try:
-                    inside = contains(t, s, geom)
-                except CompositionError:
-                    inside = False
-                if inside and not (j > i and _safe_contains(s, t, geom)):
+                if _safe_contains(t, s, geom) and not (j > i and _safe_contains(s, t, geom)):
                     absorbed = True
                     break
             if not absorbed:
@@ -620,11 +619,7 @@ def _contains_single(sub: OpClass, sup: OpClass, geom) -> bool:
     fs, ft = fold(sub), fold(sup)
     if float(fs.order) > float(ft.order):
         return False
-    if fs.kind == ft.kind:
-        pairs = [(fs.face(f), ft.face(f)) for f in ft.face_names]
-    elif fs.kind == "bphi" and ft.kind == "phi":
-        pairs = [(fs.face(f), ft.face(f)) for f in ft.face_names]
-    elif fs.kind == "phi" and ft.kind == "bphi":
+    if fs.kind == ft.kind or {fs.kind, ft.kind} == {"bphi", "phi"}:
         pairs = [(fs.face(f), ft.face(f)) for f in ft.face_names]
     elif fs.kind == "b" and ft.kind in ("phi", "bphi"):
         # lift: faces at lf, rf, bf persist; the ff data of the lift is
@@ -889,26 +884,30 @@ def map_phg(P: OpClass, I: IndexSet) -> IndexSet:
 
 @dataclass
 class RuleApp:
-    """One recorded rule application in a derivation chain."""
+    """One recorded rule application in a derivation chain: the rule name,
+    its input classes, its JSON-ready parameters and its output class."""
 
     rule: str
     inputs: tuple
     params: dict
-    output: object
+    output: Entry
 
     def to_json(self):
         return {
             "rule": self.rule,
-            "inputs": [i for i in self.inputs],
+            "inputs": [i.to_json() for i in self.inputs],
             "params": self.params,
-            "output": self.output,
+            "output": self.output.to_json(),
         }
 
-
-def _entry_json(e: Entry):
-    if isinstance(e, ClassSum):
-        return e.to_json()
-    return e.to_json()
+    @staticmethod
+    def from_json(data: dict) -> "RuleApp":
+        return RuleApp(
+            data["rule"],
+            tuple(_entry_load(i) for i in data["inputs"]),
+            data["params"],
+            _entry_load(data["output"]),
+        )
 
 
 def _entry_load(data) -> Entry:
@@ -917,16 +916,33 @@ def _entry_load(data) -> Entry:
     return OpClass.from_json(data)
 
 
-def _rec(trace, rule, inputs, params, output):
-    if trace is not None:
-        trace.append(
-            RuleApp(
-                rule,
-                tuple(_entry_json(i) if isinstance(i, (OpClass, ClassSum)) else i for i in inputs),
-                params,
-                _entry_json(output),
-            )
-        )
+#: the chain of the innermost open :func:`recording` block (None outside)
+_CHAIN: ContextVar[Optional[list]] = ContextVar("phicalc_chain", default=None)
+
+
+@contextmanager
+def recording():
+    """Collect the rule applications made in the block::
+
+        with recording() as chain:
+            compose(P, Q, geom)
+        assert replay_chain(chain, geom)
+
+    Outside every block nothing is recorded; an inner block collects its
+    own records only.
+    """
+    chain: list = []
+    token = _CHAIN.set(chain)
+    try:
+        yield chain
+    finally:
+        _CHAIN.reset(token)
+
+
+def _rec(rule, inputs, params, output):
+    chain = _CHAIN.get()
+    if chain is not None:
+        chain.append(RuleApp(rule, inputs, params, output))
     return output
 
 
@@ -952,7 +968,7 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
     return IndexFamily("phi", lf=Klf, rf=Krf, bf=Kbf, ff=Kff)
 
 
-def rule_f(P: OpClass, c, Q: OpClass, trace=None) -> ClassSum:
+def rule_f(P: OpClass, c, Q: OpClass) -> ClassSum:
     """Mixed composition through an x^c factor, c >= 0 and ord(P) <= 0:
 
         Psi_{b or phi}^{k,alpha} x^c Psi_phi^{l,alpha}
@@ -976,7 +992,7 @@ def rule_f(P: OpClass, c, Q: OpClass, trace=None) -> ClassSum:
             OpClass("bphi", _xadd(P.order, Q.order), None, xl=c, ext=P.ext or Q.ext),
         )
     )
-    return _rec(trace, "mixed-split", (P, Q), {"c": _num_json(c)}, out)
+    return _rec("mixed-split", (P, Q), {"c": _num_json(c)}, out)
 
 
 def _e_normalize(P: OpClass) -> OpClass:
@@ -1044,7 +1060,7 @@ def _rf_empty(P: OpClass) -> bool:
         return False
 
 
-def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None, trace=None) -> Entry:
+def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None) -> Entry:
     """Compose two operator classes (or sums).
 
     ``route`` selects between several sound combination rules when an
@@ -1056,13 +1072,16 @@ def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None, t
     * ``"split"``: apply the mixed b/phi rule, producing a sum of a
       smoothing extended b-class and a power-shifted bphi-class.
 
-    ``trace`` (a list) records every elementary rule application.
+    Inside ``with recording() as chain:`` every elementary rule
+    application is appended to ``chain``; ``replay_chain(chain, geom)``
+    re-checks each record, and ``RuleApp.from_json`` reads a record back
+    from a report.
     """
     if isinstance(P, ClassSum) or isinstance(Q, ClassSum):
         out = []
         for p in as_terms(P):
             for q in as_terms(Q):
-                out.append(compose(p, q, geom, route, trace))
+                out.append(compose(p, q, geom, route))
         return sum_of(*out)
     if P.is_zero or Q.is_zero:
         return ZERO
@@ -1075,7 +1094,7 @@ def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None, t
     xl_out, xr_out = P.xl, Q.xr
     c = _xadd(P.xr, Q.xl)
     Pc, Qc = _strip(P), _strip(Q)
-    res = _compose_core(Pc, Qc, c, geom, route, trace)
+    res = _compose_core(Pc, Qc, c, geom, route)
     if isinstance(res, ClassSum):
         return ClassSum(
             tuple(t.with_powers(xl_out, xr_out) for t in res.terms)
@@ -1085,21 +1104,21 @@ def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None, t
     return res.with_powers(xl_out, xr_out)
 
 
-def _compose_core(P: OpClass, Q: OpClass, c, geom, route, trace) -> Entry:
+def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
     # suspended classes: closure under composition only
     if P.kind == "sus-phi" or Q.kind == "sus-phi":
         if P.kind == Q.kind == "sus-phi" and float(c) == 0:
             out = sus_phi(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
-            return _rec(trace, "compose-suspended", (P, Q), {}, out)
+            return _rec("compose-suspended", (P, Q), {}, out)
         raise UnsupportedComposition("suspended classes compose only with each other")
 
     # a small-calculus factor preserves the other factor's boundary data
     if P.is_small or Q.is_small:
-        return _compose_small(P, Q, c, geom, trace)
+        return _compose_small(P, Q, c, geom)
 
     # full-family composition
     if isinstance(P.spec, IndexFamily) and isinstance(Q.spec, IndexFamily):
-        return _compose_full(P, Q, c, geom, trace)
+        return _compose_full(P, Q, c, geom)
     if isinstance(P.spec, IndexFamily) or isinstance(Q.spec, IndexFamily):
         raise UnsupportedComposition(
             "mixed full-family / weight-tier composition is not mechanized"
@@ -1110,48 +1129,48 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route, trace) -> Entry:
         if float(c) < 0:
             raise UnsupportedComposition("negative interior power between bphi factors")
         out = bphi_class(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
-        return _rec(trace, "compose-bphi", (P, Q), {"c": _num_json(c)}, out)
+        return _rec("compose-bphi", (P, Q), {"c": _num_json(c)}, out)
     if P.kind == "bphi" and isinstance(Q.spec, Weight) and Q.kind == "phi":
-        P2 = weight_phi(P.order, Q.spec.alpha, ext=P.ext, vanish=("lf", "rf"))
-        _rec(trace, "bphi-at-weight", (P,), {"alpha": _num_json(Q.spec.alpha)}, P2)
-        return _compose_core(P2, Q, c, geom, route, trace)
+        alpha = Q.spec.alpha
+        P2 = _rec("bphi-at-weight", (P,), {"alpha": _num_json(alpha)}, _bphi_at_weight(P, alpha))
+        return _compose_core(P2, Q, c, geom, route)
     if Q.kind == "bphi" and isinstance(P.spec, Weight) and P.kind == "phi":
-        Q2 = weight_phi(Q.order, P.spec.alpha, ext=Q.ext, vanish=("lf", "rf"))
-        _rec(trace, "bphi-at-weight", (Q,), {"alpha": _num_json(P.spec.alpha)}, Q2)
-        return _compose_core(P, Q2, c, geom, route, trace)
+        alpha = P.spec.alpha
+        Q2 = _rec("bphi-at-weight", (Q,), {"alpha": _num_json(alpha)}, _bphi_at_weight(Q, alpha))
+        return _compose_core(P, Q2, c, geom, route)
 
     if not (isinstance(P.spec, Weight) and isinstance(Q.spec, Weight)):
         raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
 
     # weight-tier composition
     if route == "split":
-        return rule_f(P, c, Q, trace=trace)
+        return rule_f(P, c, Q)
 
     if float(c) != 0:
         if float(c) < 0:
             raise UnsupportedComposition("negative interior x-power between weight classes")
         if _lf_empty(P):
             # Psi_lf x^c subset x^c Psi_lf: keep the power on the left
-            out = _compose_core(P, Q, 0, geom, route, trace)
+            out = _compose_core(P, Q, 0, geom, route)
             out = multiply_x_power(out, c, "left")
-            return _rec(trace, "power-left-of-lf-vanishing", (P, Q), {"c": _num_json(c)}, out)
+            return _rec("power-left-of-lf-vanishing", (P, Q), {"c": _num_json(c)}, out)
         if _rf_empty(Q):
-            out = _compose_core(P, Q, 0, geom, route, trace)
+            out = _compose_core(P, Q, 0, geom, route)
             out = multiply_x_power(out, c, "right")
-            return _rec(trace, "power-right-of-rf-vanishing", (P, Q), {"c": _num_json(c)}, out)
+            return _rec("power-right-of-rf-vanishing", (P, Q), {"c": _num_json(c)}, out)
         # generic weakening: x^c Q subset Q for c >= 0
-        _rec(trace, "absorb-power", (Q,), {"c": _num_json(c)}, Q)
-        return _compose_core(P, Q, 0, geom, route, trace)
+        _rec("absorb-power", (Q,), {"c": _num_json(c)}, Q)
+        return _compose_core(P, Q, 0, geom, route)
 
     kp, kq = P.kind, Q.kind
     if kp == "b" and kq == "phi":
         P2 = lift_weight_class(P)
-        _rec(trace, "lift-weight", (P,), {}, P2)
-        return _compose_core(P2, Q, 0, geom, route, trace)
+        _rec("lift-weight", (P,), {}, P2)
+        return _compose_core(P2, Q, 0, geom, route)
     if kp == "phi" and kq == "b":
         Q2 = lift_weight_class(Q)
-        _rec(trace, "lift-weight", (Q,), {}, Q2)
-        return _compose_core(P, Q2, 0, geom, route, trace)
+        _rec("lift-weight", (Q,), {}, Q2)
+        return _compose_core(P, Q2, 0, geom, route)
     if kp != kq:
         raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
     if not _xeq(P.spec.alpha, Q.spec.alpha):
@@ -1172,10 +1191,27 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route, trace) -> Entry:
         vanish=frozenset(vanish),
     )
     rule = "compose-weight-b" if kp == "b" else "compose-weight-phi"
-    return _rec(trace, rule, (P, Q), {}, out)
+    return _rec(rule, (P, Q), {}, out)
 
 
-def _compose_small(P: OpClass, Q: OpClass, c, geom, trace) -> Entry:
+def _bphi_at_weight(P: OpClass, alpha) -> OpClass:
+    """A bphi-class acts at every weight: at weight alpha it is the phi-class
+    vanishing to infinite order at lf and rf."""
+    return weight_phi(P.order, alpha, ext=P.ext, vanish=("lf", "rf"))
+
+
+def _power_into_family(Q: OpClass, c) -> OpClass:
+    """x^c Q for a full phi-family class: lf, bf and ff shift by c, and
+    x^inf empties them."""
+    fam = Q.spec
+    if float(c) == INF:
+        fam = fam.replace(lf=EMPTY, bf=EMPTY, ff=EMPTY)
+    else:
+        fam = fam.replace(lf=shift(fam.lf, c), bf=shift(fam.bf, c), ff=shift(fam.ff, c))
+    return replace(Q, spec=fam)
+
+
+def _compose_small(P: OpClass, Q: OpClass, c, geom) -> Entry:
     small_left = P.is_small
     small, other = (P, Q) if small_left else (Q, P)
 
@@ -1183,7 +1219,7 @@ def _compose_small(P: OpClass, Q: OpClass, c, geom, trace) -> Entry:
     if small.spec.kind == "phi" and other.kind == "b" and not other.is_small:
         if isinstance(other.spec, Weight):
             other2 = lift_weight_class(other)
-            _rec(trace, "lift-weight", (other,), {}, other2)
+            _rec("lift-weight", (other,), {}, other2)
             other = other2
         else:
             raise UnsupportedComposition(
@@ -1200,45 +1236,30 @@ def _compose_small(P: OpClass, Q: OpClass, c, geom, trace) -> Entry:
     if float(c) != 0:
         side = "left" if small_left else "right"
         out = multiply_x_power(out, c, side)
-        _rec(trace, "conjugate-small", (small,), {"c": _num_json(c), "side": side}, small)
-    return _rec(trace, "small-absorb", (P, Q), {"c": _num_json(c)}, out)
+        _rec("conjugate-small", (small,), {"c": _num_json(c), "side": side}, small)
+    return _rec("small-absorb", (P, Q), {"c": _num_json(c)}, out)
 
 
-def _compose_full(P: OpClass, Q: OpClass, c, geom, trace) -> Entry:
+def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
     if P.spec.kind == "b" and Q.spec.kind == "b":
         raise UnsupportedComposition(
             "composition of two full-family b-classes is not mechanized "
             "(no combination formula is quoted here)"
         )
-    if P.spec.kind == "b":
-        main, res = lift_b_to_phi(P, geom.a, geom.b_dim)
-        pair = ClassSum((main, res))
-        _rec(trace, "lift-full", (P,), {"a": geom.a, "b_dim": geom.b_dim}, pair)
-        return sum_of(
-            _compose_full(main, Q, c, geom, trace),
-            _compose_full(res, Q, c, geom, trace),
-        )
-    if Q.spec.kind == "b":
-        main, res = lift_b_to_phi(Q, geom.a, geom.b_dim)
-        pair = ClassSum((main, res))
-        _rec(trace, "lift-full", (Q,), {"a": geom.a, "b_dim": geom.b_dim}, pair)
-        return sum_of(
-            _compose_full(P, main, c, geom, trace),
-            _compose_full(P, res, c, geom, trace),
-        )
+    if P.spec.kind == "b" or Q.spec.kind == "b":
+        T = P if P.spec.kind == "b" else Q
+        lifts = lift_b_to_phi(T, geom.a, geom.b_dim)
+        _rec("lift-full", (T,), {"a": geom.a, "b_dim": geom.b_dim}, ClassSum(lifts))
+        if T is P:
+            return sum_of(*(_compose_full(L, Q, c, geom) for L in lifts))
+        return sum_of(*(_compose_full(P, L, c, geom) for L in lifts))
     if geom is None:
         raise UnsupportedComposition(
             "phi-composition needs the geometry constants (a, b_dim)"
         )
     famQ = Q.spec
     if float(c) != 0:
-        if float(c) == INF:
-            famQ = famQ.replace(lf=EMPTY, bf=EMPTY, ff=EMPTY)
-        else:
-            famQ = famQ.replace(
-                lf=shift(famQ.lf, c), bf=shift(famQ.bf, c), ff=shift(famQ.ff, c)
-            )
-        _rec(trace, "power-into-family", (Q,), {"c": _num_json(c)}, replace(Q, spec=famQ))
+        famQ = _rec("power-into-family", (Q,), {"c": _num_json(c)}, _power_into_family(Q, c)).spec
     if not greater_than(add(P.spec.rf, famQ.lf), 0):
         raise IntegrabilityError(
             "composition needs rf index set of the left factor plus lf index "
@@ -1246,7 +1267,7 @@ def _compose_full(P: OpClass, Q: OpClass, c, geom, trace) -> Entry:
         )
     K = compose_families(P.spec, famQ, geom.A)
     out = OpClass("phi", _xadd(P.order, Q.order), K, ext=P.ext or Q.ext)
-    return _rec(trace, "compose-full", (P, Q), {"A": geom.A, "c": _num_json(c)}, out)
+    return _rec("compose-full", (P, Q), {"A": geom.A, "c": _num_json(c)}, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1254,56 +1275,69 @@ def _compose_full(P: OpClass, Q: OpClass, c, geom, trace) -> Entry:
 
 
 def replay_chain(chain, geom: GeomConstants | None = None) -> bool:
-    """Re-execute a recorded derivation chain and verify every output.
+    """Re-check every :class:`RuleApp` of a derivation chain.
 
-    Axiomatic records (registered primitives) are recomputed through the
-    registry in :data:`CHAIN_PRIMITIVES`; rule records are recomputed via
-    the corresponding rule implementation.  Returns True when every record
-    reproduces its stated output.
+    Each record is re-executed from its inputs and params: registered
+    primitives through :data:`CHAIN_PRIMITIVES`, composition rules through
+    :func:`compose`, and the rewriting rules by their precondition and
+    formula.  Returns True when every record reproduces its output; a failed
+    precondition, inputs that no rule composes, or another output give
+    False.  Nothing is recorded while the chain replays, not even inside an
+    open :func:`recording` block.
     """
-    for rec in chain:
-        rule = rec.rule if isinstance(rec, RuleApp) else rec["rule"]
-        inputs = rec.inputs if isinstance(rec, RuleApp) else rec["inputs"]
-        params = rec.params if isinstance(rec, RuleApp) else rec["params"]
-        output = rec.output if isinstance(rec, RuleApp) else rec["output"]
-        got = _replay_one(rule, [_entry_load(i) for i in inputs], params, geom)
-        if got is None:
-            continue  # informational record
-        if not eq_classes(got, _entry_load(output)):
-            return False
-    return True
+    token = _CHAIN.set(None)
+    try:
+        return all(_replay_one(rec, geom) for rec in chain)
+    finally:
+        _CHAIN.reset(token)
 
 
-def _replay_one(rule, inputs, params, geom):
-    if rule in CHAIN_PRIMITIVES:
-        return CHAIN_PRIMITIVES[rule](inputs, params, geom)
-    if rule in ("small-absorb", "compose-full", "compose-bphi"):
-        # the record stores the factors with the interior power in params
-        c = _num_load(params.get("c", 0))
-        left = multiply_x_power(inputs[0], c, "right") if float(c) != 0 else inputs[0]
-        return compose(left, inputs[1], geom, trace=None)
-    if rule == "compose-weight-b" or rule == "compose-weight-phi":
-        return compose(inputs[0], inputs[1], geom)
-    if rule == "compose-suspended":
-        return compose(inputs[0], inputs[1], geom)
-    if rule == "mixed-split":
-        return rule_f(inputs[0], _num_load(params["c"]), inputs[1])
-    if rule == "lift-weight":
-        return lift_weight_class(inputs[0])
-    if rule == "lift-full":
-        main, res = lift_b_to_phi(inputs[0], params["a"], params["b_dim"])
-        return ClassSum((main, res))
-    if rule in (
-        "power-left-of-lf-vanishing",
-        "power-right-of-rf-vanishing",
-        "absorb-power",
-        "power-into-family",
-        "conjugate-small",
-        "bphi-at-weight",
-    ):
-        return None  # rewriting steps; validated through the enclosing compose
-    raise KeyError(f"unknown rule {rule!r} in derivation chain")
+def _replay_one(rec: RuleApp, geom) -> bool:
+    rule, ins, params = rec.rule, rec.inputs, rec.params
+    c = _num_load(params.get("c", 0))
+    try:
+        if rule in CHAIN_PRIMITIVES:
+            got = CHAIN_PRIMITIVES[rule](params)
+        elif rule in ("small-absorb", "compose-full", "compose-bphi"):
+            # the record stores the factors with the interior power in params
+            left = multiply_x_power(ins[0], c, "right") if float(c) != 0 else ins[0]
+            got = compose(left, ins[1], geom)
+        elif rule in ("compose-weight-b", "compose-weight-phi", "compose-suspended"):
+            got = compose(ins[0], ins[1], geom)
+        elif rule == "mixed-split":
+            got = rule_f(ins[0], c, ins[1])
+        elif rule == "lift-weight":
+            got = lift_weight_class(ins[0])
+        elif rule == "lift-full":
+            got = ClassSum(lift_b_to_phi(ins[0], params["a"], params["b_dim"]))
+        elif rule == "power-left-of-lf-vanishing":
+            if not (float(c) >= 0 and _lf_empty(ins[0])):
+                return False
+            got = multiply_x_power(compose(ins[0], ins[1], geom), c, "left")
+        elif rule == "power-right-of-rf-vanishing":
+            if not (float(c) >= 0 and _rf_empty(ins[1])):
+                return False
+            got = multiply_x_power(compose(ins[0], ins[1], geom), c, "right")
+        elif rule in ("absorb-power", "conjugate-small"):
+            # x^c Q lies in Q for c >= 0; a small class commutes with x-powers
+            if not (float(c) >= 0 if rule == "absorb-power" else ins[0].is_small):
+                return False
+            got = ins[0]
+        elif rule == "power-into-family":
+            if not (ins[0].kind == "phi" and isinstance(ins[0].spec, IndexFamily)):
+                return False
+            got = _power_into_family(ins[0], c)
+        elif rule == "bphi-at-weight":
+            if ins[0].kind != "bphi":
+                return False
+            got = _bphi_at_weight(ins[0], _num_load(params["alpha"]))
+        else:
+            raise KeyError(f"unknown rule {rule!r} in derivation chain")
+        return got == rec.output or eq_classes(got, rec.output)
+    except CompositionError:
+        return False
 
 
-#: registry of axiomatic primitives (filled in by the parametrix engine)
+#: registry of axiomatic primitives: rule name -> builder of the output
+#: class from the record's params (filled in by the parametrix engine)
 CHAIN_PRIMITIVES: dict = {}

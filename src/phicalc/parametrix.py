@@ -33,13 +33,13 @@ from .opclasses import (
     GeomConstants,
     NEG_INF,
     OpClass,
-    RuleApp,
     ZERO,
     adjoint_class,
     compose,
     contains,
     decompose_near_ff,
     eq_classes,
+    recording,
     small_b,
     small_phi,
     sum_of,
@@ -144,7 +144,7 @@ class Mat:
     def x_left_all(self, c) -> "Mat":
         return self.map(lambda e: oc.multiply_x_power(e, c, "left"))
 
-    def matmul(self, other: "Mat", geom, route=None, trace=None) -> "Mat":
+    def matmul(self, other: "Mat", geom) -> "Mat":
         out = []
         for i in (0, 1):
             row = []
@@ -154,7 +154,7 @@ class Mat:
                     p, q = self[i, k], other[k, j]
                     if getattr(p, "is_zero", False) or getattr(q, "is_zero", False):
                         continue
-                    acc.append(compose(p, q, geom, route=route, trace=trace))
+                    acc.append(compose(p, q, geom))
                 row.append(sum_of(*acc))
             out.append(row)
         return Mat(out)
@@ -508,49 +508,48 @@ def target_parametrix_statement(a, m, al) -> Mat:
 # axiomatic primitives (registered for chain replay)
 
 
-def _prim(rule, params, output, trace):
-    if trace is not None:
-        trace.append(RuleApp(rule, (), params, output.to_json()))
-    return output
+def _prim(rule, params):
+    """The output class of a registered primitive, recorded with its params."""
+    return oc._rec(rule, (), params, CHAIN_PRIMITIVES[rule](params))
 
 
-def _prim_b_parametrix_Q(inputs, params, geom):
+def _prim_b_parametrix_Q(params):
     return weight_b(-params["m"], params["alpha"])
 
 
-def _prim_b_parametrix_R(inputs, params, geom):
+def _prim_b_parametrix_R(params):
     return x_left(weight_b(0, params["alpha"]), INF)
 
 
-def _prim_normal_inverse_Q(inputs, params, geom):
+def _prim_normal_inverse_Q(params):
     return small_phi(-params["m"], ext=True)
 
 
-def _prim_normal_inverse_R(inputs, params, geom):
+def _prim_normal_inverse_R(params):
     return x_left(small_phi(0, ext=True), INF)
 
 
-def _prim_interior_Q(inputs, params, geom):
+def _prim_interior_Q(params):
     return small_phi(-params["m"])
 
 
-def _prim_interior_R(inputs, params, geom):
+def _prim_interior_R(params):
     return small_phi(NEG_INF)
 
 
-def _prim_lf_solve_Q(inputs, params, geom):
+def _prim_lf_solve_Q(params):
     q = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("rf",))
     return x_right(q, params["am"]) if params["row"] == 1 else q
 
 
-def _prim_lf_solve_R(inputs, params, geom):
+def _prim_lf_solve_R(params):
     base = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("lf",))
     return (
         x_right(base, params["am"]) if params["col"] == 1 else x_left(base, params["am"])
     )
 
 
-def _prim_neumann_limit(inputs, params, geom):
+def _prim_neumann_limit(params):
     base = x_left(weight_phi(0, params["alpha"], ext=True), INF)
     return x_right(base, params["am"]) if params["col"] == 1 else base
 
@@ -574,14 +573,18 @@ CHAIN_PRIMITIVES.update(
 # weight gate
 
 
-def check_weight(op: SplitOperator, alpha: float, tol: float = 1e-9) -> bool:
+#: distance to the critical set below which a weight counts as critical
+CRITICAL_TOL = 1e-9
+
+
+def check_weight(op: SplitOperator, alpha: float) -> bool:
     """Admissibility of alpha: alpha - am stays clear of the critical set."""
     if not op.imspec_p00:
         raise WeightConditionError(
             "no critical-weight data supplied: the weight condition is unverifiable"
         )
     target = alpha - op.am
-    return min(abs(target - s) for s in op.imspec_p00) > tol
+    return min(abs(target - s) for s in op.imspec_p00) > CRITICAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +605,12 @@ def step1_diagonal(op: SplitOperator, alpha: float) -> StepResult:
     if not op.p00_elliptic:
         raise ParametrixError("the harmonic block must be b-elliptic")
     a, m, am = op.a, op.m, op.am
-    chain_q: list = []
-    chain_r: list = []
-    q00 = _prim("b-parametrix-Q", {"m": m, "alpha": alpha}, weight_b(-m, alpha), chain_q)
-    r00 = _prim(
-        "b-parametrix-R", {"m": m, "alpha": alpha}, x_left(weight_b(0, alpha), INF), chain_r
-    )
-    q11 = _prim(
-        "normal-inverse-Q", {"m": m}, small_phi(-m, ext=True), chain_q
-    )
-    r11 = _prim(
-        "normal-inverse-R", {"m": m}, x_left(small_phi(0, ext=True), INF), chain_r
-    )
+    with recording() as chain_q:
+        q00 = _prim("b-parametrix-Q", {"m": m, "alpha": alpha})
+        q11 = _prim("normal-inverse-Q", {"m": m})
+    with recording() as chain_r:
+        r00 = _prim("b-parametrix-R", {"m": m, "alpha": alpha})
+        r11 = _prim("normal-inverse-R", {"m": m})
     Qd = Mat.diag(x_left(q00, -am), q11)
     Rd = Mat.diag(r00, r11)
     assertions = [
@@ -649,14 +646,14 @@ def step2_offdiagonal(op: SplitOperator, alpha: float, step1: StepResult) -> Ste
             {"PoQd": zero, "Qo": zero, "Ro": zero, "PoQd_sq": zero, "R2": Rd, "Q2": Qd},
         )
 
-    ch_poqd: list = []
-    ch_qo: list = []
-    ch_ro: list = []
-    ch_sq: list = []
-    PoQd = Po.matmul(Qd, geom, trace=ch_poqd)
-    Qo = Qd.matmul(PoQd, geom, trace=ch_qo)
-    Ro = Rd.matmul(PoQd, geom, trace=ch_ro)
-    PoQd_sq = PoQd.matmul(PoQd, geom, trace=ch_sq)
+    with recording() as ch_poqd:
+        PoQd = Po.matmul(Qd, geom)
+    with recording() as ch_qo:
+        Qo = Qd.matmul(PoQd, geom)
+    with recording() as ch_ro:
+        Ro = Rd.matmul(PoQd, geom)
+    with recording() as ch_sq:
+        PoQd_sq = PoQd.matmul(PoQd, geom)
     R2 = Rd.add(Ro).add(PoQd_sq)
     Q2 = Qd.add(Qo)
 
@@ -725,33 +722,13 @@ def step3_lf_correction(op: SplitOperator, alpha: float, step2: StepResult) -> S
         locs = ", ".join(f"entry ({i},{j}): {t!r}" for i, j, t in failures)
         raise HypothesisError(f"left-face solving hypothesis fails at {locs}")
 
-    chain_q: list = []
-    chain_r: list = []
-    qrow0 = _prim(
-        "lf-solve-Q",
-        {"alpha": alpha, "am": am, "row": 0},
-        weight_b(NEG_INF, alpha, ext=True, vanish=("rf",)),
-        chain_q,
-    )
-    qrow1 = _prim(
-        "lf-solve-Q",
-        {"alpha": alpha, "am": am, "row": 1},
-        x_right(weight_b(NEG_INF, alpha, ext=True, vanish=("rf",)), am),
-        chain_q,
-    )
+    with recording() as chain_q:
+        qrow0 = _prim("lf-solve-Q", {"alpha": alpha, "am": am, "row": 0})
+        qrow1 = _prim("lf-solve-Q", {"alpha": alpha, "am": am, "row": 1})
     Qprime = Mat([[qrow0, qrow0], [qrow1, qrow1]])
-    rcol0 = _prim(
-        "lf-solve-R",
-        {"alpha": alpha, "am": am, "col": 0},
-        x_left(weight_b(NEG_INF, alpha, ext=True, vanish=("lf",)), am),
-        chain_r,
-    )
-    rcol1 = _prim(
-        "lf-solve-R",
-        {"alpha": alpha, "am": am, "col": 1},
-        x_right(weight_b(NEG_INF, alpha, ext=True, vanish=("lf",)), am),
-        chain_r,
-    )
+    with recording() as chain_r:
+        rcol0 = _prim("lf-solve-R", {"alpha": alpha, "am": am, "col": 0})
+        rcol1 = _prim("lf-solve-R", {"alpha": alpha, "am": am, "col": 1})
     Rpp = Mat([[rcol0, rcol1], [rcol0, rcol1]])
 
     R2_cut = R2.map(_away_from_lf)
@@ -789,14 +766,14 @@ def step4_neumann(op: SplitOperator, alpha: float, step1, step2, step3) -> StepR
     psi_R = step3.data["PsiR"]
     Qd, Qo, Qprime = step1.data["Qd"], step2.data["Qo"], step3.data["Qprime"]
 
-    chain: list = []
     # squaring gains an overall x^(am); higher even powers gain (N-1) copies
-    R_sq = psi_R.matmul(psi_R, geom, trace=chain)
+    with recording() as chain:
+        R_sq = psi_R.matmul(psi_R, geom)
     tgt_sq = target_r3_squared(a, m, alpha)
     powers = [psi_R, R_sq]
     growth_ok = True
     for N in (2, 3):
-        nxt = powers[-1].matmul(R_sq, geom, trace=None)
+        nxt = powers[-1].matmul(R_sq, geom)
         powers.append(nxt)
         target = target_r3_space(a, m, alpha).x_left_all((N - 1) * am)
         if not nxt.contained_in(target, geom):
@@ -827,34 +804,22 @@ def step4_neumann(op: SplitOperator, alpha: float, step1, step2, step3) -> StepR
 
     # the harmonic-block products pass through the mixed rule; the
     # perpendicular-block products compose directly
-    chain_d: list = []
-    dd00 = compose(Qd[0, 0], tail_d[0, 0], geom, route="split", trace=chain_d)
-    dd11 = compose(Qd[1, 1], tail_d[1, 1], geom, trace=chain_d)
-    oo00 = compose(Qo[0, 1], tail_o[1, 0], geom, route="split", trace=chain_d)
-    oo11 = compose(Qo[1, 0], tail_o[0, 1], geom, trace=chain_d)
+    with recording() as chain_d:
+        dd00 = compose(Qd[0, 0], tail_d[0, 0], geom, route="split")
+        dd11 = compose(Qd[1, 1], tail_d[1, 1], geom)
+        oo00 = compose(Qo[0, 1], tail_o[1, 0], geom, route="split")
+        oo11 = compose(Qo[1, 0], tail_o[0, 1], geom)
     diag_products = Mat.diag(sum_of(dd00, oo00), sum_of(dd11, oo11))
 
-    chain_o: list = []
-    prod_do = Qd.matmul(tail_o, geom, trace=chain_o)
-    prod_od = Qo.matmul(tail_d, geom, trace=chain_o)
-    offdiag_products = prod_do.add(prod_od)
+    with recording() as chain_o:
+        offdiag_products = Qd.matmul(tail_o, geom).add(Qo.matmul(tail_d, geom))
 
-    chain_q: list = []
-    qprime_tail = Qprime.matmul(tail, geom, trace=chain_q)
+    with recording() as chain_q:
+        qprime_tail = Qprime.matmul(tail, geom)
 
-    chain_lim: list = []
-    b0 = _prim(
-        "neumann-limit",
-        {"alpha": alpha, "am": am, "col": 0},
-        x_left(weight_phi(0, alpha, ext=True), INF),
-        chain_lim,
-    )
-    b1 = _prim(
-        "neumann-limit",
-        {"alpha": alpha, "am": am, "col": 1},
-        x_right(x_left(weight_phi(0, alpha, ext=True), INF), am),
-        chain_lim,
-    )
+    with recording() as chain_lim:
+        b0 = _prim("neumann-limit", {"alpha": alpha, "am": am, "col": 0})
+        b1 = _prim("neumann-limit", {"alpha": alpha, "am": am, "col": 1})
     R_boundary = Mat([[b0, b1], [b0, b1]])
 
     assertions = [
@@ -884,14 +849,13 @@ def step5_interior(op: SplitOperator, alpha: float, step1, step2, step3, step4) 
     geom = op.geom
     R_boundary = step4.data["R_boundary"]
 
-    chain: list = []
-    q_sigma = _prim("interior-parametrix-Q", {"m": m}, small_phi(-m), chain)
-    r_sigma = _prim("interior-parametrix-R", {"m": m}, small_phi(NEG_INF), chain)
-    Qsig = Mat([[q_sigma, q_sigma], [q_sigma, q_sigma]])
-    Rsig = Mat([[r_sigma, r_sigma], [r_sigma, r_sigma]])
-
-    QsR = Qsig.matmul(R_boundary, geom, trace=chain)
-    Rr = Rsig.matmul(R_boundary, geom, trace=chain)
+    with recording() as chain:
+        q_sigma = _prim("interior-parametrix-Q", {"m": m})
+        r_sigma = _prim("interior-parametrix-R", {"m": m})
+        Qsig = Mat([[q_sigma, q_sigma], [q_sigma, q_sigma]])
+        Rsig = Mat([[r_sigma, r_sigma], [r_sigma, r_sigma]])
+        QsR = Qsig.matmul(R_boundary, geom)
+        Rr = Rsig.matmul(R_boundary, geom)
     tgt_qsr = target_boundary_remainder(a, m, alpha).map(
         lambda e: e if getattr(e, "is_zero", False) else e.shifted_order(-m)
     )
@@ -1006,7 +970,7 @@ def parametrix_report(op: SplitOperator, alpha: float) -> dict:
 # Fredholm gates and kernel regularity
 
 
-def fredholm_report(op: SplitOperator, alpha: float, tol: float = 1e-9) -> dict:
+def fredholm_report(op: SplitOperator, alpha: float) -> dict:
     """The two Fredholm maps and their distinct weight gates.
 
     The split-Sobolev-to-L2 map needs alpha - am clear of the critical set;
@@ -1029,13 +993,13 @@ def fredholm_report(op: SplitOperator, alpha: float, tol: float = 1e-9) -> dict:
             "map": f"{dom_p.describe()} -> {cod_p.describe()}",
             "gate": alpha - op.am,
             "distance": d_primal,
-            "fredholm": d_primal > tol,
+            "fredholm": d_primal > CRITICAL_TOL,
         },
         "dual": {
             "map": f"{dom_d.describe()} -> {cod_d.describe()}",
             "gate": alpha,
             "distance": d_dual,
-            "fredholm": d_dual > tol,
+            "fredholm": d_dual > CRITICAL_TOL,
         },
     }
 
@@ -1064,7 +1028,7 @@ def regularity_predict(
             "no pole-order data supplied: predicting exponents with log power 0",
             stacklevel=2,
         )
-    gens = [((float(s), 0.0), int(k)) for s, k in spec_b if float(s) > alpha]
+    gens = [((float(s), 0.0), k) for s, k in spec_b if float(s) > alpha]
     K = make_index_set(gens)
     if statement == "L2":
         return K, shift(K, op.am)

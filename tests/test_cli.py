@@ -245,6 +245,13 @@ def test_bad_tolerance_exit_2(tmp_path):
     assert main(["imspec", "--model", m, "--tol", "-1", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+@pytest.mark.parametrize("k", [1.5, True])
+def test_idx_rejects_non_integer_log_power(tmp_path, capsys, k):
+    bad = jdump(tmp_path, "bad.json", {"empty": False, "generators": [{"re": 0, "im": 0, "k": k}]})
+    assert main(["idx", "shift", bad, "--by", "1", "--out", str(tmp_path / "o.json")]) == 2
+    assert "not a valid index-set document" in capsys.readouterr().err
+
+
 def test_idx_scale_rejects_non_integer_factor(tmp_path, capsys):
     a = iset_file(tmp_path, "a.json", [(1, 0)])
     out = str(tmp_path / "o.json")

@@ -76,6 +76,16 @@ def test_negative_log_power_rejected():
         make_index_set([(0, -1)])
 
 
+@pytest.mark.parametrize("k", [0.9, 1.5, 1.0, True, "1"])
+def test_non_integer_log_power_rejected(k):
+    with pytest.raises(TypeError):
+        make_index_set([(0, k)])
+    with pytest.raises(TypeError):
+        IndexSet.from_json({"empty": False, "generators": [{"re": 0, "im": 0, "k": k}]})
+    with pytest.raises(TypeError):
+        real_set(0).member(0, k)
+
+
 def test_incomparable_generators_kept():
     I = iset((0, 1), (1, 2))
     assert len(I.generators) == 2

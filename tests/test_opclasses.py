@@ -1,5 +1,6 @@
 """Operator-class algebra: combination rules, predicates, derivation replay."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from phicalc.opclasses import (
     GeomConstants,
     IntegrabilityError,
     OpClass,
+    RuleApp,
     UnsupportedComposition,
     Weight,
     ZERO,
@@ -29,6 +31,7 @@ from phicalc.opclasses import (
     lift_b_to_phi,
     map_phg,
     multiply_x_power,
+    recording,
     replay_chain,
     small_phi,
     sus_phi,
@@ -497,9 +500,78 @@ def test_sobolev_space_spec():
 
 
 def test_compose_trace_replays():
-    trace = []
     P = weight_b(-1, 0, xl=-1)
     Q = weight_phi(0, 0, xl=1)
-    got = compose(P, Q, G11, route="split", trace=trace)
+    with recording() as trace:
+        got = compose(P, Q, G11, route="split")
     assert trace and replay_chain(trace, G11)
     assert isinstance(got, ClassSum)
+
+
+def test_recording_only_inside_the_block():
+    P, Q = weight_phi(0, 0, xr=1), weight_phi(0, 0)
+    with recording() as outer:
+        compose(P, Q, G11)
+        with recording() as inner:
+            compose(P, Q, G11)
+    compose(P, Q, G11)
+    assert [r.rule for r in outer] == ["absorb-power", "compose-weight-phi"]
+    assert [r.rule for r in inner] == [r.rule for r in outer]
+
+
+def test_rule_app_json_round_trip():
+    with recording() as chain:
+        compose(weight_b(-1, 0), weight_phi(0, 0, xl=1), G11, route="split")
+    again = [RuleApp.from_json(r.to_json()) for r in chain]
+    assert again == chain and replay_chain(again, G11)
+
+
+def test_replay_inside_recording_leaves_chain_unchanged():
+    with recording() as chain:
+        compose(bphi_class(0), weight_phi(0, 0, xl=1), G11)
+    before = list(chain)
+    with recording() as outer:
+        assert replay_chain(chain, G11)
+    assert chain == before and outer == []
+
+
+FAM1 = phi_family(lf=real_set(1), rf=real_set(1), bf=real_set(1), ff=real_set(1))
+W0 = weight_phi(0, 0)
+
+
+def _swap_input(i):
+    """Break a record's precondition: its i-th input becomes a plain weight class."""
+    return lambda rec: replace(rec, inputs=rec.inputs[:i] + (W0,) + rec.inputs[i + 1:])
+
+
+# per rewriting rule: a composition that applies it, and a precondition breaker
+REWRITES = {
+    "power-left-of-lf-vanishing": (weight_phi(0, 0, xr=1, vanish=("lf",)), W0, _swap_input(0)),
+    "power-right-of-rf-vanishing": (weight_phi(0, 0, xr=1), weight_phi(0, 0, vanish=("rf",)), _swap_input(1)),
+    "absorb-power": (weight_phi(0, 0, xr=1), W0, lambda rec: replace(rec, params={"c": -1})),
+    "power-into-family": (full_class("phi", 0, FAM1, xr=1), full_class("phi", 0, FAM1), _swap_input(0)),
+    "conjugate-small": (small_phi(0, xr=1), W0, _swap_input(0)),
+    "bphi-at-weight": (bphi_class(0), W0, _swap_input(0)),
+}
+
+
+def _rewrite_record(rule):
+    P, Q, _ = REWRITES[rule]
+    with recording() as chain:
+        compose(P, Q, G11)
+    assert replay_chain(chain, G11)
+    (rec,) = [r for r in chain if r.rule == rule]
+    return rec
+
+
+@pytest.mark.parametrize("rule", sorted(REWRITES))
+def test_replay_rejects_tampered_rewrite_output(rule):
+    rec = _rewrite_record(rule)
+    assert replay_chain([rec], G11)
+    assert not replay_chain([replace(rec, output=rec.output.shifted_order(-1))], G11)
+
+
+@pytest.mark.parametrize("rule", sorted(REWRITES))
+def test_replay_rejects_failed_rewrite_precondition(rule):
+    rec = _rewrite_record(rule)
+    assert not replay_chain([REWRITES[rule][2](rec)], G11)

@@ -1,5 +1,8 @@
 """Split-parametrix engine: step-by-step class verification and gates."""
 
+import hashlib
+import json
+
 import pytest
 
 from phicalc.opclasses import (
@@ -274,13 +277,25 @@ def test_report_chains_replay():
     n_records = 0
     for step in rep["steps"]:
         for assertion in step["assertions"]:
-            chain = [
-                RuleApp(r["rule"], tuple(r["inputs"]), r["params"], r["output"])
-                for r in assertion["chain"]
-            ]
+            chain = [RuleApp.from_json(r) for r in assertion["chain"]]
             n_records += len(chain)
             assert replay_chain(chain, op.geom)
     assert n_records > 20
+
+
+def test_report_bytes_pinned():
+    """sha256 over the JSON of criterion 3's 13 admissible instances."""
+    digest = hashlib.sha256()
+    runs = 0
+    for a in (1, 2):
+        for mk in (gauss_bonnet_split, hodge_split):
+            op = mk(a=a, b_dim=1, imspec=SPEC)
+            for al in (-0.5, 0, 0.5, 1.3):
+                if check_weight(op, al):
+                    runs += 1
+                    digest.update(json.dumps(parametrix_report(op, al)).encode())
+    assert runs == 13
+    assert digest.hexdigest() == "acac7a5f045b6a24ed4d0d6397b96e05fcdef5eb603ec866e316c80d4f8fd779"
 
 
 def test_report_json_round_trips_operator():
@@ -319,6 +334,12 @@ def test_regularity_prediction_warns_without_pole_data():
     with pytest.warns(UserWarning):
         pi_set, perp_set = regularity_predict(op, 0.0)
     assert pi_set == make_index_set([((1.0, 0.0), 0)])
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, True])
+def test_regularity_prediction_rejects_bad_log_power(k):
+    with pytest.raises(TypeError):
+        regularity_predict(op_gb(), 0.0, spec_b=[(1, k)])
 
 
 def test_regularity_prediction_split_statement():
