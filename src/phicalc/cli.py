@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parametrix", help="replay the split parametrix construction")
     p.add_argument("--op", required=True, help="split-operator JSON file")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=Fraction, required=True,
+                   help="weight, read exactly (0.5, 1/3, 1e16)")
     p.add_argument("--report", default=None, help="output report JSON")
     p.set_defaults(func=_cmd_parametrix)
 

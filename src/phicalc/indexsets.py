@@ -40,6 +40,7 @@ __all__ = [
     "EMPTY",
     "MAX_DENOMINATOR",
     "exact_real",
+    "exact_extended",
     "number_to_json",
     "number_from_json",
     "make_index_set",
@@ -292,22 +293,23 @@ def scale(I: IndexSet, a: int) -> IndexSet:
     return IndexSet(_canonical((a * g[0], a * g[1], g[2]) for g in I.generators))
 
 
-def _threshold(alpha: RealLike):
-    """A comparison threshold: exact, except that +-inf stays as it is."""
-    if isinstance(alpha, float) and math.isinf(alpha):
-        return alpha
-    return exact_real(alpha)
+def exact_extended(v: RealLike):
+    """An extended real: exact as by :func:`exact_real`, except that +-inf
+    stays as it is (comparison thresholds, operator orders, x-powers)."""
+    if isinstance(v, float) and math.isinf(v):
+        return v
+    return exact_real(v)
 
 
 def greater_than(I: IndexSet, alpha: RealLike) -> bool:
     """I > alpha: every element has Re z > alpha.  Empty set: True."""
-    alpha = _threshold(alpha)
+    alpha = exact_extended(alpha)
     return all(g[0] > alpha for g in I.generators)
 
 
 def geq(I: IndexSet, alpha: RealLike) -> bool:
     """I >= alpha: Re z >= alpha throughout, and k = 0 where Re z = alpha."""
-    alpha = _threshold(alpha)
+    alpha = exact_extended(alpha)
     return all(g[0] > alpha or (g[0] == alpha and g[2] == 0) for g in I.generators)
 
 

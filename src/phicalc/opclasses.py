@@ -19,6 +19,11 @@ Sums of operator spaces (as produced by the mixed b/phi composition rule)
 are represented by :class:`ClassSum`; a predicate holds for a sum iff it
 holds for every summand.
 
+Weights, orders and x-powers are exact: each passes once through
+:func:`phicalc.indexsets.exact_extended` when a :class:`Weight` or an
+:class:`OpClass` is built (finite floats become fractions, +-inf stays a
+float), so every comparison below is ``==``/``<`` on exact numbers.
+
 Inside a ``with recording() as chain:`` block every rule application
 is appended to ``chain`` as a :class:`RuleApp`; :func:`replay_chain`
 re-checks each record of such a chain from its inputs and parameters.
@@ -38,6 +43,7 @@ from .indexsets import (
     IndexSet,
     RealLike,
     add,
+    exact_extended,
     extended_union,
     geq,
     greater_than,
@@ -113,6 +119,9 @@ class Weight:
 
     alpha: RealLike
 
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", exact_extended(self.alpha))
+
 
 @dataclass(frozen=True)
 class Bound:
@@ -143,8 +152,8 @@ class SobolevSpaceSpec:
     2x2 block setting of the split-parametrix machinery.
     """
 
-    weight: float
-    order: float
+    weight: RealLike
+    order: RealLike
     kind: str = "b"
 
     def __post_init__(self):
@@ -153,34 +162,15 @@ class SobolevSpaceSpec:
 
     def describe(self) -> str:
         h = {"b": "H_b", "phi": "H_phi", "split": "H_split"}[self.kind]
-        return f"x^{_fmtnum(self.weight)} {h}^{_fmtnum(self.order)}"
-
-
-#: absolute tolerance of float weights, orders and thresholds in _xeq
-_FLOAT_TOL = 1e-9
-
-
-def _xeq(u, v) -> bool:
-    """Extended-real equality (exact at infinities and between exact
-    numbers, tolerant when a float is involved)."""
-    uf, vf = float(u), float(v)
-    if uf in (INF, -INF) or vf in (INF, -INF):
-        return uf == vf
-    if isinstance(u, float) or isinstance(v, float):
-        return abs(u - v) <= _FLOAT_TOL
-    return u == v
+        return f"x^{_fmtpow(self.weight)} {h}^{_fmtpow(self.order)}"
 
 
 def _xadd(u, v):
     """Extended-real addition for x-powers and orders (no inf - inf here)."""
-    uf, vf = float(u), float(v)
-    if uf == INF or vf == INF:
-        if uf == -INF or vf == -INF:
-            raise ValueError("indeterminate inf - inf power combination")
-        return INF
-    if uf == -INF or vf == -INF:
-        return -INF
-    return u + v
+    s = u + v
+    if s != s:  # NaN: only inf + (-inf) gives it
+        raise ValueError("indeterminate inf - inf power combination")
+    return s
 
 
 @dataclass(frozen=True)
@@ -201,6 +191,10 @@ class OpClass:
             raise ValueError(f"unknown class kind {self.kind!r}")
         if self.kind in ("bphi", "sus-phi", "zero") and self.spec is not None:
             raise ValueError(f"{self.kind} classes carry no boundary spec")
+        for name in ("order", "xl", "xr"):
+            object.__setattr__(self, name, exact_extended(getattr(self, name)))
+        if self.proj is not None:
+            object.__setattr__(self, "proj", (self.proj[0], exact_extended(self.proj[1])))
         if isinstance(self.spec, IndexFamily):
             expected = "b" if self.kind == "b" else "phi"
             if self.kind in ("b", "phi") and self.spec.kind != expected:
@@ -298,20 +292,23 @@ class OpClass:
         if self.ext:
             name += ",ext"
         if isinstance(self.spec, Weight):
-            sup = f"^({_fmtnum(self.order)},{_fmtnum(self.spec.alpha)})"
+            sup = f"^({_num_json(self.order)},{_num_json(self.spec.alpha)})"
         elif isinstance(self.spec, IndexFamily):
-            sup = f"^({_fmtnum(self.order)},{self.spec!r})"
+            sup = f"^({_num_json(self.order)},{self.spec!r})"
         else:
-            sup = f"^({_fmtnum(self.order)})"
-        left = "" if _req0(self.xl) else f"x^{_fmtnum(self.xl)} "
-        right = "" if _req0(self.xr) else f" x^{_fmtnum(self.xr)}"
+            sup = f"^({_num_json(self.order)})"
+        left = "" if self.xl == 0 else f"x^{_fmtpow(self.xl)} "
+        right = "" if self.xr == 0 else f" x^{_fmtpow(self.xr)}"
         van = "" if not self.vanish else f"[{','.join(sorted(self.vanish))}=0]"
-        dec = ""
+        pre = post = ""
         if self.proj is not None:
             side, c = self.proj
-            tag = f"(Pi + x^{_fmtnum(c)} Piperp)"
-            dec = f" {tag}" if side == "right" else f"{tag} "
-        return f"{left}{name}{sup}{van}{right}{dec}".strip()
+            tag = f"(Pi + x^{_fmtpow(c)} Piperp)"
+            if side == "right":
+                post = f" {tag}"
+            else:
+                pre = f"{tag} "
+        return f"{pre}{left}{name}{sup}{van}{right}{post}".strip()
 
 
 def _num_json(v):
@@ -330,12 +327,10 @@ def _num_load(v):
     return number_from_json(v)
 
 
-def _fmtnum(v):
-    return str(_num_json(v))
-
-
-def _req0(v):
-    return not isinstance(v, float) and v == 0 or isinstance(v, float) and v == 0.0
+def _fmtpow(v):
+    """An exponent after ``^``: a fraction is bracketed, ``x^(1/2)``."""
+    s = str(_num_json(v))
+    return f"({s})" if "/" in s else s
 
 
 ZERO = OpClass(kind="zero", order=NEG_INF)
@@ -494,31 +489,16 @@ class FoldedClass:
         return tuple(f for f, _ in self.faces)
 
     def __eq__(self, other):
+        # the extended flag is not compared (see :func:`contains`)
         if not isinstance(other, FoldedClass):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if not _xeq(self.order, other.order):
-            return False
-        if self.face_names != other.face_names:
-            return False
-        return all(
-            _face_eq(self.face(f), other.face(f)) for f in self.face_names
-        )
-
-
-def _face_eq(u, v):
-    if isinstance(u, IndexSet) and isinstance(v, IndexSet):
-        return u == v
-    if isinstance(u, Bound) and isinstance(v, Bound):
-        return u.strict == v.strict and _xeq(u.threshold, v.threshold)
-    return False
+        return (self.kind, self.order, self.faces) == (other.kind, other.order, other.faces)
 
 
 def _shift_face(data, c):
-    if float(c) == 0:
+    if c == 0:
         return data
-    if float(c) == INF:
+    if c == INF:
         return EMPTY
     if isinstance(data, IndexSet):
         return shift(data, c)
@@ -526,7 +506,19 @@ def _shift_face(data, c):
 
 
 def fold(cls: OpClass) -> FoldedClass:
-    """Fold spec, x-powers and vanishing refinements into face data."""
+    """Fold spec, x-powers and vanishing refinements into face data.
+
+    A class is frozen, so the first fold is stored on the instance and
+    later calls return it.
+    """
+    folded = cls.__dict__.get("_folded")
+    if folded is None:
+        folded = _fold(cls)
+        object.__setattr__(cls, "_folded", folded)
+    return folded
+
+
+def _fold(cls: OpClass) -> FoldedClass:
     if cls.is_zero:
         return FoldedClass("zero", NEG_INF, False, ())
     if cls.kind == "sus-phi":
@@ -581,10 +573,9 @@ def _face_implies(sub, sup) -> bool:
         return greater_than(sub, sup.threshold) if sup.strict else geq(sub, sup.threshold)
     if isinstance(sup, IndexSet):
         return False
-    t_sub, t_sup = float(sub.threshold), float(sup.threshold)
-    if _xeq(sub.threshold, sup.threshold):
+    if sub.threshold == sup.threshold:
         return sub.strict or not sup.strict
-    return t_sub > t_sup
+    return sub.threshold > sup.threshold
 
 
 def contains(sub: Entry, sup: Entry, geom: GeomConstants | None = None) -> bool:
@@ -612,22 +603,19 @@ def _contains_single(sub: OpClass, sup: OpClass, geom) -> bool:
     if sup.is_zero:
         return False
     if sub.kind == "sus-phi" or sup.kind == "sus-phi":
-        return (
-            sub.kind == sup.kind
-            and float(sub.order) <= float(sup.order)
-        )
+        return sub.kind == sup.kind and sub.order <= sup.order
     fs, ft = fold(sub), fold(sup)
-    if float(fs.order) > float(ft.order):
+    if fs.order > ft.order:
         return False
     if fs.kind == ft.kind or {fs.kind, ft.kind} == {"bphi", "phi"}:
         pairs = [(fs.face(f), ft.face(f)) for f in ft.face_names]
     elif fs.kind == "b" and ft.kind in ("phi", "bphi"):
         # lift: faces at lf, rf, bf persist; the ff data of the lift is
         # bf + a(-order) (empty for smoothing order)
-        if float(fs.order) >= 0:
+        if fs.order >= 0:
             return False
         bf = fs.face("bf")
-        if float(fs.order) == -INF or bf == EMPTY:
+        if fs.order == NEG_INF or bf == EMPTY:
             ff = EMPTY
         else:
             if geom is None:
@@ -718,7 +706,7 @@ def lift_weight_class(P: OpClass) -> OpClass:
     """Weight-tier lifting of a b-class into the phi-calculus (order < 0)."""
     if P.kind != "b" or not isinstance(P.spec, Weight):
         raise UnsupportedComposition("weight-tier lift needs a b-kind weight class")
-    if float(P.order) >= 0:
+    if P.order >= 0:
         raise UnsupportedComposition("lifting requires negative order")
     return replace(P, kind="phi")
 
@@ -733,7 +721,7 @@ def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
     if T.kind != "b" or not isinstance(T.spec, IndexFamily):
         raise TypeError("lifting needs a b-kind class with a full index family")
     m = T.order
-    if float(m) >= 0:
+    if m >= 0:
         warnings.warn(
             "lift of a b-class of nonnegative order is outside the stated "
             "scope of the lifting formula",
@@ -799,6 +787,7 @@ def decompose_near_ff(S: Entry):
 
 
 def _bounded_targets(alpha, beta, strict_all=False):
+    alpha, beta = exact_extended(alpha), exact_extended(beta)
     s = strict_all
     return {
         "lf": Bound(beta, True),
@@ -846,7 +835,7 @@ def is_compact(P: Entry, alpha, beta, k=None) -> bool:
     strict_targets = _bounded_targets(alpha, beta, strict_all=True)
     for t in terms:
         f = fold(t)
-        if not float(f.order) < 0:
+        if not f.order < 0:
             return False
         for name in f.face_names:
             if not _face_implies(f.face(name), strict_targets[name]):
@@ -980,11 +969,11 @@ def rule_f(P: OpClass, c, Q: OpClass) -> ClassSum:
         raise UnsupportedComposition("the mixed rule needs weight-tier factors")
     if P.kind not in ("b", "phi") or Q.kind != "phi":
         raise UnsupportedComposition("the mixed rule needs a b/phi times phi pair")
-    if not _xeq(P.spec.alpha, Q.spec.alpha):
+    if P.spec.alpha != Q.spec.alpha:
         raise UnsupportedComposition("the mixed rule needs equal weights")
-    if float(c) < 0:
+    if c < 0:
         raise UnsupportedComposition("the mixed rule requires c >= 0")
-    if float(P.order) > 0:
+    if P.order > 0:
         raise UnsupportedComposition("the mixed rule requires the left order <= 0")
     out = ClassSum(
         (
@@ -1004,7 +993,7 @@ def _e_normalize(P: OpClass) -> OpClass:
     """
     if P.kind != "b":
         return P
-    if float(P.xl) == INF or float(P.xr) == INF:
+    if P.xl == INF or P.xr == INF:
         return replace(P, kind="phi") if isinstance(P.spec, Weight) else OpClass(
             "phi",
             P.order,
@@ -1107,7 +1096,7 @@ def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None) -
 def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
     # suspended classes: closure under composition only
     if P.kind == "sus-phi" or Q.kind == "sus-phi":
-        if P.kind == Q.kind == "sus-phi" and float(c) == 0:
+        if P.kind == Q.kind == "sus-phi" and c == 0:
             out = sus_phi(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
             return _rec("compose-suspended", (P, Q), {}, out)
         raise UnsupportedComposition("suspended classes compose only with each other")
@@ -1126,7 +1115,7 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
 
     # bphi factors act at every weight
     if P.kind == "bphi" and Q.kind == "bphi":
-        if float(c) < 0:
+        if c < 0:
             raise UnsupportedComposition("negative interior power between bphi factors")
         out = bphi_class(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
         return _rec("compose-bphi", (P, Q), {"c": _num_json(c)}, out)
@@ -1146,8 +1135,8 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
     if route == "split":
         return rule_f(P, c, Q)
 
-    if float(c) != 0:
-        if float(c) < 0:
+    if c != 0:
+        if c < 0:
             raise UnsupportedComposition("negative interior x-power between weight classes")
         if _lf_empty(P):
             # Psi_lf x^c subset x^c Psi_lf: keep the power on the left
@@ -1173,7 +1162,7 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
         return _compose_core(P, Q2, 0, geom, route)
     if kp != kq:
         raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
-    if not _xeq(P.spec.alpha, Q.spec.alpha):
+    if P.spec.alpha != Q.spec.alpha:
         raise UnsupportedComposition(
             f"weight-tier composition needs equal weights, got "
             f"{P.spec.alpha} and {Q.spec.alpha}"
@@ -1204,7 +1193,7 @@ def _power_into_family(Q: OpClass, c) -> OpClass:
     """x^c Q for a full phi-family class: lf, bf and ff shift by c, and
     x^inf empties them."""
     fam = Q.spec
-    if float(c) == INF:
+    if c == INF:
         fam = fam.replace(lf=EMPTY, bf=EMPTY, ff=EMPTY)
     else:
         fam = fam.replace(lf=shift(fam.lf, c), bf=shift(fam.bf, c), ff=shift(fam.ff, c))
@@ -1233,7 +1222,7 @@ def _compose_small(P: OpClass, Q: OpClass, c, geom) -> Entry:
 
     out = other.shifted_order(small.order)
     out = replace(out, ext=out.ext or small.ext)
-    if float(c) != 0:
+    if c != 0:
         side = "left" if small_left else "right"
         out = multiply_x_power(out, c, side)
         _rec("conjugate-small", (small,), {"c": _num_json(c), "side": side}, small)
@@ -1258,7 +1247,7 @@ def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
             "phi-composition needs the geometry constants (a, b_dim)"
         )
     famQ = Q.spec
-    if float(c) != 0:
+    if c != 0:
         famQ = _rec("power-into-family", (Q,), {"c": _num_json(c)}, _power_into_family(Q, c)).spec
     if not greater_than(add(P.spec.rf, famQ.lf), 0):
         raise IntegrabilityError(
@@ -1300,7 +1289,7 @@ def _replay_one(rec: RuleApp, geom) -> bool:
             got = CHAIN_PRIMITIVES[rule](params)
         elif rule in ("small-absorb", "compose-full", "compose-bphi"):
             # the record stores the factors with the interior power in params
-            left = multiply_x_power(ins[0], c, "right") if float(c) != 0 else ins[0]
+            left = multiply_x_power(ins[0], c, "right") if c != 0 else ins[0]
             got = compose(left, ins[1], geom)
         elif rule in ("compose-weight-b", "compose-weight-phi", "compose-suspended"):
             got = compose(ins[0], ins[1], geom)
@@ -1311,16 +1300,16 @@ def _replay_one(rec: RuleApp, geom) -> bool:
         elif rule == "lift-full":
             got = ClassSum(lift_b_to_phi(ins[0], params["a"], params["b_dim"]))
         elif rule == "power-left-of-lf-vanishing":
-            if not (float(c) >= 0 and _lf_empty(ins[0])):
+            if not (c >= 0 and _lf_empty(ins[0])):
                 return False
             got = multiply_x_power(compose(ins[0], ins[1], geom), c, "left")
         elif rule == "power-right-of-rf-vanishing":
-            if not (float(c) >= 0 and _rf_empty(ins[1])):
+            if not (c >= 0 and _rf_empty(ins[1])):
                 return False
             got = multiply_x_power(compose(ins[0], ins[1], geom), c, "right")
         elif rule in ("absorb-power", "conjugate-small"):
             # x^c Q lies in Q for c >= 0; a small class commutes with x-powers
-            if not (float(c) >= 0 if rule == "absorb-power" else ins[0].is_small):
+            if not (c >= 0 if rule == "absorb-power" else ins[0].is_small):
                 return False
             got = ins[0]
         elif rule == "power-into-family":

@@ -18,14 +18,20 @@ on operator classes:
 Every class the engine asserts is checked against the target class matrix
 of the corresponding combination identity, with each assertion carrying a
 replayable chain of rule applications from :mod:`phicalc.opclasses`.
+
+Weights are exact: critical weights and the alpha of each entry point pass
+through :func:`phicalc.indexsets.exact_real`, so the weight gates are exact
+membership tests, and reports write non-integer numbers as "p/q" strings.
 """
 
 from __future__ import annotations
 
+import operator
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .indexsets import make_index_set, shift
+from .indexsets import exact_real, make_index_set, number_from_json, number_to_json, shift
 from . import opclasses as oc
 from .opclasses import (
     CHAIN_PRIMITIVES,
@@ -217,6 +223,12 @@ class SplitOperator:
     b_dim: int = 1
 
     def __post_init__(self):
+        for name in ("a", "m", "b_dim"):
+            v = getattr(self, name)
+            if isinstance(v, bool):
+                raise TypeError(f"{name} must be an integer, got a boolean")
+            setattr(self, name, operator.index(v))
+        self.imspec_p00 = [exact_real(s) for s in self.imspec_p00]
         if self.a < 1 or self.m < 1:
             raise ValueError("degeneracy order a and operator order m must be >= 1")
         if self.p00.kind != "b":
@@ -267,7 +279,7 @@ class SplitOperator:
             "p01": None if self.p01.is_zero else self.p01.to_json(),
             "p10": None if self.p10.is_zero else self.p10.to_json(),
             "p11": self.p11.to_json(),
-            "imspec_p00": list(self.imspec_p00),
+            "imspec_p00": [number_to_json(s) for s in self.imspec_p00],
             "normal_invertible": self.normal_invertible,
             "p00_elliptic": self.p00_elliptic,
             "phi_elliptic": self.phi_elliptic,
@@ -280,17 +292,17 @@ class SplitOperator:
             return ZERO if raw is None else OpClass.from_json(raw)
 
         return SplitOperator(
-            a=int(data["a"]),
-            m=int(data["m"]),
+            a=data["a"],
+            m=data["m"],
             p00=OpClass.from_json(data["p00"]),
             p01=cls("p01"),
             p10=cls("p10"),
             p11=OpClass.from_json(data["p11"]),
-            imspec_p00=[float(s) for s in data.get("imspec_p00", [])],
+            imspec_p00=[number_from_json(s) for s in data.get("imspec_p00", [])],
             normal_invertible=bool(data.get("normal_invertible", True)),
             p00_elliptic=bool(data.get("p00_elliptic", True)),
             phi_elliptic=bool(data.get("phi_elliptic", True)),
-            b_dim=int(data.get("b_dim", 1)),
+            b_dim=data.get("b_dim", 1),
         )
 
 
@@ -341,8 +353,6 @@ class Assertion:
 
     def to_json(self):
         def enc(x):
-            if isinstance(x, Mat):
-                return x.to_json()
             if hasattr(x, "to_json"):
                 return x.to_json()
             return x
@@ -509,16 +519,22 @@ def target_parametrix_statement(a, m, al) -> Mat:
 
 
 def _prim(rule, params):
-    """The output class of a registered primitive, recorded with its params."""
+    """The output class of a registered primitive, recorded with its params
+    (numbers in their JSON form, which the builders read back)."""
+    params = {k: number_to_json(exact_real(v)) for k, v in params.items()}
     return oc._rec(rule, (), params, CHAIN_PRIMITIVES[rule](params))
 
 
+def _alpha(params):
+    return number_from_json(params["alpha"])
+
+
 def _prim_b_parametrix_Q(params):
-    return weight_b(-params["m"], params["alpha"])
+    return weight_b(-params["m"], _alpha(params))
 
 
 def _prim_b_parametrix_R(params):
-    return x_left(weight_b(0, params["alpha"]), INF)
+    return x_left(weight_b(0, _alpha(params)), INF)
 
 
 def _prim_normal_inverse_Q(params):
@@ -538,19 +554,19 @@ def _prim_interior_R(params):
 
 
 def _prim_lf_solve_Q(params):
-    q = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("rf",))
+    q = weight_b(NEG_INF, _alpha(params), ext=True, vanish=("rf",))
     return x_right(q, params["am"]) if params["row"] == 1 else q
 
 
 def _prim_lf_solve_R(params):
-    base = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("lf",))
+    base = weight_b(NEG_INF, _alpha(params), ext=True, vanish=("lf",))
     return (
         x_right(base, params["am"]) if params["col"] == 1 else x_left(base, params["am"])
     )
 
 
 def _prim_neumann_limit(params):
-    base = x_left(weight_phi(0, params["alpha"], ext=True), INF)
+    base = x_left(weight_phi(0, _alpha(params), ext=True), INF)
     return x_right(base, params["am"]) if params["col"] == 1 else base
 
 
@@ -573,25 +589,20 @@ CHAIN_PRIMITIVES.update(
 # weight gate
 
 
-#: distance to the critical set below which a weight counts as critical
-CRITICAL_TOL = 1e-9
-
-
-def check_weight(op: SplitOperator, alpha: float) -> bool:
-    """Admissibility of alpha: alpha - am stays clear of the critical set."""
+def check_weight(op: SplitOperator, alpha) -> bool:
+    """Admissibility of alpha: alpha - am is not a critical weight."""
     if not op.imspec_p00:
         raise WeightConditionError(
             "no critical-weight data supplied: the weight condition is unverifiable"
         )
-    target = alpha - op.am
-    return min(abs(target - s) for s in op.imspec_p00) > CRITICAL_TOL
+    return exact_real(alpha) - op.am not in op.imspec_p00
 
 
 # ---------------------------------------------------------------------------
 # the five steps
 
 
-def step1_diagonal(op: SplitOperator, alpha: float) -> StepResult:
+def step1_diagonal(op: SplitOperator, alpha) -> StepResult:
     """Diagonal parametrix and remainder classes."""
     if not check_weight(op, alpha):
         raise WeightConditionError(
@@ -627,7 +638,7 @@ def _po_matrix(op: SplitOperator) -> Mat:
     return Mat.offdiag(off01, off10)
 
 
-def step2_offdiagonal(op: SplitOperator, alpha: float, step1: StepResult) -> StepResult:
+def step2_offdiagonal(op: SplitOperator, alpha, step1: StepResult) -> StepResult:
     """Off-diagonal correction and the improved remainder's class pieces."""
     a, m, am = op.a, op.m, op.am
     geom = op.geom
@@ -697,6 +708,7 @@ def _hypothesis_rows(R2: Mat, alpha, am, geom):
     Perpendicular row: > alpha at lf, >= am at bf.
     Returns the list of failing entries.
     """
+    alpha = exact_real(alpha)
     failures = []
     for i, (lf_t, bf_t) in enumerate([(alpha + am, am), (alpha, am)]):
         for j in (0, 1):
@@ -710,7 +722,7 @@ def _hypothesis_rows(R2: Mat, alpha, am, geom):
     return failures
 
 
-def step3_lf_correction(op: SplitOperator, alpha: float, step2: StepResult) -> StepResult:
+def step3_lf_correction(op: SplitOperator, alpha, step2: StepResult) -> StepResult:
     """Left-face correction by formal solutions; remainder lands in the
     lf-vanishing remainder space."""
     a, m, am = op.a, op.m, op.am
@@ -759,7 +771,7 @@ def step3_lf_correction(op: SplitOperator, alpha: float, step2: StepResult) -> S
     )
 
 
-def step4_neumann(op: SplitOperator, alpha: float, step1, step2, step3) -> StepResult:
+def step4_neumann(op: SplitOperator, alpha, step1, step2, step3) -> StepResult:
     """Asymptotic Neumann summation and the boundary parametrix products."""
     a, m, am = op.a, op.m, op.am
     geom = op.geom
@@ -840,7 +852,7 @@ def step4_neumann(op: SplitOperator, alpha: float, step1, step2, step3) -> StepR
     return StepResult("step4-neumann", assertions, data)
 
 
-def step5_interior(op: SplitOperator, alpha: float, step1, step2, step3, step4) -> StepResult:
+def step5_interior(op: SplitOperator, alpha, step1, step2, step3, step4) -> StepResult:
     """Combine with the interior symbolic parametrix; collect the final
     right parametrix and remainder classes."""
     if not op.phi_elliptic:
@@ -898,7 +910,7 @@ def step5_interior(op: SplitOperator, alpha: float, step1, step2, step3, step4) 
 # drivers
 
 
-def right_parametrix(op: SplitOperator, alpha: float):
+def right_parametrix(op: SplitOperator, alpha):
     """Run steps 1-5; returns (steps, Qr, Rr)."""
     s1 = step1_diagonal(op, alpha)
     s2 = step2_offdiagonal(op, alpha, s1)
@@ -908,11 +920,11 @@ def right_parametrix(op: SplitOperator, alpha: float):
     return [s1, s2, s3, s4, s5], s5.data["Qr"], s5.data["Rr"]
 
 
-def left_parametrix(op: SplitOperator, alpha: float):
+def left_parametrix(op: SplitOperator, alpha):
     """Left parametrix via the adjoint: run the right construction for the
     adjoint data at weight am - alpha, then take adjoints entrywise."""
     adj = op.adjoint()
-    adj_alpha = op.am - alpha
+    adj_alpha = op.am - exact_real(alpha)
     if not check_weight(adj, adj_alpha):
         raise WeightConditionError(
             f"adjoint weight {adj_alpha} - am hits the reflected critical set"
@@ -937,11 +949,12 @@ def left_parametrix(op: SplitOperator, alpha: float):
     return steps, result
 
 
-def parametrix_report(op: SplitOperator, alpha: float) -> dict:
+def parametrix_report(op: SplitOperator, alpha) -> dict:
     """Full right+left construction with per-assertion verdicts (JSON-able)."""
+    alpha = exact_real(alpha)
     report = {
         "operator": op.to_json(),
-        "alpha": alpha,
+        "alpha": number_to_json(alpha),
         "weight_condition": None,
         "steps": [],
         "verdict": "FAIL",
@@ -953,8 +966,8 @@ def parametrix_report(op: SplitOperator, alpha: float) -> dict:
         return report
     report["weight_condition"] = {
         "admissible": admissible,
-        "alpha_minus_am": alpha - op.am,
-        "critical_set": sorted(op.imspec_p00),
+        "alpha_minus_am": number_to_json(alpha - op.am),
+        "critical_set": [number_to_json(s) for s in sorted(op.imspec_p00)],
     }
     if not admissible:
         return report
@@ -970,43 +983,41 @@ def parametrix_report(op: SplitOperator, alpha: float) -> dict:
 # Fredholm gates and kernel regularity
 
 
-def fredholm_report(op: SplitOperator, alpha: float) -> dict:
+def fredholm_report(op: SplitOperator, alpha) -> dict:
     """The two Fredholm maps and their distinct weight gates.
 
-    The split-Sobolev-to-L2 map needs alpha - am clear of the critical set;
-    the dual L2-to-negative-order map needs alpha itself clear.
+    The split-Sobolev-to-L2 map needs alpha - am off the critical set; the
+    dual L2-to-negative-order map needs alpha itself off it.  Both gates
+    are exact membership tests; ``distance`` is the exact distance to the
+    critical set.
     """
     if not op.imspec_p00:
         raise WeightConditionError("no critical-weight data supplied")
+    alpha = exact_real(alpha)
     spec = sorted(op.imspec_p00)
-    d_primal = min(abs((alpha - op.am) - s) for s in spec)
-    d_dual = min(abs(alpha - s) for s in spec)
-    dom_p = oc.SobolevSpaceSpec(alpha, op.m, "split")
-    cod_p = oc.SobolevSpaceSpec(alpha, 0, "split")
-    dom_d = oc.SobolevSpaceSpec(alpha, 0, "split")
-    cod_d = oc.SobolevSpaceSpec(alpha, -op.m, "split")
+
+    def side(dom_order, cod_order, g):
+        dom = oc.SobolevSpaceSpec(alpha, dom_order, "split")
+        cod = oc.SobolevSpaceSpec(alpha, cod_order, "split")
+        return {
+            "map": f"{dom.describe()} -> {cod.describe()}",
+            "gate": number_to_json(g),
+            "distance": number_to_json(min(abs(g - s) for s in spec)),
+            "fredholm": g not in spec,
+        }
+
     return {
-        "alpha": alpha,
+        "alpha": number_to_json(alpha),
         "am": op.am,
-        "critical_set": spec,
-        "primal": {
-            "map": f"{dom_p.describe()} -> {cod_p.describe()}",
-            "gate": alpha - op.am,
-            "distance": d_primal,
-            "fredholm": d_primal > CRITICAL_TOL,
-        },
-        "dual": {
-            "map": f"{dom_d.describe()} -> {cod_d.describe()}",
-            "gate": alpha,
-            "distance": d_dual,
-            "fredholm": d_dual > CRITICAL_TOL,
-        },
+        "critical_set": [number_to_json(s) for s in spec],
+        "primal": side(op.m, 0, alpha - op.am),
+        "dual": side(0, -op.m, alpha),
     }
 
 
 def regularity_predict(
     op: SplitOperator,
-    alpha: float,
+    alpha,
     spec_b: Optional[list] = None,
     statement: str = "L2",
 ):
@@ -1018,18 +1029,16 @@ def regularity_predict(
     the set K > alpha and the perpendicular part x^(am) K; for the split
     Sobolev space the prefactors move to the harmonic side.
     """
-    import warnings as _warnings
-
     if spec_b is None:
         if not op.imspec_p00:
             raise WeightConditionError("no spectral data supplied")
         spec_b = [(s, 0) for s in op.imspec_p00]
-        _warnings.warn(
+        warnings.warn(
             "no pole-order data supplied: predicting exponents with log power 0",
             stacklevel=2,
         )
-    gens = [((float(s), 0.0), k) for s, k in spec_b if float(s) > alpha]
-    K = make_index_set(gens)
+    alpha = exact_real(alpha)
+    K = make_index_set([(s, k) for s, k in spec_b if exact_real(s) > alpha])
     if statement == "L2":
         return K, shift(K, op.am)
     if statement == "Hsplit":

@@ -107,6 +107,41 @@ def test_parametrix_cli(tmp_path):
     assert json.load(open(rep))["verdict"] == "FAIL"
 
 
+def test_parametrix_cli_reads_alpha_exactly(tmp_path):
+    op = gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC)
+    opf = jdump(tmp_path, "gb.json", op.to_json())
+    rep = str(tmp_path / "r.json")
+    assert main(["parametrix", "--op", opf, "--alpha", "1/3", "--report", rep]) == 0
+    got = json.load(open(rep))
+    assert got["alpha"] == "1/3" and got["weight_condition"]["alpha_minus_am"] == "-2/3"
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_parametrix_cli_rejects_non_finite_alpha_first(tmp_path, monkeypatch, capsys, alpha):
+    import phicalc.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(cli, "parametrix_report", no_run)
+    opf = jdump(tmp_path, "gb.json", gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC).to_json())
+    rep = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["parametrix", "--op", opf, f"--alpha={alpha}", "--report", str(rep)])
+    assert err.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("field,value", [("a", 1.5), ("m", True), ("b_dim", 2.9)])
+def test_parametrix_cli_rejects_non_integer_orders(tmp_path, capsys, field, value):
+    doc = gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC).to_json()
+    doc[field] = value
+    opf = jdump(tmp_path, "bad.json", doc)
+    assert main(["parametrix", "--op", opf, "--alpha", "0.5", "--report", str(tmp_path / "r.json")]) == 2
+    assert "not a valid split-operator document" in capsys.readouterr().err
+
+
 def test_imspec_csv_and_determinism(tmp_path):
     m = model_file(tmp_path)
     out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")

@@ -174,6 +174,29 @@ def test_powers_fold_like_conjugation():
     assert moved != conjugate_by_power(P, 1)  # records differ until folded
 
 
+def test_fold_is_stored_once_per_class():
+    P = weight_phi(-2, Fraction(1, 3), xl=1)
+    assert fold(P) is fold(P)
+    moved = replace(P, xl=2)  # a new class folds afresh
+    assert fold(moved) == fold(x_left(weight_phi(-2, Fraction(1, 3)), 2))
+    assert fold(moved) != fold(P)
+
+
+def test_weights_orders_and_powers_are_exact():
+    P = OpClass("phi", -0.5, Weight(0.1), xl=1 / 3, xr=INF, proj=("left", 0.25))
+    assert (P.order, P.weight, P.xl, P.xr) == (Fraction(-1, 2), Fraction(1, 10), Fraction(1, 3), INF)
+    assert P.proj == ("left", Fraction(1, 4))
+    # a fractional exponent is bracketed: x^(1/3), not (x^1)/3
+    assert repr(P) == "(Pi + x^(1/4) Piperp) x^(1/3) Psi_phi^(-1/2,1/10) x^inf"
+    assert P == OpClass("phi", Fraction(-1, 2), Weight(Fraction(1, 10)), xl=Fraction(1, 3), xr=INF,
+                        proj=("left", Fraction(1, 4)))
+    # 1e16 + 1 is not 1e16: a huge weight keeps its unit shifts
+    big = weight_phi(0, 1e16)
+    assert fold(x_left(big, 1)) != fold(big)
+    with pytest.raises(ValueError):
+        multiply_x_power(x_left(big, INF), -INF, "left")
+
+
 def test_left_x_inf_kills_lf_and_bf():
     P = x_left(weight_b(0, 0.5), INF)
     f = fold(P)
@@ -238,14 +261,18 @@ def test_compact_needs_negative_order_and_strictness():
 
 
 def test_weight_class_bounded_at_its_weight():
-    for alpha in (-1, 0, 0.5):
+    # 0.1 and 1/3 are not floats exactly: the targets are quantized as the
+    # class weights are
+    for alpha in (-1, 0, 0.5, 0.1, 1 / 3, Fraction(1, 3)):
         assert is_bounded(weight_phi(0, alpha), alpha, alpha)
         assert is_bounded(weight_b(0, alpha), alpha, alpha)
+        assert is_compact(x_left(weight_phi(-1, alpha), 1), alpha, alpha - 0.1)
 
 
 def test_bounded_conjugation_equivariance():
-    for alpha, beta, c in [(0, 0, 1), (0.5, -0.5, 2), (1, 0, -1), (0, 1, 0.5)]:
-        for w in (-0.5, 0, 0.5, 1):
+    cases = [(0, 0, 1), (0.5, -0.5, 2), (1, 0, -1), (0, 1, 0.5), (0.3, 0.1, 0.1), (0.1, 1 / 3, Fraction(1, 3))]
+    for alpha, beta, c in cases:
+        for w in (-0.5, 0, 0.5, 1, 0.1, 0.2, 1 / 3, -0.3):
             P = weight_phi(0, w)
             direct = is_bounded(P, alpha, beta)
             conj = is_bounded(conjugate_by_power(P, c), alpha - c, beta - c)

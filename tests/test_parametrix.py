@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phicalc.opclasses import (
     ClassSum,
@@ -36,7 +39,7 @@ from phicalc.parametrix import (
     step2_offdiagonal,
     step3_lf_correction,
 )
-from phicalc.indexsets import make_index_set, shift
+from phicalc.indexsets import exact_real, make_index_set, shift
 
 INF = float("inf")
 SPEC = [-2, -1, 0, 1, 2]
@@ -228,7 +231,18 @@ def test_left_gate_self_adjoint_edge():
     assert check_weight(op, 0.5) == check_weight(op.adjoint(), op.am - 0.5)
 
 
-def test_adjoint_route_consistency_of_final_remainders():
+wide_weights = st.one_of(
+    st.floats(min_value=-1e18, max_value=1e18, allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10**9),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2), wide_weights)
+@example(1, 1, 0.5)
+@example(2, 2, 1.3)
+@example(1, 2, -0.5)
+def test_adjoint_route_consistency_of_final_remainders(a, m, al):
     # the adjoint of the right-remainder class at weight am - alpha is the
     # left-remainder class at weight alpha
     from phicalc.parametrix import (
@@ -236,9 +250,48 @@ def test_adjoint_route_consistency_of_final_remainders():
         target_final_right_remainder,
     )
 
-    for a, m, al in [(1, 1, 0.5), (2, 2, 1.3), (1, 2, -0.5)]:
-        right_dual = target_final_right_remainder(a, m, a * m - al)
-        assert right_dual.adjoint().equals(target_final_left_remainder(a, m, al))
+    al = exact_real(al)  # the weight as the construction reads it
+    right_dual = target_final_right_remainder(a, m, a * m - al)
+    assert right_dual.adjoint().equals(target_final_left_remainder(a, m, al))
+
+
+def test_huge_weight_keeps_the_overall_power():
+    # 1e16 + 1 == 1e16 in floats; the exact weight keeps the x^(am) gain
+    rep = parametrix_report(op_gb(), 1e16)
+    assert rep["verdict"] == "PASS"
+    assert rep["alpha"] == 10**16 and rep["weight_condition"]["alpha_minus_am"] == 10**16 - 1
+
+
+def test_fraction_weight_report_is_json_and_matches_float():
+    op = op_gb()
+    text = json.dumps(parametrix_report(op, Fraction(1, 2)))
+    assert text == json.dumps(parametrix_report(op, 0.5))
+    assert json.loads(text)["alpha"] == "1/2"
+
+
+def test_numerical_critical_weights_are_quantized_once():
+    # roots of the model numerics lie within a few ulps of the integers
+    op = gauss_bonnet_split(a=1, b_dim=1, imspec=[-2.0000000000000004, 0.9999999999999996, 0.25])
+    assert op.imspec_p00 == [-2, 1, Fraction(1, 4)]
+    assert not check_weight(op, 2) and not check_weight(op, Fraction(5, 4))
+    assert check_weight(op, 2 + Fraction(1, 10**7))
+    # a float is its nearest fraction with denominator <= 10**6: near an
+    # integer the critical band of a float weight is about 5e-7 wide
+    assert not check_weight(op, 2.0000001) and check_weight(op, 2.00001)
+    rep = fredholm_report(op, 1)
+    assert not rep["dual"]["fredholm"] and rep["primal"]["fredholm"]
+    assert rep["dual"]["distance"] == 0 and rep["primal"]["distance"] == "1/4"
+    assert rep["critical_set"] == [-2, "1/4", 1]
+    again = SplitOperator.from_json(json.loads(json.dumps(op.to_json())))
+    assert again.imspec_p00 == op.imspec_p00
+
+
+@pytest.mark.parametrize("field,value", [("a", 1.5), ("m", True), ("b_dim", 2.9), ("a", 1.0)])
+def test_split_operator_rejects_non_integer_orders(field, value):
+    doc = op_gb().to_json()
+    doc[field] = value
+    with pytest.raises(TypeError):
+        SplitOperator.from_json(doc)
 
 
 def test_full_construction_with_diagonal_input():
@@ -295,7 +348,7 @@ def test_report_bytes_pinned():
                     runs += 1
                     digest.update(json.dumps(parametrix_report(op, al)).encode())
     assert runs == 13
-    assert digest.hexdigest() == "acac7a5f045b6a24ed4d0d6397b96e05fcdef5eb603ec866e316c80d4f8fd779"
+    assert digest.hexdigest() == "e830b7fb371032162a6a3ecc6e9d13056a89c8a88272947b413bdf0a4975bc00"
 
 
 def test_report_json_round_trips_operator():
@@ -314,6 +367,8 @@ def test_fredholm_gates_are_distinct():
     op = op_gb()
     rep = fredholm_report(op, 0.5)
     assert rep["primal"]["fredholm"] and rep["dual"]["fredholm"]
+    assert rep["primal"]["map"] == "x^(1/2) H_split^1 -> x^(1/2) H_split^0"
+    assert rep["dual"]["map"] == "x^(1/2) H_split^0 -> x^(1/2) H_split^-1"
     rep2 = fredholm_report(op, 1.0)  # alpha - am = 0 in the set; alpha = 1 too
     assert not rep2["primal"]["fredholm"] and not rep2["dual"]["fredholm"]
     # alpha = 2.5: alpha - am = 1.5 clear, alpha = 2.5 clear
