@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 from . import acceptance
@@ -159,14 +160,19 @@ def _cmd_parametrix(args) -> int:
 def _cmd_imspec(args) -> int:
     model = _load_model(args.model)
     family = assemble_DV(model).family(args.family, args.volume)
-    points = imspec(
-        family,
-        window=tuple(args.window),
-        mode_cutoff=args.modes,
-        scan_step=_positive(args.scan_step, "--scan-step"),
-        sv_tol=_positive(args.tol, "--tol"),
-    )
-    write_csv([p.to_row() for p in points], ["mode", "lambda_root", "pole_order_k"], args.out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        points = imspec(
+            family,
+            window=tuple(args.window),
+            mode_cutoff=args.modes,
+            scan_step=_positive(args.scan_step, "--scan-step"),
+            sv_tol=_positive(args.tol, "--tol"),
+        )
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    fields = ["mode", "lambda_root", "pole_order_k", "det_order", "order_mismatch", "at_window_edge"]
+    write_csv([p.to_row() for p in points], fields, args.out)
     return 0
 
 

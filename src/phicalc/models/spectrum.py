@@ -6,22 +6,23 @@ lambda = -i s.  Per Fourier mode the family is a matrix polynomial
 F(s) = C_0 + C_1 s + ... + C_d s^d of the family's order d (1 for
 Gauss-Bonnet, 2 for Hodge and the scalar block), so its critical weights
 are the real eigenvalues of the companion linearization (Tisseur &
-Meerbergen, "The quadratic eigenvalue problem", SIAM Review 43, 2001).  The
-coefficients are interpolated from d + 1 evaluations of the family, one
-generalized eigen-solve gives every root, and each root is confirmed by
-the smallest singular value of F at it.
+Meerbergen, SIAM Review 43, 2001), with the C_k interpolated from d + 1
+evaluations of the family.  Each cluster of eigenvalues is one root, judged
+by its mean: rounding splits a Jordan chain of length k by about eps^(1/k).
 
-Pole orders: the vanishing order of the smallest singular value along s
-equals the pole order of the inverse family, which is the quantity the
-(weight, log power) bookkeeping needs; it is measured from a log-log slope
-around the root.  The algebraic multiplicity of the root, the size of its
-eigenvalue cluster, is the vanishing order of det F instead.  Both are
-reported, and a disagreement is flagged rather than silently accepted.
+Pole orders are decided, not estimated (Gohberg, Lancaster & Rodman,
+"Matrix Polynomials", 1982, ch. 1): the Taylor coefficients F_j at a root
+s* give lower block-Toeplitz T_j = [F_(r-c)] (r, c < j) with dim ker T_j =
+sum_i min(kappa_i, j) for the Jordan chain lengths kappa_1 >= kappa_2 >= ...
+The inverse family has a pole of order kappa_1, which the (weight, log
+power) bookkeeping needs; det F vanishes to order sum kappa_i, the cluster
+size.  The smallest singular value of T_1 = F(s*) confirms the root.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,10 @@ __all__ = ["SpectrumPoint", "imspec", "imspec_roots", "normal_family_gap", "GapR
 class SpectrumPoint:
     """One critical weight: a root of the indicial family.
 
-    ``pole_order_k`` follows the convention that the inverse family has a
-    pole of order k + 1 at the root.  ``det_order`` is the vanishing order
-    of the determinant (multiplicity count); ``order_mismatch`` marks roots
-    where the two measurements differ, e.g. for non-semisimple families.
+    ``pole_order_k`` = k means the inverse family has a pole of order k + 1
+    at the root, k + 1 being the longest Jordan chain.  ``det_order``, the
+    vanishing order of the determinant, sums all chain lengths, so it differs
+    from k + 1 exactly at the roots ``order_mismatch`` marks: several chains.
     """
 
     lambda_root: float
@@ -54,35 +55,19 @@ class SpectrumPoint:
             "mode": ";".join(str(int(v)) for v in self.fourier_mode),
             "lambda_root": self.lambda_root,
             "pole_order_k": self.pole_order_k,
+            "det_order": self.det_order,
+            "order_mismatch": int(self.order_mismatch),
+            "at_window_edge": int(self.at_window_edge),
         }
 
 
-def _sigma_min(family: IndicialFamily, s: float, mode) -> float:
-    return float(np.linalg.svd(family.matrix(s, mode), compute_uv=False)[-1])
-
-
-def _log_slope(fn, s0: float, deltas) -> float:
-    """Least-squares slope of log fn(s0 +/- delta) against log delta."""
-    xs, ys = [], []
-    for d in deltas:
-        for sgn in (+1, -1):
-            v = fn(s0 + sgn * d)
-            if v > 0:
-                xs.append(math.log(d))
-                ys.append(math.log(v))
-    if len(xs) < 3:
-        return math.nan
-    A = np.vstack([xs, np.ones(len(xs))]).T
-    slope, _ = np.linalg.lstsq(A, np.array(ys), rcond=None)[0]
-    return float(slope)
-
-
-# eigenvalues with |Im s| <= _REAL_TOL * max(1, |s|) are real roots; real
-# roots closer than _CLUSTER_TOL are one root (a defective double root splits
-# by about sqrt(machine eps) under rounding)
+# eigenvalues within _CLUSTER_TOL * (max(1, |s|) + max(1, |s'|)) share a
+# cluster (chains of length 2, 3 split by 1.5e-8, 6e-6); a cluster mean is
+# real when |Im s| <= _REAL_TOL * max(1, |s|).  A singular value of T_j is
+# zero when at most _RANK_TOL * max_k ||C_k|| * max(1, |s|)^d, the F_j scale.
 _REAL_TOL = 1e-6
-_CLUSTER_TOL = 1e-6
-_SLOPE_DELTAS = (1e-3, 3e-4, 1e-4, 3e-5)
+_CLUSTER_TOL = 1e-4
+_RANK_TOL = 1e-7
 
 
 def _coefficients(family: IndicialFamily, mode) -> np.ndarray:
@@ -95,7 +80,7 @@ def _coefficients(family: IndicialFamily, mode) -> np.ndarray:
 
 
 def _companion_eigvals(C: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the first companion pencil A - s B of sum C_k s^k:
+    """Finite eigenvalues of the first companion pencil A - s B of sum C_k s^k:
     A z = s B z with z = (x, s x, ..., s^(d-1) x) holds iff F(s) x = 0."""
     d, n = len(C) - 1, C.shape[1]
     A = np.zeros((d * n, d * n), dtype=complex)
@@ -103,37 +88,56 @@ def _companion_eigvals(C: np.ndarray) -> np.ndarray:
     A[-n:, :] = -np.concatenate(C[:-1], axis=1)
     B = np.eye(d * n, dtype=complex)
     B[-n:, -n:] = C[-1]
-    return scipy.linalg.eigvals(A, B)
+    ev = scipy.linalg.eigvals(A, B)
+    return ev[np.isfinite(ev)]
+
+
+def _jordan_structure(C: np.ndarray, s: float, size: int):
+    """(sigma_min F(s), Jordan chain count, longest chain, sum of lengths) at s."""
+    d = len(C) - 1
+    taylor = [sum(math.comb(k, j) * s ** (k - j) * C[k] for k in range(j, d + 1)) for j in range(d + 1)]
+    taylor += [np.zeros_like(C[0])] * size  # F_j = 0 past d; blocks above the diagonal wrap onto these
+    tol = _RANK_TOL * np.linalg.norm(C, 2, axis=(1, 2)).max() * max(1.0, abs(s)) ** d
+    sv = np.linalg.svd(taylor[0], compute_uv=False)
+    kers = [0, int(np.count_nonzero(sv <= tol))]  # dim ker T_j, j = 0, 1, ... until it stops growing
+    while kers[-2] < kers[-1] <= size:
+        T = np.block([[taylor[r - c] for c in range(len(kers))] for r in range(len(kers))])
+        kers.append(int(np.count_nonzero(np.linalg.svd(T, compute_uv=False) <= tol)))
+    return sv[-1], kers[1], int(np.count_nonzero(np.diff(kers))), kers[-1]
 
 
 def _mode_roots(family, mode, lo, hi, scan_step, sv_tol) -> list:
-    ev = _companion_eigvals(_coefficients(family, mode))
-    ev = ev[np.isfinite(ev)]
-    real = np.sort(ev[np.abs(ev.imag) <= _REAL_TOL * np.maximum(1.0, np.abs(ev))].real)
-    clusters = np.split(real, np.flatnonzero(np.diff(real) > _CLUSTER_TOL) + 1)
-
-    def sigma(s):
-        return _sigma_min(family, s, mode)
-
-    points = []
-    for cluster in clusters:
-        if not cluster.size:
+    C = _coefficients(family, mode)
+    ev = _companion_eigvals(C)
+    mag = np.maximum(1.0, np.abs(ev))
+    linked = np.abs(ev[:, None] - ev) <= _CLUSTER_TOL * (mag[:, None] + mag)
+    linked = np.linalg.matrix_power(linked, len(ev))  # joined by a chain of near pairs
+    points, off_axis, miscounted = [], 0, 0
+    for cluster in (ev[row] for row in np.unique(linked, axis=0)):
+        s = complex(cluster.mean())
+        if not lo <= s.real <= hi:
             continue
-        s_star = float(cluster.mean())
-        if not lo <= s_star <= hi or sigma(s_star) >= sv_tol:
+        if abs(s.imag) > _REAL_TOL * max(1.0, abs(s)):
+            off_axis += cluster.size
             continue
-        slope = _log_slope(sigma, s_star, _SLOPE_DELTAS)
-        sv_order = int(round(slope)) if math.isfinite(slope) else 1
+        sigma, chains, longest, total = _jordan_structure(C, s.real, cluster.size)
+        if sigma >= sv_tol:
+            continue
+        miscounted += total != cluster.size
         points.append(
             SpectrumPoint(
-                lambda_root=s_star,
+                lambda_root=s.real,
                 fourier_mode=tuple(mode),
-                pole_order_k=max(sv_order - 1, 0),
-                det_order=cluster.size,
-                order_mismatch=cluster.size != sv_order,
-                at_window_edge=s_star - lo < scan_step or hi - s_star < scan_step,
+                pole_order_k=max(longest - 1, 0),
+                det_order=total,
+                order_mismatch=chains > 1,
+                at_window_edge=s.real - lo < scan_step or hi - s.real < scan_step,
             )
         )
+    for count, what in ((off_axis, "eigenvalue(s) with real part in the window dropped as non-real"),
+                        (miscounted, "root(s) whose Jordan chain lengths miss their cluster size")):
+        if count:
+            warnings.warn(f"mode {tuple(mode)}: {count} {what}", RuntimeWarning, stacklevel=3)
     return points
 
 
@@ -143,17 +147,16 @@ def imspec(
     mode_cutoff: int = 3,
     scan_step: float = 1e-2,
     sv_tol: float = 1e-8,
-    dedup: bool = True,
 ) -> list:
     """Critical weights of an indicial family inside a window.
 
-    Per Fourier mode, solves the companion linearization of the family's
-    matrix polynomial once and keeps the real eigenvalues in the window,
-    merging clusters into one root whose size is ``det_order``.  A root is
-    accepted where the smallest singular value drops below ``sv_tol``, and
-    flagged ``at_window_edge`` when it lies within ``scan_step`` of either
-    end of the window.  Results are deduplicated across modes (keeping the
-    representative with the smallest mode) and sorted by root.
+    Per Fourier mode, solves the companion linearization once and keeps the
+    real eigenvalue clusters in the window where the smallest singular value
+    drops below ``sv_tol``, flagged ``at_window_edge`` within ``scan_step``
+    of either end.  A ``RuntimeWarning`` names each mode that drops in-window
+    non-real eigenvalues or whose chain lengths miss a cluster size.  Results
+    are deduplicated across modes (keeping the representative with the
+    smallest mode) and sorted by root.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -163,13 +166,10 @@ def imspec(
     modes = sorted(family.modes(mode_cutoff), key=lambda m: (sum(abs(v) for v in m), m))
     points = [p for mode in modes for p in _mode_roots(family, mode, lo, hi, scan_step, sv_tol)]
     points.sort(key=lambda p: (p.lambda_root, sum(abs(v) for v in p.fourier_mode)))
-    if not dedup:
-        return points
     out = []
     for p in points:
-        if any(abs(p.lambda_root - q.lambda_root) < 1e-8 for q in out):
-            continue
-        out.append(p)
+        if not any(abs(p.lambda_root - q.lambda_root) < 1e-8 for q in out):
+            out.append(p)
     return out
 
 

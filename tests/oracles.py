@@ -6,8 +6,10 @@ The index-set oracle is the exact truncation enumeration that
 random generator lists it is checked on.
 
 The critical-weight oracle finds roots of an indicial family by scanning
-its smallest singular value, with no use of the family's polynomial
-structure; the package solves the companion eigenproblem instead.
+its smallest singular value, and measures pole and determinant orders by
+log-log slopes, with no use of the family's polynomial structure; the
+package solves the companion eigenproblem and reads the orders off the
+Jordan structure instead.
 
 The harmonic-solve oracles assemble the finite-difference mode system and
 its defect one grid row at a time, evaluating each coefficient matrix
@@ -26,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from phicalc.models.geometry import hodge_mode_operator
 from phicalc.models.harmonic import SampledSolution, _default_component, _fixed_global_rng
-from phicalc.models.spectrum import SpectrumPoint, _log_slope
+from phicalc.models.spectrum import SpectrumPoint
 
 
 def random_generators(rng, max_gens=4, allow_halves=True, allow_imag=True):
@@ -50,6 +52,22 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _sigma_min(family, s, mode):
     return float(np.linalg.svd(family.matrix(s, mode), compute_uv=False)[-1])
+
+
+def _log_slope(fn, s0: float, deltas) -> float:
+    """Least-squares slope of log fn(s0 +/- delta) against log delta."""
+    xs, ys = [], []
+    for d in deltas:
+        for sgn in (+1, -1):
+            v = fn(s0 + sgn * d)
+            if v > 0:
+                xs.append(math.log(d))
+                ys.append(math.log(v))
+    if len(xs) < 3:
+        return math.nan
+    A = np.vstack([xs, np.ones(len(xs))]).T
+    slope, _ = np.linalg.lstsq(A, np.array(ys), rcond=None)[0]
+    return float(slope)
 
 
 def _golden_min(fn, a, b, width):

@@ -151,10 +151,40 @@ def test_imspec_csv_and_determinism(tmp_path):
     text = open(out1).read()
     assert text == open(out2).read()
     lines = text.strip().splitlines()
-    assert lines[0] == "mode,lambda_root,pole_order_k"
+    assert lines[0] == "mode,lambda_root,pole_order_k,det_order,order_mismatch,at_window_edge"
     assert len(lines) == 6
     roots = [round(float(l.split(",")[1])) for l in lines[1:]]
     assert roots == [-2, -1, 0, 1, 2]
+
+
+def test_imspec_csv_flags_window_edge_root(tmp_path, capsys):
+    m = model_file(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["imspec", "--model", m, "--window", "0", "0.001", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2
+    mode, root, pole_order_k, det_order, mismatch, edge = lines[1].split(",")
+    assert abs(float(root)) < 1e-8
+    assert (mode, pole_order_k, det_order, mismatch, edge) == ("0", "1", "2", "0", "1")
+    assert capsys.readouterr().err == ""
+
+
+def test_imspec_prints_warnings_and_keeps_exit_code(tmp_path, capsys, monkeypatch):
+    import warnings
+
+    import phicalc.cli
+
+    def warning_imspec(family, **kwargs):
+        warnings.warn("mode (0,): 2 eigenvalue(s) with real part in the window dropped as non-real",
+                      RuntimeWarning)
+        return []
+
+    monkeypatch.setattr(phicalc.cli, "imspec", warning_imspec)
+    out = tmp_path / "s.csv"
+    assert main(["imspec", "--model", model_file(tmp_path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: mode (0,): 2 eigenvalue(s) with real part in the window dropped as non-real"]
+    assert out.read_text().strip() == "mode,lambda_root,pole_order_k,det_order,order_mismatch,at_window_edge"
 
 
 def test_gap_cli(tmp_path):

@@ -1,9 +1,13 @@
 """Model numerics: indicial families, spectrum scans, gap, solves and fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phicalc.models import (
     FitError,
@@ -22,6 +26,7 @@ from phicalc.models import (
 )
 from phicalc.models.harmonic import SampledSolution, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
+from phicalc.models.spectrum import _mode_roots
 
 from oracles import loop_discrete_residual, loop_solve_harmonic, scan_imspec
 
@@ -180,8 +185,8 @@ def test_imspec_reflection_symmetry_per_mode():
     # critical-weight output of each mode is symmetric under reflection
     fam = assemble_DV(MODEL).scalar("b")
     for j in (1, 2):
-        pts = imspec(fam, window=(-3.5, 3.5), mode_cutoff=2, dedup=False)
-        roots = sorted(p.lambda_root for p in pts if p.fourier_mode == (j,))
+        pts = _mode_roots(fam, (j,), -3.5, 3.5, scan_step=1e-2, sv_tol=1e-8)
+        roots = sorted(p.lambda_root for p in pts)
         assert len(roots) == 2
         assert abs(roots[0] + roots[1]) < 1e-8
 
@@ -199,6 +204,66 @@ def test_imspec_window_edge_flag():
     pts = imspec(assemble_DV(MODEL).scalar("b"), window=(-1.0005, 2.5), mode_cutoff=2)
     edge = [p for p in pts if abs(p.lambda_root + 1) < 1e-6]
     assert edge and edge[0].at_window_edge
+
+
+class _PolynomialFamily:
+    """One-mode indicial family F(s) = sum_k C_k s^k given by its coefficients."""
+
+    def __init__(self, *coefficients):
+        self.C = [np.atleast_2d(np.asarray(c, float)) for c in coefficients]
+        self.order = len(self.C) - 1
+
+    def modes(self, cutoff):
+        return [(0,)]
+
+    def matrix(self, s, mode):
+        return sum(c * s**k for k, c in enumerate(self.C))
+
+
+def _jordan_pencil(blocks, lam, seed):
+    """F(s) = s I - Q J Q^T for the Jordan matrix J with eigenvalue lam and
+    the given block sizes, and a random orthogonal Q."""
+    n = sum(blocks)
+    J = scipy.linalg.block_diag(*[lam * np.eye(b) + np.eye(b, k=1) for b in blocks])
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return _PolynomialFamily(-Q @ J @ Q.T, np.eye(n))
+
+
+# every Jordan structure of one eigenvalue with n <= 4 and chains of length <= 3
+JORDAN_BLOCKS = [(1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,), (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(JORDAN_BLOCKS), st.floats(-2, 2), st.integers(0, 2**32 - 1))
+@example((3,), 0.3, 3)  # the triple root splits by ~4e-6 off the real axis
+def test_imspec_recovers_jordan_structure(blocks, lam, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pts = imspec(_jordan_pencil(blocks, lam, seed))
+    assert len(pts) == 1
+    assert abs(pts[0].lambda_root - lam) < 1e-8
+    assert pts[0].pole_order_k == max(blocks) - 1
+    assert pts[0].det_order == sum(blocks)
+    assert pts[0].order_mismatch == (len(blocks) > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-2, 2), st.integers(0, 2**32 - 1))
+@example(-1.0086745822610346, 1732491760)
+def test_imspec_warns_unless_four_block_is_exact(lam, seed):
+    # a chain of length 4 splits by about 1e-4, the clustering tolerance
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pts = imspec(_jordan_pencil((4,), lam, seed))
+    exact = (len(pts) == 1 and abs(pts[0].lambda_root - lam) < 1e-8
+             and (pts[0].pole_order_k, pts[0].det_order) == (3, 4))
+    assert exact or any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def test_imspec_warns_on_dropped_non_real_roots():
+    # (s - 1/2)^2 + 1/100 has the roots 1/2 +/- i/10
+    with pytest.warns(RuntimeWarning, match=r"mode \(0,\): 2 eigenvalue\(s\) .* non-real"):
+        assert imspec(_PolynomialFamily(0.26, -1.0, 1.0)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +510,9 @@ def test_imspec_matches_scan_oracle():
     for name in ("scalar", "gb", "hodge"):
         for volume in ("b", "g"):
             fam = builder.family(name, volume)
-            got = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # model roots are real and complete
+                got = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
             want = scan_imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
             assert len(got) == len(want), (name, volume)
             for p, q in zip(got, want):
