@@ -1,32 +1,30 @@
 """Critical weights and the boundary normal-family gap.
 
-The critical weights of a reduced x-direction operator are the real values
-s at which the indicial matrix family fails to be invertible on the ray
-lambda = -i s.  Per Fourier mode the family is a matrix polynomial
-F(s) = C_0 + C_1 s + ... + C_d s^d of the family's order d (1 for
-Gauss-Bonnet, 2 for Hodge and the scalar block), so its critical weights
-are the real eigenvalues of the companion linearization (Tisseur &
-Meerbergen, SIAM Review 43, 2001), with the C_k interpolated from d + 1
-evaluations of the family.  Each cluster of eigenvalues is one root, judged
-by its mean: rounding splits a Jordan chain of length k by about eps^(1/k).
+The critical weights of a reduced x-direction operator are the real s at
+which the indicial family fails to be invertible on the ray lambda = -i s.
+Per Fourier mode the family is a matrix polynomial F(s) = sum_k C_k s^k of
+order d (1 for Gauss-Bonnet, 2 for Hodge and the scalar block), interpolated
+from d + 1 evaluations; its roots are the real eigenvalue clusters of the
+companion linearization (Tisseur & Meerbergen, SIAM Review 43, 2001).
 
 Pole orders are decided, not estimated (Gohberg, Lancaster & Rodman,
-"Matrix Polynomials", 1982, ch. 1): the Taylor coefficients F_j at a root
-s* give lower block-Toeplitz T_j = [F_(r-c)] (r, c < j) with dim ker T_j =
-sum_i min(kappa_i, j) for the Jordan chain lengths kappa_1 >= kappa_2 >= ...
-The inverse family has a pole of order kappa_1, which the (weight, log
-power) bookkeeping needs; det F vanishes to order sum kappa_i, the cluster
-size.  The smallest singular value of T_1 = F(s*) confirms the root.
+"Matrix Polynomials", 1982, ch. 1): the lower block-Toeplitz T_j = [F_(r-c)]
+(r, c < j) of the Taylor coefficients F_j at a root has dim ker T_j =
+sum_i min(kappa_i, j) for the Jordan chain lengths kappa_1 >= kappa_2 >= ...,
+so the inverse family has a pole of order kappa_1, det F vanishes to order
+sum kappa_i (the cluster size), and sigma_min(T_1 = F) confirms the root.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from .geometry import IndicialFamily, ModelGeometry, NormalFamily
 
@@ -37,10 +35,9 @@ __all__ = ["SpectrumPoint", "imspec", "imspec_roots", "normal_family_gap", "GapR
 class SpectrumPoint:
     """One critical weight: a root of the indicial family.
 
-    ``pole_order_k`` = k means the inverse family has a pole of order k + 1
-    at the root, k + 1 being the longest Jordan chain.  ``det_order``, the
-    vanishing order of the determinant, sums all chain lengths, so it differs
-    from k + 1 exactly at the roots ``order_mismatch`` marks: several chains.
+    ``pole_order_k`` = k: the inverse family has a pole of order k + 1, the
+    longest Jordan chain.  ``det_order`` sums all chain lengths, so it exceeds
+    k + 1 exactly at the roots ``order_mismatch`` marks: several chains.
     """
 
     lambda_root: float
@@ -61,18 +58,19 @@ class SpectrumPoint:
         }
 
 
-# eigenvalues within _CLUSTER_TOL * (max(1, |s|) + max(1, |s'|)) share a
-# cluster (chains of length 2, 3 split by 1.5e-8, 6e-6); a cluster mean is
-# real when |Im s| <= _REAL_TOL * max(1, |s|).  A singular value of T_j is
-# zero when at most _RANK_TOL * max_k ||C_k|| * max(1, |s|)^d, the F_j scale.
+# Rounding splits a Jordan chain of length k into a ring of relative radius
+# about (c eps)^(1/k): 1.5e-8, 6e-6, 1e-4 for k = 2, 3, 4.  Eigenvalues within
+# _CLUSTER_TOL * (max(1, |s|) + max(1, |s'|)) are linked; a cluster of relative
+# radius r is one root only if r^kappa_1 <= _SPLIT_TOL, real if |Im s| <=
+# _REAL_TOL * max(1, |s|); T_j's zero singular values are <= _RANK_TOL * F_j scale.
 _REAL_TOL = 1e-6
-_CLUSTER_TOL = 1e-4
+_CLUSTER_TOL = 1e-3
+_SPLIT_TOL = 1e-14
 _RANK_TOL = 1e-7
 
 
 def _coefficients(family: IndicialFamily, mode) -> np.ndarray:
-    """Coefficients C_0..C_d of F(s) = sum C_k s^k, interpolated from
-    d + 1 evaluations at nodes symmetric about 0."""
+    """C_0..C_d of F(s) = sum C_k s^k from d + 1 evaluations about s = 0."""
     nodes = np.arange(family.order + 1) - family.order / 2
     values = np.array([family.matrix(s, mode) for s in nodes])
     coeffs = np.linalg.solve(np.vander(nodes, increasing=True), values.reshape(len(nodes), -1))
@@ -96,46 +94,50 @@ def _jordan_structure(C: np.ndarray, s: float, size: int):
     """(sigma_min F(s), Jordan chain count, longest chain, sum of lengths) at s."""
     d = len(C) - 1
     taylor = [sum(math.comb(k, j) * s ** (k - j) * C[k] for k in range(j, d + 1)) for j in range(d + 1)]
-    taylor += [np.zeros_like(C[0])] * size  # F_j = 0 past d; blocks above the diagonal wrap onto these
     tol = _RANK_TOL * np.linalg.norm(C, 2, axis=(1, 2)).max() * max(1.0, abs(s)) ** d
     sv = np.linalg.svd(taylor[0], compute_uv=False)
     kers = [0, int(np.count_nonzero(sv <= tol))]  # dim ker T_j, j = 0, 1, ... until it stops growing
     while kers[-2] < kers[-1] <= size:
-        T = np.block([[taylor[r - c] for c in range(len(kers))] for r in range(len(kers))])
+        j = len(kers)
+        T = np.block([[taylor[r - c] if 0 <= r - c <= d else 0 * C[0] for c in range(j)] for r in range(j)])
         kers.append(int(np.count_nonzero(np.linalg.svd(T, compute_uv=False) <= tol)))
     return sv[-1], kers[1], int(np.count_nonzero(np.diff(kers))), kers[-1]
 
 
+def _clusters(C, ev, lo, hi, tol=_CLUSTER_TOL):
+    """(mean s, size, Jordan structure at s or None if s is non-real) of each
+    eigenvalue cluster with s in [lo, hi].  A real cluster is re-linked at
+    tol / 10 unless its chain lengths sum to its size and fit its radius."""
+    mag = np.maximum(1.0, np.abs(ev))
+    linked = scipy.sparse.csr_array(np.abs(ev[:, None] - ev) <= tol * (mag[:, None] + mag))
+    count, labels = scipy.sparse.csgraph.connected_components(linked)
+    for cluster in (ev[labels == c] for c in range(count)):
+        if (cluster.real < lo).all() or (cluster.real > hi).all():
+            continue
+        s = complex(cluster.mean())
+        real = abs(s.imag) <= _REAL_TOL * max(1.0, abs(s))
+        structure = _jordan_structure(C, s.real, cluster.size) if real else None
+        radius = np.abs(cluster - s).max() / max(1.0, abs(s))
+        if real and radius > 0 and (structure[3] != cluster.size or radius ** structure[2] > _SPLIT_TOL):
+            yield from _clusters(C, cluster, lo, hi, tol / 10)
+        elif lo <= s.real <= hi:
+            yield s, cluster.size, structure
+
+
 def _mode_roots(family, mode, lo, hi, scan_step, sv_tol) -> list:
     C = _coefficients(family, mode)
-    ev = _companion_eigvals(C)
-    mag = np.maximum(1.0, np.abs(ev))
-    linked = np.abs(ev[:, None] - ev) <= _CLUSTER_TOL * (mag[:, None] + mag)
-    linked = np.linalg.matrix_power(linked, len(ev))  # joined by a chain of near pairs
-    points, off_axis, miscounted = [], 0, 0
-    for cluster in (ev[row] for row in np.unique(linked, axis=0)):
-        s = complex(cluster.mean())
-        if not lo <= s.real <= hi:
-            continue
-        if abs(s.imag) > _REAL_TOL * max(1.0, abs(s)):
-            off_axis += cluster.size
-            continue
-        sigma, chains, longest, total = _jordan_structure(C, s.real, cluster.size)
-        if sigma >= sv_tol:
-            continue
-        miscounted += total != cluster.size
-        points.append(
-            SpectrumPoint(
-                lambda_root=s.real,
-                fourier_mode=tuple(mode),
-                pole_order_k=max(longest - 1, 0),
-                det_order=total,
-                order_mismatch=chains > 1,
-                at_window_edge=s.real - lo < scan_step or hi - s.real < scan_step,
-            )
-        )
-    for count, what in ((off_axis, "eigenvalue(s) with real part in the window dropped as non-real"),
-                        (miscounted, "root(s) whose Jordan chain lengths miss their cluster size")):
+    points, dropped = [], collections.Counter()
+    for s, size, structure in _clusters(C, _companion_eigvals(C), lo, hi):
+        if structure is None:
+            dropped["eigenvalue(s) with real part in the window dropped as non-real"] += size
+        elif structure[0] >= sv_tol:
+            dropped["real root(s) in the window dropped at sigma_min >= sv_tol"] += 1
+        else:
+            _, chains, longest, total = structure
+            dropped["root(s) whose Jordan chain lengths miss their cluster size"] += total != size
+            edge = s.real - lo < scan_step or hi - s.real < scan_step
+            points.append(SpectrumPoint(s.real, tuple(mode), max(longest - 1, 0), total, chains > 1, edge))
+    for what, count in dropped.items():
         if count:
             warnings.warn(f"mode {tuple(mode)}: {count} {what}", RuntimeWarning, stacklevel=3)
     return points
@@ -150,13 +152,11 @@ def imspec(
 ) -> list:
     """Critical weights of an indicial family inside a window.
 
-    Per Fourier mode, solves the companion linearization once and keeps the
-    real eigenvalue clusters in the window where the smallest singular value
-    drops below ``sv_tol``, flagged ``at_window_edge`` within ``scan_step``
-    of either end.  A ``RuntimeWarning`` names each mode that drops in-window
-    non-real eigenvalues or whose chain lengths miss a cluster size.  Results
-    are deduplicated across modes (keeping the representative with the
-    smallest mode) and sorted by root.
+    Per Fourier mode, keeps the real companion eigenvalue clusters in the
+    window where sigma_min drops below ``sv_tol``, flagged ``at_window_edge``
+    within ``scan_step`` of either end; a ``RuntimeWarning`` names each mode
+    that drops an in-window candidate or miscounts a root.  Results are
+    deduplicated across modes (keeping the smallest mode) and sorted by root.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
