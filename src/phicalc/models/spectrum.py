@@ -62,7 +62,8 @@ class SpectrumPoint:
 # about (c eps)^(1/k): 1.5e-8, 6e-6, 1e-4 for k = 2, 3, 4.  Eigenvalues within
 # _CLUSTER_TOL * (max(1, |s|) + max(1, |s'|)) are linked; a cluster of relative
 # radius r is one root only if r^kappa_1 <= _SPLIT_TOL, real if |Im s| <=
-# _REAL_TOL * max(1, |s|); T_j's zero singular values are <= _RANK_TOL * F_j scale.
+# _REAL_TOL * max(1, |s|); T_j's zero singular values are <= _RANK_TOL times
+# the largest |C_k| max(1, |s|)^k.
 _REAL_TOL = 1e-6
 _CLUSTER_TOL = 1e-3
 _SPLIT_TOL = 1e-14
@@ -94,7 +95,9 @@ def _jordan_structure(C: np.ndarray, s: float, size: int):
     """(sigma_min F(s), Jordan chain count, longest chain, sum of lengths) at s."""
     d = len(C) - 1
     taylor = [sum(math.comb(k, j) * s ** (k - j) * C[k] for k in range(j, d + 1)) for j in range(d + 1)]
-    tol = _RANK_TOL * np.linalg.norm(C, 2, axis=(1, 2)).max() * max(1.0, abs(s)) ** d
+    # the scale of the terms C_k s^k that make up the Taylor data at s
+    scale = np.linalg.norm(C, 2, axis=(1, 2)) * max(1.0, abs(s)) ** np.arange(d + 1)
+    tol = _RANK_TOL * scale.max()
     sv = np.linalg.svd(taylor[0], compute_uv=False)
     kers = [0, int(np.count_nonzero(sv <= tol))]  # dim ker T_j, j = 0, 1, ... until it stops growing
     while kers[-2] < kers[-1] <= size:
@@ -164,7 +167,11 @@ def imspec(
     if mode_cutoff < 0:
         raise ValueError(f"mode cutoff must be non-negative, got {mode_cutoff}")
     modes = sorted(family.modes(mode_cutoff), key=lambda m: (sum(abs(v) for v in m), m))
-    points = [p for mode in modes for p in _mode_roots(family, mode, lo, hi, scan_step, sv_tol)]
+    # a plain loop: _mode_roots warns at stacklevel 3, imspec's caller, and a
+    # comprehension would add a frame of its own before Python 3.12
+    points = []
+    for mode in modes:
+        points += _mode_roots(family, mode, lo, hi, scan_step, sv_tol)
     points.sort(key=lambda p: (p.lambda_root, sum(abs(v) for v in p.fourier_mode)))
     out = []
     for p in points:

@@ -764,7 +764,7 @@ def decompose_near_ff(S: Entry):
             xl=S.xl,
             xr=S.xr,
             ext=True,
-            vanish=S.vanish - {"ff", "bf"} | (S.vanish & {"lf", "rf"}),
+            vanish=S.vanish - {"ff", "bf"},
         )
     elif isinstance(S.spec, IndexFamily):
         fam = S.spec
@@ -1001,33 +1001,11 @@ def _e_normalize(P: OpClass) -> OpClass:
             xl=P.xl,
             xr=P.xr,
             ext=P.ext,
-            vanish=P.vanish,
             proj=P.proj,
         )
-    if {"rf", "bf"} <= P.vanish:
-        if isinstance(P.spec, Weight):
-            return replace(P, kind="phi", vanish=P.vanish | {"ff"})
-        return OpClass(
-            "phi",
-            P.order,
-            IndexFamily("phi", lf=P.spec.lf, rf=EMPTY, bf=EMPTY, ff=EMPTY),
-            xl=P.xl,
-            xr=P.xr,
-            ext=P.ext,
-            proj=P.proj,
-        )
-    if {"lf", "bf"} <= P.vanish:
-        if isinstance(P.spec, Weight):
-            return replace(P, kind="phi", vanish=P.vanish | {"ff"})
-        return OpClass(
-            "phi",
-            P.order,
-            IndexFamily("phi", lf=EMPTY, rf=P.spec.rf, bf=EMPTY, ff=EMPTY),
-            xl=P.xl,
-            xr=P.xr,
-            ext=P.ext,
-            proj=P.proj,
-        )
+    # only a weight-tier class keeps a vanish set: a family folds it in
+    if "bf" in P.vanish and P.vanish & {"lf", "rf"}:
+        return replace(P, kind="phi", vanish=P.vanish | {"ff"})
     return P
 
 
@@ -1035,16 +1013,9 @@ def _strip(P: OpClass) -> OpClass:
     return replace(P, xl=0, xr=0, proj=None)
 
 
-def _lf_empty(P: OpClass) -> bool:
+def _face_empty(P: OpClass, face: str) -> bool:
     try:
-        return fold(P).face("lf") == EMPTY
-    except (KeyError, UnsupportedComposition, TypeError):
-        return False
-
-
-def _rf_empty(P: OpClass) -> bool:
-    try:
-        return fold(P).face("rf") == EMPTY
+        return fold(P).face(face) == EMPTY
     except (KeyError, UnsupportedComposition, TypeError):
         return False
 
@@ -1138,12 +1109,12 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
     if c != 0:
         if c < 0:
             raise UnsupportedComposition("negative interior x-power between weight classes")
-        if _lf_empty(P):
+        if _face_empty(P, "lf"):
             # Psi_lf x^c subset x^c Psi_lf: keep the power on the left
             out = _compose_core(P, Q, 0, geom, route)
             out = multiply_x_power(out, c, "left")
             return _rec("power-left-of-lf-vanishing", (P, Q), {"c": _num_json(c)}, out)
-        if _rf_empty(Q):
+        if _face_empty(Q, "rf"):
             out = _compose_core(P, Q, 0, geom, route)
             out = multiply_x_power(out, c, "right")
             return _rec("power-right-of-rf-vanishing", (P, Q), {"c": _num_json(c)}, out)
@@ -1300,11 +1271,11 @@ def _replay_one(rec: RuleApp, geom) -> bool:
         elif rule == "lift-full":
             got = ClassSum(lift_b_to_phi(ins[0], params["a"], params["b_dim"]))
         elif rule == "power-left-of-lf-vanishing":
-            if not (c >= 0 and _lf_empty(ins[0])):
+            if not (c >= 0 and _face_empty(ins[0], "lf")):
                 return False
             got = multiply_x_power(compose(ins[0], ins[1], geom), c, "left")
         elif rule == "power-right-of-rf-vanishing":
-            if not (c >= 0 and _rf_empty(ins[1])):
+            if not (c >= 0 and _face_empty(ins[1], "rf")):
                 return False
             got = multiply_x_power(compose(ins[0], ins[1], geom), c, "right")
         elif rule in ("absorb-power", "conjugate-small"):

@@ -264,6 +264,7 @@ def test_imspec_warns_unless_four_block_is_exact(lam, seed):
 @given(st.floats(-2, 2), st.floats(-6, -3), st.sampled_from([1.0, 10.0]))
 @example(0.50005, -4.0, 1.0)  # roots 0.5, 0.5001 once came back as one double root
 @example(0.50005, -4.0, 10.0)  # ... and, scaled, as no root at all
+@example(1.9, -6.0, 1.0)  # roots 1e-6 apart each came back with pole order 1 and a warning
 def test_imspec_separates_close_simple_roots(centre, log_gap, scale):
     a, b = centre - 10**log_gap / 2, centre + 10**log_gap / 2
     with warnings.catch_warnings(record=True) as caught:
@@ -271,14 +272,20 @@ def test_imspec_separates_close_simple_roots(centre, log_gap, scale):
         pts = imspec(_PolynomialFamily(scale * a * b, -scale * (a + b), scale))
     assert len(pts) == 2
     assert abs(pts[0].lambda_root - a) < 1e-8 and abs(pts[1].lambda_root - b) < 1e-8
-    simple = all((p.pole_order_k, p.det_order) == (0, 1) for p in pts)
-    assert simple or any(issubclass(w.category, RuntimeWarning) for w in caught)
+    assert all((p.pole_order_k, p.det_order) == (0, 1) for p in pts)
+    assert not caught
 
 
 def test_imspec_warns_on_root_above_sv_tol():
     # F(s) = 1e10 (3 s - 1): sigma_min at the computed root 1/3 is about 1e-6
     with pytest.warns(RuntimeWarning, match=r"mode \(0,\): 1 real root\(s\) .* sv_tol"):
         assert imspec(_PolynomialFamily(-1e10, 3e10)) == []
+
+
+def test_imspec_warnings_name_the_caller():
+    with pytest.warns(RuntimeWarning) as caught:
+        imspec(_PolynomialFamily(-1e10, 3e10))
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_imspec_warns_on_dropped_non_real_roots():
