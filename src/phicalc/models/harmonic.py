@@ -115,7 +115,6 @@ def solve_harmonic(
     model: ModelGeometry,
     form_degree: int = 0,
     mode=((0,), (0,)),
-    boundary=None,
     t_max: float = 12.0,
     n: int = 2048,
 ) -> SampledSolution:
@@ -123,14 +122,14 @@ def solve_harmonic(
 
     ``mode`` is (base j-tuple, fiber m-tuple).  The second-order mode
     system is discretized on the uniform t-grid of ``n`` steps over
-    [0, t_max] (x from x_max down to x_max e^(-t_max)); the boundary value
-    is prescribed at t = 0 and the L2-admissible branch is selected by
-    u(t_max) = 0.  The lower, diagonal and upper blocks of every interior
-    row come from one stacked coefficient evaluation; exact zeros are left
-    out of the sparsity pattern.  The one-norm condition estimate of the
-    solve is recorded so contamination by the growing branch can be
-    flagged.  Raises ``ValueError`` unless t_max is finite and positive
-    and n >= 2.
+    [0, t_max] (x from x_max down to x_max e^(-t_max)); a unit boundary
+    value on the form degree's default component is prescribed at t = 0
+    and the L2-admissible branch is selected by u(t_max) = 0.  The lower,
+    diagonal and upper blocks of every interior row come from one stacked
+    coefficient evaluation; exact zeros are left out of the sparsity
+    pattern.  The one-norm condition estimate of the solve is recorded so
+    contamination by the growing branch can be flagged.  Raises
+    ``ValueError`` unless t_max is finite and positive and n >= 2.
     """
     if not (math.isfinite(t_max) and t_max > 0 and n >= 2):
         raise ValueError(f"the solve grid needs a finite T > 0 and N >= 2, got T={t_max}, N={n}")
@@ -142,18 +141,7 @@ def solve_harmonic(
 
     component = _default_component(model, form_degree)
     g = np.zeros(dim, dtype=complex)
-    if boundary is None:
-        g[component] = 1.0
-    elif np.isscalar(boundary):
-        g[component] = complex(boundary)
-    else:
-        boundary = np.asarray(boundary, dtype=complex)
-        if boundary.shape != (dim,):
-            raise ValueError(f"boundary data must have {dim} components")
-        g = boundary
-        nz = np.flatnonzero(np.abs(g))
-        if len(nz):
-            component = int(nz[np.argmax(np.abs(g[nz]))])
+    g[component] = 1.0
 
     h = t_max / n
     t = np.linspace(0.0, t_max, n + 1)
@@ -303,7 +291,7 @@ def fit_exponents(
         raise FitError(f"fit window {fit_window} holds too few samples for a regression")
 
     if not usable[window].all():
-        return _superpoly_fit(samples, x, vals, usable, superpoly_threshold, noise_rel)
+        return _superpoly_fit(samples, x, vals, usable, superpoly_threshold)
 
     xs = x[window]
     ys = vals[window]
@@ -326,7 +314,7 @@ def fit_exponents(
     return HarmonicFit((samples.base_mode, samples.fiber_mode), w, k, residual, False)
 
 
-def _superpoly_fit(samples, x, vals, usable, threshold, noise_rel):
+def _superpoly_fit(samples, x, vals, usable, threshold):
     """Classify decay past the resolved range: innermost-decade slope."""
     xu = x[usable]
     vu = vals[usable]

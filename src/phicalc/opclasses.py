@@ -17,7 +17,10 @@ necessarily sharp.
 
 Sums of operator spaces (as produced by the mixed b/phi composition rule)
 are represented by :class:`ClassSum`; a predicate holds for a sum iff it
-holds for every summand.
+holds for every summand, and :func:`absorbed_sum` keeps only the summands
+that no other summand contains.  A projector-decorated class has no face
+data: folding, the predicates, composition, the front-face decomposition
+and lifting refuse it.
 
 Weights, orders and x-powers are exact: each passes once through
 :func:`phicalc.indexsets.exact_extended` when a :class:`Weight` or an
@@ -58,6 +61,7 @@ from .indexsets import (
 __all__ = [
     "OpClass",
     "ClassSum",
+    "absorbed_sum",
     "Weight",
     "Bound",
     "GeomConstants",
@@ -143,26 +147,13 @@ class GeomConstants:
         return self.a * (self.b_dim + 1)
 
 
-@dataclass(frozen=True)
-class SobolevSpaceSpec:
-    """A weighted Sobolev space x^weight H^order of one regularity kind.
-
-    The split kind mixes b-regularity on the fibre-harmonic part with
-    phi-regularity on the perpendicular part and only makes sense for the
-    2x2 block setting of the split-parametrix machinery.
-    """
-
-    weight: RealLike
-    order: RealLike
-    kind: str = "b"
-
-    def __post_init__(self):
-        if self.kind not in ("b", "phi", "split"):
-            raise ValueError("regularity kind must be 'b', 'phi' or 'split'")
-
-    def describe(self) -> str:
-        h = {"b": "H_b", "phi": "H_phi", "split": "H_split"}[self.kind]
-        return f"x^{_fmtpow(self.weight)} {h}^{_fmtpow(self.order)}"
+def _refuse_decorated(P: OpClass, action: str) -> None:
+    """A projector decoration stands for a 2x2 block of classes; the rules
+    here act on the blocks, so a decorated class must be expanded first."""
+    if P.proj is not None:
+        raise UnsupportedComposition(
+            f"expand projector decorations into matrix entries before {action}"
+        )
 
 
 def _xadd(u, v):
@@ -403,21 +394,6 @@ class ClassSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def canonical(self, geom: GeomConstants | None = None) -> "ClassSum":
-        """Drop summands contained in another summand (spaces absorb)."""
-        kept = []
-        for i, t in enumerate(self.terms):
-            absorbed = False
-            for j, s in enumerate(self.terms):
-                if i == j:
-                    continue
-                if _safe_contains(t, s, geom) and not (j > i and _safe_contains(s, t, geom)):
-                    absorbed = True
-                    break
-            if not absorbed:
-                kept.append(t)
-        return ClassSum(tuple(kept))
-
     def to_json(self):
         return {"sum": [t.to_json() for t in self.terms]}
 
@@ -431,9 +407,9 @@ class ClassSum:
         return " + ".join(repr(t) for t in self.terms)
 
 
-def _safe_contains(a, b, geom):
+def _safe_contains(a: OpClass, b: OpClass, geom) -> bool:
     try:
-        return contains(a, b, geom)
+        return _contains_single(a, b, geom)
     except CompositionError:
         return False
 
@@ -458,6 +434,26 @@ def sum_of(*entries: Entry) -> Entry:
     if len(terms) == 1:
         return terms[0]
     return ClassSum(tuple(terms))
+
+
+def absorbed_sum(geom: GeomConstants | None, *entries: Entry) -> Entry:
+    """The sum of the entries with every summand that another summand
+    contains dropped (a space absorbs the spaces it contains).
+
+    One pass in input order, after equal summands are merged: a summand
+    that a kept summand contains is skipped; otherwise the kept summands
+    it contains are dropped and it is kept.  Survivors keep their input
+    order, of two summands that contain each other the first stays, and
+    each ordered pair is decided at most once.  A lone summand comes back
+    bare, no summand as ``ZERO``.
+    """
+    kept = []
+    for t in dict.fromkeys(t for e in entries for t in as_terms(e)):
+        if any(_safe_contains(t, k, geom) for k in kept):
+            continue
+        kept = [k for k in kept if not _safe_contains(k, t, geom)]
+        kept.append(t)
+    return sum_of(*kept)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +519,7 @@ def _fold(cls: OpClass) -> FoldedClass:
         return FoldedClass("zero", NEG_INF, False, ())
     if cls.kind == "sus-phi":
         raise UnsupportedComposition("suspended classes are opaque tags: no face data")
+    _refuse_decorated(cls, "folding")
     if cls.kind == "bphi":
         faces = {"lf": EMPTY, "rf": EMPTY, "bf": Bound(0, False), "ff": Bound(0, True)}
         kind = "bphi"
@@ -720,6 +717,7 @@ def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
     """
     if T.kind != "b" or not isinstance(T.spec, IndexFamily):
         raise TypeError("lifting needs a b-kind class with a full index family")
+    _refuse_decorated(T, "lifting")
     m = T.order
     if m >= 0:
         warnings.warn(
@@ -752,6 +750,7 @@ def decompose_near_ff(S: Entry):
         )
     if S.is_zero:
         return ZERO, ZERO
+    _refuse_decorated(S, "decomposing")
     if S.kind == "bphi":
         return ZERO, S
     if S.kind != "phi":
@@ -1045,10 +1044,8 @@ def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None) -
         return sum_of(*out)
     if P.is_zero or Q.is_zero:
         return ZERO
-    if P.proj is not None or Q.proj is not None:
-        raise UnsupportedComposition(
-            "expand projector decorations into matrix entries before composing"
-        )
+    _refuse_decorated(P, "composing")
+    _refuse_decorated(Q, "composing")
 
     P, Q = _e_normalize(P), _e_normalize(Q)
     xl_out, xr_out = P.xl, Q.xr

@@ -40,6 +40,7 @@ from .opclasses import (
     NEG_INF,
     OpClass,
     ZERO,
+    absorbed_sum,
     adjoint_class,
     compose,
     contains,
@@ -48,7 +49,6 @@ from .opclasses import (
     recording,
     small_b,
     small_phi,
-    sum_of,
     weight_b,
     weight_phi,
     x_left,
@@ -100,19 +100,13 @@ class EngineError(ParametrixError):
 # 2x2 class matrices
 
 
-def _absorbed_sum(geom, *entries):
-    """The sum of the entries with every summand that another summand
-    contains dropped; a lone summand comes back bare."""
-    s = sum_of(*entries)
-    return sum_of(*s.canonical(geom).terms) if isinstance(s, ClassSum) else s
-
-
 class Mat:
     """2x2 matrix of operator classes indexed by the projections
     (row/column 0: fibre-harmonic part, 1: perpendicular part).
 
     ``add`` and ``matmul``, the two operations that form sums, absorb each
-    entry, so a matrix built through them holds absorbed sums only.
+    entry once through :func:`phicalc.opclasses.absorbed_sum`, so a matrix
+    built through them holds absorbed sums only.
     """
 
     def __init__(self, entries):
@@ -142,13 +136,9 @@ class Mat:
     def map(self, f) -> "Mat":
         return Mat([[f(self[0, 0]), f(self[0, 1])], [f(self[1, 0]), f(self[1, 1])]])
 
-    def add(self, other: "Mat", geom) -> "Mat":
-        return Mat(
-            [
-                [_absorbed_sum(geom, self[i, j], other[i, j]) for j in (0, 1)]
-                for i in (0, 1)
-            ]
-        )
+    def add(self, *others: "Mat", geom) -> "Mat":
+        mats = (self,) + others
+        return Mat([[absorbed_sum(geom, *(M[i, j] for M in mats)) for j in (0, 1)] for i in (0, 1)])
 
     def adjoint(self) -> "Mat":
         return Mat(
@@ -162,19 +152,12 @@ class Mat:
         return self.map(lambda e: oc.multiply_x_power(e, c, "left"))
 
     def matmul(self, other: "Mat", geom) -> "Mat":
-        out = []
-        for i in (0, 1):
-            row = []
-            for j in (0, 1):
-                acc = []
-                for k in (0, 1):
-                    p, q = self[i, k], other[k, j]
-                    if getattr(p, "is_zero", False) or getattr(q, "is_zero", False):
-                        continue
-                    acc.append(compose(p, q, geom))
-                row.append(_absorbed_sum(geom, *acc))
-            out.append(row)
-        return Mat(out)
+        def entry(i, j):
+            pairs = [(self[i, k], other[k, j]) for k in (0, 1)]
+            products = [compose(p, q, geom) for p, q in pairs if not (p.is_zero or q.is_zero)]
+            return absorbed_sum(geom, *products)
+
+        return Mat([[entry(i, j) for j in (0, 1)] for i in (0, 1)])
 
     def contained_in(self, other: "Mat", geom) -> bool:
         return all(contains(self[i, j], other[i, j], geom) for i in (0, 1) for j in (0, 1))
@@ -183,12 +166,7 @@ class Mat:
         return all(eq_classes(self[i, j], other[i, j]) for i in (0, 1) for j in (0, 1))
 
     def to_json(self):
-        def ent(e):
-            if getattr(e, "is_zero", False):
-                return None
-            return e.to_json()
-
-        return [[ent(self[0, 0]), ent(self[0, 1])], [ent(self[1, 0]), ent(self[1, 1])]]
+        return [[None if e.is_zero else e.to_json() for e in row] for row in self.entries]
 
     def __repr__(self):
         return (
@@ -666,8 +644,8 @@ def step2_offdiagonal(op: SplitOperator, alpha, step1: StepResult) -> StepResult
         Ro = Rd.matmul(PoQd, geom)
     with recording() as ch_sq:
         PoQd_sq = PoQd.matmul(PoQd, geom)
-    R2 = Rd.add(Ro, geom).add(PoQd_sq, geom)
-    Q2 = Qd.add(Qo, geom)
+    R2 = Rd.add(Ro, PoQd_sq, geom=geom)
+    Q2 = Qd.add(Qo, geom=geom)
 
     overall_factor_kept = not eq_classes(
         PoQd_sq[0, 0], x_right(weight_phi(0, alpha, ext=True), am)
@@ -744,7 +722,7 @@ def step3_lf_correction(op: SplitOperator, alpha, step2: StepResult) -> StepResu
     Rpp = Mat([[rcol0, rcol1], [rcol0, rcol1]])
 
     R2_cut = R2.map(_away_from_lf)
-    R3 = R2_cut.add(Rpp, geom)
+    R3 = R2_cut.add(Rpp, geom=geom)
     psi_R = target_r3_space(a, m, alpha)
 
     bf_ff_ok = True
@@ -821,10 +799,10 @@ def step4_neumann(op: SplitOperator, alpha, step1, step2, step3) -> StepResult:
         dd11 = compose(Qd[1, 1], tail_d[1, 1], geom)
         oo00 = compose(Qo[0, 1], tail_o[1, 0], geom, route="split")
         oo11 = compose(Qo[1, 0], tail_o[0, 1], geom)
-    diag_products = Mat.diag(dd00, dd11).add(Mat.diag(oo00, oo11), geom)
+    diag_products = Mat.diag(dd00, dd11).add(Mat.diag(oo00, oo11), geom=geom)
 
     with recording() as chain_o:
-        offdiag_products = Qd.matmul(tail_o, geom).add(Qo.matmul(tail_d, geom), geom)
+        offdiag_products = Qd.matmul(tail_o, geom).add(Qo.matmul(tail_d, geom), geom=geom)
 
     with recording() as chain_q:
         qprime_tail = Qprime.matmul(tail, geom)
@@ -870,24 +848,22 @@ def step5_interior(op: SplitOperator, alpha, step1, step2, step3, step4) -> Step
         QsR = Qsig.matmul(R_boundary, geom)
         Rr = Rsig.matmul(R_boundary, geom)
     tgt_qsr = target_boundary_remainder(a, m, alpha).map(
-        lambda e: e if getattr(e, "is_zero", False) else e.shifted_order(-m)
+        lambda e: e if e.is_zero else e.shifted_order(-m)
     )
 
     # assemble the full right parametrix class and split the harmonic-block
     # interior-smoothing piece into b-part plus bphi-part before the check
     qprime_tail = step4.data["qprime_tail"]
     b_part, bphi_part = decompose_near_ff(qprime_tail[0, 0])
-    qprime_fixed = Mat(
-        [[b_part, qprime_tail[0, 1]], [qprime_tail[1, 0], qprime_tail[1, 1]]]
-    ).add(Mat.diag(bphi_part, ZERO), geom)
-    Qr = (
-        step1.data["Qd"]
-        .add(step2.data["Qo"], geom)
-        .add(step3.data["Qprime"], geom)
-        .add(step4.data["diag_products"], geom)
-        .add(step4.data["offdiag_products"], geom)
-        .add(qprime_fixed, geom)
-        .add(QsR, geom)
+    Qr = step1.data["Qd"].add(
+        step2.data["Qo"],
+        step3.data["Qprime"],
+        step4.data["diag_products"],
+        step4.data["offdiag_products"],
+        Mat([[b_part, qprime_tail[0, 1]], [qprime_tail[1, 0], qprime_tail[1, 1]]]),
+        Mat.diag(bphi_part, ZERO),
+        QsR,
+        geom=geom,
     )
 
     assertions = [
@@ -920,7 +896,11 @@ def right_parametrix(op: SplitOperator, alpha):
 
 def left_parametrix(op: SplitOperator, alpha):
     """Left parametrix via the adjoint: run the right construction for the
-    adjoint data at weight am - alpha, then take adjoints entrywise."""
+    adjoint data at weight am - alpha, then take adjoints entrywise.
+
+    The ``adjoint-construction`` assertion carries the adjoint run's step
+    verdicts: it holds iff every step of that run passed.
+    """
     adj = op.adjoint()
     adj_alpha = op.am - exact_real(alpha)
     if not check_weight(adj, adj_alpha):
@@ -931,7 +911,15 @@ def left_parametrix(op: SplitOperator, alpha):
     Ql = Qr_adj.adjoint()
     Rl = Rr_adj.adjoint()
     geom = op.geom
+    adjoint_ok = all(s.passed for s in steps)
     assertions = [
+        Assertion(
+            "adjoint-construction",
+            [{"step": s.name, "verdict": "PASS" if s.passed else "FAIL"} for s in steps],
+            [{"step": s.name, "verdict": "PASS"} for s in steps],
+            adjoint_ok,
+            adjoint_ok,
+        ),
         _assert_mat("final-left-remainder", Rl, target_final_left_remainder(op.a, op.m, alpha), geom),
         Assertion(
             "left-parametrix-same-type",
@@ -994,11 +982,12 @@ def fredholm_report(op: SplitOperator, alpha) -> dict:
     alpha = exact_real(alpha)
     spec = sorted(op.imspec_p00)
 
+    def space(order):
+        return f"x^{oc._fmtpow(alpha)} H_split^{oc._fmtpow(order)}"
+
     def side(dom_order, cod_order, g):
-        dom = oc.SobolevSpaceSpec(alpha, dom_order, "split")
-        cod = oc.SobolevSpaceSpec(alpha, cod_order, "split")
         return {
-            "map": f"{dom.describe()} -> {cod.describe()}",
+            "map": f"{space(dom_order)} -> {space(cod_order)}",
             "gate": number_to_json(g),
             "distance": number_to_json(min(abs(g - s) for s in spec)),
             "fredholm": g not in spec,

@@ -11,6 +11,10 @@ log-log slopes, with no use of the family's polynomial structure; the
 package solves the companion eigenproblem and reads the orders off the
 Jordan structure instead.
 
+The absorption oracle keeps the all-pairs rule that the package used
+before it absorbed sums in one pass: every summand is checked against
+every other one, in both orders.
+
 The harmonic-solve oracles assemble the finite-difference mode system and
 its defect one grid row at a time, evaluating each coefficient matrix
 from the operator's terms at one time; the package builds all rows from
@@ -26,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from phicalc.opclasses import CompositionError, as_terms, contains
 from phicalc.models.geometry import hodge_mode_operator
 from phicalc.models.harmonic import SampledSolution, _default_component, _fixed_global_rng
 from phicalc.models.spectrum import SpectrumPoint
@@ -41,6 +46,36 @@ def random_generators(rng, max_gens=4, allow_halves=True, allow_imag=True):
         k = rng.randrange(0, 3)
         gens.append(((re, im), k))
     return gens
+
+
+# ---------------------------------------------------------------------------
+# sums of operator classes
+
+
+def all_pairs_absorbed(geom, *entries) -> tuple:
+    """The summands of the entries that survive absorption, in input order.
+
+    A summand goes when another summand contains it, unless that other one
+    comes later and is contained back: of two summands that contain each
+    other the first stays.
+    """
+    terms = [t for e in entries for t in as_terms(e)]
+
+    def within(s, t):
+        try:
+            return contains(s, t, geom)
+        except CompositionError:
+            return False
+
+    return tuple(
+        t
+        for i, t in enumerate(terms)
+        if not any(
+            within(t, s) and not (j > i and within(s, t))
+            for j, s in enumerate(terms)
+            if j != i
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,20 @@ def test_lift_cli(tmp_path):
     assert res_ff == [{"re": 2, "im": 0, "k": 0}, {"re": 4, "im": 0, "k": 1}]
 
 
+def test_lift_cli_refuses_a_decorated_class(tmp_path, capsys):
+    fam = {
+        "kind": "b",
+        "lf": {"empty": True, "generators": []},
+        "rf": {"empty": True, "generators": []},
+        "bf": {"empty": False, "generators": [{"re": 0, "im": 0, "k": 0}]},
+    }
+    t = jdump(tmp_path, "t.json", {"kind": "b", "order": -1, "spec": {"family": fam},
+                                   "proj": {"side": "left", "power": -5}})
+    out = tmp_path / "lift.json"
+    assert main(["lift", t, "-a", "2", "--b-dim", "1", "--out", str(out)]) == 2
+    assert "projector" in capsys.readouterr().err and not out.exists()
+
+
 def test_parametrix_cli(tmp_path):
     op = gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC)
     opf = jdump(tmp_path, "gb.json", op.to_json())

@@ -2,8 +2,13 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import phicalc.opclasses as oc
 
 from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, small_family
 from phicalc.opclasses import (
@@ -16,7 +21,9 @@ from phicalc.opclasses import (
     UnsupportedComposition,
     Weight,
     ZERO,
+    absorbed_sum,
     adjoint_class,
+    as_terms,
     bphi_class,
     compose,
     compose_families,
@@ -33,12 +40,14 @@ from phicalc.opclasses import (
     multiply_x_power,
     recording,
     replay_chain,
+    small_b,
     small_phi,
     sus_phi,
     weight_b,
     weight_phi,
     x_left,
 )
+from oracles import all_pairs_absorbed
 
 INF = float("inf")
 G11 = GeomConstants(a=1, b_dim=1)
@@ -354,8 +363,51 @@ def test_sum_predicates_hold_summandwise():
 def test_sum_canonical_absorbs():
     small_term = weight_phi(-2, 0, xl=1)
     big_term = weight_phi(-1, 0)
-    s = ClassSum((small_term, big_term)).canonical()
-    assert s.terms == (big_term,)
+    assert absorbed_sum(None, small_term, big_term) == big_term
+    assert absorbed_sum(None) is ZERO
+    assert absorbed_sum(None, ZERO, small_term) is small_term
+
+
+_ORDERS = st.sampled_from([NEG_INF, -2, -1, Fraction(-1, 2), 0, 1])
+_POWERS = st.sampled_from([0, 0, 1, 2, Fraction(1, 2), -1, INF])
+
+
+@st.composite
+def _class_sums(draw):
+    """1-6 weight-tier, bphi and small-calculus classes on one or two weights."""
+    weights = draw(st.lists(st.sampled_from([-1, 0, Fraction(1, 2), 1]),
+                            min_size=1, max_size=2, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["b", "phi", "bphi", "small-b", "small-phi"]))
+        order, xl, xr, ext = draw(_ORDERS), draw(_POWERS), draw(_POWERS), draw(st.booleans())
+        if kind in ("b", "phi"):
+            vanish = draw(st.frozensets(st.sampled_from(["lf", "rf", "bf", "ff"])))
+            alpha = draw(st.sampled_from(weights))
+            terms.append(OpClass(kind, order, Weight(alpha), xl=xl, xr=xr, ext=ext, vanish=vanish))
+        else:
+            make = {"bphi": bphi_class, "small-b": small_b, "small-phi": small_phi}[kind]
+            terms.append(make(order, ext=ext, xl=xl, xr=xr))
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=_class_sums(), geom=st.sampled_from([None, G11, GeomConstants(a=2, b_dim=2)]))
+@example(terms=[weight_phi(-1, 0, ext=True), weight_phi(-1, 0)], geom=G11)
+@example(terms=[weight_b(-1, 0, xl=INF), weight_phi(-1, 0, xl=INF)], geom=G11)
+@example(terms=[weight_phi(-1, 0, xl=1), weight_phi(-2, 0, xl=2), weight_phi(0, 0)], geom=G11)
+def test_absorbed_sum_matches_the_all_pairs_rule(terms, geom):
+    decided = []
+    contains_single = oc._contains_single
+
+    def spy(sub, sup, g):
+        decided.append((sub, sup))
+        return contains_single(sub, sup, g)
+
+    with mock.patch.object(oc, "_contains_single", spy):
+        got = absorbed_sum(geom, *terms)
+    assert as_terms(got) == all_pairs_absorbed(geom, *terms)
+    assert len(decided) == len(set(decided))  # no ordered pair decided twice
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +568,28 @@ def test_projector_decoration_must_be_expanded():
         compose(decorated, weight_phi(0, 0), G11)
 
 
-def test_sobolev_space_spec():
-    from phicalc.opclasses import SobolevSpaceSpec
+def test_predicates_refuse_a_decorated_class():
+    # the decoration weights the perpendicular part by x^-5: the bare
+    # class's face data certify nothing about it
+    d = OpClass("phi", -1, Weight(0), proj=("left", -5))
+    plain = weight_phi(-1, 0)
+    for check in (
+        lambda: fold(d),
+        lambda: is_bounded(d, 0, 0),
+        lambda: is_compact(d, 0, 0),
+        lambda: contains(d, plain),
+        lambda: contains(plain, d),
+        lambda: eq_classes(d, plain),
+        lambda: decompose_near_ff(d),
+    ):
+        with pytest.raises(UnsupportedComposition):
+            check()
 
-    s = SobolevSpaceSpec(0.5, 2, "split")
-    assert s.describe() == "x^0.5 H_split^2"
-    assert SobolevSpaceSpec(0, -1, "phi").describe() == "x^0 H_phi^-1"
-    with pytest.raises(ValueError):
-        SobolevSpaceSpec(0, 1, "weird")
+
+def test_lift_refuses_a_decorated_class():
+    fam = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
+    with pytest.raises(UnsupportedComposition):
+        lift_b_to_phi(OpClass("b", -1, fam, proj=("right", 2)), a=1, b_dim=1)
 
 
 def test_compose_trace_replays():

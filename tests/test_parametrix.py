@@ -43,6 +43,7 @@ from phicalc.parametrix import (
     step3_lf_correction,
 )
 from phicalc.indexsets import exact_real, make_index_set, shift
+from phicalc import parametrix as px
 
 INF = float("inf")
 SPEC = [-2, -1, 0, 1, 2]
@@ -357,7 +358,7 @@ def test_report_bytes_pinned(criterion3_reports):
     for rep in criterion3_reports:
         digest.update(json.dumps(rep).encode())
     assert len(criterion3_reports) == 13
-    assert digest.hexdigest() == "68b9526e1040c250c588e91d74b9ee496a92b06e0d4d715ea31d3a45f2230f8c"
+    assert digest.hexdigest() == "03a8ecec633b0e8d0f7cd084c28d3cb72c2b143c6820087e1fe868caca063bfb"
 
 
 def _absorbed(entry, geom) -> bool:
@@ -395,6 +396,40 @@ def test_neumann_powers_stay_absorbed():
                 for j in (0, 1):
                     assert len(as_terms(power[i, j])) <= 2
                     assert _absorbed(power[i, j], op.geom)
+
+
+def test_left_step_carries_the_adjoint_verdicts(criterion3_reports):
+    names = ["step1-diagonal", "step2-offdiagonal", "step3-lf-correction",
+             "step4-neumann", "step5-interior"]
+    for rep in criterion3_reports:
+        left = rep["steps"][-1]
+        x = left["assertions"][0]
+        assert x["label"] == "adjoint-construction" and x["verdict"] == "PASS" and x["exact"]
+        assert x["derived"] == [{"step": n, "verdict": "PASS"} for n in names]
+
+
+def test_failing_adjoint_step_fails_the_report(monkeypatch):
+    # only the adjoint run (at am - alpha, here -3/10) gets a failing step 2
+    op = op_gb()
+    alpha = Fraction(13, 10)
+    adj_alpha = op.am - alpha
+    step2 = px.step2_offdiagonal
+
+    def step2_failing_for_adjoint(o, al, s1):
+        out = step2(o, al, s1)
+        if al == adj_alpha:
+            out.assertions[0].contained = False
+        return out
+
+    monkeypatch.setattr(px, "step2_offdiagonal", step2_failing_for_adjoint)
+    rep = parametrix_report(op, alpha)
+    assert [s["verdict"] for s in rep["steps"][:5]] == ["PASS"] * 5
+    left = rep["steps"][-1]
+    x = left["assertions"][0]
+    assert x["label"] == "adjoint-construction"
+    assert x["verdict"] == "FAIL" and not x["exact"]
+    assert {"step": "step2-offdiagonal", "verdict": "FAIL"} in x["derived"]
+    assert left["verdict"] == "FAIL" and rep["verdict"] == "FAIL"
 
 
 def test_report_json_round_trips_operator():
