@@ -141,7 +141,12 @@ def _cmd_compose(args) -> int:
 
 def _cmd_lift(args) -> int:
     T = _load_class(args.input)
-    main, res = lift_b_to_phi(T, a=args.a, b_dim=args.b_dim)
+    if not isinstance(T, OpClass):
+        raise JsonInputError(f"{args.input}: lifting needs a single class, not a sum")
+    try:
+        main, res = lift_b_to_phi(T, a=args.a, b_dim=args.b_dim)
+    except TypeError as exc:  # not a b-class with a full index family
+        raise JsonInputError(f"{args.input}: {exc}")
     write_json({"main": main.to_json(), "residual": res.to_json()}, args.out)
     return 0
 

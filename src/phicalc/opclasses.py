@@ -30,6 +30,9 @@ float), so every comparison below is ``==``/``<`` on exact numbers.
 Inside a ``with recording() as chain:`` block every rule application
 is appended to ``chain`` as a :class:`RuleApp`; :func:`replay_chain`
 re-checks each record of such a chain from its inputs and parameters.
+Inside a ``with _reuse_scope():`` block (one parametrix report) equal
+classes share one fold and one JSON dict, and a repeated :func:`compose`
+call returns its first output and re-records its rule applications.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .indexsets import (
@@ -202,6 +205,13 @@ class OpClass:
         if bad:
             raise ValueError(f"unknown faces in vanish set: {sorted(bad)}")
 
+    def __hash__(self):
+        # stored like the fold: a reuse scope hashes every class it meets
+        if self.__dict__.get("_hash") is None:
+            fields = (self.kind, self.order, self.spec, self.xl, self.xr, self.ext, self.vanish, self.proj)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self._hash
+
     # -- convenience ------------------------------------------------------
 
     @property
@@ -222,32 +232,20 @@ class OpClass:
         return self.spec.alpha
 
     def with_powers(self, dl=0, dr=0) -> "OpClass":
-        return replace(self, xl=_xadd(self.xl, dl), xr=_xadd(self.xr, dr))
+        dl, dr = exact_extended(dl), exact_extended(dr)
+        return _derive(self, xl=_xadd(self.xl, dl), xr=_xadd(self.xr, dr))
 
     def shifted_order(self, d) -> "OpClass":
-        return replace(self, order=_xadd(self.order, d))
+        return _derive(self, order=_xadd(self.order, exact_extended(d)))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        kind = self.kind + ("-ext" if self.ext else "")
-        if isinstance(self.spec, Weight):
-            spec = {"weight": _num_json(self.spec.alpha)}
-        elif isinstance(self.spec, IndexFamily):
-            spec = {"family": self.spec.to_json()}
-        else:
-            spec = None
-        return {
-            "kind": kind,
-            "order": _num_json(self.order),
-            "spec": spec,
-            "xl": _num_json(self.xl),
-            "xr": _num_json(self.xr),
-            "vanish": sorted(self.vanish),
-            "proj": None
-            if self.proj is None
-            else {"side": self.proj[0], "power": _num_json(self.proj[1])},
-        }
+        """The JSON form, made once and stored on the instance like
+        :func:`fold`'s result.  The dict is shared by every later call (and
+        by equal classes of the same reuse scope): read it, never mutate it.
+        """
+        return _stored(self, "_json", _class_json)
 
     @staticmethod
     def from_json(data: dict) -> "OpClass":
@@ -300,6 +298,62 @@ class OpClass:
             else:
                 pre = f"{tag} "
         return f"{pre}{left}{name}{sup}{van}{right}{post}".strip()
+
+
+def _class_json(P: OpClass) -> dict:
+    spec = P.spec  # None for the kinds without a boundary spec
+    if isinstance(spec, Weight):
+        spec = {"weight": _num_json(spec.alpha)}
+    elif isinstance(spec, IndexFamily):
+        spec = {"family": spec.to_json()}
+    return {
+        "kind": P.kind + ("-ext" if P.ext else ""),
+        "order": _num_json(P.order),
+        "spec": spec,
+        "xl": _num_json(P.xl),
+        "xr": _num_json(P.xr),
+        "vanish": sorted(P.vanish),
+        "proj": None if P.proj is None else {"side": P.proj[0], "power": _num_json(P.proj[1])},
+    }
+
+
+def _derive(P: OpClass, **changes) -> OpClass:
+    """``P`` with ``changes`` to its fields, trusted to be exact and valid
+    (no :meth:`OpClass.__post_init__`); stored values are not copied."""
+    Q = object.__new__(OpClass)
+    Q.__dict__.update(P.__dict__, _folded=None, _json=None, _hash=None, **changes)
+    return Q
+
+
+#: the dict of the open :func:`_reuse_scope` (None outside): a class maps to
+#: the first equal class met, a key (P, Q, geom, route) to the output and
+#: rule applications of that :func:`compose` call
+_REUSE: ContextVar[Optional[dict]] = ContextVar("phicalc_reuse", default=None)
+
+
+@contextmanager
+def _reuse_scope():
+    """Share folds, JSON and compositions within the block only."""
+    token = _REUSE.set({})
+    try:
+        yield
+    finally:
+        _REUSE.reset(token)
+
+
+def _stored(P: OpClass, name: str, make):
+    """``make(P)``, stored on ``P`` under ``name`` at the first call; inside
+    a reuse scope an equal class met earlier shares its stored value."""
+    value = P.__dict__.get(name)
+    if value is None:
+        scope = _REUSE.get()
+        twin = P if scope is None else scope.setdefault(P, P)
+        value = twin.__dict__.get(name)
+        if value is None:
+            value = make(twin)
+            object.__setattr__(twin, name, value)
+        object.__setattr__(P, name, value)
+    return value
 
 
 def _num_json(v):
@@ -507,11 +561,7 @@ def fold(cls: OpClass) -> FoldedClass:
     A class is frozen, so the first fold is stored on the instance and
     later calls return it.
     """
-    folded = cls.__dict__.get("_folded")
-    if folded is None:
-        folded = _fold(cls)
-        object.__setattr__(cls, "_folded", folded)
-    return folded
+    return _stored(cls, "_folded", _fold)
 
 
 def _fold(cls: OpClass) -> FoldedClass:
@@ -662,7 +712,7 @@ def conjugate_by_power(P: OpClass, c) -> OpClass:
     """x^{-c} P x^{c} on the weight tier: the weight drops by c."""
     if not isinstance(P.spec, Weight):
         raise TypeError("conjugation by a power needs a weight-tier class")
-    return replace(P, spec=Weight(P.spec.alpha - c))
+    return _derive(P, spec=Weight(P.spec.alpha - c))
 
 
 def multiply_x_power(P: Entry, c, side: str) -> Entry:
@@ -670,13 +720,14 @@ def multiply_x_power(P: Entry, c, side: str) -> Entry:
     and rf,bf(,ff) on the right."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    c = exact_extended(c)
     if isinstance(P, ClassSum):
         return ClassSum(tuple(multiply_x_power(t, c, side) for t in P.terms))
     if P.is_zero:
         return P
     if side == "left":
-        return replace(P, xl=_xadd(P.xl, c))
-    return replace(P, xr=_xadd(P.xr, c))
+        return _derive(P, xl=_xadd(P.xl, c))
+    return _derive(P, xr=_xadd(P.xr, c))
 
 
 def adjoint_class(P: Entry) -> Entry:
@@ -696,7 +747,7 @@ def adjoint_class(P: Entry) -> Entry:
     proj = P.proj
     if proj is not None:
         proj = ({"left": "right", "right": "left"}[proj[0]], proj[1])
-    return replace(P, spec=spec, xl=P.xr, xr=P.xl, vanish=vanish, proj=proj)
+    return _derive(P, spec=spec, xl=P.xr, xr=P.xl, vanish=vanish, proj=proj)
 
 
 def lift_weight_class(P: OpClass) -> OpClass:
@@ -705,7 +756,7 @@ def lift_weight_class(P: OpClass) -> OpClass:
         raise UnsupportedComposition("weight-tier lift needs a b-kind weight class")
     if P.order >= 0:
         raise UnsupportedComposition("lifting requires negative order")
-    return replace(P, kind="phi")
+    return _derive(P, kind="phi")
 
 
 def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
@@ -755,28 +806,12 @@ def decompose_near_ff(S: Entry):
         return ZERO, S
     if S.kind != "phi":
         raise TypeError("front-face decomposition applies to phi-kind classes")
-    if isinstance(S.spec, Weight):
-        b_part = OpClass(
-            "b",
-            NEG_INF,
-            Weight(S.spec.alpha),
-            xl=S.xl,
-            xr=S.xr,
-            ext=True,
-            vanish=S.vanish - {"ff", "bf"},
-        )
-    elif isinstance(S.spec, IndexFamily):
-        fam = S.spec
-        b_part = OpClass(
-            "b",
-            NEG_INF,
-            IndexFamily("b", lf=fam.lf, rf=fam.rf, bf=fam.bf),
-            xl=S.xl,
-            xr=S.xr,
-            ext=True,
-        )
-    else:
+    spec, vanish = S.spec, S.vanish - {"ff", "bf"}
+    if isinstance(spec, IndexFamily):
+        spec = IndexFamily("b", lf=spec.lf, rf=spec.rf, bf=spec.bf)
+    elif not isinstance(spec, Weight):
         raise TypeError("phi-class without boundary spec")
+    b_part = OpClass("b", NEG_INF, spec, xl=S.xl, xr=S.xr, ext=True, vanish=vanish)
     bphi_part = OpClass("bphi", S.order, None, xl=S.xl, xr=S.xr, ext=S.ext)
     return b_part, bphi_part
 
@@ -993,23 +1028,20 @@ def _e_normalize(P: OpClass) -> OpClass:
     if P.kind != "b":
         return P
     if P.xl == INF or P.xr == INF:
-        return replace(P, kind="phi") if isinstance(P.spec, Weight) else OpClass(
-            "phi",
-            P.order,
-            IndexFamily("phi", lf=P.spec.lf, rf=P.spec.rf, bf=P.spec.bf, ff=EMPTY),
-            xl=P.xl,
-            xr=P.xr,
-            ext=P.ext,
-            proj=P.proj,
-        )
+        spec = P.spec
+        if isinstance(spec, IndexFamily):
+            spec = IndexFamily("phi", lf=spec.lf, rf=spec.rf, bf=spec.bf, ff=EMPTY)
+        return _derive(P, kind="phi", spec=spec)
     # only a weight-tier class keeps a vanish set: a family folds it in
     if "bf" in P.vanish and P.vanish & {"lf", "rf"}:
-        return replace(P, kind="phi", vanish=P.vanish | {"ff"})
+        return _derive(P, kind="phi", vanish=P.vanish | {"ff"})
     return P
 
 
 def _strip(P: OpClass) -> OpClass:
-    return replace(P, xl=0, xr=0, proj=None)
+    if P.xl == 0 and P.xr == 0 and P.proj is None:
+        return P
+    return _derive(P, xl=0, xr=0, proj=None)
 
 
 def _face_empty(P: OpClass, face: str) -> bool:
@@ -1034,8 +1066,29 @@ def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None) -
     Inside ``with recording() as chain:`` every elementary rule
     application is appended to ``chain``; ``replay_chain(chain, geom)``
     re-checks each record, and ``RuleApp.from_json`` reads a record back
-    from a report.
+    from a report.  Inside a reuse scope a repeated call returns the first
+    call's output and records the first call's rule applications again.
     """
+    memo, chain = _REUSE.get(), _CHAIN.get()
+    if memo is None:
+        return _compose(P, Q, geom, route)
+    key = (P, Q, geom, route)
+    hit = memo.get(key)
+    if hit is None:
+        records: list = []
+        token = _CHAIN.set(records)
+        try:
+            hit = memo[key] = (_compose(P, Q, geom, route), records)
+        finally:
+            _CHAIN.reset(token)
+            if chain is not None:
+                chain.extend(records)
+    elif chain is not None:
+        chain.extend(hit[1])
+    return hit[0]
+
+
+def _compose(P: Entry, Q: Entry, geom, route) -> Entry:
     if isinstance(P, ClassSum) or isinstance(Q, ClassSum):
         out = []
         for p in as_terms(P):
@@ -1165,7 +1218,7 @@ def _power_into_family(Q: OpClass, c) -> OpClass:
         fam = fam.replace(lf=EMPTY, bf=EMPTY, ff=EMPTY)
     else:
         fam = fam.replace(lf=shift(fam.lf, c), bf=shift(fam.bf, c), ff=shift(fam.ff, c))
-    return replace(Q, spec=fam)
+    return _derive(Q, spec=fam)
 
 
 def _compose_small(P: OpClass, Q: OpClass, c, geom) -> Entry:
@@ -1188,8 +1241,7 @@ def _compose_small(P: OpClass, Q: OpClass, c, geom) -> Entry:
                 f"small factor of kind {small.spec.kind} cannot absorb {other!r}"
             )
 
-    out = other.shifted_order(small.order)
-    out = replace(out, ext=out.ext or small.ext)
+    out = _derive(other, order=_xadd(other.order, small.order), ext=other.ext or small.ext)
     if c != 0:
         side = "left" if small_left else "right"
         out = multiply_x_power(out, c, side)
@@ -1240,12 +1292,13 @@ def replay_chain(chain, geom: GeomConstants | None = None) -> bool:
     formula.  Returns True when every record reproduces its output; a failed
     precondition, inputs that no rule composes, or another output give
     False.  Nothing is recorded while the chain replays, not even inside an
-    open :func:`recording` block.
+    open :func:`recording` block, and nothing is reused from a reuse scope.
     """
-    token = _CHAIN.set(None)
+    token, reuse = _CHAIN.set(None), _REUSE.set(None)
     try:
         return all(_replay_one(rec, geom) for rec in chain)
     finally:
+        _REUSE.reset(reuse)
         _CHAIN.reset(token)
 
 

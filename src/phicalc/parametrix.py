@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .indexsets import exact_real, make_index_set, number_from_json, number_to_json, shift
@@ -286,32 +287,20 @@ class SplitOperator:
         )
 
 
+def _small_split(m, a, b_dim, imspec) -> SplitOperator:
+    """Order-m split block data with small-calculus blocks."""
+    phi = small_phi(m, ext=True)
+    return SplitOperator(a, m, small_b(m), phi, phi, phi, list(imspec), b_dim=b_dim)
+
+
 def gauss_bonnet_split(a: int = 1, b_dim: int = 1, imspec=()) -> SplitOperator:
     """First-order split block data (the x^a-scaled Gauss-Bonnet shape)."""
-    return SplitOperator(
-        a=a,
-        m=1,
-        p00=small_b(1),
-        p01=small_phi(1, ext=True),
-        p10=small_phi(1, ext=True),
-        p11=small_phi(1, ext=True),
-        imspec_p00=list(imspec),
-        b_dim=b_dim,
-    )
+    return _small_split(1, a, b_dim, imspec)
 
 
 def hodge_split(a: int = 1, b_dim: int = 1, imspec=()) -> SplitOperator:
     """Second-order split block data (the x^(2a)-scaled Hodge Laplacian shape)."""
-    return SplitOperator(
-        a=a,
-        m=2,
-        p00=small_b(2),
-        p01=small_phi(2, ext=True),
-        p10=small_phi(2, ext=True),
-        p11=small_phi(2, ext=True),
-        imspec_p00=list(imspec),
-        b_dim=b_dim,
-    )
+    return _small_split(2, a, b_dim, imspec)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +433,6 @@ def target_products_diag(a, m, al) -> Mat:
         (weight_b(NEG_INF, al, ext=True, xl=-am), oc.bphi_class(-m, ext=True))
     )
     return Mat.diag(pi_pi, x_right(weight_phi(-m, al, ext=True), am))
-
-
-def target_products_offdiag(a, m, al) -> Mat:
-    am = a * m
-    return Mat.offdiag(
-        weight_phi(-m, al, ext=True, xl=-am, xr=am), weight_phi(-m, al, ext=True)
-    )
 
 
 def target_lfsolve_classes(a, m, al) -> Mat:
@@ -676,7 +658,8 @@ def _away_from_lf(entry):
         return ClassSum(tuple(_away_from_lf(t) for t in entry.terms))
     if entry.is_zero:
         return entry
-    return oc.replace(entry, vanish=entry.vanish | {"lf"})
+    # the public constructor folds the vanish set into a full family
+    return replace(entry, vanish=entry.vanish | {"lf"})
 
 
 def _hypothesis_rows(R2: Mat, alpha, am, geom):
@@ -725,17 +708,12 @@ def step3_lf_correction(op: SplitOperator, alpha, step2: StepResult) -> StepResu
     R3 = R2_cut.add(Rpp, geom=geom)
     psi_R = target_r3_space(a, m, alpha)
 
-    bf_ff_ok = True
-    for i in (0, 1):
-        for j in (0, 1):
-            for term in oc.as_terms(R3[i, j]):
-                f = oc.fold(term)
-                if not oc._face_implies(f.face("bf"), oc.Bound(am, False)):
-                    bf_ff_ok = False
-                if "ff" in f.face_names and not oc._face_implies(
-                    f.face("ff"), oc.Bound(am, True)
-                ):
-                    bf_ff_ok = False
+    folds = [oc.fold(t) for i in (0, 1) for j in (0, 1) for t in oc.as_terms(R3[i, j])]
+    bf_ff_ok = all(
+        oc._face_implies(f.face("bf"), oc.Bound(am, False))
+        and ("ff" not in f.face_names or oc._face_implies(f.face("ff"), oc.Bound(am, True)))
+        for f in folds
+    )
 
     assertions = [
         _assert_mat("lfsolve-correction", Qprime, target_lfsolve_classes(a, m, alpha), geom, chain_q),
@@ -775,15 +753,11 @@ def step4_neumann(op: SplitOperator, alpha, step1, step2, step3) -> StepResult:
         )
 
     def rf_faces(mat: Mat):
-        out = []
-        for i in (0, 1):
-            for j in (0, 1):
-                faces = set()
-                for t in oc.as_terms(mat[i, j]):
-                    f = oc.fold(t)
-                    faces.add(repr(f.face("rf")))
-                out.append((i, j, tuple(sorted(faces))))
-        return out
+        return [
+            (i, j, tuple(sorted({repr(oc.fold(t).face("rf")) for t in oc.as_terms(mat[i, j])})))
+            for i in (0, 1)
+            for j in (0, 1)
+        ]
 
     rf_stable = rf_faces(powers[1]) == rf_faces(powers[2]) == rf_faces(powers[3])
 
@@ -817,7 +791,7 @@ def step4_neumann(op: SplitOperator, alpha, step1, step2, step3) -> StepResult:
         Assertion("power-gain", powers[3], target_r3_space(a, m, alpha).x_left_all(2 * am), growth_ok, False),
         Assertion("rf-sets-stabilize", rf_faces(powers[1]), rf_faces(powers[3]), rf_stable, rf_stable),
         _assert_mat("neumann-tail-products-diag", diag_products, target_products_diag(a, m, alpha), geom, chain_d),
-        _assert_mat("neumann-tail-products-offdiag", offdiag_products, target_products_offdiag(a, m, alpha), geom, chain_o),
+        _assert_mat("neumann-tail-products-offdiag", offdiag_products, target_offdiag_correction(a, m, alpha), geom, chain_o),
         _assert_mat("lfsolve-times-tail", qprime_tail, target_lfsolve_times_tail(a, m, alpha), geom, chain_q),
         _assert_mat("boundary-remainder", R_boundary, target_boundary_remainder(a, m, alpha), geom, chain_lim),
     ]
@@ -936,7 +910,13 @@ def left_parametrix(op: SplitOperator, alpha):
 
 
 def parametrix_report(op: SplitOperator, alpha) -> dict:
-    """Full right+left construction with per-assertion verdicts (JSON-able)."""
+    """Full right+left construction with per-assertion verdicts (JSON-able).
+
+    Both constructions and the serialization of their steps run in one
+    reuse scope (see :mod:`phicalc.opclasses`): equal classes share their
+    fold and JSON, and a repeated composition is computed once.  The class
+    JSON dicts of the report are shared: read them, never mutate them.
+    """
     alpha = exact_real(alpha)
     report = {
         "operator": op.to_json(),
@@ -957,10 +937,11 @@ def parametrix_report(op: SplitOperator, alpha) -> dict:
     }
     if not admissible:
         return report
-    steps, _, _ = right_parametrix(op, alpha)
-    _, left = left_parametrix(op, alpha)
-    all_steps = steps + [left]
-    report["steps"] = [s.to_json() for s in all_steps]
+    with oc._reuse_scope():
+        steps, _, _ = right_parametrix(op, alpha)
+        _, left = left_parametrix(op, alpha)
+        all_steps = steps + [left]
+        report["steps"] = [s.to_json() for s in all_steps]
     report["verdict"] = "PASS" if all(s.passed for s in all_steps) else "FAIL"
     return report
 
@@ -986,11 +967,12 @@ def fredholm_report(op: SplitOperator, alpha) -> dict:
         return f"x^{oc._fmtpow(alpha)} H_split^{oc._fmtpow(order)}"
 
     def side(dom_order, cod_order, g):
+        i = bisect_left(spec, g)
         return {
             "map": f"{space(dom_order)} -> {space(cod_order)}",
             "gate": number_to_json(g),
-            "distance": number_to_json(min(abs(g - s) for s in spec)),
-            "fredholm": g not in spec,
+            "distance": number_to_json(min(abs(g - s) for s in spec[max(i - 1, 0) : i + 1])),
+            "fredholm": i == len(spec) or spec[i] != g,
         }
 
     return {

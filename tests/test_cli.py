@@ -110,6 +110,19 @@ def test_lift_cli_refuses_a_decorated_class(tmp_path, capsys):
     assert "projector" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "phi", "order": -1, "spec": {"weight": 0}},
+    {"kind": "b", "order": -1, "spec": {"weight": 0}},
+    {"sum": [{"kind": "phi", "order": -1, "spec": {"weight": 0}}]},
+])
+def test_lift_cli_refuses_a_class_without_a_full_b_family(tmp_path, capsys, doc):
+    # a weight-tier class, a phi-class or a sum: exit 2 with a message, no traceback
+    t = jdump(tmp_path, "t.json", doc)
+    out = tmp_path / "lift.json"
+    assert main(["lift", t, "-a", "1", "--b-dim", "1", "--out", str(out)]) == 2
+    assert "lifting needs" in capsys.readouterr().err and not out.exists()
+
+
 def test_parametrix_cli(tmp_path):
     op = gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC)
     opf = jdump(tmp_path, "gb.json", op.to_json())

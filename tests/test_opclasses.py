@@ -191,6 +191,24 @@ def test_fold_is_stored_once_per_class():
     assert fold(moved) != fold(P)
 
 
+def test_derived_classes_fold_and_serialize_afresh():
+    # the JSON is stored like the fold; a derived class never carries P's
+    third = Fraction(1, 3)
+    P = weight_phi(-2, third, xl=1)
+    assert fold(P) is fold(P) and P.to_json() is P.to_json()
+    derived = [
+        (P.with_powers(1, 0), weight_phi(-2, third, xl=2)),
+        (multiply_x_power(P, 1, "right"), weight_phi(-2, third, xl=1, xr=1)),
+        (adjoint_class(P), weight_phi(-2, -third, xr=1)),
+        (oc._strip(P), weight_phi(-2, third)),
+    ]
+    for D, want in derived:
+        assert D == want and fold(D) == fold(want) and D.to_json() == want.to_json()
+        assert fold(D) != fold(P) and D.to_json() != P.to_json()
+    bare = weight_phi(-2, third)
+    assert oc._strip(bare) is bare
+
+
 def test_weights_orders_and_powers_are_exact():
     P = OpClass("phi", -0.5, Weight(0.1), xl=1 / 3, xr=INF, proj=("left", 0.25))
     assert (P.order, P.weight, P.xl, P.xr) == (Fraction(-1, 2), Fraction(1, 10), Fraction(1, 3), INF)
@@ -204,6 +222,11 @@ def test_weights_orders_and_powers_are_exact():
     assert fold(x_left(big, 1)) != fold(big)
     with pytest.raises(ValueError):
         multiply_x_power(x_left(big, INF), -INF, "left")
+    # the trusted derivations quantize the one number they are given
+    P = weight_phi(0, 0)
+    assert x_left(P, 0.5).xl == Fraction(1, 2) and oc.x_right(P, 0.25).xr == Fraction(1, 4)
+    assert P.shifted_order(-0.5).order == Fraction(-1, 2)
+    assert P.with_powers(0.5, 1 / 3) == weight_phi(0, 0, xl=Fraction(1, 2), xr=Fraction(1, 3))
 
 
 def test_left_x_inf_kills_lf_and_bf():

@@ -1,8 +1,10 @@
 """Split-parametrix engine: step-by-step class verification and gates."""
 
+import contextlib
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +45,7 @@ from phicalc.parametrix import (
     step3_lf_correction,
 )
 from phicalc.indexsets import exact_real, make_index_set, shift
+from phicalc import opclasses as oc
 from phicalc import parametrix as px
 
 INF = float("inf")
@@ -361,6 +364,27 @@ def test_report_bytes_pinned(criterion3_reports):
     assert digest.hexdigest() == "03a8ecec633b0e8d0f7cd084c28d3cb72c2b143c6820087e1fe868caca063bfb"
 
 
+def test_replay_grid_bytes_pinned(monkeypatch):
+    """sha256 over the JSON of the benchmark's replay grid: 120 (operator,
+    alpha) reports and 24 Fredholm sweeps, in the order the grid builds them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    from workloads import Replay
+
+    grid = Replay()
+    grid.setup(0, None)
+    call = lambda span, fn, *args: fn(*args)
+    count = lambda counter, n: None
+    digest = hashlib.sha256()
+    kinds = []
+    for op in grid.built:
+        out = op.fn(call, count)
+        for rep in out if op.kind == "fredholm" else [out]:
+            digest.update(json.dumps(rep).encode())
+        kinds.append(op.kind)
+    assert (kinds.count("report"), kinds.count("fredholm")) == (120, 24)
+    assert digest.hexdigest() == "7392e3582379b7bfa25bd41b10e50d07132bbc874dfbf208e806a2009e43a488"
+
+
 def _absorbed(entry, geom) -> bool:
     terms = as_terms(entry)
     return not any(
@@ -430,6 +454,43 @@ def test_failing_adjoint_step_fails_the_report(monkeypatch):
     assert x["verdict"] == "FAIL" and not x["exact"]
     assert {"step": "step2-offdiagonal", "verdict": "FAIL"} in x["derived"]
     assert left["verdict"] == "FAIL" and rep["verdict"] == "FAIL"
+
+
+def test_reuse_scope_is_transparent(monkeypatch, criterion3_reports):
+    # the same bytes with every fold, JSON dict and composition made afresh,
+    # from fewer compositions with the scope
+    calls = []
+    compose_once = oc._compose
+    monkeypatch.setattr(oc, "_compose", lambda *args: calls.append(1) or compose_once(*args))
+    shared = [parametrix_report(op, al) for op, al in criterion3_instances()]
+    n_shared = len(calls)
+    monkeypatch.setattr(oc, "_reuse_scope", contextlib.nullcontext)
+    fresh = [parametrix_report(op, al) for op, al in criterion3_instances()]
+    assert [json.dumps(r) for r in fresh] == [json.dumps(r) for r in criterion3_reports]
+    assert [json.dumps(r) for r in shared] == [json.dumps(r) for r in criterion3_reports]
+    assert n_shared < len(calls) - n_shared
+
+
+def test_reuse_scope_closes_after_a_report_and_after_an_error(monkeypatch):
+    op = op_gb()
+    alpha = Fraction(13, 10)
+    adj_alpha = op.am - alpha
+    parametrix_report(op, alpha)
+    assert oc._REUSE.get() is None
+    step2 = px.step2_offdiagonal
+    seen = []
+
+    def step2_raising_for_adjoint(o, al, s1):
+        seen.append(oc._REUSE.get())
+        if al == adj_alpha:
+            raise px.EngineError("adjoint step 2 fails")
+        return step2(o, al, s1)
+
+    monkeypatch.setattr(px, "step2_offdiagonal", step2_raising_for_adjoint)
+    with pytest.raises(px.EngineError):
+        parametrix_report(op, alpha)
+    assert oc._REUSE.get() is None
+    assert len(seen) == 2 and seen[0] is seen[1] and isinstance(seen[0], dict)
 
 
 def test_report_json_round_trips_operator():
