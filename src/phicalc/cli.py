@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check decay fits against the spectrum")
     p.add_argument("--model", default=None)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=Fraction, default=0, help="weight, read exactly (0.5, 1/3)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..indexsets import exact_real, number_to_json
+from ..parametrix import kernel_index_set
 from .geometry import ModelGeometry, assemble_DV, hodge_mode_operator
 from .spectrum import imspec
 
@@ -41,6 +43,24 @@ __all__ = [
 
 #: condition estimate above which a mode solve counts as ill-conditioned
 COND_LIMIT = 1e12
+
+# exponent fits: the x-window of the regression, the sample level below which
+# a modulus is noise, the slope past which decay counts as superpolynomial,
+# and the jump over the running minimum that marks the round-off plateau
+_FIT_WINDOW = (1e-4, 1e-2)
+_NOISE_REL = 1e-12
+_SUPERPOLY_THRESHOLD = 10.0
+_BOUNCE = 5.0
+# L2 decisions: the units of t cut before the terminal zero condition, and
+# the decay rate margin below which a mode counts as not square-integrable
+_ARTIFACT_CUT = 4.0
+_DECISION_MARGIN = 0.02
+# verification sweep: fibre-harmonic base modes 0..2, two fibre-perpendicular
+# modes, and the relative tolerance (floored at 0.25 absolute scale) within
+# which a fitted exponent matches a predicted one
+_BASE_MODE_MAX = 2
+_FIBER_CHECKS = (((0,), (1,)), ((1,), (1,)))
+_REL_TOL = 0.02
 
 
 class FitError(ValueError):
@@ -238,12 +258,12 @@ def _window_mask(x, lo, hi):
     return (x >= lo) & (x <= hi)
 
 
-def _clean_mask(vals: np.ndarray, bounce: float = 5.0) -> np.ndarray:
+def _clean_mask(vals: np.ndarray) -> np.ndarray:
     """Samples before the numerical noise plateau.
 
     For a decaying mode the modulus decreases along the grid until the
     direct solve's round-off takes over, where it bounces around a small
-    plateau.  Cut at the first bounce above ``bounce`` times the running
+    plateau.  Cut at the first bounce above ``_BOUNCE`` times the running
     minimum once the values sit far below the overall scale.
     """
     scale = float(vals.max())
@@ -254,20 +274,14 @@ def _clean_mask(vals: np.ndarray, bounce: float = 5.0) -> np.ndarray:
             continue  # exact zeros are handled by the noise threshold
         if v < runmin:
             runmin = v
-        elif 0 < runmin < 1e-6 * scale and v > bounce * runmin:
+        elif 0 < runmin < 1e-6 * scale and v > _BOUNCE * runmin:
             mask[i:] = False
             break
     return mask
 
 
-def fit_exponents(
-    samples: SampledSolution,
-    fit_window=(1e-4, 1e-2),
-    component: int | None = None,
-    superpoly_threshold: float = 10.0,
-    noise_rel: float = 1e-12,
-) -> HarmonicFit:
-    """Fit x^w (log x)^k to one component of a sampled mode solution.
+def fit_exponents(samples: SampledSolution) -> HarmonicFit:
+    """Fit x^w (log x)^k to the solved component of a sampled mode solution.
 
     The exponent and log power come from a joint regression of log|u|
     against log x and log|log x| over the fit window.  When the window
@@ -277,21 +291,19 @@ def fit_exponents(
     (which grows as the probe window moves inward, matching the behaviour
     of faster-than-polynomial decay).
     """
-    comp = samples.component if component is None else component
     x = samples.x
-    vals = np.abs(samples.values[:, comp])
+    vals = np.abs(samples.values[:, samples.component])
     scale = float(vals.max())
     if scale == 0.0:
         raise FitError("component is identically zero")
-    usable = (vals > noise_rel * scale) & _clean_mask(vals)
+    usable = (vals > _NOISE_REL * scale) & _clean_mask(vals)
 
-    lo, hi = fit_window
-    window = _window_mask(x, lo, hi)
+    window = _window_mask(x, *_FIT_WINDOW)
     if window.sum() < 8:
-        raise FitError(f"fit window {fit_window} holds too few samples for a regression")
+        raise FitError(f"fit window {_FIT_WINDOW} holds too few samples for a regression")
 
     if not usable[window].all():
-        return _superpoly_fit(samples, x, vals, usable, superpoly_threshold)
+        return _superpoly_fit(samples, x, vals, usable)
 
     xs = x[window]
     ys = vals[window]
@@ -307,14 +319,14 @@ def fit_exponents(
     fitted = A @ coef
     residual = float(np.sqrt(np.mean((fitted - np.log(ys)) ** 2)))
     k = max(int(round(k_raw)), 0)
-    if w > superpoly_threshold:
+    if w > _SUPERPOLY_THRESHOLD:
         return HarmonicFit(
             (samples.base_mode, samples.fiber_mode), math.inf, 0, residual, True
         )
     return HarmonicFit((samples.base_mode, samples.fiber_mode), w, k, residual, False)
 
 
-def _superpoly_fit(samples, x, vals, usable, threshold):
+def _superpoly_fit(samples, x, vals, usable):
     """Classify decay past the resolved range: innermost-decade slope."""
     xu = x[usable]
     vu = vals[usable]
@@ -330,42 +342,35 @@ def _superpoly_fit(samples, x, vals, usable, threshold):
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
     slope = float(coef[0])
     # envelope constant for the |u| <= C x^threshold statement
-    ratio = vu / xu**threshold
+    ratio = vu / xu**_SUPERPOLY_THRESHOLD
     imax = int(np.argmax(ratio))
     interior_max = xu[imax] > x_in * 1.5
     envelope_decays = ratio[np.argmin(xu)] < 0.5 * ratio[imax]
-    if slope >= threshold and interior_max and envelope_decays:
+    if slope >= _SUPERPOLY_THRESHOLD and interior_max and envelope_decays:
         return HarmonicFit(
             (samples.base_mode, samples.fiber_mode), math.inf, 0, slope, True
         )
     raise FitError(
         f"window content below noise but decay slope {slope:.2f} does not "
-        f"certify faster-than-x^{threshold} behaviour"
+        f"certify faster-than-x^{_SUPERPOLY_THRESHOLD} behaviour"
     )
 
 
-def check_L2(
-    samples: SampledSolution,
-    gamma: float = 0.0,
-    component: int | None = None,
-    artifact_cut: float = 4.0,
-    decision_margin: float = 0.02,
-) -> bool:
+def check_L2(samples: SampledSolution, gamma: float = 0.0) -> bool:
     """Membership of the mode in the x^gamma-weighted L2 space (b-volume).
 
     Decided from the tail of the squared-modulus integral against dx/x:
     dyadic block integrals form a geometric sequence with ratio 2^(-2(w -
     gamma)), so the tail converges iff the block ratio stays below one.
     This is an integral test, independent of the exponent regression.  The
-    last ``artifact_cut`` units of t are excluded (the terminal zero
+    last ``_ARTIFACT_CUT`` units of t are excluded (the terminal zero
     condition that selects the decaying branch distorts the profile there)
-    and rates within ``decision_margin`` of the borderline are resolved as
+    and rates within ``_DECISION_MARGIN`` of the borderline are resolved as
     non-membership, which is correct for the borderline rate itself.
     """
-    comp = samples.component if component is None else component
-    keep = samples.t <= samples.t[-1] - artifact_cut
+    keep = samples.t <= samples.t[-1] - _ARTIFACT_CUT
     t, x = samples.t[keep], samples.x[keep]
-    vals = np.abs(samples.values[keep, comp]) * x ** (-float(gamma))
+    vals = np.abs(samples.values[keep, samples.component]) * x ** (-float(gamma))
     scale = vals.max()
     if scale == 0:
         return True
@@ -387,7 +392,7 @@ def check_L2(
     ratios = [s2 / s1 for s1, s2 in zip(sums, sums[1:]) if s1 > 0]
     mean_ratio = float(np.exp(np.mean(np.log(ratios))))
     rate = -math.log2(mean_ratio) / 2.0  # effective decay exponent minus gamma
-    return rate > decision_margin
+    return rate > _DECISION_MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +402,17 @@ def check_L2(
 @dataclass
 class VerifyReport:
     model: ModelGeometry
-    alpha: float
+    alpha: object  # exact: int or Fraction
     predicted_roots: list
     rows: list
     checks: dict
     convergence_ratios: tuple
     passed: bool
-    rel_tol: float
-    fits: list = field(default_factory=list)
 
     def to_json(self):
         return {
             "model": self.model.to_json(),
-            "alpha": self.alpha,
+            "alpha": number_to_json(self.alpha),
             "predicted_roots": self.predicted_roots,
             "rows": self.rows,
             "checks": self.checks,
@@ -418,91 +421,74 @@ class VerifyReport:
         }
 
 
-def _predicted_elements(roots, alpha, shifts=4):
-    out = []
-    for r in roots:
-        if r > alpha:
-            out.extend(r + n for n in range(shifts))
-    return sorted(set(round(v, 10) for v in out))
+def _nearest(w, exponents, default=None):
+    return min(exponents, key=lambda e: abs(e - w), default=default)
 
 
-def _matches_predicted(w, elements, rel_tol):
-    for e in elements:
-        if abs(w - e) <= rel_tol * max(abs(e), 0.25):
-            return True, e
-    return False, None
-
-
-def verify_predictions(
-    model: ModelGeometry,
-    alpha: float = 0.0,
-    base_mode_max: int = 2,
-    fiber_checks=(((0,), (1,)), ((1,), (1,))),
-    rel_tol: float = 0.02,
-    t_max: float = 12.0,
-    n: int = 2048,
-) -> VerifyReport:
+def verify_predictions(model: ModelGeometry, alpha=0) -> VerifyReport:
     """Cross-check the solved harmonic asymptotics against the spectrum.
 
-    (i) every square-integrable fibre-harmonic mode has fitted exponent
-    > alpha and within ``rel_tol`` of an element of the exponent set built
-    from the metric-volume indicial roots; (ii) fibre-perpendicular modes
-    decay superpolynomially; (iii) square integrability of each mode agrees
-    with the exponent rule Re w > alpha for the b-volume.  The fits come
-    from finite-difference solves, the predictions from the eigen-solve of
-    the indicial polynomial: two independent routes to the same exponents.
+    The prediction is the index set K = :func:`phicalc.parametrix.kernel_index_set`
+    of the metric-volume indicial roots above ``alpha``, each with its pole
+    order as log power.  Roots above the spectral window are not computed,
+    so K is compared only below the window's top.  (i) Every
+    square-integrable fibre-harmonic mode has a fitted exponent within
+    ``_REL_TOL`` of an exponent of K, and a fitted log power at most K's
+    largest there; (ii) fibre-perpendicular modes decay superpolynomially;
+    (iii) square integrability of each mode agrees with the exponent rule:
+    the fitted exponent, snapped to the nearest exponent generated by all
+    roots, exceeds alpha.  The fits come from finite-difference solves, the
+    predictions from the eigen-solve of the indicial polynomial: two
+    independent routes to the same exponents.  ``alpha`` is read exactly
+    (:func:`phicalc.indexsets.exact_real`).
     """
     if model.b != 1:
         raise ValueError("the verification sweep is wired for one base circle")
+    alpha = exact_real(alpha)
     builder = assemble_DV(model)
     family = builder.scalar("g")
-    window = (-(model.a * model.f + base_mode_max + 2), base_mode_max + 2)
-    points = imspec(family, window=window, mode_cutoff=base_mode_max)
+    top = _BASE_MODE_MAX + 2
+    window = (-(model.a * model.f + top), top)
+    points = imspec(family, window=window, mode_cutoff=_BASE_MODE_MAX)
     roots = [p.lambda_root for p in points]
-    elements = _predicted_elements(roots, alpha)
-
-    # all roots (and their integer shifts) for snapping fitted exponents;
+    # members come in (re, im, k) order and the roots are real, so the last
+    # k at an exponent is its largest log power
+    predicted = {re: k for re, _, k in kernel_index_set(points, alpha).truncate(top)}
     # the fit carries a small terminal-condition artifact, so exponent-rule
     # decisions snap to the nearest point of the discrete exponent set
-    snap_set = sorted(set(round(r + k, 10) for r in roots for k in range(4)))
-
-    def snap(w):
-        return min(snap_set, key=lambda e: abs(e - w)) if snap_set else w
+    exponents = {re for re, _, _ in kernel_index_set(points, -math.inf).truncate(top)}
 
     rows = []
-    fits = []
     admissible_ok = True
     l2_rule_ok = True
-    for j in range(0, base_mode_max + 1):
-        sol = solve_harmonic(model, 0, ((j,), (0,) * model.f), t_max=t_max, n=n)
+    for j in range(0, _BASE_MODE_MAX + 1):
+        sol = solve_harmonic(model, 0, ((j,), (0,) * model.f))
         fit = fit_exponents(sol)
-        fits.append(fit)
+        w = fit.fitted_exponent
         in_l2 = check_L2(sol, gamma=alpha)
-        if fit.superpolynomial_flag:
-            rule_l2 = True
-        else:
-            rule_l2 = snap(fit.fitted_exponent) > alpha + 1e-9
+        rule_l2 = fit.superpolynomial_flag or _nearest(w, exponents, default=w) > alpha
         l2_rule_ok = l2_rule_ok and (in_l2 == rule_l2)
         row = {
             "mode": [list((j,)), [0] * model.f],
-            "exponent": None if fit.superpolynomial_flag else fit.fitted_exponent,
+            "exponent": None if fit.superpolynomial_flag else w,
             "log_power": fit.fitted_log_power,
             "superpoly": fit.superpolynomial_flag,
             "in_L2": in_l2,
             "matched": None,
+            "predicted_log_power": None,
         }
         if in_l2 and not fit.superpolynomial_flag:
-            ok, matched = _matches_predicted(fit.fitted_exponent, elements, rel_tol)
-            positive = fit.fitted_exponent > alpha + 1e-9
-            row["matched"] = matched
-            admissible_ok = admissible_ok and ok and positive
+            e = _nearest(w, predicted)
+            ok = e is not None and abs(w - e) <= _REL_TOL * max(abs(e), 0.25)
+            if ok:
+                row["matched"], row["predicted_log_power"] = float(e), predicted[e]
+            admissible_ok = admissible_ok and ok and fit.fitted_log_power <= predicted[e]
         rows.append(row)
 
     superpoly_ok = True
-    for base_m, fib_m in fiber_checks:
-        sol = solve_harmonic(model, 0, (base_m, fib_m), t_max=t_max, n=n)
+    for base_m, fib_m in _FIBER_CHECKS:
+        sol = solve_harmonic(model, 0, (base_m, fib_m))
         fit = fit_exponents(sol)
-        fits.append(fit)
         superpoly_ok = superpoly_ok and fit.superpolynomial_flag
         rows.append(
             {
@@ -512,6 +498,7 @@ def verify_predictions(
                 "superpoly": fit.superpolynomial_flag,
                 "in_L2": check_L2(sol, gamma=alpha),
                 "matched": None,
+                "predicted_log_power": None,
             }
         )
 
@@ -542,8 +529,6 @@ def verify_predictions(
         checks=checks,
         convergence_ratios=ratios,
         passed=all(checks.values()),
-        rel_tol=rel_tol,
-        fits=fits,
     )
 
 

@@ -27,12 +27,17 @@ membership tests, and reports write non-integer numbers as "p/q" strings.
 from __future__ import annotations
 
 import operator
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
-from .indexsets import exact_real, make_index_set, number_from_json, number_to_json, shift
+from .indexsets import (
+    exact_extended,
+    exact_real,
+    make_index_set,
+    number_from_json,
+    number_to_json,
+    shift,
+)
 from . import opclasses as oc
 from .opclasses import (
     CHAIN_PRIMITIVES,
@@ -74,6 +79,7 @@ __all__ = [
     "left_parametrix",
     "parametrix_report",
     "fredholm_report",
+    "kernel_index_set",
     "regularity_predict",
     "gauss_bonnet_split",
     "hodge_split",
@@ -984,32 +990,28 @@ def fredholm_report(op: SplitOperator, alpha) -> dict:
     }
 
 
-def regularity_predict(
-    op: SplitOperator,
-    alpha,
-    spec_b: Optional[list] = None,
-    statement: str = "L2",
-):
-    """Index sets of the two parts of a kernel element.
+def kernel_index_set(spectrum, alpha):
+    """The index set K of the fibre-harmonic part of a kernel element in
+    x^alpha L2.
 
-    ``spec_b`` lists (weight, log_power) pairs; when omitted, the plain
-    critical weights are used with log power 0 and a warning is attached.
-    For a kernel element of the weighted L2 space the harmonic part carries
-    the set K > alpha and the perpendicular part x^(am) K; for the split
-    Sobolev space the prefactors move to the harmonic side.
+    K is generated by (s, k) for each critical weight s > alpha of
+    ``spectrum``, where k is the point's ``pole_order_k``: a root whose
+    longest Jordan chain has length k + 1 brings log powers up to k.  Only
+    the ``lambda_root`` and ``pole_order_k`` attributes of the points are
+    read.  ``alpha`` = -inf gives the set generated by every root.
     """
-    if spec_b is None:
-        if not op.imspec_p00:
-            raise WeightConditionError("no spectral data supplied")
-        spec_b = [(s, 0) for s in op.imspec_p00]
-        warnings.warn(
-            "no pole-order data supplied: predicting exponents with log power 0",
-            stacklevel=2,
-        )
-    alpha = exact_real(alpha)
-    K = make_index_set([(s, k) for s, k in spec_b if exact_real(s) > alpha])
-    if statement == "L2":
-        return K, shift(K, op.am)
-    if statement == "Hsplit":
-        return shift(K, -op.am), K
-    raise ValueError("statement must be 'L2' or 'Hsplit'")
+    alpha = exact_extended(alpha)
+    return make_index_set(
+        [(p.lambda_root, p.pole_order_k) for p in spectrum if exact_real(p.lambda_root) > alpha]
+    )
+
+
+def regularity_predict(op: SplitOperator, alpha, spectrum):
+    """Index sets (K, x^(am) K) of the harmonic and perpendicular parts of a
+    kernel element in x^alpha L2, with K = :func:`kernel_index_set` of the
+    critical weights ``spectrum`` (``SpectrumPoint``s of the indicial
+    family).  For a kernel element of the split Sobolev space the prefactor
+    moves to the harmonic side: both sets shift by -am.
+    """
+    K = kernel_index_set(spectrum, alpha)
+    return K, shift(K, op.am)

@@ -270,8 +270,27 @@ def test_solve_warns_when_ill_conditioned(tmp_path, capsys):
 def test_verify_cli(tmp_path):
     m = model_file(tmp_path)
     out = str(tmp_path / "verify.json")
-    assert main(["verify", "--model", m, "--alpha", "0", "--out", out]) == 0
-    assert json.load(open(out))["verdict"] == "PASS"
+    # --alpha is read exactly and written back as an int or a "p/q" string
+    for alpha, echo in (("0", 0), ("1/3", "1/3")):
+        assert main(["verify", "--model", m, "--alpha", alpha, "--out", out]) == 0
+        got = json.load(open(out))
+        assert got["verdict"] == "PASS" and got["alpha"] == echo
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_verify_cli_rejects_non_finite_alpha_first(tmp_path, monkeypatch, capsys, alpha):
+    import phicalc.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "verify_predictions", no_run)
+    out = tmp_path / "verify.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", f"--alpha={alpha}", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compose_cli_split_route(tmp_path):

@@ -24,6 +24,7 @@ from phicalc.models import (
     solve_harmonic,
     verify_predictions,
 )
+from phicalc.models import harmonic
 from phicalc.models.harmonic import SampledSolution, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
 from phicalc.models.spectrum import _mode_roots
@@ -578,3 +579,21 @@ def test_verify_predictions_passes():
     assert by_mode[((0,), (0,))]["in_L2"] is False
     assert by_mode[((1,), (0,))]["matched"] is not None
     assert by_mode[((0,), (1,))]["superpoly"]
+
+
+def test_verify_predictions_flags_a_log_power_above_the_prediction(monkeypatch):
+    """The root near 0.618 is simple, so its predicted log power is 0."""
+    real_fit = harmonic.fit_exponents
+
+    def fit_with_log(sol):
+        fit = real_fit(sol)
+        if fit.mode == ((1,), (0,)):
+            fit.fitted_log_power = 1
+        return fit
+
+    monkeypatch.setattr(harmonic, "fit_exponents", fit_with_log)
+    rep = verify_predictions(MODEL)
+    assert not rep.checks["exponents_match_spectrum"] and not rep.passed
+    row = next(r for r in rep.rows if r["mode"] == [[1], [0]])
+    assert abs(row["matched"] - GOLD) < 1e-9
+    assert (row["log_power"], row["predicted_log_power"]) == (1, 0)

@@ -3,6 +3,9 @@
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +47,9 @@ from phicalc.parametrix import (
     step2_offdiagonal,
     step3_lf_correction,
 )
+from phicalc.acceptance import _enum_closure
 from phicalc.indexsets import exact_real, make_index_set, shift
+from phicalc.models.spectrum import SpectrumPoint
 from phicalc import opclasses as oc
 from phicalc import parametrix as px
 
@@ -520,28 +525,44 @@ def test_fredholm_gates_are_distinct():
 
 def test_regularity_prediction_from_spectrum():
     op = op_gb()
-    spec_b = [(-2, 0), (-1, 0), (0, 1), (1, 0), (2, 0)]
-    pi_set, perp_set = regularity_predict(op, 0.0, spec_b=spec_b)
+    # the double root 0 has a Jordan chain of length 2: log power 1
+    spectrum = [SpectrumPoint(s, (0,), 1 if s == 0 else 0) for s in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    pi_set, perp_set = regularity_predict(op, 0.0, spectrum)
     assert pi_set == make_index_set([((1.0, 0.0), 0)])
     assert perp_set == shift(pi_set, op.am)
-
-
-def test_regularity_prediction_warns_without_pole_data():
-    op = op_gb()
-    with pytest.warns(UserWarning):
-        pi_set, perp_set = regularity_predict(op, 0.0)
-    assert pi_set == make_index_set([((1.0, 0.0), 0)])
+    pi_set, perp_set = regularity_predict(op, Fraction(-1, 2), spectrum)
+    assert pi_set == make_index_set([(0, 1)])
+    assert pi_set.member(1, 1) and not pi_set.member(0, 2)
+    assert perp_set == shift(pi_set, op.am)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, True])
 def test_regularity_prediction_rejects_bad_log_power(k):
     with pytest.raises(TypeError):
-        regularity_predict(op_gb(), 0.0, spec_b=[(1, k)])
+        regularity_predict(op_gb(), 0.0, [SpectrumPoint(1.0, (0,), k)])
 
 
-def test_regularity_prediction_split_statement():
-    op = op_gb()
-    spec_b = [(0, 1), (1, 0)]
-    pi_set, perp_set = regularity_predict(op, 0.0, spec_b=spec_b, statement="Hsplit")
-    assert perp_set == make_index_set([((1.0, 0.0), 0)])
-    assert pi_set == shift(perp_set, -op.am)
+_ROOTS = st.lists(
+    st.tuples(st.fractions(-3, 3, max_denominator=6), st.integers(0, 2)), max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_ROOTS, alpha=st.fractions(-4, 4, max_denominator=6))
+@example(spec=[(Fraction(1, 3), 0), (Fraction(4, 3), 1)], alpha=Fraction(0))
+def test_kernel_index_set_truncation_matches_oracle(spec, alpha):
+    """K's members below the top are the closure of the roots above alpha."""
+    K = px.kernel_index_set([SpectrumPoint(s, (0,), k) for s, k in spec], alpha)
+    top = 4
+    want = _enum_closure([(s, 0, k) for s, k in spec if s > alpha], top)
+    assert set(K.truncate(top)) == want
+
+
+def test_parametrix_imports_no_numerics():
+    """The replay path starts without numpy or scipy: the numerics import
+    the parametrix engine, never the reverse."""
+    src = str(Path(px.__file__).resolve().parents[1])
+    code = "import sys, phicalc.parametrix; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
