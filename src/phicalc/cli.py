@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import acceptance
 from .indexsets import IndexSet, geq, greater_than
 from . import indexsets
-from .jsonio import JsonInputError, load_json, write_csv, write_json
+from .jsonio import JsonInputError, load_document, write_csv, write_json
 from .models import (
     ModelGeometry,
     fit_exponents,
@@ -28,47 +28,19 @@ from .models import (
 from .models.geometry import assemble_DV
 from .models.harmonic import FitError
 from .opclasses import (
-    ClassSum,
     CompositionError,
     GeomConstants,
-    OpClass,
     compose,
+    entry_from_json,
     lift_b_to_phi,
 )
 from .parametrix import ParametrixError, SplitOperator, parametrix_report
-
-_MODEL_KEYS = {"a", "base", "fiber", "x_max"}
 
 
 def _load_model(path: str | None) -> ModelGeometry:
     if path is None:
         return ModelGeometry()
-    data = load_json(path)
-    unknown = set(data) - _MODEL_KEYS
-    if unknown:
-        raise JsonInputError(f"{path}: unknown model fields {sorted(unknown)}")
-    try:
-        return ModelGeometry.from_json(data)
-    except (TypeError, ValueError) as exc:
-        raise JsonInputError(f"{path}: not a valid model document: {exc}")
-
-
-def _load_class(path: str):
-    data = load_json(path)
-    try:
-        if "sum" in data:
-            return ClassSum.from_json(data)
-        return OpClass.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise JsonInputError(f"{path}: not a valid operator-class document: {exc}")
-
-
-def _load_index_set(path: str) -> IndexSet:
-    data = load_json(path)
-    try:
-        return IndexSet.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise JsonInputError(f"{path}: not a valid index-set document: {exc}")
+    return load_document(path, ModelGeometry.from_json, "model")
 
 
 def _positive(value: float, what: str) -> float:
@@ -97,42 +69,37 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _cmd_idx(args) -> int:
-    if args.op in ("add", "union"):
-        I = _load_index_set(args.inputs[0])
-        J = _load_index_set(args.inputs[1])
-        out = indexsets.add(I, J) if args.op == "add" else indexsets.extended_union(I, J)
-        write_json(out.to_json(), args.out)
-        return 0
-    I = _load_index_set(args.inputs[0])
-    if args.op == "shift":
+    want = 2 if args.op in ("add", "union") else 1
+    if len(args.inputs) != want:
+        raise JsonInputError(f"idx {args.op} takes {want} input file(s), got {len(args.inputs)}")
+    I, *rest = [load_document(p, IndexSet.from_json, "index-set") for p in args.inputs]
+    if args.op == "add":
+        out = indexsets.add(I, *rest).to_json()
+    elif args.op == "union":
+        out = indexsets.extended_union(I, *rest).to_json()
+    elif args.op == "shift":
         if args.by is None:
             raise JsonInputError("idx shift needs --by")
-        out = indexsets.shift(I, args.by)
-        write_json(out.to_json(), args.out)
-        return 0
-    if args.op == "scale":
+        out = indexsets.shift(I, args.by).to_json()
+    elif args.op == "scale":
         if args.by is None or args.by.denominator != 1:
             raise JsonInputError(f"idx scale needs --by a positive integer, got {args.by}")
-        out = indexsets.scale(I, int(args.by))
-        write_json(out.to_json(), args.out)
-        return 0
-    # compare
-    if args.alpha is None:
-        raise JsonInputError("idx compare needs --alpha")
-    write_json(
-        {
+        out = indexsets.scale(I, int(args.by)).to_json()
+    else:
+        if args.alpha is None:
+            raise JsonInputError("idx compare needs --alpha")
+        out = {
             "alpha": indexsets.number_to_json(args.alpha),
             "greater_than": greater_than(I, args.alpha),
             "geq": geq(I, args.alpha),
-        },
-        args.out,
-    )
+        }
+    write_json(out, args.out)
     return 0
 
 
 def _cmd_compose(args) -> int:
-    P = _load_class(args.left)
-    Q = _load_class(args.right)
+    P = load_document(args.left, entry_from_json, "operator-class")
+    Q = load_document(args.right, entry_from_json, "operator-class")
     geom = GeomConstants(a=args.a, b_dim=args.b_dim)
     out = compose(P, Q, geom, route=args.route)
     write_json(out.to_json(), args.out)
@@ -140,23 +107,17 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    T = _load_class(args.input)
-    if not isinstance(T, OpClass):
-        raise JsonInputError(f"{args.input}: lifting needs a single class, not a sum")
+    T = load_document(args.input, entry_from_json, "operator-class")
     try:
         main, res = lift_b_to_phi(T, a=args.a, b_dim=args.b_dim)
-    except TypeError as exc:  # not a b-class with a full index family
+    except TypeError as exc:  # not a single b-class with a full index family
         raise JsonInputError(f"{args.input}: {exc}")
     write_json({"main": main.to_json(), "residual": res.to_json()}, args.out)
     return 0
 
 
 def _cmd_parametrix(args) -> int:
-    data = load_json(args.op)
-    try:
-        op = SplitOperator.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise JsonInputError(f"{args.op}: not a valid split-operator document: {exc}")
+    op = load_document(args.op, SplitOperator.from_json, "split-operator")
     report = parametrix_report(op, args.alpha)
     write_json(report, args.report)
     return 0 if report["verdict"] == "PASS" else 1
@@ -322,21 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except JsonInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CompositionError, ParametrixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .jsonio import json_list, json_object
 
 __all__ = [
     "IndexSet",
@@ -58,6 +60,7 @@ Exact = Union[int, Fraction]
 
 #: largest denominator that :func:`exact_real` gives a float
 MAX_DENOMINATOR = 10**6
+_INF_JSON = {math.inf: "inf", -math.inf: "-inf"}
 
 
 def exact_real(v: RealLike) -> Exact:
@@ -176,13 +179,12 @@ class IndexSet:
 
     @staticmethod
     def from_json(data: dict) -> "IndexSet":
-        if data.get("empty") and not data.get("generators"):
-            return EMPTY
-        gens = [
+        # one check per set, none per generator: this runs on every set read
+        data = json_object(data, _SET_FIELDS, "index set")
+        return make_index_set([
             ((number_from_json(g["re"]), number_from_json(g["im"])), g["k"])
-            for g in data.get("generators", [])
-        ]
-        return make_index_set(gens)
+            for g in json_list(data.get("generators", []), "generators")
+        ])
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -195,17 +197,21 @@ class IndexSet:
 
 
 def number_to_json(v: RealLike):
-    """JSON form of a finite number: an int when it is whole, "p/q" for
-    any other Fraction, and any other float as it is."""
+    """JSON form of an extended real: an int when it is whole, "p/q" for
+    any other Fraction, "inf" and "-inf" for the infinities, and any other
+    float as it is."""
     if isinstance(v, float):
-        return int(v) if v.is_integer() else v
+        return int(v) if v.is_integer() else _INF_JSON.get(v, v)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def number_from_json(v) -> RealLike:
-    """Read a number written by :func:`number_to_json`.  Strings ("p/q" or
-    decimal) are read exactly; a float stays a float unless it is whole."""
+    """Read a number written by :func:`number_to_json`.  Strings ("p/q",
+    decimal, "inf" or "-inf") are read exactly; a float stays a float
+    unless it is whole."""
     if isinstance(v, str):
+        if v in ("inf", "-inf"):
+            return float(v)
         q = Fraction(v)
         return q.numerator if q.denominator == 1 else q
     if isinstance(v, float):
@@ -216,6 +222,7 @@ def number_from_json(v) -> RealLike:
 
 
 EMPTY = IndexSet()
+_SET_FIELDS = frozenset({"empty", "generators"})
 
 
 def make_index_set(generators: Sequence) -> IndexSet:
@@ -319,6 +326,7 @@ def geq(I: IndexSet, alpha: RealLike) -> bool:
 
 _B_FACES = ("lf", "rf", "bf")
 _PHI_FACES = ("lf", "rf", "bf", "ff")
+_FAMILY_FIELDS = frozenset(("kind",) + _PHI_FACES)
 
 
 @dataclass(frozen=True)
@@ -349,13 +357,10 @@ class IndexFamily:
     def face(self, name: str) -> IndexSet:
         if name not in self.faces:
             raise KeyError(f"{self.kind}-type family has no face {name!r}")
-        value = getattr(self, name)
-        return value
+        return getattr(self, name)
 
     def replace(self, **updates) -> "IndexFamily":
-        fields = {f: getattr(self, f) for f in ("kind", "lf", "rf", "bf", "ff")}
-        fields.update(updates)
-        return IndexFamily(**fields)
+        return replace(self, **updates)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -365,11 +370,9 @@ class IndexFamily:
 
     @staticmethod
     def from_json(data: dict) -> "IndexFamily":
-        kind = data["kind"]
-        sets = {f: IndexSet.from_json(data[f]) for f in (_B_FACES if kind == "b" else _PHI_FACES)}
-        if kind == "b":
-            sets["ff"] = None
-        return IndexFamily(kind=kind, **sets)
+        kind = json_object(data, _FAMILY_FIELDS, "index family")["kind"]
+        faces = _B_FACES if kind == "b" else _PHI_FACES
+        return IndexFamily(kind, *(IndexSet.from_json(data[f]) for f in faces))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{f}={self.face(f)!r}" for f in self.faces)

@@ -28,6 +28,8 @@ from itertools import product
 
 import numpy as np
 
+from ..jsonio import json_list, json_object
+
 __all__ = [
     "ModelGeometry",
     "FibreBasisElement",
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_MODEL_FIELDS = frozenset({"a", "base", "fiber", "x_max"})
+_TORUS_FIELDS = frozenset({"circumferences"})
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class ModelGeometry:
     base_circumferences: tuple = (TWO_PI,)
     fiber_circumferences: tuple = (TWO_PI,)
     x_max: float = 1.0
-    volume_convention: str = "b"
 
     def __post_init__(self):
         a = self.a
@@ -58,8 +61,6 @@ class ModelGeometry:
         if not (numeric and float(a).is_integer() and a >= 1):
             raise ValueError(f"degeneracy order a must be a positive integer, got {a!r}")
         object.__setattr__(self, "a", int(a))
-        if self.volume_convention != "b":
-            raise ValueError("the reference volume is the b-volume dx/x dy dz")
         object.__setattr__(self, "base_circumferences", tuple(float(L) for L in self.base_circumferences))
         object.__setattr__(self, "fiber_circumferences", tuple(float(L) for L in self.fiber_circumferences))
         if not all(math.isfinite(L) and L > 0 for L in self.base_circumferences + self.fiber_circumferences):
@@ -114,19 +115,23 @@ class ModelGeometry:
 
     @staticmethod
     def from_json(data: dict) -> "ModelGeometry":
+        json_object(data, _MODEL_FIELDS, "model")
+
+        def circumferences(key, default):
+            torus = json_object(data.get(key, {}), _TORUS_FIELDS, key)
+            return tuple(json_list(torus.get("circumferences", default), f"{key} circumferences"))
+
         return ModelGeometry(
             a=data.get("a", 1),
-            base_circumferences=tuple(data.get("base", {}).get("circumferences", (TWO_PI,))),
-            fiber_circumferences=tuple(data.get("fiber", {}).get("circumferences", ())),
+            base_circumferences=circumferences("base", [TWO_PI]),
+            fiber_circumferences=circumferences("fiber", []),
             x_max=data.get("x_max", 1.0),
         )
 
 
 def _as_tuple(v, length, what):
     if isinstance(v, (int, np.integer)):
-        v = (int(v),) * (1 if length == 1 else length)
-        if length == 0:
-            v = ()
+        v = (int(v),) * length
     v = tuple(int(x) for x in v)
     if len(v) != length:
         raise ValueError(f"{what} must have {length} entries, got {v}")

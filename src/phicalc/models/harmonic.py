@@ -502,18 +502,13 @@ def verify_predictions(model: ModelGeometry, alpha=0) -> VerifyReport:
             }
         )
 
-    # discretization consistency under grid halving on a known root
-    s_root = max((r for r in roots if r > 0), default=None)
-    if s_root is None:
-        ratios = (math.nan, math.nan)
-        conv_ok = False
-    else:
-        res = [
-            discrete_residual(model, (1,) * model.b, _scalar_root(model, 1), n=nn)
-            for nn in (128, 256, 512)
-        ]
-        ratios = (res[0] / res[1], res[1] / res[2])
-        conv_ok = all(3.6 <= r <= 4.4 for r in ratios)
+    # grid-halving consistency at the closed-form decaying root of base mode 1
+    res = [
+        discrete_residual(model, (1,) * model.b, _scalar_root(model, 1), n=nn)
+        for nn in (128, 256, 512)
+    ]
+    ratios = (res[0] / res[1], res[1] / res[2])
+    conv_ok = all(3.6 <= r <= 4.4 for r in ratios)
 
     checks = {
         "exponents_match_spectrum": admissible_ok,

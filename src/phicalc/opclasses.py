@@ -60,6 +60,7 @@ from .indexsets import (
     number_to_json,
     number_from_json,
 )
+from .jsonio import json_list, json_object
 
 __all__ = [
     "OpClass",
@@ -97,6 +98,7 @@ __all__ = [
     "eq_classes",
     "fold",
     "RuleApp",
+    "entry_from_json",
     "recording",
     "replay_chain",
 ]
@@ -105,6 +107,10 @@ NEG_INF = float("-inf")
 INF = float("inf")
 
 _KINDS = ("b", "phi", "bphi", "sus-phi", "zero")
+_CLASS_FIELDS = frozenset({"kind", "order", "spec", "xl", "xr", "vanish", "proj"})
+_SPEC_FIELDS = frozenset({"weight", "family"})
+_PROJ_FIELDS = frozenset({"side", "power"})
+_SUM_FIELDS = frozenset({"sum"})
 
 
 class CompositionError(Exception):
@@ -188,6 +194,8 @@ class OpClass:
         for name in ("order", "xl", "xr"):
             object.__setattr__(self, name, exact_extended(getattr(self, name)))
         if self.proj is not None:
+            if self.proj[0] not in ("left", "right"):
+                raise ValueError(f"projector side must be 'left' or 'right', got {self.proj[0]!r}")
             object.__setattr__(self, "proj", (self.proj[0], exact_extended(self.proj[1])))
         if isinstance(self.spec, IndexFamily):
             expected = "b" if self.kind == "b" else "phi"
@@ -249,27 +257,32 @@ class OpClass:
 
     @staticmethod
     def from_json(data: dict) -> "OpClass":
-        kind = data["kind"]
+        kind = json_object(data, _CLASS_FIELDS, "operator class")["kind"]
+        if not isinstance(kind, str):
+            raise TypeError(f"class kind must be a string, got {kind!r}")
         ext = kind.endswith("-ext")
         if ext:
             kind = kind[: -len("-ext")]
         spec = data.get("spec")
         if spec is None:
             parsed = None
-        elif "weight" in spec:
-            parsed = Weight(_num_load(spec["weight"]))
+        elif "weight" in json_object(spec, _SPEC_FIELDS, "class spec"):
+            parsed = Weight(number_from_json(spec["weight"]))
         else:
             parsed = IndexFamily.from_json(spec["family"])
         proj = data.get("proj")
+        if proj is not None:
+            json_object(proj, _PROJ_FIELDS, "projector decoration")
+            proj = (proj["side"], number_from_json(proj["power"]))
         return OpClass(
             kind=kind,
-            order=_num_load(data["order"]),
+            order=number_from_json(data["order"]),
             spec=parsed,
-            xl=_num_load(data.get("xl", 0)),
-            xr=_num_load(data.get("xr", 0)),
+            xl=number_from_json(data.get("xl", 0)),
+            xr=number_from_json(data.get("xr", 0)),
             ext=ext,
-            vanish=frozenset(data.get("vanish", ())),
-            proj=None if proj is None else (proj["side"], _num_load(proj["power"])),
+            vanish=frozenset(json_list(data.get("vanish", []), "vanish")),
+            proj=proj,
         )
 
     def __repr__(self) -> str:
@@ -281,11 +294,11 @@ class OpClass:
         if self.ext:
             name += ",ext"
         if isinstance(self.spec, Weight):
-            sup = f"^({_num_json(self.order)},{_num_json(self.spec.alpha)})"
+            sup = f"^({number_to_json(self.order)},{number_to_json(self.spec.alpha)})"
         elif isinstance(self.spec, IndexFamily):
-            sup = f"^({_num_json(self.order)},{self.spec!r})"
+            sup = f"^({number_to_json(self.order)},{self.spec!r})"
         else:
-            sup = f"^({_num_json(self.order)})"
+            sup = f"^({number_to_json(self.order)})"
         left = "" if self.xl == 0 else f"x^{_fmtpow(self.xl)} "
         right = "" if self.xr == 0 else f" x^{_fmtpow(self.xr)}"
         van = "" if not self.vanish else f"[{','.join(sorted(self.vanish))}=0]"
@@ -303,17 +316,17 @@ class OpClass:
 def _class_json(P: OpClass) -> dict:
     spec = P.spec  # None for the kinds without a boundary spec
     if isinstance(spec, Weight):
-        spec = {"weight": _num_json(spec.alpha)}
+        spec = {"weight": number_to_json(spec.alpha)}
     elif isinstance(spec, IndexFamily):
         spec = {"family": spec.to_json()}
     return {
         "kind": P.kind + ("-ext" if P.ext else ""),
-        "order": _num_json(P.order),
+        "order": number_to_json(P.order),
         "spec": spec,
-        "xl": _num_json(P.xl),
-        "xr": _num_json(P.xr),
+        "xl": number_to_json(P.xl),
+        "xr": number_to_json(P.xr),
         "vanish": sorted(P.vanish),
-        "proj": None if P.proj is None else {"side": P.proj[0], "power": _num_json(P.proj[1])},
+        "proj": None if P.proj is None else {"side": P.proj[0], "power": number_to_json(P.proj[1])},
     }
 
 
@@ -356,25 +369,9 @@ def _stored(P: OpClass, name: str, make):
     return value
 
 
-def _num_json(v):
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return number_to_json(v)
-
-
-def _num_load(v):
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return -INF
-    return number_from_json(v)
-
-
 def _fmtpow(v):
     """An exponent after ``^``: a fraction is bracketed, ``x^(1/2)``."""
-    s = str(_num_json(v))
+    s = str(number_to_json(v))
     return f"({s})" if "/" in s else s
 
 
@@ -436,12 +433,10 @@ class ClassSum:
         for t in self.terms:
             if isinstance(t, ClassSum):
                 flat.extend(t.terms)
-            elif isinstance(t, OpClass) and not t.is_zero:
-                flat.append(t)
-            elif isinstance(t, OpClass):
-                pass
-            else:
+            elif not isinstance(t, OpClass):
                 raise TypeError(f"bad sum term {t!r}")
+            elif not t.is_zero:
+                flat.append(t)
         object.__setattr__(self, "terms", tuple(flat))
 
     @property
@@ -453,7 +448,8 @@ class ClassSum:
 
     @staticmethod
     def from_json(data) -> "ClassSum":
-        return ClassSum(tuple(OpClass.from_json(t) for t in data["sum"]))
+        terms = json_list(json_object(data, _SUM_FIELDS, "class sum")["sum"], "sum")
+        return ClassSum(tuple(OpClass.from_json(t) for t in terms))
 
     def __repr__(self):
         if self.is_zero:
@@ -766,8 +762,8 @@ def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
     keeps the conormal order with ff-set bf + a(-m); the second is
     smoothing with ff-set bf + a((-m) extended-union (b_dim + 1)).
     """
-    if T.kind != "b" or not isinstance(T.spec, IndexFamily):
-        raise TypeError("lifting needs a b-kind class with a full index family")
+    if not (isinstance(T, OpClass) and T.kind == "b" and isinstance(T.spec, IndexFamily)):
+        raise TypeError("lifting needs a single b-kind class with a full index family")
     _refuse_decorated(T, "lifting")
     m = T.order
     if m >= 0:
@@ -831,7 +827,7 @@ def _bounded_targets(alpha, beta, strict_all=False):
     }
 
 
-def is_bounded(P: Entry, alpha, beta, k=None) -> bool:
+def is_bounded(P: Entry, alpha, beta) -> bool:
     """Certify boundedness x^alpha H^(k+m) -> x^beta H^k.
 
     lf > beta, rf > -alpha, bf >= beta - alpha (all kinds); phi-kind also
@@ -839,7 +835,6 @@ def is_bounded(P: Entry, alpha, beta, k=None) -> bool:
     certify summand-wise.  The Sobolev order k does not enter the face
     conditions.
     """
-    del k
     terms = as_terms(P)
     if not terms:
         return True
@@ -860,9 +855,8 @@ def is_bounded(P: Entry, alpha, beta, k=None) -> bool:
     return True
 
 
-def is_compact(P: Entry, alpha, beta, k=None) -> bool:
+def is_compact(P: Entry, alpha, beta) -> bool:
     """Certify compactness: negative order and strict face inequalities."""
-    del k
     terms = as_terms(P)
     if not terms:
         return True
@@ -927,14 +921,15 @@ class RuleApp:
     def from_json(data: dict) -> "RuleApp":
         return RuleApp(
             data["rule"],
-            tuple(_entry_load(i) for i in data["inputs"]),
+            tuple(entry_from_json(i) for i in data["inputs"]),
             data["params"],
-            _entry_load(data["output"]),
+            entry_from_json(data["output"]),
         )
 
 
-def _entry_load(data) -> Entry:
-    if "sum" in data:
+def entry_from_json(data) -> Entry:
+    """Read a class or, for an object with a ``"sum"`` key, a class sum."""
+    if isinstance(data, dict) and "sum" in data:
         return ClassSum.from_json(data)
     return OpClass.from_json(data)
 
@@ -1015,7 +1010,7 @@ def rule_f(P: OpClass, c, Q: OpClass) -> ClassSum:
             OpClass("bphi", _xadd(P.order, Q.order), None, xl=c, ext=P.ext or Q.ext),
         )
     )
-    return _rec("mixed-split", (P, Q), {"c": _num_json(c)}, out)
+    return _rec("mixed-split", (P, Q), {"c": number_to_json(c)}, out)
 
 
 def _e_normalize(P: OpClass) -> OpClass:
@@ -1139,14 +1134,14 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
         if c < 0:
             raise UnsupportedComposition("negative interior power between bphi factors")
         out = bphi_class(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
-        return _rec("compose-bphi", (P, Q), {"c": _num_json(c)}, out)
+        return _rec("compose-bphi", (P, Q), {"c": number_to_json(c)}, out)
     if P.kind == "bphi" and isinstance(Q.spec, Weight) and Q.kind == "phi":
         alpha = Q.spec.alpha
-        P2 = _rec("bphi-at-weight", (P,), {"alpha": _num_json(alpha)}, _bphi_at_weight(P, alpha))
+        P2 = _rec("bphi-at-weight", (P,), {"alpha": number_to_json(alpha)}, _bphi_at_weight(P, alpha))
         return _compose_core(P2, Q, c, geom, route)
     if Q.kind == "bphi" and isinstance(P.spec, Weight) and P.kind == "phi":
         alpha = P.spec.alpha
-        Q2 = _rec("bphi-at-weight", (Q,), {"alpha": _num_json(alpha)}, _bphi_at_weight(Q, alpha))
+        Q2 = _rec("bphi-at-weight", (Q,), {"alpha": number_to_json(alpha)}, _bphi_at_weight(Q, alpha))
         return _compose_core(P, Q2, c, geom, route)
 
     if not (isinstance(P.spec, Weight) and isinstance(Q.spec, Weight)):
@@ -1163,13 +1158,13 @@ def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
             # Psi_lf x^c subset x^c Psi_lf: keep the power on the left
             out = _compose_core(P, Q, 0, geom, route)
             out = multiply_x_power(out, c, "left")
-            return _rec("power-left-of-lf-vanishing", (P, Q), {"c": _num_json(c)}, out)
+            return _rec("power-left-of-lf-vanishing", (P, Q), {"c": number_to_json(c)}, out)
         if _face_empty(Q, "rf"):
             out = _compose_core(P, Q, 0, geom, route)
             out = multiply_x_power(out, c, "right")
-            return _rec("power-right-of-rf-vanishing", (P, Q), {"c": _num_json(c)}, out)
+            return _rec("power-right-of-rf-vanishing", (P, Q), {"c": number_to_json(c)}, out)
         # generic weakening: x^c Q subset Q for c >= 0
-        _rec("absorb-power", (Q,), {"c": _num_json(c)}, Q)
+        _rec("absorb-power", (Q,), {"c": number_to_json(c)}, Q)
         return _compose_core(P, Q, 0, geom, route)
 
     kp, kq = P.kind, Q.kind
@@ -1245,8 +1240,8 @@ def _compose_small(P: OpClass, Q: OpClass, c, geom) -> Entry:
     if c != 0:
         side = "left" if small_left else "right"
         out = multiply_x_power(out, c, side)
-        _rec("conjugate-small", (small,), {"c": _num_json(c), "side": side}, small)
-    return _rec("small-absorb", (P, Q), {"c": _num_json(c)}, out)
+        _rec("conjugate-small", (small,), {"c": number_to_json(c), "side": side}, small)
+    return _rec("small-absorb", (P, Q), {"c": number_to_json(c)}, out)
 
 
 def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
@@ -1268,7 +1263,7 @@ def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
         )
     famQ = Q.spec
     if c != 0:
-        famQ = _rec("power-into-family", (Q,), {"c": _num_json(c)}, _power_into_family(Q, c)).spec
+        famQ = _rec("power-into-family", (Q,), {"c": number_to_json(c)}, _power_into_family(Q, c)).spec
     if not greater_than(add(P.spec.rf, famQ.lf), 0):
         raise IntegrabilityError(
             "composition needs rf index set of the left factor plus lf index "
@@ -1276,7 +1271,7 @@ def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
         )
     K = compose_families(P.spec, famQ, geom.A)
     out = OpClass("phi", _xadd(P.order, Q.order), K, ext=P.ext or Q.ext)
-    return _rec("compose-full", (P, Q), {"A": geom.A, "c": _num_json(c)}, out)
+    return _rec("compose-full", (P, Q), {"A": geom.A, "c": number_to_json(c)}, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1304,7 +1299,7 @@ def replay_chain(chain, geom: GeomConstants | None = None) -> bool:
 
 def _replay_one(rec: RuleApp, geom) -> bool:
     rule, ins, params = rec.rule, rec.inputs, rec.params
-    c = _num_load(params.get("c", 0))
+    c = number_from_json(params.get("c", 0))
     try:
         if rule in CHAIN_PRIMITIVES:
             got = CHAIN_PRIMITIVES[rule](params)
@@ -1340,7 +1335,7 @@ def _replay_one(rec: RuleApp, geom) -> bool:
         elif rule == "bphi-at-weight":
             if ins[0].kind != "bphi":
                 return False
-            got = _bphi_at_weight(ins[0], _num_load(params["alpha"]))
+            got = _bphi_at_weight(ins[0], number_from_json(params["alpha"]))
         else:
             raise KeyError(f"unknown rule {rule!r} in derivation chain")
         return got == rec.output or eq_classes(got, rec.output)

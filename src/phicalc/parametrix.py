@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .indexsets import (
     exact_extended,
@@ -38,6 +38,7 @@ from .indexsets import (
     number_to_json,
     shift,
 )
+from .jsonio import json_list, json_object
 from . import opclasses as oc
 from .opclasses import (
     CHAIN_PRIMITIVES,
@@ -215,6 +216,9 @@ class SplitOperator:
             if isinstance(v, bool):
                 raise TypeError(f"{name} must be an integer, got a boolean")
             setattr(self, name, operator.index(v))
+        for name in ("normal_invertible", "p00_elliptic", "phi_elliptic"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
         self.imspec_p00 = [exact_real(s) for s in self.imspec_p00]
         if self.a < 1 or self.m < 1:
             raise ValueError("degeneracy order a and operator order m must be >= 1")
@@ -243,18 +247,13 @@ class SplitOperator:
         Its harmonic block is the conjugated adjoint x^(-am) P00* x^(am);
         the critical weights reflect, then shift down by am.
         """
-        return SplitOperator(
-            a=self.a,
-            m=self.m,
+        return replace(
+            self,
             p00=adjoint_class(self.p00),
             p01=adjoint_class(self.p10),
             p10=adjoint_class(self.p01),
             p11=adjoint_class(self.p11),
             imspec_p00=[-s - self.am for s in self.imspec_p00],
-            normal_invertible=self.normal_invertible,
-            p00_elliptic=self.p00_elliptic,
-            phi_elliptic=self.phi_elliptic,
-            b_dim=self.b_dim,
         )
 
     def to_json(self):
@@ -274,10 +273,13 @@ class SplitOperator:
 
     @staticmethod
     def from_json(data: dict) -> "SplitOperator":
+        json_object(data, _SPLIT_FIELDS, "split operator")
+
         def cls(key):
             raw = data.get(key)
             return ZERO if raw is None else OpClass.from_json(raw)
 
+        imspec = json_list(data.get("imspec_p00", []), "imspec_p00")
         return SplitOperator(
             a=data["a"],
             m=data["m"],
@@ -285,12 +287,15 @@ class SplitOperator:
             p01=cls("p01"),
             p10=cls("p10"),
             p11=OpClass.from_json(data["p11"]),
-            imspec_p00=[number_from_json(s) for s in data.get("imspec_p00", [])],
-            normal_invertible=bool(data.get("normal_invertible", True)),
-            p00_elliptic=bool(data.get("p00_elliptic", True)),
-            phi_elliptic=bool(data.get("phi_elliptic", True)),
+            imspec_p00=[number_from_json(s) for s in imspec],
+            normal_invertible=data.get("normal_invertible", True),
+            p00_elliptic=data.get("p00_elliptic", True),
+            phi_elliptic=data.get("phi_elliptic", True),
             b_dim=data.get("b_dim", 1),
         )
+
+
+_SPLIT_FIELDS = frozenset(f.name for f in fields(SplitOperator))
 
 
 def _small_split(m, a, b_dim, imspec) -> SplitOperator:

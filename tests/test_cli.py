@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from phicalc.cli import main
 from phicalc.indexsets import IndexSet, extended_union, make_index_set
@@ -55,6 +57,9 @@ def test_idx_add_shift_scale_compare(tmp_path):
     assert main(["idx", "compare", a, "--alpha", "0.5", "--out", out]) == 0
     cmp_out = json.load(open(out))
     assert cmp_out["greater_than"] and cmp_out["geq"]
+    # a wrong number of input files is a usage error, not a traceback
+    assert main(["idx", "union", a, "--out", out]) == 2
+    assert main(["idx", "shift", a, a, "--by", "2", "--out", out]) == 2
 
 
 def test_idx_shift_by_third_then_union_boosts_exactly(tmp_path, capsys):
@@ -332,6 +337,10 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert main(["idx", "union", str(bad), a]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+    deep = tmp_path / "deep.json"  # deeper than the decoder's recursion limit
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["idx", "union", str(deep), a]) == 2
+    assert "unreadable JSON" in capsys.readouterr().err
 
 
 def test_unknown_model_field_exit_2(tmp_path):
@@ -388,3 +397,104 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# no input file raises: every document kind, through the CLI
+
+_FIELDS = [
+    "empty", "generators", "re", "im", "k",  # index set
+    "kind", "lf", "rf", "bf", "ff",  # index family
+    "order", "spec", "weight", "family", "xl", "xr", "vanish", "proj", "side", "power", "sum",
+    "a", "m", "b_dim", "p00", "p01", "p10", "p11", "imspec_p00",  # split operator
+    "normal_invertible", "p00_elliptic", "phi_elliptic",
+    "base", "fiber", "circumferences", "x_max",  # model
+]
+_WORDS = ["b", "phi", "phi-ext", "bphi", "zero", "left", "right", "lf", "inf", "-inf", "1/3", "1/0"]
+# lists hold at most 3 entries: a model's dimension is 2^(1 + circles), so
+# long circumference lists would test memory, not the reader
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_FLAGS = ("normal_invertible", "p00_elliptic", "phi_elliptic")
+_GB = gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC).to_json()
+_LIFT_DOC = {"kind": "b", "order": -1, "spec": {"family": {
+    "kind": "b",
+    "lf": {"empty": True, "generators": []},
+    "rf": {"empty": True, "generators": []},
+    "bf": {"empty": False, "generators": [{"re": 0, "im": 0, "k": 0}]},
+}}}
+# each command with a valid document of its kind, which the fuzzer also patches
+_COMMANDS = {
+    "idx": (["idx", "union", "{doc}", "{doc}", "--out", "{out}"],
+            make_index_set([(0, 1), (Fraction(1, 3), 0)]).to_json()),
+    "compose": (["compose", "{doc}", "{doc}", "-a", "1", "--b-dim", "1", "--out", "{out}"],
+                {"kind": "phi", "order": -1, "spec": {"weight": 0}}),
+    "lift": (["lift", "{doc}", "-a", "1", "--b-dim", "1", "--out", "{out}"], _LIFT_DOC),
+    "parametrix": (["parametrix", "--op", "{doc}", "--alpha", "1/2", "--report", "{out}"], _GB),
+    "imspec": (["imspec", "--model", "{doc}", "--modes", "0", "--out", "{out}"],
+               {"a": 1, "base": {"circumferences": [6.28]}, "fiber": {"circumferences": [6.28]}}),
+}
+
+
+@st.composite
+def _command_and_document(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    seed = _COMMANDS[command][1]
+    patch = st.dictionaries(st.sampled_from(_FIELDS), _JSON, min_size=1, max_size=2)
+    return command, draw(_JSON | patch.map(lambda p: {**seed, **p}))
+
+
+def _gb_with(**fields):
+    return {**_GB, **fields}
+
+
+def _run(command, doc_path, out_path):
+    return main([a.format(doc=doc_path, out=out_path) for a in _COMMANDS[command][0]])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_command_and_document())
+@example(("idx", []))
+@example(("idx", 3))
+@example(("idx", "s"))
+@example(("imspec", []))
+@example(("imspec", 3))
+@example(("imspec", {"a": 1, "base": []}))
+@example(("compose", {"kind": {}}))
+@example(("lift", {"kind": {}}))
+@example(("parametrix", _gb_with(normal_invertible="false")))
+def test_no_input_file_raises(tmp_path, command_and_doc):
+    command, doc = command_and_doc
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = _run(command, path, tmp_path / "out")
+    assert code in (0, 1, 2)
+    if command == "parametrix" and isinstance(doc, dict) and any(
+        not isinstance(doc.get(f, True), bool) for f in _FLAGS
+    ):
+        assert code == 2  # a flag the construction relies on must be a JSON boolean
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("idx", {"generators": [], "extra": 1}),
+    ("idx", {"generators": {}}),
+    ("idx", {"generators": [{"re": "1/0", "im": 0, "k": 0}]}),
+    ("compose", {"kind": "phi", "order": -1, "spec": {"weight": 0, "alpha": 1}}),
+    ("compose", {"kind": "phi", "order": -1, "spec": {"weight": 0}, "vanish": {"lf": 1}}),
+    ("lift", {**_LIFT_DOC, "spec": {"family": {**_LIFT_DOC["spec"]["family"], "fb": None}}}),
+    ("parametrix", _gb_with(p00_elliptic=1)),
+    ("parametrix", _gb_with(imspec_p00="0")),
+    ("parametrix", _gb_with(p11={**_GB["p11"], "proj": {"side": {}, "power": 1}})),
+    ("imspec", {"a": 1, "base": {"circumferences": [6.28], "radius": 1}}),
+])
+def test_document_shape_errors_exit_2(tmp_path, capsys, command, doc):
+    # each was read, or raised, before: an unknown field in a nested object,
+    # a list field that is not a list, "1/0", a projector side that is not
+    # left/right, a flag that is not a boolean
+    path = jdump(tmp_path, "doc.json", doc)
+    assert _run(command, path, tmp_path / "out") == 2
+    assert "not a valid" in capsys.readouterr().err

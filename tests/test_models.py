@@ -1,5 +1,6 @@
 """Model numerics: indicial families, spectrum scans, gap, solves and fits."""
 
+import json
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from phicalc.models import (
     solve_harmonic,
     verify_predictions,
 )
+from phicalc.jsonio import dumps
 from phicalc.models import harmonic
 from phicalc.models.harmonic import SampledSolution, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
@@ -58,9 +60,13 @@ def test_model_validation_and_json():
     with pytest.raises(ValueError):
         ModelGeometry.from_json({"a": 1.5})
     assert ModelGeometry.from_json({"a": 2.0}).a == 2
-    m = ModelGeometry(a=2, base_circumferences=(2 * math.pi,), fiber_circumferences=(math.pi,))
-    again = ModelGeometry.from_json(m.to_json())
-    assert again == m
+    for m in (
+        ModelGeometry(a=2, base_circumferences=(2 * math.pi,), fiber_circumferences=(math.pi,)),
+        ModelGeometry(a=3, base_circumferences=(0.5, 1.25), fiber_circumferences=(), x_max=0.75),
+    ):
+        text = dumps(m.to_json())
+        again = ModelGeometry.from_json(json.loads(text))
+        assert again == m and dumps(again.to_json()) == text
 
 
 def test_fibre_harmonic_basis_dimensions():
@@ -597,3 +603,11 @@ def test_verify_predictions_flags_a_log_power_above_the_prediction(monkeypatch):
     row = next(r for r in rep.rows if r["mode"] == [[1], [0]])
     assert abs(row["matched"] - GOLD) < 1e-9
     assert (row["log_power"], row["predicted_log_power"]) == (1, 0)
+
+
+def test_verify_predictions_measures_convergence_without_a_root_in_the_window():
+    """Base circumference 0.5 puts every positive root above the window; the
+    grid-halving check still measures at the closed-form root of mode 1."""
+    rep = verify_predictions(ModelGeometry(base_circumferences=(0.5,)))
+    assert all(math.isfinite(r) for r in rep.convergence_ratios)
+    assert not rep.checks["discretization_second_order"]  # ratios 3.18 and 3.56

@@ -1,5 +1,6 @@
 """Operator-class algebra: combination rules, predicates, derivation replay."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import phicalc.opclasses as oc
 
 from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, small_family
+from phicalc.jsonio import dumps
 from phicalc.opclasses import (
     NEG_INF,
     ClassSum,
@@ -30,6 +32,7 @@ from phicalc.opclasses import (
     conjugate_by_power,
     contains,
     decompose_near_ff,
+    entry_from_json,
     eq_classes,
     fold,
     full_class,
@@ -573,7 +576,7 @@ def test_compose_fuzz_never_crashes_unhandled():
 
 
 def test_json_round_trip():
-    for cls in [
+    classes = [
         weight_phi(-1, 0.5, ext=True, xl=INF, xr=2, vanish=("lf",)),
         full_class("phi", 0, phi_family(ff=real_set(0))),
         bphi_class(NEG_INF),
@@ -581,8 +584,15 @@ def test_json_round_trip():
         OpClass("phi", Fraction(-1, 3), Weight(Fraction(1, 3)), xl=Fraction(2, 3),
                 proj=("right", Fraction(1, 3))),
         full_class("phi", 0, phi_family(ff=real_set(Fraction(1, 3)))),
-    ]:
-        assert OpClass.from_json(cls.to_json()) == cls
+        weight_b(NEG_INF, NEG_INF, xr=INF),
+        OpClass("phi", NEG_INF, Weight(INF), xl=-INF, proj=("left", INF)),
+    ]
+    for entry in classes + [ClassSum(tuple(classes)), ClassSum((weight_b(NEG_INF, 0, xl=INF),))]:
+        text = dumps(entry.to_json())
+        again = entry_from_json(json.loads(text))
+        assert again == entry and type(again) is type(entry)
+        assert dumps(again.to_json()) == text
+    assert weight_b(NEG_INF, 0, xl=INF).to_json()["order"] == "-inf"
 
 
 def test_projector_decoration_must_be_expanded():

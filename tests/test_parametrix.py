@@ -21,7 +21,9 @@ from phicalc.opclasses import (
     bphi_class,
     contains,
     eq_classes,
+    ZERO,
     replay_chain,
+    small_b,
     small_phi,
     weight_b,
     weight_phi,
@@ -49,6 +51,7 @@ from phicalc.parametrix import (
 )
 from phicalc.acceptance import _enum_closure
 from phicalc.indexsets import exact_real, make_index_set, shift
+from phicalc.jsonio import dumps
 from phicalc.models.spectrum import SpectrumPoint
 from phicalc import opclasses as oc
 from phicalc import parametrix as px
@@ -504,6 +507,14 @@ def test_report_json_round_trips_operator():
     assert again.a == op.a and again.m == op.m
     assert again.p00 == op.p00 and again.p11 == op.p11
     assert again.imspec_p00 == [float(s) for s in SPEC]
+    # a thirds spectrum, no off-diagonal blocks and cleared flags read back
+    # to the same operator and re-dump to the same bytes
+    odd = SplitOperator(2, 1, small_b(1), ZERO, ZERO, weight_phi(NEG_INF, 0, xl=INF),
+                        [Fraction(-1, 3), 2], normal_invertible=False, phi_elliptic=False, b_dim=3)
+    for x in (op, odd):
+        text = dumps(x.to_json())
+        again = SplitOperator.from_json(json.loads(text))
+        assert again == x and dumps(again.to_json()) == text
 
 
 # ---------------------------------------------------------------------------
