@@ -10,13 +10,14 @@ a result with a PASS/FAIL verdict, details, and its runtime.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .indexsets import EMPTY, IndexFamily, IndexSet, add, extended_union, make_index_set, real_set
+from .indexsets import EMPTY, IndexFamily, add, extended_union, make_index_set, real_set
 from .opclasses import GeomConstants, compose, full_class
 from .parametrix import (
     check_weight,
@@ -62,6 +63,23 @@ class CriterionResult:
         }
 
 
+def _criterion(number: int, name: str, limit: float):
+    """Turn a check ``model -> (ok, details)`` into a criterion: timed, and
+    passed only when the check holds within ``limit`` seconds."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run(model=None) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, details = check(model)
+            elapsed = time.perf_counter() - t0
+            return CriterionResult(number, name, ok and elapsed < limit, elapsed, limit, details)
+
+        return run
+
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # truncation-level oracle helpers (independent of the canonical algebra);
 # members keep the exact exponents of the generators, so sums of thirds
@@ -78,10 +96,6 @@ def _enum_closure(generators, re_max, step=1):
                 out.add((re, im, kk))
             re += step
     return out
-
-
-def _enum_set(index_set: IndexSet, re_max):
-    return _enum_closure(index_set.generators, re_max)
 
 
 def _enum_add(A, B, re_max):
@@ -115,8 +129,8 @@ def _enum_shift(A, r, re_max):
 # criterion 1: index algebra
 
 
-def criterion_1(model=None) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(1, "index-set algebra vs brute-force closure", 10.0)
+def criterion_1(model):
     details: dict = {}
     ok = True
 
@@ -143,13 +157,11 @@ def criterion_1(model=None) -> CriterionResult:
         oracle = _enum_closure([(g[0], g[1], g[2]) for g in I.generators], cutoff)
         # also close the raw generators: canonicalization must not change it
         raw = _enum_closure([(re, im, k) for ((re, im), k) in gens], cutoff)
-        if oracle != raw or _enum_set(I, cutoff) != raw:
+        if oracle != raw:
             mismatches += 1
     ok &= mismatches == 0
     details["random_sets"] = {"count": 1000, "mismatches": mismatches}
-
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(1, "index-set algebra vs brute-force closure", ok and elapsed < 10, elapsed, 10.0, details)
+    return ok, details
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +224,8 @@ def _display_compose(I: IndexFamily, J: IndexFamily, A, cutoff, reach):
     return D, {"lf": trunc(Klf), "rf": trunc(Krf), "bf": trunc(Kbf), "ff": trunc(Kff)}
 
 
-def criterion_2(model=None) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "composite index families vs direct combination on truncations", 30.0)
+def criterion_2(model):
     rng = random.Random(2_000_003)
     cutoff, reach = 6, 14
     mismatches = []
@@ -230,16 +242,7 @@ def criterion_2(model=None) -> CriterionResult:
                     mine = {(re * D, im, k) for (re, im, k) in got.spec.face(name).truncate(cutoff)}
                     if mine != want[name]:
                         mismatches.append((name, I.to_json(), J.to_json(), a, b_dim))
-    elapsed = time.perf_counter() - t0
-    ok = not mismatches and elapsed < 30
-    return CriterionResult(
-        2,
-        "composite index families vs direct combination on truncations",
-        ok,
-        elapsed,
-        30.0,
-        {"pairs": 200, "evaluations": count, "mismatches": len(mismatches)},
-    )
+    return not mismatches, {"pairs": 200, "evaluations": count, "mismatches": len(mismatches)}
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +267,8 @@ _EXACT_LABELS = {
 }
 
 
-def criterion_3(model=None) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "five-step parametrix replay matches the stated classes", 5.0)
+def criterion_3(model):
     spec = [-2, -1, 0, 1, 2]
     failures = []
     runs = 0
@@ -285,26 +288,17 @@ def criterion_3(model=None) -> CriterionResult:
                             failures.append((a, m, alpha, assertion["label"]))
                         if assertion["label"] in _EXACT_LABELS and not assertion["exact"]:
                             failures.append((a, m, alpha, assertion["label"] + ":not-exact"))
-    elapsed = time.perf_counter() - t0
     # 13 admissible (a, m, alpha) combinations: alpha = 0 is admissible
     # only for am = 4, where alpha - am clears the integer spectrum
-    ok = not failures and elapsed < 5 and runs == 13
-    return CriterionResult(
-        3,
-        "five-step parametrix replay matches the stated classes",
-        ok,
-        elapsed,
-        5.0,
-        {"instances": runs, "failures": failures[:8]},
-    )
+    return not failures and runs == 13, {"instances": runs, "failures": failures[:8]}
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: model spectrum
 
 
-def criterion_4(model: ModelGeometry) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "scalar-component critical weights are the integers, double root at 0", 60.0)
+def criterion_4(model: ModelGeometry):
     fam = assemble_DV(model).scalar("b")
     pts = imspec(fam, window=(-2.5, 2.5), mode_cutoff=3)
     roots = imspec_roots(pts)
@@ -312,25 +306,17 @@ def criterion_4(model: ModelGeometry) -> CriterionResult:
     ok = len(roots) == len(want) and all(abs(g - w) < 1e-8 for g, w in zip(roots, want))
     zero = [p for p in pts if abs(p.lambda_root) < 1e-8]
     ok &= bool(zero) and zero[0].pole_order_k == 1
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        4,
-        "scalar-component critical weights are the integers, double root at 0",
-        ok and elapsed < 60,
-        elapsed,
-        60.0,
-        {"roots": roots, "pole_order_k_at_0": zero[0].pole_order_k if zero else None},
-    )
+    return ok, {"roots": roots, "pole_order_k_at_0": zero[0].pole_order_k if zero else None}
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: normal-family gap
 
 
-def criterion_5(model: ModelGeometry) -> CriterionResult:
+@_criterion(5, "normal-family gap equals the product identity on the grid", 30.0)
+def criterion_5(model: ModelGeometry):
     import numpy as np
 
-    t0 = time.perf_counter()
     taus = np.linspace(-5, 5, 21)
     etas = np.linspace(-5, 5, 21)
     rep = normal_family_gap(model, taus, etas)
@@ -339,43 +325,26 @@ def criterion_5(model: ModelGeometry) -> CriterionResult:
     oracle = np.sqrt(lam1 + tau**2 + sum(v * v for v in eta))
     worst = float(np.abs(rep.gaps - oracle).max())
     ok = worst < 1e-6 and rep.normal_invertible
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        5,
-        "normal-family gap equals the product identity on the grid",
-        ok and elapsed < 30,
-        elapsed,
-        30.0,
-        {"max_error": worst, "min_gap": rep.min_gap, "grid": "21x21 on [-5,5]^2"},
-    )
+    return ok, {"max_error": worst, "min_gap": rep.min_gap, "grid": "21x21 on [-5,5]^2"}
 
 
 # ---------------------------------------------------------------------------
 # criterion 6: decay verification
 
 
-def criterion_6(model: ModelGeometry) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "fitted decay exponents match the separated-mode predictions", 300.0)
+def criterion_6(model: ModelGeometry):
     rep = verify_predictions(model)
-    ok = rep.passed
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        6,
-        "fitted decay exponents match the separated-mode predictions",
-        ok and elapsed < 300,
-        elapsed,
-        300.0,
-        {"checks": rep.checks, "convergence_ratios": list(rep.convergence_ratios),
-         "rows": rep.rows},
-    )
+    return rep.passed, {"checks": rep.checks, "convergence_ratios": list(rep.convergence_ratios),
+                        "rows": rep.rows}
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: Fredholm gates
 
 
-def criterion_7(model: ModelGeometry) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "Fredholm gates flag exactly the critical weights on the sweep", 5.0)
+def criterion_7(model: ModelGeometry):
     pts = imspec(assemble_DV(model).scalar("b"), window=(-3.5, 4.5), mode_cutoff=4)
     spectrum = imspec_roots(pts)
     spec_ints = {int(round(s)) for s in spectrum}
@@ -389,16 +358,7 @@ def criterion_7(model: ModelGeometry) -> CriterionResult:
         want_dual = not (k % 10 == 0 and (k // 10) in spec_ints)
         if rep["primal"]["fredholm"] != want_primal or rep["dual"]["fredholm"] != want_dual:
             wrong.append(alpha)
-    elapsed = time.perf_counter() - t0
-    ok = not wrong and elapsed < 5
-    return CriterionResult(
-        7,
-        "Fredholm gates flag exactly the critical weights on the sweep",
-        ok,
-        elapsed,
-        5.0,
-        {"sweep": "[-3, 3] step 0.1", "wrong": wrong, "spectrum": sorted(spec_ints)},
-    )
+    return not wrong, {"sweep": "[-3, 3] step 0.1", "wrong": wrong, "spectrum": sorted(spec_ints)}
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6, criterion_7]

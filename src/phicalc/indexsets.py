@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -212,6 +213,8 @@ def number_from_json(v) -> RealLike:
     if isinstance(v, str):
         if v in ("inf", "-inf"):
             return float(v)
+        if "e" in v or "E" in v:
+            _refuse_huge_exponent(v)
         q = Fraction(v)
         return q.numerator if q.denominator == 1 else q
     if isinstance(v, float):
@@ -219,6 +222,15 @@ def number_from_json(v) -> RealLike:
     if isinstance(v, int):
         return v
     raise TypeError(f"expected a number or a 'p/q' string, got {v!r}")
+
+
+def _refuse_huge_exponent(v: str) -> None:
+    """Refuse "1e10000000" before ``Fraction`` expands it: a value with more
+    digits than Python allows a JSON integer (``sys.get_int_max_str_digits``)."""
+    mantissa, _, exponent = v.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
+        raise ValueError(f"number {v[:40]!r} has more than {limit} digits")
 
 
 EMPTY = IndexSet()

@@ -6,13 +6,11 @@ fibre-harmonic projection, and every Fourier mode separates exactly.
 """
 
 from .geometry import (
-    FibreBasisElement,
     IndicialFamily,
     ModeOperator,
     ModelGeometry,
     NormalFamily,
     assemble_DV,
-    fibre_harmonic_basis,
 )
 from .spectrum import SpectrumPoint, imspec, imspec_roots, normal_family_gap
 from .harmonic import (
@@ -28,8 +26,6 @@ from .harmonic import (
 
 __all__ = [
     "ModelGeometry",
-    "FibreBasisElement",
-    "fibre_harmonic_basis",
     "assemble_DV",
     "IndicialFamily",
     "NormalFamily",

@@ -32,8 +32,6 @@ from ..jsonio import json_list, json_object
 
 __all__ = [
     "ModelGeometry",
-    "FibreBasisElement",
-    "fibre_harmonic_basis",
     "wedge_matrix",
     "assemble_DV",
     "IndicialFamily",
@@ -44,6 +42,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 _MODEL_FIELDS = frozenset({"a", "base", "fiber", "x_max"})
 _TORUS_FIELDS = frozenset({"circumferences"})
+# forms have dimension 2^(1 + circles): at most 512, so dense matrices stay small
+_MAX_CIRCLES = 8
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,14 @@ class ModelGeometry:
 
     def __post_init__(self):
         a = self.a
-        numeric = isinstance(a, (int, float, np.integer, np.floating)) and not isinstance(a, bool)
-        if not (numeric and float(a).is_integer() and a >= 1):
+        if not (_is_real(a) and float(a).is_integer() and a >= 1):
             raise ValueError(f"degeneracy order a must be a positive integer, got {a!r}")
         object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "base_circumferences", tuple(float(L) for L in self.base_circumferences))
-        object.__setattr__(self, "fiber_circumferences", tuple(float(L) for L in self.fiber_circumferences))
-        if not all(math.isfinite(L) and L > 0 for L in self.base_circumferences + self.fiber_circumferences):
-            raise ValueError("circumferences must be finite and positive")
-        object.__setattr__(self, "x_max", float(self.x_max))
-        if not (math.isfinite(self.x_max) and self.x_max > 0):
-            raise ValueError(f"x_max must be finite and positive, got {self.x_max}")
+        for name in ("base_circumferences", "fiber_circumferences"):
+            object.__setattr__(self, name, tuple(_positive(L, "circumferences") for L in getattr(self, name)))
+        if self.b + self.f > _MAX_CIRCLES:
+            raise ValueError(f"a model has at most {_MAX_CIRCLES} circles, got {self.b + self.f}")
+        object.__setattr__(self, "x_max", _positive(self.x_max, "x_max"))
 
     @property
     def b(self) -> int:
@@ -129,6 +126,17 @@ class ModelGeometry:
         )
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _positive(v, what) -> float:
+    """``v`` as a float, checked to be a finite positive number (not a bool or a string)."""
+    if not _is_real(v) or not (math.isfinite(float(v)) and v > 0):
+        raise ValueError(f"{what} must be finite and positive, got {v!r}")
+    return float(v)
+
+
 def _as_tuple(v, length, what):
     if isinstance(v, (int, np.integer)):
         v = (int(v),) * length
@@ -136,46 +144,6 @@ def _as_tuple(v, length, what):
     if len(v) != length:
         raise ValueError(f"{what} must have {length} entries, got {v}")
     return v
-
-
-# ---------------------------------------------------------------------------
-# fibre-harmonic forms
-
-
-@dataclass(frozen=True)
-class FibreBasisElement:
-    """One harmonic form on the torus fiber, with rescaling bookkeeping.
-
-    ``rescale_power`` records the x-power relating the two frames: the
-    metric-unit coframe element is x^(a deg) times the plain one.
-    """
-
-    indices: tuple
-    degree: int
-    rescale_power: int
-    label: str
-
-
-def fibre_harmonic_basis(model: ModelGeometry) -> list:
-    """Basis of the fibre-harmonic bundle: constant-coefficient forms.
-
-    On a flat torus every harmonic form has constant coefficients, so the
-    dimension is 2^f (one element per subset of fibre directions).
-    """
-    out = []
-    for bits in range(2 ** model.f):
-        idx = tuple(i for i in range(model.f) if bits >> i & 1)
-        deg = len(idx)
-        label = " ^ ".join(f"dz{i + 1}" for i in idx) if idx else "1"
-        out.append(
-            FibreBasisElement(
-                indices=idx,
-                degree=deg,
-                rescale_power=model.a * deg,
-                label=label,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

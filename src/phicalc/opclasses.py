@@ -4,8 +4,8 @@ An :class:`OpClass` names a space of operators rather than a single
 operator: a calculus kind (b, phi, bphi, suspended), a conormal order
 (-inf allowed), a precision tier for the boundary behaviour (either a
 weight ``alpha`` or a full index family), explicit x-power factors on the
-left and right, optional per-face infinite-order vanishing refinements,
-and an optional fibre-projector decoration.
+left and right, and optional per-face infinite-order vanishing refinements.
+The projector weighting (Pi + x^c Piperp) lives on :class:`parametrix.Mat`.
 
 Two precision tiers are used deliberately.  Full index families are
 propagated only where exact combination formulas exist (phi-composition,
@@ -18,9 +18,7 @@ necessarily sharp.
 Sums of operator spaces (as produced by the mixed b/phi composition rule)
 are represented by :class:`ClassSum`; a predicate holds for a sum iff it
 holds for every summand, and :func:`absorbed_sum` keeps only the summands
-that no other summand contains.  A projector-decorated class has no face
-data: folding, the predicates, composition, the front-face decomposition
-and lifting refuse it.
+that no other summand contains.
 
 Weights, orders and x-powers are exact: each passes once through
 :func:`phicalc.indexsets.exact_extended` when a :class:`Weight` or an
@@ -109,7 +107,6 @@ INF = float("inf")
 _KINDS = ("b", "phi", "bphi", "sus-phi", "zero")
 _CLASS_FIELDS = frozenset({"kind", "order", "spec", "xl", "xr", "vanish", "proj"})
 _SPEC_FIELDS = frozenset({"weight", "family"})
-_PROJ_FIELDS = frozenset({"side", "power"})
 _SUM_FIELDS = frozenset({"sum"})
 
 
@@ -156,15 +153,6 @@ class GeomConstants:
         return self.a * (self.b_dim + 1)
 
 
-def _refuse_decorated(P: OpClass, action: str) -> None:
-    """A projector decoration stands for a 2x2 block of classes; the rules
-    here act on the blocks, so a decorated class must be expanded first."""
-    if P.proj is not None:
-        raise UnsupportedComposition(
-            f"expand projector decorations into matrix entries before {action}"
-        )
-
-
 def _xadd(u, v):
     """Extended-real addition for x-powers and orders (no inf - inf here)."""
     s = u + v
@@ -184,7 +172,6 @@ class OpClass:
     xr: RealLike = 0
     ext: bool = False
     vanish: frozenset = frozenset()
-    proj: Optional[tuple] = None  # ("left"|"right", power)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -193,10 +180,6 @@ class OpClass:
             raise ValueError(f"{self.kind} classes carry no boundary spec")
         for name in ("order", "xl", "xr"):
             object.__setattr__(self, name, exact_extended(getattr(self, name)))
-        if self.proj is not None:
-            if self.proj[0] not in ("left", "right"):
-                raise ValueError(f"projector side must be 'left' or 'right', got {self.proj[0]!r}")
-            object.__setattr__(self, "proj", (self.proj[0], exact_extended(self.proj[1])))
         if isinstance(self.spec, IndexFamily):
             expected = "b" if self.kind == "b" else "phi"
             if self.kind in ("b", "phi") and self.spec.kind != expected:
@@ -216,7 +199,7 @@ class OpClass:
     def __hash__(self):
         # stored like the fold: a reuse scope hashes every class it meets
         if self.__dict__.get("_hash") is None:
-            fields = (self.kind, self.order, self.spec, self.xl, self.xr, self.ext, self.vanish, self.proj)
+            fields = (self.kind, self.order, self.spec, self.xl, self.xr, self.ext, self.vanish)
             object.__setattr__(self, "_hash", hash(fields))
         return self._hash
 
@@ -270,10 +253,8 @@ class OpClass:
             parsed = Weight(number_from_json(spec["weight"]))
         else:
             parsed = IndexFamily.from_json(spec["family"])
-        proj = data.get("proj")
-        if proj is not None:
-            json_object(proj, _PROJ_FIELDS, "projector decoration")
-            proj = (proj["side"], number_from_json(proj["power"]))
+        if data.get("proj") is not None:  # the field stays in the schema, always null
+            raise ValueError("a projector decoration on a single class is not supported")
         return OpClass(
             kind=kind,
             order=number_from_json(data["order"]),
@@ -282,7 +263,6 @@ class OpClass:
             xr=number_from_json(data.get("xr", 0)),
             ext=ext,
             vanish=frozenset(json_list(data.get("vanish", []), "vanish")),
-            proj=proj,
         )
 
     def __repr__(self) -> str:
@@ -302,15 +282,7 @@ class OpClass:
         left = "" if self.xl == 0 else f"x^{_fmtpow(self.xl)} "
         right = "" if self.xr == 0 else f" x^{_fmtpow(self.xr)}"
         van = "" if not self.vanish else f"[{','.join(sorted(self.vanish))}=0]"
-        pre = post = ""
-        if self.proj is not None:
-            side, c = self.proj
-            tag = f"(Pi + x^{_fmtpow(c)} Piperp)"
-            if side == "right":
-                post = f" {tag}"
-            else:
-                pre = f"{tag} "
-        return f"{pre}{left}{name}{sup}{van}{right}{post}".strip()
+        return f"{left}{name}{sup}{van}{right}"
 
 
 def _class_json(P: OpClass) -> dict:
@@ -326,7 +298,7 @@ def _class_json(P: OpClass) -> dict:
         "xl": number_to_json(P.xl),
         "xr": number_to_json(P.xr),
         "vanish": sorted(P.vanish),
-        "proj": None if P.proj is None else {"side": P.proj[0], "power": number_to_json(P.proj[1])},
+        "proj": None,
     }
 
 
@@ -565,7 +537,6 @@ def _fold(cls: OpClass) -> FoldedClass:
         return FoldedClass("zero", NEG_INF, False, ())
     if cls.kind == "sus-phi":
         raise UnsupportedComposition("suspended classes are opaque tags: no face data")
-    _refuse_decorated(cls, "folding")
     if cls.kind == "bphi":
         faces = {"lf": EMPTY, "rf": EMPTY, "bf": Bound(0, False), "ff": Bound(0, True)}
         kind = "bphi"
@@ -740,10 +711,7 @@ def adjoint_class(P: Entry) -> Entry:
     vanish = frozenset(
         {"lf": "rf", "rf": "lf"}.get(f, f) for f in P.vanish
     )
-    proj = P.proj
-    if proj is not None:
-        proj = ({"left": "right", "right": "left"}[proj[0]], proj[1])
-    return _derive(P, spec=spec, xl=P.xr, xr=P.xl, vanish=vanish, proj=proj)
+    return _derive(P, spec=spec, xl=P.xr, xr=P.xl, vanish=vanish)
 
 
 def lift_weight_class(P: OpClass) -> OpClass:
@@ -764,7 +732,6 @@ def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
     """
     if not (isinstance(T, OpClass) and T.kind == "b" and isinstance(T.spec, IndexFamily)):
         raise TypeError("lifting needs a single b-kind class with a full index family")
-    _refuse_decorated(T, "lifting")
     m = T.order
     if m >= 0:
         warnings.warn(
@@ -797,7 +764,6 @@ def decompose_near_ff(S: Entry):
         )
     if S.is_zero:
         return ZERO, ZERO
-    _refuse_decorated(S, "decomposing")
     if S.kind == "bphi":
         return ZERO, S
     if S.kind != "phi":
@@ -1034,9 +1000,9 @@ def _e_normalize(P: OpClass) -> OpClass:
 
 
 def _strip(P: OpClass) -> OpClass:
-    if P.xl == 0 and P.xr == 0 and P.proj is None:
+    if P.xl == 0 and P.xr == 0:
         return P
-    return _derive(P, xl=0, xr=0, proj=None)
+    return _derive(P, xl=0, xr=0)
 
 
 def _face_empty(P: OpClass, face: str) -> bool:
@@ -1092,8 +1058,6 @@ def _compose(P: Entry, Q: Entry, geom, route) -> Entry:
         return sum_of(*out)
     if P.is_zero or Q.is_zero:
         return ZERO
-    _refuse_decorated(P, "composing")
-    _refuse_decorated(Q, "composing")
 
     P, Q = _e_normalize(P), _e_normalize(Q)
     xl_out, xr_out = P.xl, Q.xr

@@ -490,11 +490,19 @@ def test_no_input_file_raises(tmp_path, command_and_doc):
     ("parametrix", _gb_with(imspec_p00="0")),
     ("parametrix", _gb_with(p11={**_GB["p11"], "proj": {"side": {}, "power": 1}})),
     ("imspec", {"a": 1, "base": {"circumferences": [6.28], "radius": 1}}),
+    ("parametrix", _gb_with(p11={**_GB["p11"], "proj": {"side": "left", "power": -5}})),
+    ("compose", {"kind": "phi", "order": -1, "spec": {"weight": 0}, "proj": {"side": "right", "power": 2}}),
+    ("idx", {"generators": [{"re": "1e5000", "im": 0, "k": 0}]}),
+    ("imspec", {"a": 1, "base": {"circumferences": [True]}}),
+    ("imspec", {"a": 1, "x_max": "0.5"}),
+    ("imspec", {"a": 1, "base": {"circumferences": [6.28] * 5}, "fiber": {"circumferences": [6.28] * 4}}),
 ])
 def test_document_shape_errors_exit_2(tmp_path, capsys, command, doc):
-    # each was read, or raised, before: an unknown field in a nested object,
-    # a list field that is not a list, "1/0", a projector side that is not
-    # left/right, a flag that is not a boolean
+    # each is refused when the file is read: an unknown field in a nested
+    # object, a list field that is not a list, "1/0", a projector decoration
+    # (parametrix used to read it and then ignore it), a flag that is not a
+    # boolean, "1e5000" (Fraction would expand it), a model number given as
+    # a bool or a string, more than 8 circles
     path = jdump(tmp_path, "doc.json", doc)
     assert _run(command, path, tmp_path / "out") == 2
     assert "not a valid" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from phicalc.models import (
     assemble_DV,
     check_L2,
     discrete_residual,
-    fibre_harmonic_basis,
     fit_exponents,
     imspec,
     imspec_roots,
@@ -57,6 +56,19 @@ def test_model_validation_and_json():
     for a in (1.5, True, "2", math.nan):
         with pytest.raises(ValueError):
             ModelGeometry(a=a)
+    # circumferences and x_max are numbers, as a is: no bool, no string
+    for bad in (True, "0.5"):
+        with pytest.raises(ValueError):
+            ModelGeometry(base_circumferences=(bad,))
+        with pytest.raises(ValueError):
+            ModelGeometry(fiber_circumferences=(bad,))
+        with pytest.raises(ValueError):
+            ModelGeometry(x_max=bad)
+    assert ModelGeometry(x_max=np.float64(0.5), base_circumferences=(np.int64(2),)).x_max == 0.5
+    # forms have dimension 2^(1 + circles): 8 circles give 512, 14 would give 32768
+    assert ModelGeometry(base_circumferences=(1.0,) * 4, fiber_circumferences=(1.0,) * 4).form_dim == 512
+    with pytest.raises(ValueError, match="at most 8 circles"):
+        ModelGeometry.from_json({"fiber": {"circumferences": [1.0] * 13}})
     with pytest.raises(ValueError):
         ModelGeometry.from_json({"a": 1.5})
     assert ModelGeometry.from_json({"a": 2.0}).a == 2
@@ -67,21 +79,6 @@ def test_model_validation_and_json():
         text = dumps(m.to_json())
         again = ModelGeometry.from_json(json.loads(text))
         assert again == m and dumps(again.to_json()) == text
-
-
-def test_fibre_harmonic_basis_dimensions():
-    assert len(fibre_harmonic_basis(MODEL)) == 2  # 1 and dz
-    m2 = ModelGeometry(fiber_circumferences=(2 * math.pi, 2 * math.pi))
-    assert len(fibre_harmonic_basis(m2)) == 4
-    m0 = ModelGeometry(fiber_circumferences=())
-    assert len(fibre_harmonic_basis(m0)) == 1
-
-
-def test_fibre_basis_rescaling_bookkeeping():
-    m = ModelGeometry(a=3)
-    basis = fibre_harmonic_basis(m)
-    for el in basis:
-        assert el.rescale_power == 3 * el.degree
 
 
 def test_wedge_matrices_exterior_algebra():

@@ -213,13 +213,11 @@ def test_derived_classes_fold_and_serialize_afresh():
 
 
 def test_weights_orders_and_powers_are_exact():
-    P = OpClass("phi", -0.5, Weight(0.1), xl=1 / 3, xr=INF, proj=("left", 0.25))
+    P = OpClass("phi", -0.5, Weight(0.1), xl=1 / 3, xr=INF)
     assert (P.order, P.weight, P.xl, P.xr) == (Fraction(-1, 2), Fraction(1, 10), Fraction(1, 3), INF)
-    assert P.proj == ("left", Fraction(1, 4))
     # a fractional exponent is bracketed: x^(1/3), not (x^1)/3
-    assert repr(P) == "(Pi + x^(1/4) Piperp) x^(1/3) Psi_phi^(-1/2,1/10) x^inf"
-    assert P == OpClass("phi", Fraction(-1, 2), Weight(Fraction(1, 10)), xl=Fraction(1, 3), xr=INF,
-                        proj=("left", Fraction(1, 4)))
+    assert repr(P) == "x^(1/3) Psi_phi^(-1/2,1/10) x^inf"
+    assert P == OpClass("phi", Fraction(-1, 2), Weight(Fraction(1, 10)), xl=Fraction(1, 3), xr=INF)
     # 1e16 + 1 is not 1e16: a huge weight keeps its unit shifts
     big = weight_phi(0, 1e16)
     assert fold(x_left(big, 1)) != fold(big)
@@ -580,12 +578,10 @@ def test_json_round_trip():
         weight_phi(-1, 0.5, ext=True, xl=INF, xr=2, vanish=("lf",)),
         full_class("phi", 0, phi_family(ff=real_set(0))),
         bphi_class(NEG_INF),
-        OpClass("phi", -1, Weight(0), proj=("right", 2)),
-        OpClass("phi", Fraction(-1, 3), Weight(Fraction(1, 3)), xl=Fraction(2, 3),
-                proj=("right", Fraction(1, 3))),
+        OpClass("phi", Fraction(-1, 3), Weight(Fraction(1, 3)), xl=Fraction(2, 3)),
         full_class("phi", 0, phi_family(ff=real_set(Fraction(1, 3)))),
         weight_b(NEG_INF, NEG_INF, xr=INF),
-        OpClass("phi", NEG_INF, Weight(INF), xl=-INF, proj=("left", INF)),
+        OpClass("phi", NEG_INF, Weight(INF), xl=-INF),
     ]
     for entry in classes + [ClassSum(tuple(classes)), ClassSum((weight_b(NEG_INF, 0, xl=INF),))]:
         text = dumps(entry.to_json())
@@ -595,34 +591,15 @@ def test_json_round_trip():
     assert weight_b(NEG_INF, 0, xl=INF).to_json()["order"] == "-inf"
 
 
-def test_projector_decoration_must_be_expanded():
-    decorated = OpClass("phi", -1, Weight(0), proj=("right", 2))
-    with pytest.raises(UnsupportedComposition):
-        compose(decorated, weight_phi(0, 0), G11)
-
-
-def test_predicates_refuse_a_decorated_class():
-    # the decoration weights the perpendicular part by x^-5: the bare
-    # class's face data certify nothing about it
-    d = OpClass("phi", -1, Weight(0), proj=("left", -5))
-    plain = weight_phi(-1, 0)
-    for check in (
-        lambda: fold(d),
-        lambda: is_bounded(d, 0, 0),
-        lambda: is_compact(d, 0, 0),
-        lambda: contains(d, plain),
-        lambda: contains(plain, d),
-        lambda: eq_classes(d, plain),
-        lambda: decompose_near_ff(d),
-    ):
-        with pytest.raises(UnsupportedComposition):
-            check()
-
-
-def test_lift_refuses_a_decorated_class():
-    fam = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
-    with pytest.raises(UnsupportedComposition):
-        lift_b_to_phi(OpClass("b", -1, fam, proj=("right", 2)), a=1, b_dim=1)
+def test_a_projector_decoration_is_refused_at_read():
+    # the (Pi + x^c Piperp) weighting lives on class matrices only: a single
+    # class carrying it would otherwise be read with the weighting dropped
+    plain = weight_phi(-1, 0).to_json()
+    assert plain["proj"] is None and OpClass.from_json(plain) == weight_phi(-1, 0)
+    decorated = {**plain, "proj": {"side": "left", "power": -5}}
+    for read in (OpClass.from_json, entry_from_json, lambda d: entry_from_json({"sum": [d]})):
+        with pytest.raises(ValueError, match="projector"):
+            read(decorated)
 
 
 def test_compose_trace_replays():
