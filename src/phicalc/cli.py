@@ -108,8 +108,9 @@ def _cmd_compose(args) -> int:
 
 def _cmd_lift(args) -> int:
     T = load_document(args.input, entry_from_json, "operator-class")
+    geom = GeomConstants(a=args.a, b_dim=args.b_dim)
     try:
-        main, res = lift_b_to_phi(T, a=args.a, b_dim=args.b_dim)
+        main, res = lift_b_to_phi(T, a=geom.a, b_dim=geom.b_dim)
     except TypeError as exc:  # not a single b-class with a full index family
         raise JsonInputError(f"{args.input}: {exc}")
     write_json({"main": main.to_json(), "residual": res.to_json()}, args.out)

@@ -289,7 +289,9 @@ def fit_exponents(samples: SampledSolution) -> HarmonicFit:
     measured on the innermost still-resolved decade instead and the mode is
     classified superpolynomial once that slope exceeds the threshold
     (which grows as the probe window moves inward, matching the behaviour
-    of faster-than-polynomial decay).
+    of faster-than-polynomial decay).  A slope below the threshold is the
+    fitted exponent, with log power 0: in that regime the log power is not
+    fitted.
     """
     x = samples.x
     vals = np.abs(samples.values[:, samples.component])
@@ -327,7 +329,9 @@ def fit_exponents(samples: SampledSolution) -> HarmonicFit:
 
 
 def _superpoly_fit(samples, x, vals, usable):
-    """Classify decay past the resolved range: innermost-decade slope."""
+    """Classify decay past the resolved range from the innermost-decade
+    slope: below the threshold it is the polynomial exponent, at or above
+    it the decay is superpolynomial once the x^threshold envelope decays."""
     xu = x[usable]
     vu = vals[usable]
     if xu.size < 8:
@@ -341,15 +345,19 @@ def _superpoly_fit(samples, x, vals, usable):
     A = np.vstack([logx, np.ones_like(logx)]).T
     coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
     slope = float(coef[0])
+    mode = (samples.base_mode, samples.fiber_mode)
+    if slope < _SUPERPOLY_THRESHOLD:
+        # polynomial decay that left the window below the noise floor: the
+        # decade slope is the exponent; a log power is not fitted here
+        residual = float(np.sqrt(np.mean((A @ coef - logy) ** 2)))
+        return HarmonicFit(mode, slope, 0, residual, False)
     # envelope constant for the |u| <= C x^threshold statement
     ratio = vu / xu**_SUPERPOLY_THRESHOLD
     imax = int(np.argmax(ratio))
     interior_max = xu[imax] > x_in * 1.5
     envelope_decays = ratio[np.argmin(xu)] < 0.5 * ratio[imax]
-    if slope >= _SUPERPOLY_THRESHOLD and interior_max and envelope_decays:
-        return HarmonicFit(
-            (samples.base_mode, samples.fiber_mode), math.inf, 0, slope, True
-        )
+    if interior_max and envelope_decays:
+        return HarmonicFit(mode, math.inf, 0, slope, True)
     raise FitError(
         f"window content below noise but decay slope {slope:.2f} does not "
         f"certify faster-than-x^{_SUPERPOLY_THRESHOLD} behaviour"

@@ -1,10 +1,11 @@
 """Symbolic algebra of pseudodifferential operator classes.
 
 An :class:`OpClass` names a space of operators rather than a single
-operator: a calculus kind (b, phi, bphi, suspended), a conormal order
-(-inf allowed), a precision tier for the boundary behaviour (either a
-weight ``alpha`` or a full index family), explicit x-power factors on the
-left and right, and optional per-face infinite-order vanishing refinements.
+operator: a calculus kind (b, phi, bphi or zero), a conormal order
+(-inf allowed), for b and phi a precision tier for the boundary behaviour
+(a weight ``alpha`` or a full index family), explicit x-power factors on
+the left and right, and optional per-face infinite-order vanishing
+refinements.
 The projector weighting (Pi + x^c Piperp) lives on :class:`parametrix.Mat`.
 
 Two precision tiers are used deliberately.  Full index families are
@@ -35,6 +36,7 @@ call returns its first output and re-records its rule applications.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -78,7 +80,6 @@ __all__ = [
     "small_phi",
     "bphi_class",
     "full_class",
-    "sus_phi",
     "x_left",
     "x_right",
     "compose",
@@ -90,6 +91,7 @@ __all__ = [
     "adjoint_class",
     "is_bounded",
     "is_compact",
+    "meets",
     "map_phg",
     "decompose_near_ff",
     "contains",
@@ -104,7 +106,7 @@ __all__ = [
 NEG_INF = float("-inf")
 INF = float("inf")
 
-_KINDS = ("b", "phi", "bphi", "sus-phi", "zero")
+_KINDS = ("b", "phi", "bphi", "zero")
 _CLASS_FIELDS = frozenset({"kind", "order", "spec", "xl", "xr", "vanish", "proj"})
 _SPEC_FIELDS = frozenset({"weight", "family"})
 _SUM_FIELDS = frozenset({"sum"})
@@ -143,10 +145,22 @@ class Bound:
 
 @dataclass(frozen=True)
 class GeomConstants:
-    """Geometry constants entering phi-composition and lifting."""
+    """Geometry constants entering phi-composition and lifting: the
+    degeneracy order ``a >= 1`` and the base dimension ``b_dim >= 0`` (0 is
+    a fibred cusp over a point).  Both are integers, never booleans."""
 
     a: int
     b_dim: int
+
+    def __post_init__(self):
+        for name, low in (("a", 1), ("b_dim", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool):
+                raise TypeError(f"{name} must be an integer, got a boolean")
+            v = operator.index(v)
+            if v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v}")
+            object.__setattr__(self, name, v)
 
     @property
     def A(self) -> int:
@@ -176,13 +190,15 @@ class OpClass:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.kind in ("bphi", "sus-phi", "zero") and self.spec is not None:
+        if self.kind in ("b", "phi"):
+            if not isinstance(self.spec, (Weight, IndexFamily)):
+                raise ValueError(f"a {self.kind} class needs a Weight or IndexFamily spec")
+        elif self.spec is not None:
             raise ValueError(f"{self.kind} classes carry no boundary spec")
         for name in ("order", "xl", "xr"):
             object.__setattr__(self, name, exact_extended(getattr(self, name)))
         if isinstance(self.spec, IndexFamily):
-            expected = "b" if self.kind == "b" else "phi"
-            if self.kind in ("b", "phi") and self.spec.kind != expected:
+            if self.spec.kind != self.kind:
                 raise ValueError("index family kind does not match class kind")
             if self.vanish:
                 # fold vanishing refinements into the explicit family
@@ -268,9 +284,7 @@ class OpClass:
     def __repr__(self) -> str:
         if self.is_zero:
             return "OpClass(0)"
-        name = {"b": "Psi_b", "phi": "Psi_phi", "bphi": "Psi_bphi", "sus-phi": "Psi_sus-phi"}[
-            self.kind
-        ]
+        name = {"b": "Psi_b", "phi": "Psi_phi", "bphi": "Psi_bphi"}[self.kind]
         if self.ext:
             name += ",ext"
         if isinstance(self.spec, Weight):
@@ -374,10 +388,6 @@ def bphi_class(order, ext=False, xl=0, xr=0) -> OpClass:
     return OpClass("bphi", order, None, xl=xl, xr=xr, ext=ext)
 
 
-def sus_phi(order, ext=False) -> OpClass:
-    return OpClass("sus-phi", order, None, ext=ext)
-
-
 def full_class(kind, order, family: IndexFamily, ext=False, xl=0, xr=0) -> OpClass:
     return OpClass(kind, order, family, xl=xl, xr=xr, ext=ext)
 
@@ -429,13 +439,6 @@ class ClassSum:
         return " + ".join(repr(t) for t in self.terms)
 
 
-def _safe_contains(a: OpClass, b: OpClass, geom) -> bool:
-    try:
-        return _contains_single(a, b, geom)
-    except CompositionError:
-        return False
-
-
 Entry = Union[OpClass, ClassSum]
 
 
@@ -471,9 +474,9 @@ def absorbed_sum(geom: GeomConstants | None, *entries: Entry) -> Entry:
     """
     kept = []
     for t in dict.fromkeys(t for e in entries for t in as_terms(e)):
-        if any(_safe_contains(t, k, geom) for k in kept):
+        if any(_contains_single(t, k, geom) for k in kept):
             continue
-        kept = [k for k in kept if not _safe_contains(k, t, geom)]
+        kept = [k for k in kept if not _contains_single(k, t, geom)]
         kept.append(t)
     return sum_of(*kept)
 
@@ -535,8 +538,6 @@ def fold(cls: OpClass) -> FoldedClass:
 def _fold(cls: OpClass) -> FoldedClass:
     if cls.is_zero:
         return FoldedClass("zero", NEG_INF, False, ())
-    if cls.kind == "sus-phi":
-        raise UnsupportedComposition("suspended classes are opaque tags: no face data")
     if cls.kind == "bphi":
         faces = {"lf": EMPTY, "rf": EMPTY, "bf": Bound(0, False), "ff": Bound(0, True)}
         kind = "bphi"
@@ -546,11 +547,9 @@ def _fold(cls: OpClass) -> FoldedClass:
         if cls.kind == "phi":
             faces["ff"] = Bound(0, True)
         kind = cls.kind
-    elif isinstance(cls.spec, IndexFamily):
+    else:  # a full index family
         faces = {f: cls.spec.face(f) for f in cls.spec.faces}
         kind = cls.kind
-    else:
-        raise TypeError(f"class {cls!r} has no boundary spec to fold")
 
     for f in list(faces):
         if f == "lf":
@@ -616,8 +615,6 @@ def _contains_single(sub: OpClass, sup: OpClass, geom) -> bool:
         return True
     if sup.is_zero:
         return False
-    if sub.kind == "sus-phi" or sup.kind == "sus-phi":
-        return sub.kind == sup.kind and sub.order <= sup.order
     fs, ft = fold(sub), fold(sup)
     if fs.order > ft.order:
         return False
@@ -771,8 +768,6 @@ def decompose_near_ff(S: Entry):
     spec, vanish = S.spec, S.vanish - {"ff", "bf"}
     if isinstance(spec, IndexFamily):
         spec = IndexFamily("b", lf=spec.lf, rf=spec.rf, bf=spec.bf)
-    elif not isinstance(spec, Weight):
-        raise TypeError("phi-class without boundary spec")
     b_part = OpClass("b", NEG_INF, spec, xl=S.xl, xr=S.xr, ext=True, vanish=vanish)
     bphi_part = OpClass("bphi", S.order, None, xl=S.xl, xr=S.xr, ext=S.ext)
     return b_part, bphi_part
@@ -793,6 +788,19 @@ def _bounded_targets(alpha, beta, strict_all=False):
     }
 
 
+def meets(entry: Entry, bounds: dict) -> bool:
+    """Does every summand's folded data certify ``bounds[face]`` (a
+    :class:`Bound` or an exact IndexSet) at each face of ``bounds`` that the
+    summand has?  A face the summand lacks, and the zero class, impose
+    nothing."""
+    return all(
+        _face_implies(data, bounds[name])
+        for t in as_terms(entry)
+        for name, data in fold(t).faces
+        if name in bounds
+    )
+
+
 def is_bounded(P: Entry, alpha, beta) -> bool:
     """Certify boundedness x^alpha H^(k+m) -> x^beta H^k.
 
@@ -801,40 +809,17 @@ def is_bounded(P: Entry, alpha, beta) -> bool:
     certify summand-wise.  The Sobolev order k does not enter the face
     conditions.
     """
-    terms = as_terms(P)
-    if not terms:
-        return True
-    targets = _bounded_targets(alpha, beta)
-    strict_targets = _bounded_targets(alpha, beta, strict_all=True)
-    for t in terms:
-        f = fold(t)
-        names = f.face_names
-        for name in names:
-            if not _face_implies(f.face(name), targets[name]):
-                return False
-        if "ff" in names:
-            corner_ok = _face_implies(f.face("bf"), strict_targets["bf"]) or _face_implies(
-                f.face("ff"), strict_targets["ff"]
-            )
-            if not corner_ok:
-                return False
-    return True
+    corner = _bounded_targets(alpha, beta, strict_all=True)["bf"]
+    return meets(P, _bounded_targets(alpha, beta)) and all(
+        meets(t, {"bf": corner}) or meets(t, {"ff": corner}) for t in as_terms(P)
+    )
 
 
 def is_compact(P: Entry, alpha, beta) -> bool:
     """Certify compactness: negative order and strict face inequalities."""
-    terms = as_terms(P)
-    if not terms:
-        return True
-    strict_targets = _bounded_targets(alpha, beta, strict_all=True)
-    for t in terms:
-        f = fold(t)
-        if not f.order < 0:
-            return False
-        for name in f.face_names:
-            if not _face_implies(f.face(name), strict_targets[name]):
-                return False
-    return True
+    return all(t.order < 0 for t in as_terms(P)) and meets(
+        P, _bounded_targets(alpha, beta, strict_all=True)
+    )
 
 
 def map_phg(P: OpClass, I: IndexSet) -> IndexSet:
@@ -1006,10 +991,7 @@ def _strip(P: OpClass) -> OpClass:
 
 
 def _face_empty(P: OpClass, face: str) -> bool:
-    try:
-        return fold(P).face(face) == EMPTY
-    except (KeyError, UnsupportedComposition, TypeError):
-        return False
+    return (face, EMPTY) in fold(P).faces
 
 
 def compose(P: Entry, Q: Entry, geom: GeomConstants | None = None, route=None) -> Entry:
@@ -1074,13 +1056,6 @@ def _compose(P: Entry, Q: Entry, geom, route) -> Entry:
 
 
 def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
-    # suspended classes: closure under composition only
-    if P.kind == "sus-phi" or Q.kind == "sus-phi":
-        if P.kind == Q.kind == "sus-phi" and c == 0:
-            out = sus_phi(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
-            return _rec("compose-suspended", (P, Q), {}, out)
-        raise UnsupportedComposition("suspended classes compose only with each other")
-
     # a small-calculus factor preserves the other factor's boundary data
     if P.is_small or Q.is_small:
         return _compose_small(P, Q, c, geom)
@@ -1271,7 +1246,7 @@ def _replay_one(rec: RuleApp, geom) -> bool:
             # the record stores the factors with the interior power in params
             left = multiply_x_power(ins[0], c, "right") if c != 0 else ins[0]
             got = compose(left, ins[1], geom)
-        elif rule in ("compose-weight-b", "compose-weight-phi", "compose-suspended"):
+        elif rule in ("compose-weight-b", "compose-weight-phi"):
             got = compose(ins[0], ins[1], geom)
         elif rule == "mixed-split":
             got = rule_f(ins[0], c, ins[1])

@@ -211,17 +211,17 @@ class SplitOperator:
     b_dim: int = 1
 
     def __post_init__(self):
-        for name in ("a", "m", "b_dim"):
-            v = getattr(self, name)
-            if isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer, got a boolean")
-            setattr(self, name, operator.index(v))
+        geom = GeomConstants(self.a, self.b_dim)
+        self.a, self.b_dim = geom.a, geom.b_dim
+        if isinstance(self.m, bool):
+            raise TypeError("m must be an integer, got a boolean")
+        self.m = operator.index(self.m)
         for name in ("normal_invertible", "p00_elliptic", "phi_elliptic"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
         self.imspec_p00 = [exact_real(s) for s in self.imspec_p00]
-        if self.a < 1 or self.m < 1:
-            raise ValueError("degeneracy order a and operator order m must be >= 1")
+        if self.m < 1:
+            raise ValueError("operator order m must be >= 1")
         if self.p00.kind != "b":
             raise ValueError("the harmonic block must be a b-kind class")
         for name in ("p01", "p10", "p11"):
@@ -673,7 +673,7 @@ def _away_from_lf(entry):
     return replace(entry, vanish=entry.vanish | {"lf"})
 
 
-def _hypothesis_rows(R2: Mat, alpha, am, geom):
+def _hypothesis_rows(R2: Mat, alpha, am):
     """Check the left-face solving hypothesis row by row.
 
     Harmonic row: index sets > alpha + am at lf, >= am at bf.
@@ -682,15 +682,10 @@ def _hypothesis_rows(R2: Mat, alpha, am, geom):
     """
     alpha = exact_real(alpha)
     failures = []
-    for i, (lf_t, bf_t) in enumerate([(alpha + am, am), (alpha, am)]):
+    for i, lf_t in enumerate([alpha + am, alpha]):
+        bounds = {"lf": oc.Bound(lf_t, True), "bf": oc.Bound(am, False)}
         for j in (0, 1):
-            entry = R2[i, j]
-            for term in oc.as_terms(entry):
-                f = oc.fold(term)
-                lf_ok = oc._face_implies(f.face("lf"), oc.Bound(lf_t, True))
-                bf_ok = oc._face_implies(f.face("bf"), oc.Bound(bf_t, False))
-                if not (lf_ok and bf_ok):
-                    failures.append((i, j, term))
+            failures += [(i, j, t) for t in oc.as_terms(R2[i, j]) if not oc.meets(t, bounds)]
     return failures
 
 
@@ -701,7 +696,7 @@ def step3_lf_correction(op: SplitOperator, alpha, step2: StepResult) -> StepResu
     geom = op.geom
     R2 = step2.data["R2"]
 
-    failures = _hypothesis_rows(R2, alpha, am, geom)
+    failures = _hypothesis_rows(R2, alpha, am)
     if failures:
         locs = ", ".join(f"entry ({i},{j}): {t!r}" for i, j, t in failures)
         raise HypothesisError(f"left-face solving hypothesis fails at {locs}")
@@ -719,12 +714,8 @@ def step3_lf_correction(op: SplitOperator, alpha, step2: StepResult) -> StepResu
     R3 = R2_cut.add(Rpp, geom=geom)
     psi_R = target_r3_space(a, m, alpha)
 
-    folds = [oc.fold(t) for i in (0, 1) for j in (0, 1) for t in oc.as_terms(R3[i, j])]
-    bf_ff_ok = all(
-        oc._face_implies(f.face("bf"), oc.Bound(am, False))
-        and ("ff" not in f.face_names or oc._face_implies(f.face("ff"), oc.Bound(am, True)))
-        for f in folds
-    )
+    bf_ff = {"bf": oc.Bound(am, False), "ff": oc.Bound(am, True)}
+    bf_ff_ok = all(oc.meets(R3[i, j], bf_ff) for i in (0, 1) for j in (0, 1))
 
     assertions = [
         _assert_mat("lfsolve-correction", Qprime, target_lfsolve_classes(a, m, alpha), geom, chain_q),
@@ -888,10 +879,6 @@ def left_parametrix(op: SplitOperator, alpha):
     """
     adj = op.adjoint()
     adj_alpha = op.am - exact_real(alpha)
-    if not check_weight(adj, adj_alpha):
-        raise WeightConditionError(
-            f"adjoint weight {adj_alpha} - am hits the reflected critical set"
-        )
     steps, Qr_adj, Rr_adj = right_parametrix(adj, adj_alpha)
     Ql = Qr_adj.adjoint()
     Rl = Rr_adj.adjoint()

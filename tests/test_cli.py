@@ -165,7 +165,7 @@ def test_parametrix_cli_rejects_non_finite_alpha_first(tmp_path, monkeypatch, ca
     assert not rep.exists()
 
 
-@pytest.mark.parametrize("field,value", [("a", 1.5), ("m", True), ("b_dim", 2.9)])
+@pytest.mark.parametrize("field,value", [("a", 1.5), ("m", True), ("b_dim", 2.9), ("a", 0), ("b_dim", -1)])
 def test_parametrix_cli_rejects_non_integer_orders(tmp_path, capsys, field, value):
     doc = gauss_bonnet_split(a=1, b_dim=1, imspec=SPEC).to_json()
     doc[field] = value
@@ -280,6 +280,17 @@ def test_verify_cli(tmp_path):
         assert main(["verify", "--model", m, "--alpha", alpha, "--out", out]) == 0
         got = json.load(open(out))
         assert got["verdict"] == "PASS" and got["alpha"] == echo
+
+
+def test_verify_cli_fits_a_decay_between_x3_and_x10(tmp_path):
+    # base circumference 3.0: mode (2,) decays like x^3.7185, below the
+    # noise floor inside the fit window, and is fitted from its decade slope
+    m = jdump(tmp_path, "c3.json", {"a": 1, "base": {"circumferences": [3.0]},
+                                         "fiber": {"circumferences": [6.283185307179586]}})
+    out = str(tmp_path / "verify.json")
+    assert main(["verify", "--model", m, "--out", out]) == 0
+    row = next(r for r in json.load(open(out))["rows"] if r["mode"] == [[2], [0]])
+    assert abs(row["exponent"] - 3.7185) < 1e-3 and row["matched"] is not None
 
 
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
@@ -496,13 +507,27 @@ def test_no_input_file_raises(tmp_path, command_and_doc):
     ("imspec", {"a": 1, "base": {"circumferences": [True]}}),
     ("imspec", {"a": 1, "x_max": "0.5"}),
     ("imspec", {"a": 1, "base": {"circumferences": [6.28] * 5}, "fiber": {"circumferences": [6.28] * 4}}),
+    ("parametrix", _gb_with(p11={"kind": "phi", "order": 1})),
+    ("compose", {"kind": "sus-phi", "order": 1}),
 ])
 def test_document_shape_errors_exit_2(tmp_path, capsys, command, doc):
     # each is refused when the file is read: an unknown field in a nested
     # object, a list field that is not a list, "1/0", a projector decoration
     # (parametrix used to read it and then ignore it), a flag that is not a
     # boolean, "1e5000" (Fraction would expand it), a model number given as
-    # a bool or a string, more than 8 circles
+    # a bool or a string, more than 8 circles, a phi-class without a spec
+    # (parametrix never read that block), the retired suspended kind
     path = jdump(tmp_path, "doc.json", doc)
     assert _run(command, path, tmp_path / "out") == 2
     assert "not a valid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,a,b_dim", [("compose", "0", "1"), ("compose", "-2", "-3"), ("lift", "1", "-1")])
+def test_invalid_geometry_exit_2(tmp_path, capsys, command, a, b_dim):
+    # a degeneracy order below 1 or a negative base dimension
+    path = jdump(tmp_path, "doc.json", _COMMANDS[command][1])
+    out = tmp_path / "out"
+    args = [s.format(doc=path, out=out) for s in _COMMANDS[command][0]]
+    args[args.index("-a") + 1], args[args.index("--b-dim") + 1] = a, b_dim
+    assert main(args) == 2
+    assert "must be an integer >=" in capsys.readouterr().err and not out.exists()

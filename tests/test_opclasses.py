@@ -15,6 +15,7 @@ from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, smal
 from phicalc.jsonio import dumps
 from phicalc.opclasses import (
     NEG_INF,
+    Bound,
     ClassSum,
     GeomConstants,
     IntegrabilityError,
@@ -40,12 +41,12 @@ from phicalc.opclasses import (
     is_compact,
     lift_b_to_phi,
     map_phg,
+    meets,
     multiply_x_power,
     recording,
     replay_chain,
     small_b,
     small_phi,
-    sus_phi,
     weight_b,
     weight_phi,
     x_left,
@@ -377,6 +378,16 @@ def test_decompose_bphi_passthrough():
     assert b_part.is_zero and bphi_part == S
 
 
+def test_meets_checks_each_summand_at_the_faces_it_has():
+    lf_pos = {"lf": Bound(0, True)}
+    good, bad = weight_phi(0, 1), weight_phi(0, -1)  # lf > 1, lf > -1
+    assert meets(good, lf_pos) and not meets(bad, lf_pos)
+    assert meets(weight_b(0, 0), {"ff": Bound(5, True)})  # a b-class has no ff
+    assert meets(ZERO, {"lf": Bound(INF, True), "ff": Bound(INF, True)})
+    assert meets(ClassSum((good, good)), lf_pos)
+    assert not meets(ClassSum((good, bad)), lf_pos)
+
+
 def test_sum_predicates_hold_summandwise():
     good = weight_phi(-1, 0)
     bad = weight_phi(-1, 5)
@@ -495,10 +506,20 @@ def test_bphi_composes_at_any_weight():
     assert got2 == bphi_class(-3)
 
 
-def test_suspended_closure_only():
-    assert compose(sus_phi(1), sus_phi(-1)) == sus_phi(0)
-    with pytest.raises(UnsupportedComposition):
-        compose(sus_phi(1), weight_phi(0, 0), G11)
+def test_every_b_or_phi_class_has_a_boundary_spec():
+    # fold is total: a class it could not fold is refused when built or read
+    with pytest.raises(ValueError, match="needs a Weight or IndexFamily spec"):
+        OpClass("phi", 0)
+    docs = [
+        {"kind": "sus-phi", "order": 1},
+        {"kind": "sus-phi-ext", "order": 1},
+        {"kind": "phi", "order": 1},
+        {"kind": "b", "order": -1, "spec": None},
+    ]
+    for doc in docs:
+        for read in (OpClass.from_json, entry_from_json):
+            with pytest.raises(ValueError):
+                read(doc)
 
 
 def test_zero_composition():

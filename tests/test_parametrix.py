@@ -237,10 +237,29 @@ def test_left_remainder_class():
     assert left.passed
 
 
-def test_left_gate_self_adjoint_edge():
-    # alpha = am/2 makes the adjoint weight equal to alpha: the same gate
-    op = op_gb()
-    assert check_weight(op, 0.5) == check_weight(op.adjoint(), op.am - 0.5)
+exact_weights = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([gauss_bonnet_split, hodge_split]),
+    st.lists(exact_weights, min_size=1, max_size=5),
+    exact_weights,
+    st.booleans(),
+)
+@example(1, gauss_bonnet_split, SPEC, Fraction(1, 2), False)  # alpha = am/2: its own adjoint weight
+def test_left_gate_self_adjoint_edge(a, mk, crit, alpha, on_set):
+    # the adjoint's critical set is {-s - am}, so its gate at am - alpha is
+    # the gate at alpha, and the left construction needs no gate of its own
+    op = mk(a=a, b_dim=1, imspec=crit)
+    if on_set:
+        alpha = crit[0] + op.am
+    admissible = check_weight(op, alpha)
+    assert admissible == check_weight(op.adjoint(), op.am - alpha)
+    if not admissible:
+        with pytest.raises(WeightConditionError):
+            left_parametrix(op, alpha)
 
 
 wide_weights = st.one_of(
@@ -298,11 +317,15 @@ def test_numerical_critical_weights_are_quantized_once():
     assert again.imspec_p00 == op.imspec_p00
 
 
-@pytest.mark.parametrize("field,value", [("a", 1.5), ("m", True), ("b_dim", 2.9), ("a", 1.0)])
+@pytest.mark.parametrize("field,value", [
+    ("a", 1.5), ("m", True), ("b_dim", 2.9), ("a", 1.0), ("a", 0), ("b_dim", -1),
+])
 def test_split_operator_rejects_non_integer_orders(field, value):
+    # a non-integer is a TypeError, an integer out of range (a < 1, b_dim < 0) a ValueError
     doc = op_gb().to_json()
     doc[field] = value
-    with pytest.raises(TypeError):
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    with pytest.raises(ValueError if integer else TypeError):
         SplitOperator.from_json(doc)
 
 
