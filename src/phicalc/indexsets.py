@@ -24,6 +24,19 @@ and ``extended_union`` are associative and commutative, the canonical form
 does not depend on the order of the generators, and the JSON form (whole
 numbers as ints, other fractions as "p/q" strings) reads back to the same
 set.
+
+The algebra is decided on the common-denominator lattice of the generators
+at hand: with D the least common multiple of their denominators, every
+exponent of the closures lies on (1/D)Z + i (1/D)Z, and scaled by D a
+generator (re, im, k) is a point (n, m) of ints.  g reaches h exactly when
+both lie in one class (m, n mod D) and g's n is not larger, so canonical
+form, membership, containment, the extended union and truncation compare
+and hash ints only.  The public types stay as they were: the generators of
+an :class:`IndexSet` are the tuples it was built from, and exponents are
+``int`` or ``Fraction``.  :meth:`IndexSet.truncate` converts back once per
+member it returns, whole members to ``int`` (equal, with equal hashes, to
+the ``Fraction(n, 1)`` a whole generator such as 1/2 + 3/2 carries, and
+written the same way by :func:`number_to_json`).
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .jsonio import json_list, json_object
 
@@ -108,27 +121,45 @@ def _log_power(k) -> int:
 Gen = tuple
 
 
-def _reaches(g: Gen, re: Exact, im: Exact) -> bool:
-    """True when re + i im - g.z lies in N0 (so g's cone reaches it)."""
-    d = re - g[0]
-    return g[1] == im and d >= 0 and d.denominator == 1
+def _lattice(gens: Sequence[Gen]) -> tuple[int, list[tuple[int, int]]]:
+    """The common denominator D of the generators' real and imaginary parts,
+    and each generator's (re, im) scaled by D to a pair of ints (n, m).
+    Every exponent of their closures lies on (1/D)Z + i (1/D)Z, and g
+    reaches the point (n, m) when it lies in g's class (m, n mod D) with
+    g's n not larger."""
+    D = math.lcm(*(g[0].denominator for g in gens), *(g[1].denominator for g in gens))
+    return D, [
+        (re.numerator * (D // re.denominator), im.numerator * (D // im.denominator))
+        for (re, im, _) in gens
+    ]
 
 
-def _dominates(g: Gen, h: Gen) -> bool:
-    """g dominates h when the closure of {g} already contains h."""
-    return h[2] <= g[2] and _reaches(g, h[0], h[1])
+def _unscaled(n: int, D: int) -> Exact:
+    """n / D, an int when it is whole."""
+    q, r = divmod(n, D)
+    return q if r == 0 else Fraction(n, D)
 
 
-def _canonical(gens: Iterable[Gen]) -> tuple[Gen, ...]:
+def _canonical(gens: Sequence[Gen]) -> tuple[Gen, ...]:
     """The generators sorted, with every one dominated by another removed.
 
-    In (re, im, -k) order each generator comes after every generator that
-    dominates it, so one pass against the generators kept so far suffices.
+    On the lattice of :func:`_lattice`, in (n, m, -k) order each generator
+    comes after every generator that dominates it, so h is kept when its log
+    power exceeds every earlier one of its class.
     """
+    if len(gens) < 2:
+        return tuple(gens)
+    D, points = _lattice(gens)
+    best: dict = {}
     kept: list[Gen] = []
-    for h in sorted(gens, key=lambda g: (g[0], g[1], -g[2])):
-        if not any(_dominates(g, h) for g in kept):
-            kept.append(h)
+    # the index breaks ties in input order, as a stable sort would
+    for n, m, negk, i in sorted(
+        (n, m, -g[2], i) for i, ((n, m), g) in enumerate(zip(points, gens))
+    ):
+        cls = (m, n % D)
+        if -negk > best.get(cls, -1):
+            best[cls] = -negk
+            kept.append(gens[i])
     return tuple(kept)
 
 
@@ -149,8 +180,14 @@ class IndexSet:
     def member(self, z, k: int = 0) -> bool:
         """Decide membership of (z, k) in the closed set."""
         re, im = _split_exponent(z)
-        probe = (re, im, _log_power(k))
-        return any(_dominates(g, probe) for g in self.generators)
+        return self.issuperset(IndexSet(((re, im, _log_power(k)),)))
+
+    def issuperset(self, other: "IndexSet") -> bool:
+        """Whether the closure of ``other`` lies in this closed set: each of
+        its generators is dominated by one of ours, so adding them leaves
+        our canonical form as it is."""
+        gens = self.generators
+        return not other.generators or _canonical(gens + other.generators) == gens
 
     def min_re(self) -> RealLike:
         """Smallest real part among minimal elements (inf for the empty set)."""
@@ -160,14 +197,24 @@ class IndexSet:
         """All members (re, im, k) with re <= re_max, sorted.
 
         Used for display and serialization of the (infinite) closed set.
+        Whole real and imaginary parts come out as ``int``.  Each generator
+        walks its ray n, n + D, ... of scaled real parts up to re_max D,
+        keeping the largest log power per scaled point (n, m).
         """
-        re_max = exact_real(re_max)
-        return sorted({
-            (re + n, im, k)
-            for (re, im, kmax) in self.generators
-            for n in range(math.floor(re_max - re) + 1)
-            for k in range(kmax + 1)
-        })
+        gens = self.generators
+        D, points = _lattice(gens)
+        top = math.floor(exact_real(re_max) * D)
+        kmax: dict = {}
+        for (n0, m), g in zip(points, gens):
+            k = g[2]
+            for n in range(n0, top + 1, D):
+                if kmax.get((n, m), -1) < k:
+                    kmax[n, m] = k
+        out = []
+        for (n, m), k in sorted(kmax.items()):
+            re, im = _unscaled(n, D), _unscaled(m, D)
+            out.extend((re, im, kk) for kk in range(k + 1))
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -268,11 +315,6 @@ def add(I: IndexSet, J: IndexSet) -> IndexSet:
     return IndexSet(_canonical(gens))
 
 
-def _max_logpower(I: IndexSet, re: Exact, im: Exact) -> int:
-    """Largest k with (re + i im, k) in I, or -1 when it is not an exponent of I."""
-    return max((g[2] for g in I.generators if _reaches(g, re, im)), default=-1)
-
-
 def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
     """Extended union: I u J plus (z, l1 + l2 + 1) at shared exponents z.
 
@@ -284,11 +326,21 @@ def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
         return J
     if J.is_empty:
         return I
+    both = I.generators + J.generators
+    D, points = _lattice(both)
+    # per set, class (m, n mod D) -> its generators (n, k); a point (n, m)
+    # of the class has the largest log power among those with n' <= n
+    buckets: tuple[dict, dict] = ({}, {})
+    split = len(I.generators)
+    for i, ((n, m), g) in enumerate(zip(points, both)):
+        buckets[i >= split].setdefault((m, n % D), []).append((n, g[2]))
     gens = []
-    for (re, im, _) in I.generators + J.generators:
-        mi = _max_logpower(I, re, im)
-        mj = _max_logpower(J, re, im)
-        gens.append((re, im, mi + mj + 1 if mi >= 0 and mj >= 0 else max(mi, mj)))
+    for (n, m), g in zip(points, both):
+        cls = (m, n % D)
+        mi, mj = (
+            max((k for (n2, k) in b.get(cls, ()) if n2 <= n), default=-1) for b in buckets
+        )
+        gens.append((g[0], g[1], mi + mj + 1 if mi >= 0 and mj >= 0 else max(mi, mj)))
     return IndexSet(_canonical(gens))
 
 
@@ -309,7 +361,7 @@ def scale(I: IndexSet, a: int) -> IndexSet:
     """
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"scale factor must be a positive integer, got {a!r}")
-    return IndexSet(_canonical((a * g[0], a * g[1], g[2]) for g in I.generators))
+    return IndexSet(_canonical([(a * g[0], a * g[1], g[2]) for g in I.generators]))
 
 
 def exact_extended(v: RealLike):

@@ -582,7 +582,7 @@ def _face_implies(sub, sup) -> bool:
     """Does face data ``sub`` certify face data ``sup``?"""
     if isinstance(sub, IndexSet):
         if isinstance(sup, IndexSet):
-            return all(sup.member((g[0], g[1]), g[2]) for g in sub.generators)
+            return sup.issuperset(sub)
         return greater_than(sub, sup.threshold) if sup.strict else geq(sub, sup.threshold)
     if isinstance(sup, IndexSet):
         return False
@@ -1236,13 +1236,71 @@ def replay_chain(chain, geom: GeomConstants | None = None) -> bool:
         _CHAIN.reset(token)
 
 
+#: per composition or rewriting rule: its number of inputs and the names of
+#: its params (a primitive's come with it in :data:`CHAIN_PRIMITIVES`)
+_RULE_SHAPES = {
+    "small-absorb": (2, {"c"}),
+    "compose-full": (2, {"A", "c"}),
+    "compose-bphi": (2, {"c"}),
+    "compose-weight-b": (2, set()),
+    "compose-weight-phi": (2, set()),
+    "mixed-split": (2, {"c"}),
+    "lift-weight": (1, set()),
+    "lift-full": (1, {"a", "b_dim"}),
+    "power-left-of-lf-vanishing": (2, {"c"}),
+    "power-right-of-rf-vanishing": (2, {"c"}),
+    "absorb-power": (1, {"c"}),
+    "conjugate-small": (1, {"c", "side"}),
+    "power-into-family": (1, {"c"}),
+    "bphi-at-weight": (1, {"alpha"}),
+}
+
+
+def _read_param(name: str, v):
+    """A record param as the rules read it: ``side`` is "left" or "right",
+    every other param an exact or infinite number in its JSON form, and the
+    x-powers ``c`` and ``am`` are not -inf (x^-inf is no factor).  None for
+    any other value: a malformed value is refused here, once."""
+    if name == "side":
+        return v if v in ("left", "right") else None
+    try:
+        x = exact_extended(number_from_json(v))
+    except (ArithmeticError, TypeError, ValueError):
+        return None
+    return None if name in ("c", "am") and x == NEG_INF else x
+
+
+def _read_params(rec: RuleApp):
+    """The params of a record whose rule is known and whose inputs and
+    param names are the rule's, read by :func:`_read_param`; None for any
+    other record."""
+    rule, params = rec.rule, rec.params
+    if rule in CHAIN_PRIMITIVES:
+        arity, names = 0, CHAIN_PRIMITIVES[rule][0]
+    elif rule in _RULE_SHAPES:
+        arity, names = _RULE_SHAPES[rule]
+    else:
+        return None
+    if not (isinstance(params, dict) and params.keys() == names and len(rec.inputs) == arity):
+        return None
+    if not all(isinstance(i, OpClass) for i in rec.inputs):
+        return None
+    read = {k: _read_param(k, v) for k, v in params.items()}
+    return None if None in read.values() else read
+
+
 def _replay_one(rec: RuleApp, geom) -> bool:
-    rule, ins, params = rec.rule, rec.inputs, rec.params
-    c = number_from_json(params.get("c", 0))
+    params = _read_params(rec)
+    if params is None:
+        return False
+    rule, ins = rec.rule, rec.inputs
+    c = params.get("c", 0)
     try:
         if rule in CHAIN_PRIMITIVES:
-            got = CHAIN_PRIMITIVES[rule](params)
+            got = CHAIN_PRIMITIVES[rule][1](params)
         elif rule in ("small-absorb", "compose-full", "compose-bphi"):
+            if rule == "compose-full" and (geom is None or params["A"] != geom.A):
+                return False
             # the record stores the factors with the interior power in params
             left = multiply_x_power(ins[0], c, "right") if c != 0 else ins[0]
             got = compose(left, ins[1], geom)
@@ -1253,7 +1311,12 @@ def _replay_one(rec: RuleApp, geom) -> bool:
         elif rule == "lift-weight":
             got = lift_weight_class(ins[0])
         elif rule == "lift-full":
-            got = ClassSum(lift_b_to_phi(ins[0], params["a"], params["b_dim"]))
+            # the lift is the report's: a record of another geometry fails
+            if geom is None or (params["a"], params["b_dim"]) != (geom.a, geom.b_dim):
+                return False
+            if not (ins[0].kind == "b" and isinstance(ins[0].spec, IndexFamily)):
+                return False
+            got = ClassSum(lift_b_to_phi(ins[0], geom.a, geom.b_dim))
         elif rule == "power-left-of-lf-vanishing":
             if not (c >= 0 and _face_empty(ins[0], "lf")):
                 return False
@@ -1271,17 +1334,16 @@ def _replay_one(rec: RuleApp, geom) -> bool:
             if not (ins[0].kind == "phi" and isinstance(ins[0].spec, IndexFamily)):
                 return False
             got = _power_into_family(ins[0], c)
-        elif rule == "bphi-at-weight":
+        else:  # bphi-at-weight
             if ins[0].kind != "bphi":
                 return False
-            got = _bphi_at_weight(ins[0], number_from_json(params["alpha"]))
-        else:
-            raise KeyError(f"unknown rule {rule!r} in derivation chain")
+            got = _bphi_at_weight(ins[0], params["alpha"])
         return got == rec.output or eq_classes(got, rec.output)
     except CompositionError:
         return False
 
 
-#: registry of axiomatic primitives: rule name -> builder of the output
-#: class from the record's params (filled in by the parametrix engine)
+#: registry of axiomatic primitives: rule name -> (the names of its params,
+#: builder of the output class from their exact values), filled in by the
+#: parametrix engine
 CHAIN_PRIMITIVES: dict = {}

@@ -492,21 +492,18 @@ def target_parametrix_statement(a, m, al) -> Mat:
 
 def _prim(rule, params):
     """The output class of a registered primitive, recorded with its params
-    (numbers in their JSON form, which the builders read back)."""
-    params = {k: number_to_json(exact_real(v)) for k, v in params.items()}
-    return oc._rec(rule, (), params, CHAIN_PRIMITIVES[rule](params))
-
-
-def _alpha(params):
-    return number_from_json(params["alpha"])
+    as numbers in their JSON form; replay reads them back to equal numbers."""
+    exact = {k: exact_real(v) for k, v in params.items()}
+    build = CHAIN_PRIMITIVES[rule][1]
+    return oc._rec(rule, (), {k: number_to_json(v) for k, v in exact.items()}, build(exact))
 
 
 def _prim_b_parametrix_Q(params):
-    return weight_b(-params["m"], _alpha(params))
+    return weight_b(-params["m"], params["alpha"])
 
 
 def _prim_b_parametrix_R(params):
-    return x_left(weight_b(0, _alpha(params)), INF)
+    return x_left(weight_b(0, params["alpha"]), INF)
 
 
 def _prim_normal_inverse_Q(params):
@@ -526,33 +523,33 @@ def _prim_interior_R(params):
 
 
 def _prim_lf_solve_Q(params):
-    q = weight_b(NEG_INF, _alpha(params), ext=True, vanish=("rf",))
+    q = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("rf",))
     return x_right(q, params["am"]) if params["row"] == 1 else q
 
 
 def _prim_lf_solve_R(params):
-    base = weight_b(NEG_INF, _alpha(params), ext=True, vanish=("lf",))
+    base = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("lf",))
     return (
         x_right(base, params["am"]) if params["col"] == 1 else x_left(base, params["am"])
     )
 
 
 def _prim_neumann_limit(params):
-    base = x_left(weight_phi(0, _alpha(params), ext=True), INF)
+    base = x_left(weight_phi(0, params["alpha"], ext=True), INF)
     return x_right(base, params["am"]) if params["col"] == 1 else base
 
 
 CHAIN_PRIMITIVES.update(
     {
-        "b-parametrix-Q": _prim_b_parametrix_Q,
-        "b-parametrix-R": _prim_b_parametrix_R,
-        "normal-inverse-Q": _prim_normal_inverse_Q,
-        "normal-inverse-R": _prim_normal_inverse_R,
-        "interior-parametrix-Q": _prim_interior_Q,
-        "interior-parametrix-R": _prim_interior_R,
-        "lf-solve-Q": _prim_lf_solve_Q,
-        "lf-solve-R": _prim_lf_solve_R,
-        "neumann-limit": _prim_neumann_limit,
+        "b-parametrix-Q": ({"m", "alpha"}, _prim_b_parametrix_Q),
+        "b-parametrix-R": ({"m", "alpha"}, _prim_b_parametrix_R),
+        "normal-inverse-Q": ({"m"}, _prim_normal_inverse_Q),
+        "normal-inverse-R": ({"m"}, _prim_normal_inverse_R),
+        "interior-parametrix-Q": ({"m"}, _prim_interior_Q),
+        "interior-parametrix-R": ({"m"}, _prim_interior_R),
+        "lf-solve-Q": ({"alpha", "am", "row"}, _prim_lf_solve_Q),
+        "lf-solve-R": ({"alpha", "am", "col"}, _prim_lf_solve_R),
+        "neumann-limit": ({"alpha", "am", "col"}, _prim_neumann_limit),
     }
 )
 

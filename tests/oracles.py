@@ -5,6 +5,10 @@ The index-set oracle is the exact truncation enumeration that
 ``_enum_add``, ``_enum_eu``, ``_enum_shift``); this module only draws the
 random generator lists it is checked on.
 
+The truncation oracle is the set comprehension that ``IndexSet.truncate``
+used before it walked the common-denominator lattice: every generator's
+members (re + n, im, k), collected in a set of exact numbers and sorted.
+
 The critical-weight oracle finds roots of an indicial family by scanning
 its smallest singular value, and measures pole and determinant orders by
 log-log slopes, with no use of the family's polynomial structure; the
@@ -30,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from phicalc.indexsets import exact_real
 from phicalc.opclasses import CompositionError, as_terms, contains
 from phicalc.models.geometry import hodge_mode_operator
 from phicalc.models.harmonic import SampledSolution, _default_component, _fixed_global_rng
@@ -46,6 +51,18 @@ def random_generators(rng, max_gens=4, allow_halves=True, allow_imag=True):
         k = rng.randrange(0, 3)
         gens.append(((re, im), k))
     return gens
+
+
+def comprehension_truncate(generators, re_max) -> list:
+    """Members (re, im, k) with re <= re_max of the closure of (re, im, kmax)
+    generators, sorted, by ``Fraction`` arithmetic on every member."""
+    re_max = exact_real(re_max)
+    return sorted({
+        (re + n, im, k)
+        for (re, im, kmax) in generators
+        for n in range(math.floor(re_max - re) + 1)
+        for k in range(kmax + 1)
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from phicalc.indexsets import (
     small_family,
 )
 
-from oracles import random_generators
+from oracles import comprehension_truncate, random_generators
 
 
 def iset(*pairs):
@@ -370,6 +370,74 @@ def test_float_json_round_trip_is_identity(ga):
     I = make_index_set(ga)
     assert IndexSet.from_json(I.to_json()) == I
     assert IndexSet.from_json(json.loads(json.dumps(I.to_json()))) == I
+
+
+# ---------------------------------------------------------------------------
+# the common-denominator lattice against brute force
+
+
+# real parts with denominators 1, 2, 3 and 6 (negative thirds among them) or
+# floats that exact_real quantizes to denominators up to 10**6; imaginary
+# parts exact, some of them fractions
+lattice_reals = st.one_of(
+    st.sampled_from([1, 2, 3, 6]).flatmap(
+        lambda q: st.integers(-3 * q, 3 * q).map(lambda n: Fraction(n, q))
+    ),
+    st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False),
+)
+lattice_gen_lists = st.lists(
+    st.tuples(
+        st.tuples(lattice_reals, st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 3)])),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=4,
+)
+LATTICE_CUT = 3  # truncation cutoff; the closures go to LATTICE_CUT + 3 for the sums
+
+
+def _lattice_closure(gens, D, re_max):
+    """Brute-force closure of ((re, im), k) pairs with real parts scaled by D."""
+    exact = [(exact_real(re), exact_real(im), k) for ((re, im), k) in gens]
+    return _enum_closure([(int(re * D), im, k) for (re, im, k) in exact], re_max * D, D)
+
+
+def _scaled_members(I, D):
+    return {(re * D, im, k) for (re, im, k) in I.truncate(LATTICE_CUT)}
+
+
+def _assert_truncate_is_the_comprehension(I):
+    got = I.truncate(LATTICE_CUT)
+    assert got == comprehension_truncate(I.generators, LATTICE_CUT)
+    assert got == sorted(set(got)) and len(got) == len(set(got))
+    assert all(type(x) is int or x.denominator > 1 for (re, im, _) in got for x in (re, im))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_gen_lists, lattice_gen_lists)
+# one class, two log powers: the later generator is kept for its larger k
+@example([((Fraction(-1, 3), 0), 0), ((Fraction(5, 3), 0), 2)], [((Fraction(2, 3), 0), 1)])
+# add gives the whole generator Fraction(2, 1); truncate writes its members as ints
+@example([((Fraction(1, 2), 0), 0)], [((Fraction(3, 2), 0), 1)])
+def test_lattice_algebra_matches_scaled_bruteforce(ga, gb):
+    D = math.lcm(*(exact_real(re).denominator for ((re, _), _) in ga + gb))
+    reach = LATTICE_CUT + 3
+    A, B = make_index_set(ga), make_index_set(gb)
+    ea, eb = _lattice_closure(ga, D, reach), _lattice_closure(gb, D, reach)
+    cut = lambda S: {m for m in S if m[0] <= LATTICE_CUT * D}
+    assert _scaled_members(A, D) == cut(ea) and _scaled_members(B, D) == cut(eb)
+    assert _scaled_members(add(A, B), D) == cut(_enum_add(ea, eb, reach * D))
+    assert _scaled_members(extended_union(A, B), D) == cut(_enum_eu(ea, eb, reach * D))
+    for I in (A, B, add(A, B), extended_union(A, B)):
+        _assert_truncate_is_the_comprehension(I)
+
+
+def test_whole_fraction_generator_truncates_to_ints():
+    I = add(real_set(Fraction(1, 2)), real_set(Fraction(3, 2)))
+    assert I.generators == ((Fraction(2, 1), 0, 0),) and type(I.generators[0][0]) is Fraction
+    got = I.truncate(3)
+    assert got == [(2, 0, 0), (3, 0, 0)] and all(type(re) is int for (re, _, _) in got)
+    assert got == comprehension_truncate(I.generators, 3)
+    assert IndexSet.from_json(I.to_json()) == I
 
 
 # ---------------------------------------------------------------------------

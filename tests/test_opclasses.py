@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import phicalc.opclasses as oc
 
+from phicalc.acceptance import _enum_closure
 from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, small_family
 from phicalc.jsonio import dumps
 from phicalc.opclasses import (
@@ -386,6 +387,33 @@ def test_meets_checks_each_summand_at_the_faces_it_has():
     assert meets(ZERO, {"lf": Bound(INF, True), "ff": Bound(INF, True)})
     assert meets(ClassSum((good, good)), lf_pos)
     assert not meets(ClassSum((good, bad)), lf_pos)
+
+
+face_gens = st.lists(
+    st.tuples(
+        st.tuples(st.fractions(-3, 3, max_denominator=3), st.sampled_from([0, 0, 1, Fraction(1, 2)])),
+        st.integers(0, 2),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sup=face_gens, sub=face_gens, picks=st.lists(st.integers(0, 99), max_size=3))
+@example(sup=[((0, 0), 1)], sub=[((2, 0), 1), ((1, 0), 0)], picks=[])
+@example(sup=[((0, 0), 1)], sub=[((2, 0), 2)], picks=[])
+def test_index_set_face_implication_is_brute_force_membership(sup, sub, picks):
+    """Containment of index-set faces, decided on the lattice canonical form,
+    agrees with membership of each of the sub face's generators in the
+    enumerated closure of the sup face."""
+    I = make_index_set(sup)
+    # members of the sup face mixed in, so that both verdicts occur
+    inside = I.truncate(3)
+    picked = [inside[p % len(inside)] for p in picks] if inside else []
+    J = make_index_set(sub + [((re, im), k) for (re, im, k) in picked])
+    top = max((g[0] for g in J.generators), default=0)
+    closure = _enum_closure(list(I.generators), top)
+    assert oc._face_implies(J, I) == all(g in closure for g in J.generators)
 
 
 def test_sum_predicates_hold_summandwise():

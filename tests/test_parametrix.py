@@ -1,11 +1,13 @@
 """Split-parametrix engine: step-by-step class verification and gates."""
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +19,15 @@ from phicalc.opclasses import (
     ClassSum,
     GeomConstants,
     NEG_INF,
+    RuleApp,
     as_terms,
     bphi_class,
+    compose,
     contains,
     eq_classes,
+    full_class,
     ZERO,
+    recording,
     replay_chain,
     small_b,
     small_phi,
@@ -50,7 +56,7 @@ from phicalc.parametrix import (
     step3_lf_correction,
 )
 from phicalc.acceptance import _enum_closure
-from phicalc.indexsets import exact_real, make_index_set, shift
+from phicalc.indexsets import IndexFamily, exact_real, make_index_set, real_set, shift
 from phicalc.jsonio import dumps
 from phicalc.models.spectrum import SpectrumPoint
 from phicalc import opclasses as oc
@@ -360,8 +366,6 @@ def test_full_grid_matches_statement_classes():
 def test_report_chains_replay():
     op = op_gb()
     rep = parametrix_report(op, 0.5)
-    from phicalc.opclasses import RuleApp
-
     n_records = 0
     for step in rep["steps"]:
         for assertion in step["assertions"]:
@@ -369,6 +373,100 @@ def test_report_chains_replay():
             n_records += len(chain)
             assert replay_chain(chain, op.geom)
     assert n_records > 20
+
+
+# every rule name a chain may carry: the parametrix primitives, then the
+# composition and rewriting rules of the class algebra
+CHAIN_RULES = (
+    "b-parametrix-Q", "b-parametrix-R", "normal-inverse-Q", "normal-inverse-R",
+    "interior-parametrix-Q", "interior-parametrix-R", "lf-solve-Q", "lf-solve-R",
+    "neumann-limit",
+    "small-absorb", "compose-full", "compose-bphi", "compose-weight-b",
+    "compose-weight-phi", "mixed-split", "lift-weight", "lift-full",
+    "power-left-of-lf-vanishing", "power-right-of-rf-vanishing", "absorb-power",
+    "conjugate-small", "power-into-family", "bphi-at-weight",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def replay_pool():
+    """Records to tamper with: a full-family composition chain (lift-full at
+    0, compose-full at 1; no report carries these rules), then every record
+    of a real report, re-read from its JSON."""
+    op = op_gb()
+    bfam = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
+    Q = full_class("phi", 0, IndexFamily("phi", lf=real_set(1), rf=real_set(1),
+                                         bf=real_set(0), ff=real_set(0)))
+    with recording() as chain:
+        compose(full_class("b", -1, bfam), Q, op.geom)
+    rep = json.loads(json.dumps(parametrix_report(op, 0.5)))
+    chain += [RuleApp.from_json(r) for step in rep["steps"]
+              for assertion in step["assertions"] for r in assertion["chain"]]
+    return op.geom, tuple(chain)
+
+
+_PARAM_NAMES = ("A", "a", "alpha", "am", "b_dim", "c", "col", "m", "row", "side", "zzz")
+_PARAM_VALUES = (0, 1, 2, -1, 1.5, "1/2", "x", "inf", "-inf", "1/0", "1e99999", None, True,
+                 [1], {"p": 1}, "left")
+_TAMPERS = st.one_of(
+    st.tuples(st.just("rule"), st.sampled_from(CHAIN_RULES + ("no-such-rule",))),
+    st.tuples(st.just("set-param"), st.sampled_from(_PARAM_NAMES), st.sampled_from(_PARAM_VALUES)),
+    st.tuples(st.just("drop-param"), st.sampled_from(_PARAM_NAMES)),
+    st.tuples(st.just("drop-input"), st.integers(0, 1)),
+    st.tuples(st.just("repeat-input"), st.integers(0, 1)),
+    st.tuples(st.just("output"), st.integers(min_value=0)),
+)
+
+
+def _tamper(rec, how, pool):
+    """The record with one thing changed, and whether that changed its shape
+    (rule name, param names or number of inputs) away from every rule's."""
+    kind, arg, *rest = how
+    ins, params = rec.inputs, rec.params
+    if kind == "rule":
+        return replace(rec, rule=arg), arg not in CHAIN_RULES
+    if kind == "set-param":
+        return replace(rec, params={**params, arg: rest[0]}), arg not in params
+    if kind == "drop-param":
+        return replace(rec, params={k: v for k, v in params.items() if k != arg}), arg in params
+    if kind in ("drop-input", "repeat-input") and ins:
+        i = arg % len(ins)
+        ins = ins[:i] + ins[i + 1:] if kind == "drop-input" else ins + (ins[i],)
+        return replace(rec, inputs=ins), True
+    if kind == "output":
+        return replace(rec, output=pool[arg % len(pool)].output), False
+    return rec, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(min_value=0), how=_TAMPERS)
+@example(which=0, how=("set-param", "a", 0))
+@example(which=0, how=("set-param", "a", "x"))
+@example(which=0, how=("drop-param", "a"))
+@example(which=2, how=("rule", "no-such-rule"))
+@example(which=1, how=("drop-input", 1))
+@example(which=1, how=("set-param", "c", "-inf"))
+def test_replay_of_a_tampered_record_returns_a_bool(which, how):
+    geom, pool = replay_pool()
+    assert [r.rule for r in pool[:2]] == ["lift-full", "compose-full"]
+    rec = pool[which % len(pool)]
+    tampered, reshaped = _tamper(rec, how, pool)
+    got = replay_chain([tampered], geom)
+    assert got is True or got is False
+    if reshaped:
+        assert got is False
+
+
+def test_lift_full_replays_with_the_geometry_given():
+    geom, pool = replay_pool()
+    lift = pool[0]
+    assert replay_chain([lift], geom)
+    assert not replay_chain([lift], None)
+    assert not replay_chain([lift], GeomConstants(a=2, b_dim=1))
+    # a record that claims the geometry it is replayed with still fails
+    # when its output is the lift of another geometry
+    other = replace(lift, params={"a": 2, "b_dim": 1})
+    assert not replay_chain([other], GeomConstants(a=2, b_dim=1))
 
 
 def criterion3_instances():
