@@ -11,6 +11,7 @@ a result with a PASS/FAIL verdict, details, and its runtime.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 import time
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .indexsets import EMPTY, IndexFamily, add, extended_union, make_index_set, real_set
-from .opclasses import GeomConstants, compose, full_class
+from .opclasses import GeomConstants, RuleApp, compose, full_class, replay_chain
 from .parametrix import (
     check_weight,
     fredholm_report,
@@ -269,9 +270,11 @@ _EXACT_LABELS = {
 
 @_criterion(3, "five-step parametrix replay matches the stated classes", 5.0)
 def criterion_3(model):
+    """Each report passes, its exact assertions are exact, and every record
+    of its chains, read back from the report's JSON, replays."""
     spec = [-2, -1, 0, 1, 2]
     failures = []
-    runs = 0
+    runs = records = 0
     for a in (1, 2):
         for mk, m in ((gauss_bonnet_split, 1), (hodge_split, 2)):
             op = mk(a=a, b_dim=1, imspec=spec)
@@ -279,7 +282,7 @@ def criterion_3(model):
                 if not check_weight(op, alpha):
                     continue
                 runs += 1
-                rep = parametrix_report(op, alpha)
+                rep = json.loads(json.dumps(parametrix_report(op, alpha)))
                 if rep["verdict"] != "PASS":
                     failures.append((a, m, alpha, "verdict"))
                 for step in rep["steps"]:
@@ -288,9 +291,14 @@ def criterion_3(model):
                             failures.append((a, m, alpha, assertion["label"]))
                         if assertion["label"] in _EXACT_LABELS and not assertion["exact"]:
                             failures.append((a, m, alpha, assertion["label"] + ":not-exact"))
+                        chain = [RuleApp.from_json(r) for r in assertion["chain"]]
+                        records += len(chain)
+                        if not replay_chain(chain, op.geom):
+                            failures.append((a, m, alpha, assertion["label"] + ":replay"))
     # 13 admissible (a, m, alpha) combinations: alpha = 0 is admissible
     # only for am = 4, where alpha - am clears the integer spectrum
-    return not failures and runs == 13, {"instances": runs, "failures": failures[:8]}
+    details = {"instances": runs, "records_replayed": records, "failures": failures[:8]}
+    return not failures and runs == 13, details
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .jsonio import json_list, json_object
@@ -443,9 +444,10 @@ class IndexFamily:
         return f"IndexFamily({self.kind}; {inner})"
 
 
+@lru_cache(maxsize=2)
 def small_family(kind: str) -> IndexFamily:
     """The index family of the small calculus: all empty except bf=0 (b-type)
-    or ff=0 (phi-type)."""
+    or ff=0 (phi-type).  Made once per kind and shared: a family is frozen."""
     if kind == "b":
         return IndexFamily("b", lf=EMPTY, rf=EMPTY, bf=real_set(0))
     return IndexFamily("phi", lf=EMPTY, rf=EMPTY, bf=EMPTY, ff=real_set(0))

@@ -24,11 +24,15 @@ that no other summand contains.
 Weights, orders and x-powers are exact: each passes once through
 :func:`phicalc.indexsets.exact_extended` when a :class:`Weight` or an
 :class:`OpClass` is built (finite floats become fractions, +-inf stays a
-float), so every comparison below is ``==``/``<`` on exact numbers.
+float; an x-power of -inf is refused), so every comparison below is
+``==``/``<`` on exact numbers.
 
-Inside a ``with recording() as chain:`` block every rule application
-is appended to ``chain`` as a :class:`RuleApp`; :func:`replay_chain`
-re-checks each record of such a chain from its inputs and parameters.
+Each rule is written once, in the table :data:`RULES`: its number of input
+classes, its param names and its formula, which checks the rule's
+precondition.  :func:`compose` picks rules and applies them through that
+table; inside a ``with recording() as chain:`` block every application is
+appended to ``chain`` as a :class:`RuleApp`, and :func:`replay_chain`
+re-runs the formula of the rule that each record names.
 Inside a ``with _reuse_scope():`` block (one parametrix report) equal
 classes share one fold and one JSON dict, and a repeated :func:`compose`
 call returns its first output and re-records its rule applications.
@@ -41,7 +45,8 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from .indexsets import (
     EMPTY,
@@ -85,7 +90,6 @@ __all__ = [
     "compose",
     "compose_families",
     "lift_b_to_phi",
-    "lift_weight_class",
     "conjugate_by_power",
     "multiply_x_power",
     "adjoint_class",
@@ -98,6 +102,9 @@ __all__ = [
     "eq_classes",
     "fold",
     "RuleApp",
+    "Rule",
+    "RULES",
+    "register_rule",
     "entry_from_json",
     "recording",
     "replay_chain",
@@ -167,6 +174,14 @@ class GeomConstants:
         return self.a * (self.b_dim + 1)
 
 
+def _x_power(name: str, v):
+    """An x-power factor made exact; x^-inf is no factor and is refused."""
+    v = exact_extended(v)
+    if v == NEG_INF:
+        raise ValueError(f"{name} must not be -inf: x^-inf is no factor")
+    return v
+
+
 def _xadd(u, v):
     """Extended-real addition for x-powers and orders (no inf - inf here)."""
     s = u + v
@@ -195,8 +210,9 @@ class OpClass:
                 raise ValueError(f"a {self.kind} class needs a Weight or IndexFamily spec")
         elif self.spec is not None:
             raise ValueError(f"{self.kind} classes carry no boundary spec")
-        for name in ("order", "xl", "xr"):
-            object.__setattr__(self, name, exact_extended(getattr(self, name)))
+        object.__setattr__(self, "order", exact_extended(self.order))
+        for name in ("xl", "xr"):
+            object.__setattr__(self, name, _x_power(name, getattr(self, name)))
         if isinstance(self.spec, IndexFamily):
             if self.spec.kind != self.kind:
                 raise ValueError("index family kind does not match class kind")
@@ -239,7 +255,7 @@ class OpClass:
         return self.spec.alpha
 
     def with_powers(self, dl=0, dr=0) -> "OpClass":
-        dl, dr = exact_extended(dl), exact_extended(dr)
+        dl, dr = _x_power("dl", dl), _x_power("dr", dr)
         return _derive(self, xl=_xadd(self.xl, dl), xr=_xadd(self.xr, dr))
 
     def shifted_order(self, d) -> "OpClass":
@@ -684,7 +700,7 @@ def multiply_x_power(P: Entry, c, side: str) -> Entry:
     and rf,bf(,ff) on the right."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    c = exact_extended(c)
+    c = _x_power("c", c)
     if isinstance(P, ClassSum):
         return ClassSum(tuple(multiply_x_power(t, c, side) for t in P.terms))
     if P.is_zero:
@@ -709,15 +725,6 @@ def adjoint_class(P: Entry) -> Entry:
         {"lf": "rf", "rf": "lf"}.get(f, f) for f in P.vanish
     )
     return _derive(P, spec=spec, xl=P.xr, xr=P.xl, vanish=vanish)
-
-
-def lift_weight_class(P: OpClass) -> OpClass:
-    """Weight-tier lifting of a b-class into the phi-calculus (order < 0)."""
-    if P.kind != "b" or not isinstance(P.spec, Weight):
-        raise UnsupportedComposition("weight-tier lift needs a b-kind weight class")
-    if P.order >= 0:
-        raise UnsupportedComposition("lifting requires negative order")
-    return _derive(P, kind="phi")
 
 
 def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
@@ -908,11 +915,42 @@ def recording():
         _CHAIN.reset(token)
 
 
-def _rec(rule, inputs, params, output):
+class Rule(NamedTuple):
+    """A rule a derivation chain may name: its number of input classes, the
+    names of its params, and ``formula(inputs, params, geom)``, which gives
+    the output from the inputs and the exact param values, and raises
+    :class:`CompositionError` where the rule's precondition fails."""
+
+    arity: int
+    params: frozenset
+    formula: Callable
+
+
+#: every rule of the class algebra, by name; the parametrix primitives are
+#: entered where :mod:`phicalc.parametrix` defines them
+RULES: dict = {}
+
+
+def register_rule(name: str, arity: int, *params: str):
+    """Decorator entering a formula in :data:`RULES` as rule ``name``."""
+
+    def enter(formula):
+        RULES[name] = Rule(arity, frozenset(params), formula)
+        return formula
+
+    return enter
+
+
+def _apply(name: str, inputs: tuple, geom=None, **params) -> Entry:
+    """Run rule ``name`` on ``inputs`` with exact ``params``; inside a
+    :func:`recording` block, append its :class:`RuleApp` (params in JSON
+    form) after those of the rules its formula applied."""
+    out = RULES[name].formula(inputs, params, geom)
     chain = _CHAIN.get()
     if chain is not None:
-        chain.append(RuleApp(rule, inputs, params, output))
-    return output
+        json_params = {k: v if isinstance(v, str) else number_to_json(v) for k, v in params.items()}
+        chain.append(RuleApp(name, inputs, json_params, out))
+    return out
 
 
 def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
@@ -935,33 +973,6 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
         add(I.ff, J.ff),
     )
     return IndexFamily("phi", lf=Klf, rf=Krf, bf=Kbf, ff=Kff)
-
-
-def rule_f(P: OpClass, c, Q: OpClass) -> ClassSum:
-    """Mixed composition through an x^c factor, c >= 0 and ord(P) <= 0:
-
-        Psi_{b or phi}^{k,alpha} x^c Psi_phi^{l,alpha}
-            subset  Psi_{b,ext}^{-inf,alpha} + x^c Psi_bphi^{k+l}.
-
-    Outside the stated range (c < 0 or k > 0) the rule is not available.
-    """
-    if not isinstance(P.spec, Weight) or not isinstance(Q.spec, Weight):
-        raise UnsupportedComposition("the mixed rule needs weight-tier factors")
-    if P.kind not in ("b", "phi") or Q.kind != "phi":
-        raise UnsupportedComposition("the mixed rule needs a b/phi times phi pair")
-    if P.spec.alpha != Q.spec.alpha:
-        raise UnsupportedComposition("the mixed rule needs equal weights")
-    if c < 0:
-        raise UnsupportedComposition("the mixed rule requires c >= 0")
-    if P.order > 0:
-        raise UnsupportedComposition("the mixed rule requires the left order <= 0")
-    out = ClassSum(
-        (
-            OpClass("b", NEG_INF, Weight(P.spec.alpha), ext=True),
-            OpClass("bphi", _xadd(P.order, Q.order), None, xl=c, ext=P.ext or Q.ext),
-        )
-    )
-    return _rec("mixed-split", (P, Q), {"c": number_to_json(c)}, out)
 
 
 def _e_normalize(P: OpClass) -> OpClass:
@@ -1056,161 +1067,242 @@ def _compose(P: Entry, Q: Entry, geom, route) -> Entry:
 
 
 def _compose_core(P: OpClass, Q: OpClass, c, geom, route) -> Entry:
+    """Pick the rule for ``P x^c Q`` (factors without x-powers) and apply it."""
     # a small-calculus factor preserves the other factor's boundary data
     if P.is_small or Q.is_small:
-        return _compose_small(P, Q, c, geom)
+        return _apply("small-absorb", (P, Q), geom, c=c)
 
-    # full-family composition
+    # full-family composition, a b-factor lifted to the phi-side first
     if isinstance(P.spec, IndexFamily) and isinstance(Q.spec, IndexFamily):
-        return _compose_full(P, Q, c, geom)
+        if P.kind == Q.kind == "b":
+            raise UnsupportedComposition(
+                "composition of two full-family b-classes is not mechanized "
+                "(no combination formula is quoted here)"
+            )
+        _same_geom(geom)
+        pairs = [(P, Q)]
+        if P.kind == "b":
+            pairs = [(L, Q) for L in _apply("lift-full", (P,), geom, a=geom.a, b_dim=geom.b_dim).terms]
+        elif Q.kind == "b":
+            pairs = [(P, L) for L in _apply("lift-full", (Q,), geom, a=geom.a, b_dim=geom.b_dim).terms]
+        return sum_of(*(_apply("compose-full", pq, geom, A=geom.A, c=c) for pq in pairs))
     if isinstance(P.spec, IndexFamily) or isinstance(Q.spec, IndexFamily):
         raise UnsupportedComposition(
             "mixed full-family / weight-tier composition is not mechanized"
         )
 
     # bphi factors act at every weight
-    if P.kind == "bphi" and Q.kind == "bphi":
-        if c < 0:
-            raise UnsupportedComposition("negative interior power between bphi factors")
-        out = bphi_class(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
-        return _rec("compose-bphi", (P, Q), {"c": number_to_json(c)}, out)
-    if P.kind == "bphi" and isinstance(Q.spec, Weight) and Q.kind == "phi":
-        alpha = Q.spec.alpha
-        P2 = _rec("bphi-at-weight", (P,), {"alpha": number_to_json(alpha)}, _bphi_at_weight(P, alpha))
-        return _compose_core(P2, Q, c, geom, route)
-    if Q.kind == "bphi" and isinstance(P.spec, Weight) and P.kind == "phi":
-        alpha = P.spec.alpha
-        Q2 = _rec("bphi-at-weight", (Q,), {"alpha": number_to_json(alpha)}, _bphi_at_weight(Q, alpha))
-        return _compose_core(P, Q2, c, geom, route)
-
+    if P.kind == Q.kind == "bphi":
+        return _apply("compose-bphi", (P, Q), geom, c=c)
+    if P.kind == "bphi" and Q.kind == "phi":
+        return _compose_core(_apply("bphi-at-weight", (P,), geom, alpha=Q.spec.alpha), Q, c, geom, route)
+    if Q.kind == "bphi" and P.kind == "phi":
+        return _compose_core(P, _apply("bphi-at-weight", (Q,), geom, alpha=P.spec.alpha), c, geom, route)
     if not (isinstance(P.spec, Weight) and isinstance(Q.spec, Weight)):
         raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
 
     # weight-tier composition
     if route == "split":
-        return rule_f(P, c, Q)
-
+        return _apply("mixed-split", (P, Q), geom, c=c)
     if c != 0:
         if c < 0:
             raise UnsupportedComposition("negative interior x-power between weight classes")
         if _face_empty(P, "lf"):
-            # Psi_lf x^c subset x^c Psi_lf: keep the power on the left
-            out = _compose_core(P, Q, 0, geom, route)
-            out = multiply_x_power(out, c, "left")
-            return _rec("power-left-of-lf-vanishing", (P, Q), {"c": number_to_json(c)}, out)
+            return _apply("power-left-of-lf-vanishing", (P, Q), geom, c=c)
         if _face_empty(Q, "rf"):
-            out = _compose_core(P, Q, 0, geom, route)
-            out = multiply_x_power(out, c, "right")
-            return _rec("power-right-of-rf-vanishing", (P, Q), {"c": number_to_json(c)}, out)
-        # generic weakening: x^c Q subset Q for c >= 0
-        _rec("absorb-power", (Q,), {"c": number_to_json(c)}, Q)
+            return _apply("power-right-of-rf-vanishing", (P, Q), geom, c=c)
+        _apply("absorb-power", (Q,), geom, c=c)
         return _compose_core(P, Q, 0, geom, route)
+    if P.kind == "b" and Q.kind == "phi":
+        return _compose_core(_apply("lift-weight", (P,), geom), Q, 0, geom, route)
+    if P.kind == "phi" and Q.kind == "b":
+        return _compose_core(P, _apply("lift-weight", (Q,), geom), 0, geom, route)
+    return _apply(f"compose-weight-{P.kind}", (P, Q), geom)
 
-    kp, kq = P.kind, Q.kind
-    if kp == "b" and kq == "phi":
-        P2 = lift_weight_class(P)
-        _rec("lift-weight", (P,), {}, P2)
-        return _compose_core(P2, Q, 0, geom, route)
-    if kp == "phi" and kq == "b":
-        Q2 = lift_weight_class(Q)
-        _rec("lift-weight", (Q,), {}, Q2)
-        return _compose_core(P, Q2, 0, geom, route)
-    if kp != kq:
+
+# ---------------------------------------------------------------------------
+# the rules of the class algebra
+
+
+def _same_geom(geom, **constants):
+    """Refuse a rule without ``geom``, or whose recorded constants are not its."""
+    if geom is None or any(getattr(geom, k) != v for k, v in constants.items()):
+        raise UnsupportedComposition("phi-composition needs the geometry constants (a, b_dim)")
+
+
+@register_rule("small-absorb", 2, "c")
+def _small_absorb(inputs, params, geom):
+    """A small-calculus factor keeps the other factor's boundary data and
+    adds its order; it commutes with the interior power."""
+    P, Q = inputs
+    c = params["c"]
+    small, other = (P, Q) if P.is_small else (Q, P)
+    if not small.is_small:
+        raise UnsupportedComposition("no factor is of the small calculus")
+    if small.spec.kind == "phi" and other.kind == "b" and not other.is_small:
+        if not isinstance(other.spec, Weight):
+            raise UnsupportedComposition(
+                "small-phi against a full-family b-class: lift the b-class first"
+            )
+        other = _apply("lift-weight", (other,), geom)
+    elif (small.spec.kind == "b") != (other.kind == "b"):
+        raise UnsupportedComposition(
+            f"small factor of kind {small.spec.kind} cannot absorb {other!r}"
+        )
+    out = _derive(other, order=_xadd(other.order, small.order), ext=other.ext or small.ext)
+    if c != 0:
+        side = "left" if small is P else "right"
+        _apply("conjugate-small", (small,), geom, c=c, side=side)
+        out = multiply_x_power(out, c, side)
+    return out
+
+
+@register_rule("conjugate-small", 1, "c", "side")
+def _conjugate_small(inputs, params, geom):
+    """A small-calculus class commutes with x-powers."""
+    if not inputs[0].is_small:
+        raise UnsupportedComposition("only a small-calculus class commutes with x-powers")
+    return inputs[0]
+
+
+@register_rule("lift-full", 1, "a", "b_dim")
+def _lift_full(inputs, params, geom):
+    """The pair of phi-classes of :func:`lift_b_to_phi`, with ``geom``."""
+    (T,) = inputs
+    _same_geom(geom, a=params["a"], b_dim=params["b_dim"])
+    if not (T.kind == "b" and isinstance(T.spec, IndexFamily)):
+        raise UnsupportedComposition("lifting needs a b-kind class with a full index family")
+    return ClassSum(lift_b_to_phi(T, geom.a, geom.b_dim))
+
+
+@register_rule("power-into-family", 1, "c")
+def _power_into_family(inputs, params, geom):
+    """x^c Q for a full phi-family class: lf, bf and ff shift by c, and
+    x^inf empties them."""
+    (Q,) = inputs
+    if not (Q.kind == "phi" and isinstance(Q.spec, IndexFamily)):
+        raise UnsupportedComposition("the power goes into a full phi-family only")
+    shifted = {f: _shift_face(Q.spec.face(f), params["c"]) for f in ("lf", "bf", "ff")}
+    return _derive(Q, spec=Q.spec.replace(**shifted))
+
+
+@register_rule("compose-full", 2, "A", "c")
+def _compose_full(inputs, params, geom):
+    """P x^c Q for full phi-family classes by :func:`compose_families`."""
+    P, Q = inputs
+    _same_geom(geom, A=params["A"])
+    if not all(F.kind == "phi" and isinstance(F.spec, IndexFamily) for F in (P, Q)):
+        raise UnsupportedComposition("family composition needs two full phi-family classes")
+    if params["c"] != 0:
+        Q = _apply("power-into-family", (Q,), geom, c=params["c"])
+    if not greater_than(add(P.spec.rf, Q.spec.lf), 0):
+        raise IntegrabilityError(
+            "composition needs rf index set of the left factor plus lf index "
+            "set of the right factor > 0"
+        )
+    K = compose_families(P.spec, Q.spec, geom.A)
+    return OpClass("phi", _xadd(P.order, Q.order), K, ext=P.ext or Q.ext)
+
+
+@register_rule("compose-bphi", 2, "c")
+def _compose_bphi(inputs, params, geom):
+    """bphi x^c bphi lies in bphi for c >= 0."""
+    P, Q = inputs
+    if not P.kind == Q.kind == "bphi":
+        raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
+    if params["c"] < 0:
+        raise UnsupportedComposition("negative interior power between bphi factors")
+    return bphi_class(_xadd(P.order, Q.order), ext=P.ext or Q.ext)
+
+
+@register_rule("bphi-at-weight", 1, "alpha")
+def _bphi_at_weight(inputs, params, geom):
+    """A bphi-class acts at every weight: at weight alpha it is the phi-class
+    vanishing to infinite order at lf and rf."""
+    (P,) = inputs
+    if P.kind != "bphi":
+        raise UnsupportedComposition("only a bphi-class acts at every weight")
+    return weight_phi(P.order, params["alpha"], ext=P.ext, vanish=("lf", "rf"))
+
+
+@register_rule("mixed-split", 2, "c")
+def _mixed_split(inputs, params, geom):
+    """Mixed composition through an x^c factor, c >= 0 and ord(P) <= 0:
+
+        Psi_{b or phi}^{k,alpha} x^c Psi_phi^{l,alpha}
+            subset  Psi_{b,ext}^{-inf,alpha} + x^c Psi_bphi^{k+l}.
+
+    Outside the stated range (c < 0 or k > 0) the rule is not available.
+    """
+    P, Q = inputs
+    c = params["c"]
+    if not isinstance(P.spec, Weight) or not isinstance(Q.spec, Weight):
+        raise UnsupportedComposition("the mixed rule needs weight-tier factors")
+    if P.kind not in ("b", "phi") or Q.kind != "phi":
+        raise UnsupportedComposition("the mixed rule needs a b/phi times phi pair")
+    if P.spec.alpha != Q.spec.alpha:
+        raise UnsupportedComposition("the mixed rule needs equal weights")
+    if c < 0:
+        raise UnsupportedComposition("the mixed rule requires c >= 0")
+    if P.order > 0:
+        raise UnsupportedComposition("the mixed rule requires the left order <= 0")
+    return ClassSum(
+        (
+            OpClass("b", NEG_INF, Weight(P.spec.alpha), ext=True),
+            OpClass("bphi", _xadd(P.order, Q.order), None, xl=c, ext=P.ext or Q.ext),
+        )
+    )
+
+
+def _power_past(side: str, face: str, inputs, params, geom):
+    """x^c (c >= 0) moves to the ``side`` of a composition whose factor on
+    that side vanishes at ``face``: Psi_lf x^c lies in x^c Psi_lf."""
+    P, Q = inputs
+    if params["c"] < 0 or not _face_empty(P if side == "left" else Q, face):
+        raise UnsupportedComposition(f"x^c moves {side} only past a factor vanishing at {face}")
+    return multiply_x_power(_compose_core(P, Q, 0, geom, None), params["c"], side)
+
+
+register_rule("power-left-of-lf-vanishing", 2, "c")(partial(_power_past, "left", "lf"))
+register_rule("power-right-of-rf-vanishing", 2, "c")(partial(_power_past, "right", "rf"))
+
+
+@register_rule("absorb-power", 1, "c")
+def _absorb_power(inputs, params, geom):
+    """x^c Q lies in Q for c >= 0."""
+    if params["c"] < 0:
+        raise UnsupportedComposition("only a power x^c with c >= 0 is absorbed")
+    return inputs[0]
+
+
+@register_rule("lift-weight", 1)
+def _lift_weight(inputs, params, geom):
+    """Weight-tier lifting of a b-class into the phi-calculus (order < 0)."""
+    (P,) = inputs
+    if P.kind != "b" or not isinstance(P.spec, Weight):
+        raise UnsupportedComposition("weight-tier lift needs a b-kind weight class")
+    if P.order >= 0:
+        raise UnsupportedComposition("lifting requires negative order")
+    return _derive(P, kind="phi")
+
+
+def _compose_weight(kind: str, inputs, params, geom):
+    """Weight-tier ``kind``-classes at one weight compose to a ``kind``-class,
+    vanishing at lf or rf where both factors do."""
+    P, Q = inputs
+    if not (P.kind == Q.kind == kind and isinstance(P.spec, Weight) and isinstance(Q.spec, Weight)):
         raise UnsupportedComposition(f"no rule composes {P!r} with {Q!r}")
     if P.spec.alpha != Q.spec.alpha:
         raise UnsupportedComposition(
             f"weight-tier composition needs equal weights, got "
             f"{P.spec.alpha} and {Q.spec.alpha}"
         )
-    vanish = set()
-    if "lf" in P.vanish and "lf" in Q.vanish:
-        vanish.add("lf")
-    if "rf" in P.vanish and "rf" in Q.vanish:
-        vanish.add("rf")
-    out = OpClass(
-        kp,
-        _xadd(P.order, Q.order),
-        Weight(P.spec.alpha),
-        ext=P.ext or Q.ext,
-        vanish=frozenset(vanish),
-    )
-    rule = "compose-weight-b" if kp == "b" else "compose-weight-phi"
-    return _rec(rule, (P, Q), {}, out)
+    vanish = P.vanish & Q.vanish & {"lf", "rf"}
+    return OpClass(kind, _xadd(P.order, Q.order), Weight(P.spec.alpha), ext=P.ext or Q.ext, vanish=vanish)
 
 
-def _bphi_at_weight(P: OpClass, alpha) -> OpClass:
-    """A bphi-class acts at every weight: at weight alpha it is the phi-class
-    vanishing to infinite order at lf and rf."""
-    return weight_phi(P.order, alpha, ext=P.ext, vanish=("lf", "rf"))
-
-
-def _power_into_family(Q: OpClass, c) -> OpClass:
-    """x^c Q for a full phi-family class: lf, bf and ff shift by c, and
-    x^inf empties them."""
-    fam = Q.spec
-    if c == INF:
-        fam = fam.replace(lf=EMPTY, bf=EMPTY, ff=EMPTY)
-    else:
-        fam = fam.replace(lf=shift(fam.lf, c), bf=shift(fam.bf, c), ff=shift(fam.ff, c))
-    return _derive(Q, spec=fam)
-
-
-def _compose_small(P: OpClass, Q: OpClass, c, geom) -> Entry:
-    small_left = P.is_small
-    small, other = (P, Q) if small_left else (Q, P)
-
-    # the small factor commutes with finite powers and passes x^inf through
-    if small.spec.kind == "phi" and other.kind == "b" and not other.is_small:
-        if isinstance(other.spec, Weight):
-            other2 = lift_weight_class(other)
-            _rec("lift-weight", (other,), {}, other2)
-            other = other2
-        else:
-            raise UnsupportedComposition(
-                "small-phi against a full-family b-class: lift the b-class first"
-            )
-    elif small.spec.kind != ("b" if other.kind == "b" else "phi"):
-        if not (small.spec.kind == "phi" and other.kind in ("phi", "bphi")):
-            raise UnsupportedComposition(
-                f"small factor of kind {small.spec.kind} cannot absorb {other!r}"
-            )
-
-    out = _derive(other, order=_xadd(other.order, small.order), ext=other.ext or small.ext)
-    if c != 0:
-        side = "left" if small_left else "right"
-        out = multiply_x_power(out, c, side)
-        _rec("conjugate-small", (small,), {"c": number_to_json(c), "side": side}, small)
-    return _rec("small-absorb", (P, Q), {"c": number_to_json(c)}, out)
-
-
-def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
-    if P.spec.kind == "b" and Q.spec.kind == "b":
-        raise UnsupportedComposition(
-            "composition of two full-family b-classes is not mechanized "
-            "(no combination formula is quoted here)"
-        )
-    if P.spec.kind == "b" or Q.spec.kind == "b":
-        T = P if P.spec.kind == "b" else Q
-        lifts = lift_b_to_phi(T, geom.a, geom.b_dim)
-        _rec("lift-full", (T,), {"a": geom.a, "b_dim": geom.b_dim}, ClassSum(lifts))
-        if T is P:
-            return sum_of(*(_compose_full(L, Q, c, geom) for L in lifts))
-        return sum_of(*(_compose_full(P, L, c, geom) for L in lifts))
-    if geom is None:
-        raise UnsupportedComposition(
-            "phi-composition needs the geometry constants (a, b_dim)"
-        )
-    famQ = Q.spec
-    if c != 0:
-        famQ = _rec("power-into-family", (Q,), {"c": number_to_json(c)}, _power_into_family(Q, c)).spec
-    if not greater_than(add(P.spec.rf, famQ.lf), 0):
-        raise IntegrabilityError(
-            "composition needs rf index set of the left factor plus lf index "
-            "set of the right factor > 0"
-        )
-    K = compose_families(P.spec, famQ, geom.A)
-    out = OpClass("phi", _xadd(P.order, Q.order), K, ext=P.ext or Q.ext)
-    return _rec("compose-full", (P, Q), {"A": geom.A, "c": number_to_json(c)}, out)
+register_rule("compose-weight-b", 2)(partial(_compose_weight, "b"))
+register_rule("compose-weight-phi", 2)(partial(_compose_weight, "phi"))
 
 
 # ---------------------------------------------------------------------------
@@ -1218,15 +1310,13 @@ def _compose_full(P: OpClass, Q: OpClass, c, geom) -> Entry:
 
 
 def replay_chain(chain, geom: GeomConstants | None = None) -> bool:
-    """Re-check every :class:`RuleApp` of a derivation chain.
-
-    Each record is re-executed from its inputs and params: registered
-    primitives through :data:`CHAIN_PRIMITIVES`, composition rules through
-    :func:`compose`, and the rewriting rules by their precondition and
-    formula.  Returns True when every record reproduces its output; a failed
-    precondition, inputs that no rule composes, or another output give
-    False.  Nothing is recorded while the chain replays, not even inside an
-    open :func:`recording` block, and nothing is reused from a reuse scope.
+    """True when every :class:`RuleApp` of a derivation chain holds: the
+    formula of the rule it names in :data:`RULES` gives its output from its
+    inputs and params with ``geom``.  An unknown rule, another number of
+    inputs, an input with x-powers, other param names, a malformed param
+    value or a failed precondition give False; replay never raises.  Nothing
+    is recorded while the chain replays, not even inside an open
+    :func:`recording` block, and nothing is reused from a reuse scope.
     """
     token, reuse = _CHAIN.set(None), _REUSE.set(None)
     try:
@@ -1234,26 +1324,6 @@ def replay_chain(chain, geom: GeomConstants | None = None) -> bool:
     finally:
         _REUSE.reset(reuse)
         _CHAIN.reset(token)
-
-
-#: per composition or rewriting rule: its number of inputs and the names of
-#: its params (a primitive's come with it in :data:`CHAIN_PRIMITIVES`)
-_RULE_SHAPES = {
-    "small-absorb": (2, {"c"}),
-    "compose-full": (2, {"A", "c"}),
-    "compose-bphi": (2, {"c"}),
-    "compose-weight-b": (2, set()),
-    "compose-weight-phi": (2, set()),
-    "mixed-split": (2, {"c"}),
-    "lift-weight": (1, set()),
-    "lift-full": (1, {"a", "b_dim"}),
-    "power-left-of-lf-vanishing": (2, {"c"}),
-    "power-right-of-rf-vanishing": (2, {"c"}),
-    "absorb-power": (1, {"c"}),
-    "conjugate-small": (1, {"c", "side"}),
-    "power-into-family": (1, {"c"}),
-    "bphi-at-weight": (1, {"alpha"}),
-}
 
 
 def _read_param(name: str, v):
@@ -1264,86 +1334,25 @@ def _read_param(name: str, v):
     if name == "side":
         return v if v in ("left", "right") else None
     try:
-        x = exact_extended(number_from_json(v))
+        x = number_from_json(v)
+        return _x_power(name, x) if name in ("c", "am") else exact_extended(x)
     except (ArithmeticError, TypeError, ValueError):
         return None
-    return None if name in ("c", "am") and x == NEG_INF else x
-
-
-def _read_params(rec: RuleApp):
-    """The params of a record whose rule is known and whose inputs and
-    param names are the rule's, read by :func:`_read_param`; None for any
-    other record."""
-    rule, params = rec.rule, rec.params
-    if rule in CHAIN_PRIMITIVES:
-        arity, names = 0, CHAIN_PRIMITIVES[rule][0]
-    elif rule in _RULE_SHAPES:
-        arity, names = _RULE_SHAPES[rule]
-    else:
-        return None
-    if not (isinstance(params, dict) and params.keys() == names and len(rec.inputs) == arity):
-        return None
-    if not all(isinstance(i, OpClass) for i in rec.inputs):
-        return None
-    read = {k: _read_param(k, v) for k, v in params.items()}
-    return None if None in read.values() else read
 
 
 def _replay_one(rec: RuleApp, geom) -> bool:
-    params = _read_params(rec)
-    if params is None:
+    rule, params = RULES.get(rec.rule) if isinstance(rec.rule, str) else None, rec.params
+    if rule is None or not isinstance(params, dict) or params.keys() != rule.params:
         return False
-    rule, ins = rec.rule, rec.inputs
-    c = params.get("c", 0)
+    # the engine applies every rule to classes without x-powers
+    bare = all(isinstance(i, OpClass) and i.xl == 0 and i.xr == 0 for i in rec.inputs)
+    if len(rec.inputs) != rule.arity or not bare:
+        return False
+    exact = {k: _read_param(k, v) for k, v in params.items()}
+    if None in exact.values():
+        return False
     try:
-        if rule in CHAIN_PRIMITIVES:
-            got = CHAIN_PRIMITIVES[rule][1](params)
-        elif rule in ("small-absorb", "compose-full", "compose-bphi"):
-            if rule == "compose-full" and (geom is None or params["A"] != geom.A):
-                return False
-            # the record stores the factors with the interior power in params
-            left = multiply_x_power(ins[0], c, "right") if c != 0 else ins[0]
-            got = compose(left, ins[1], geom)
-        elif rule in ("compose-weight-b", "compose-weight-phi"):
-            got = compose(ins[0], ins[1], geom)
-        elif rule == "mixed-split":
-            got = rule_f(ins[0], c, ins[1])
-        elif rule == "lift-weight":
-            got = lift_weight_class(ins[0])
-        elif rule == "lift-full":
-            # the lift is the report's: a record of another geometry fails
-            if geom is None or (params["a"], params["b_dim"]) != (geom.a, geom.b_dim):
-                return False
-            if not (ins[0].kind == "b" and isinstance(ins[0].spec, IndexFamily)):
-                return False
-            got = ClassSum(lift_b_to_phi(ins[0], geom.a, geom.b_dim))
-        elif rule == "power-left-of-lf-vanishing":
-            if not (c >= 0 and _face_empty(ins[0], "lf")):
-                return False
-            got = multiply_x_power(compose(ins[0], ins[1], geom), c, "left")
-        elif rule == "power-right-of-rf-vanishing":
-            if not (c >= 0 and _face_empty(ins[1], "rf")):
-                return False
-            got = multiply_x_power(compose(ins[0], ins[1], geom), c, "right")
-        elif rule in ("absorb-power", "conjugate-small"):
-            # x^c Q lies in Q for c >= 0; a small class commutes with x-powers
-            if not (c >= 0 if rule == "absorb-power" else ins[0].is_small):
-                return False
-            got = ins[0]
-        elif rule == "power-into-family":
-            if not (ins[0].kind == "phi" and isinstance(ins[0].spec, IndexFamily)):
-                return False
-            got = _power_into_family(ins[0], c)
-        else:  # bphi-at-weight
-            if ins[0].kind != "bphi":
-                return False
-            got = _bphi_at_weight(ins[0], params["alpha"])
-        return got == rec.output or eq_classes(got, rec.output)
+        got = rule.formula(tuple(rec.inputs), exact, geom)
     except CompositionError:
         return False
-
-
-#: registry of axiomatic primitives: rule name -> (the names of its params,
-#: builder of the output class from their exact values), filled in by the
-#: parametrix engine
-CHAIN_PRIMITIVES: dict = {}
+    return got == rec.output or eq_classes(got, rec.output)

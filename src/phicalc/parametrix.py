@@ -41,7 +41,6 @@ from .indexsets import (
 from .jsonio import json_list, json_object
 from . import opclasses as oc
 from .opclasses import (
-    CHAIN_PRIMITIVES,
     ClassSum,
     GeomConstants,
     NEG_INF,
@@ -487,71 +486,62 @@ def target_parametrix_statement(a, m, al) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# axiomatic primitives (registered for chain replay)
+# axiomatic primitives, entered in the rule table for chain replay
 
 
 def _prim(rule, params):
-    """The output class of a registered primitive, recorded with its params
-    as numbers in their JSON form; replay reads them back to equal numbers."""
-    exact = {k: exact_real(v) for k, v in params.items()}
-    build = CHAIN_PRIMITIVES[rule][1]
-    return oc._rec(rule, (), {k: number_to_json(v) for k, v in exact.items()}, build(exact))
+    """The output class of a primitive, applied with its params made exact."""
+    return oc._apply(rule, (), **{k: exact_real(v) for k, v in params.items()})
 
 
-def _prim_b_parametrix_Q(params):
+@oc.register_rule("b-parametrix-Q", 0, "m", "alpha")
+def _prim_b_parametrix_Q(inputs, params, geom):
     return weight_b(-params["m"], params["alpha"])
 
 
-def _prim_b_parametrix_R(params):
+@oc.register_rule("b-parametrix-R", 0, "m", "alpha")
+def _prim_b_parametrix_R(inputs, params, geom):
     return x_left(weight_b(0, params["alpha"]), INF)
 
 
-def _prim_normal_inverse_Q(params):
+@oc.register_rule("normal-inverse-Q", 0, "m")
+def _prim_normal_inverse_Q(inputs, params, geom):
     return small_phi(-params["m"], ext=True)
 
 
-def _prim_normal_inverse_R(params):
+@oc.register_rule("normal-inverse-R", 0, "m")
+def _prim_normal_inverse_R(inputs, params, geom):
     return x_left(small_phi(0, ext=True), INF)
 
 
-def _prim_interior_Q(params):
+@oc.register_rule("interior-parametrix-Q", 0, "m")
+def _prim_interior_Q(inputs, params, geom):
     return small_phi(-params["m"])
 
 
-def _prim_interior_R(params):
+@oc.register_rule("interior-parametrix-R", 0, "m")
+def _prim_interior_R(inputs, params, geom):
     return small_phi(NEG_INF)
 
 
-def _prim_lf_solve_Q(params):
+@oc.register_rule("lf-solve-Q", 0, "alpha", "am", "row")
+def _prim_lf_solve_Q(inputs, params, geom):
     q = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("rf",))
     return x_right(q, params["am"]) if params["row"] == 1 else q
 
 
-def _prim_lf_solve_R(params):
+@oc.register_rule("lf-solve-R", 0, "alpha", "am", "col")
+def _prim_lf_solve_R(inputs, params, geom):
     base = weight_b(NEG_INF, params["alpha"], ext=True, vanish=("lf",))
     return (
         x_right(base, params["am"]) if params["col"] == 1 else x_left(base, params["am"])
     )
 
 
-def _prim_neumann_limit(params):
+@oc.register_rule("neumann-limit", 0, "alpha", "am", "col")
+def _prim_neumann_limit(inputs, params, geom):
     base = x_left(weight_phi(0, params["alpha"], ext=True), INF)
     return x_right(base, params["am"]) if params["col"] == 1 else base
-
-
-CHAIN_PRIMITIVES.update(
-    {
-        "b-parametrix-Q": ({"m", "alpha"}, _prim_b_parametrix_Q),
-        "b-parametrix-R": ({"m", "alpha"}, _prim_b_parametrix_R),
-        "normal-inverse-Q": ({"m"}, _prim_normal_inverse_Q),
-        "normal-inverse-R": ({"m"}, _prim_normal_inverse_R),
-        "interior-parametrix-Q": ({"m"}, _prim_interior_Q),
-        "interior-parametrix-R": ({"m"}, _prim_interior_R),
-        "lf-solve-Q": ({"alpha", "am", "row"}, _prim_lf_solve_Q),
-        "lf-solve-R": ({"alpha", "am", "col"}, _prim_lf_solve_R),
-        "neumann-limit": ({"alpha", "am", "col"}, _prim_neumann_limit),
-    }
-)
 
 
 # ---------------------------------------------------------------------------

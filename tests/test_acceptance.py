@@ -5,6 +5,7 @@ against the unit torus model and prints its verdict line.  Criteria carry
 their own runtime budgets, asserted here as well.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -50,9 +51,31 @@ def test_criterion_2_composition_reproduction(results):
 
 def test_criterion_3_parametrix_grid(results):
     res = results[3]
-    _check(res, ["instances", "failures"])
+    _check(res, ["instances", "records_replayed", "failures"])
     assert res.details["instances"] == 13
+    assert res.details["records_replayed"] == 1352
     assert res.details["failures"] == []
+
+
+def test_criterion_3_fails_on_a_tampered_record(monkeypatch):
+    # one record of the first report claims another order m for its
+    # primitive: the report still passes, its replay does not
+    reports = []
+
+    def tampered_report(op, alpha):
+        rep = json.loads(json.dumps(parametrix_report(op, alpha)))
+        if not reports:
+            record = rep["steps"][0]["assertions"][0]["chain"][0]
+            assert record["rule"] == "b-parametrix-Q"
+            record["params"]["m"] += 1
+        reports.append(rep)
+        return rep
+
+    parametrix_report = acceptance.parametrix_report
+    monkeypatch.setattr(acceptance, "parametrix_report", tampered_report)
+    res = acceptance.criterion_3(MODEL)
+    assert not res.passed and all(rep["verdict"] == "PASS" for rep in reports)
+    assert res.details["failures"] == [(1, 1, -0.5, "diag-parametrix:replay")]
 
 
 def test_criterion_4_model_spectrum(results):

@@ -509,6 +509,7 @@ def test_no_input_file_raises(tmp_path, command_and_doc):
     ("imspec", {"a": 1, "base": {"circumferences": [6.28] * 5}, "fiber": {"circumferences": [6.28] * 4}}),
     ("parametrix", _gb_with(p11={"kind": "phi", "order": 1})),
     ("compose", {"kind": "sus-phi", "order": 1}),
+    ("compose", {"kind": "phi", "order": 0, "spec": {"weight": 0}, "xr": "-inf"}),
 ])
 def test_document_shape_errors_exit_2(tmp_path, capsys, command, doc):
     # each is refused when the file is read: an unknown field in a nested
@@ -516,7 +517,8 @@ def test_document_shape_errors_exit_2(tmp_path, capsys, command, doc):
     # (parametrix used to read it and then ignore it), a flag that is not a
     # boolean, "1e5000" (Fraction would expand it), a model number given as
     # a bool or a string, more than 8 circles, a phi-class without a spec
-    # (parametrix never read that block), the retired suspended kind
+    # (parametrix never read that block), the retired suspended kind, an
+    # x-power of -inf (no factor; compose used to fail on it inside shift)
     path = jdump(tmp_path, "doc.json", doc)
     assert _run(command, path, tmp_path / "out") == 2
     assert "not a valid" in capsys.readouterr().err

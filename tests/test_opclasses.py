@@ -126,8 +126,11 @@ def test_integrability_condition():
 
 def test_full_composition_needs_geometry():
     fam = phi_family(lf=real_set(1), ff=real_set(0), bf=real_set(0))
-    with pytest.raises(UnsupportedComposition):
-        compose(full_class("phi", 0, fam), full_class("phi", 0, fam), None)
+    bfam = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
+    # lifting a full b-factor needs the geometry as much as phi-composition
+    for P in (full_class("phi", 0, fam), full_class("b", -1, bfam)):
+        with pytest.raises(UnsupportedComposition):
+            compose(P, full_class("phi", 0, fam), None)
 
 
 def test_b_full_composition_not_mechanized():
@@ -230,6 +233,20 @@ def test_weights_orders_and_powers_are_exact():
     assert x_left(P, 0.5).xl == Fraction(1, 2) and oc.x_right(P, 0.25).xr == Fraction(1, 4)
     assert P.shifted_order(-0.5).order == Fraction(-1, 2)
     assert P.with_powers(0.5, 1 / 3) == weight_phi(0, 0, xl=Fraction(1, 2), xr=Fraction(1, 3))
+
+
+def test_an_x_power_of_minus_inf_is_refused_by_field():
+    # x^-inf is no factor: refused where a class gets its powers, not later
+    # inside shift when the class is composed or folded
+    fam = phi_family(lf=real_set(1), ff=real_set(0), bf=real_set(0))
+    with pytest.raises(ValueError, match="xr must not be -inf"):
+        full_class("phi", 0, fam, xr=-INF)
+    with pytest.raises(ValueError, match="xl must not be -inf"):
+        OpClass.from_json({**weight_phi(0, 0).to_json(), "xl": "-inf"})
+    with pytest.raises(ValueError, match="c must not be -inf"):
+        multiply_x_power(full_class("phi", 0, fam), -INF, "right")
+    with pytest.raises(ValueError, match="dl must not be -inf"):
+        weight_phi(0, 0).with_powers(-INF, 0)
 
 
 def test_left_x_inf_kills_lf_and_bf():
@@ -630,7 +647,7 @@ def test_json_round_trip():
         OpClass("phi", Fraction(-1, 3), Weight(Fraction(1, 3)), xl=Fraction(2, 3)),
         full_class("phi", 0, phi_family(ff=real_set(Fraction(1, 3)))),
         weight_b(NEG_INF, NEG_INF, xr=INF),
-        OpClass("phi", NEG_INF, Weight(INF), xl=-INF),
+        OpClass("phi", NEG_INF, Weight(INF), xl=INF),
     ]
     for entry in classes + [ClassSum(tuple(classes)), ClassSum((weight_b(NEG_INF, 0, xl=INF),))]:
         text = dumps(entry.to_json())

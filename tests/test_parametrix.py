@@ -19,6 +19,7 @@ from phicalc.opclasses import (
     ClassSum,
     GeomConstants,
     NEG_INF,
+    RULES,
     RuleApp,
     as_terms,
     bphi_class,
@@ -455,6 +456,32 @@ def test_replay_of_a_tampered_record_returns_a_bool(which, how):
     assert got is True or got is False
     if reshaped:
         assert got is False
+
+
+def test_chain_rules_are_the_rule_table():
+    # the tamper property draws from CHAIN_RULES: it covers every rule
+    assert set(CHAIN_RULES) == set(RULES)
+
+
+# a record renamed to another rule of the same arity and param names, with
+# a composition that applies the first rule
+RENAMES = {
+    ("small-absorb", "compose-bphi"): (small_phi(0), weight_phi(0, 0)),
+    ("compose-weight-phi", "compose-weight-b"): (weight_phi(0, 0), weight_phi(-1, 0)),
+    ("compose-weight-b", "compose-weight-phi"): (weight_b(-1, 0), weight_b(0, 0)),
+}
+
+
+@pytest.mark.parametrize("rule,renamed", sorted(RENAMES))
+def test_a_renamed_record_replays_false(rule, renamed):
+    geom = GeomConstants(a=1, b_dim=1)
+    with recording() as chain:
+        compose(*RENAMES[rule, renamed], geom)
+    (rec,) = [r for r in chain if r.rule == rule]
+    assert RULES[rule][:2] == RULES[renamed][:2]
+    assert replay_chain([rec], geom)
+    # replay runs the formula of the rule the record names
+    assert not replay_chain([replace(rec, rule=renamed)], geom)
 
 
 def test_lift_full_replays_with_the_geometry_given():
