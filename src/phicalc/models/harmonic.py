@@ -5,18 +5,18 @@ matrix ODE system in t = -log x, discretized with second-order central
 differences, with the prescribed data at x = x_max and the decaying
 solution selected by a zero condition at t = T_max.  The block-tridiagonal
 system is assembled with array operations from the coefficient matrices of
-all interior grid points at once, factorized by sparse LU, and its
-condition is estimated with the block 1-norm estimator of Higham and
-Tisseur (``scipy.sparse.linalg.onenormest``) under a fixed seed.  Fitted
-exponents of the components are then compared against the critical weights
-of the metric-volume indicial family: two independent computations of the
-same asymptotics.
+all interior grid points at once and factorized by sparse LU.  Its 1-norm
+condition number is estimated from that factor: the exact column-sum norm
+of the matrix times Higham's deterministic estimate of the inverse's norm
+(the iteration behind LAPACK's ``xGECON``), so it draws no random
+starting vectors.  Fitted exponents of the components are then compared
+against the critical weights of the metric-volume indicial family: two
+independent computations of the same asymptotics.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,10 @@ __all__ = [
 
 #: condition estimate above which a mode solve counts as ill-conditioned
 COND_LIMIT = 1e12
+# the inverse-norm estimate: LAPACK's iteration cap, and the modulus below
+# which a component's sign counts as +1
+_LACN2_ITMAX = 5
+_SAFMIN = np.finfo(float).tiny
 
 # exponent fits: the x-window of the regression, the sample level below which
 # a modulus is noise, the slope past which decay counts as superpolynomial,
@@ -114,21 +118,42 @@ def _default_component(model: ModelGeometry, form_degree: int) -> int:
     raise ValueError(f"no component of form degree {form_degree}")
 
 
-@contextmanager
-def _fixed_global_rng():
-    """Run a block on NumPy's global generator seeded with 0, then give the
-    caller back the generator state it had.
+def _inv_one_norm(lu) -> float:
+    """Lower bound on the 1-norm of A^-1 from a ``splu`` factor of an N x N
+    matrix A, N >= 2 (a mode system has at least three unknowns).
 
-    ``scipy.sparse.linalg.onenormest`` draws its random starting vectors
-    from the global generator, so without this the condition estimate of
-    one system varies between calls and every solve moves the caller's
-    random stream."""
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
+    The iteration of Hager and Higham in the form of LAPACK's ZLACN2
+    (Higham, ACM TOMS 14(4), 1988): start from the uniform vector, move to
+    the unit column e_j that the transposed solve of the sign vector points
+    at, for at most ``_LACN2_ITMAX`` iterations in all, and end with
+    LAPACK's alternating-sign vector.  Every candidate is the 1-norm of
+    A^-1 applied to a vector of 1-norm at most one, so the largest one
+    kept is a lower bound; it is usually exact.
+    """
+
+    def signs(v):
+        a = np.abs(v)
+        return np.divide(v, a, out=np.ones_like(v), where=a > _SAFMIN)
+
+    size = lu.shape[0]
+    x = lu.solve(np.full(size, 1.0 / size, dtype=complex))
+    est = np.abs(x).sum()
+    j = np.argmax(np.abs(lu.solve(signs(x), trans="H")))
+    for _ in range(_LACN2_ITMAX - 1):
+        e = np.zeros(size, dtype=complex)
+        e[j] = 1.0
+        x = lu.solve(e)
+        norm = np.abs(x).sum()
+        if norm <= est:
+            break
+        est = norm
+        z = np.abs(lu.solve(signs(x), trans="H"))
+        j_last, j = j, np.argmax(z)
+        if z[j_last] == z[j]:
+            break
+    i = np.arange(size)
+    alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / (size - 1)) + 0j
+    return float(max(est, 2.0 * np.abs(lu.solve(alt)).sum() / (3 * size)))
 
 
 def solve_harmonic(
@@ -189,14 +214,7 @@ def solve_harmonic(
 
     lu = spla.splu(A.tocsc())
     u = lu.solve(rhs)
-    inv_op = spla.LinearOperator(
-        A.shape,
-        matvec=lu.solve,
-        rmatvec=lambda b: lu.solve(b, trans="H"),
-        dtype=complex,
-    )
-    with np.errstate(over="ignore", invalid="ignore"), _fixed_global_rng():
-        cond = float(spla.onenormest(A) * spla.onenormest(inv_op))
+    cond = float(spla.norm(A, 1)) * _inv_one_norm(lu)
     values = u.reshape(n + 1, dim)
     return SampledSolution(
         t=t,

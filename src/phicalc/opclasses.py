@@ -79,6 +79,7 @@ __all__ = [
     "CompositionError",
     "IntegrabilityError",
     "UnsupportedComposition",
+    "IndeterminateSum",
     "weight_b",
     "weight_phi",
     "small_b",
@@ -129,6 +130,11 @@ class IntegrabilityError(CompositionError):
 
 class UnsupportedComposition(CompositionError):
     """No combination rule covers the requested composition."""
+
+
+class IndeterminateSum(CompositionError, ValueError):
+    """An x-power or order sum inf + (-inf): no class has it.  Also a
+    ``ValueError``, as the other malformed values a class refuses."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ def _xadd(u, v):
     """Extended-real addition for x-powers and orders (no inf - inf here)."""
     s = u + v
     if s != s:  # NaN: only inf + (-inf) gives it
-        raise ValueError("indeterminate inf - inf power combination")
+        raise IndeterminateSum("indeterminate inf - inf power combination")
     return s
 
 
@@ -737,6 +743,8 @@ def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
     if not (isinstance(T, OpClass) and T.kind == "b" and isinstance(T.spec, IndexFamily)):
         raise TypeError("lifting needs a single b-kind class with a full index family")
     m = T.order
+    if abs(m) == INF:
+        raise UnsupportedComposition(f"lifting needs a finite order, got {m}")
     if m >= 0:
         warnings.warn(
             "lift of a b-class of nonnegative order is outside the stated "

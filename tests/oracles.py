@@ -22,12 +22,16 @@ every other one, in both orders.
 The harmonic-solve oracles assemble the finite-difference mode system and
 its defect one grid row at a time, evaluating each coefficient matrix
 from the operator's terms at one time; the package builds all rows from
-stacked coefficient arrays.
+stacked coefficient arrays.  The solve oracle estimates the condition with
+SciPy's randomized ``onenormest`` under a fixed seed, where the package
+takes the exact norm of the matrix and a deterministic estimate of the
+inverse's norm.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +41,7 @@ import scipy.sparse.linalg as spla
 from phicalc.indexsets import exact_real
 from phicalc.opclasses import CompositionError, as_terms, contains
 from phicalc.models.geometry import hodge_mode_operator
-from phicalc.models.harmonic import SampledSolution, _default_component, _fixed_global_rng
+from phicalc.models.harmonic import SampledSolution, _default_component
 from phicalc.models.spectrum import SpectrumPoint
 
 
@@ -219,16 +223,12 @@ def _coefficient(op, t, p):
     return M
 
 
-def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2048):
-    """``solve_harmonic`` with unit boundary data on the default component,
-    assembled block by block with one coefficient evaluation per row."""
+def loop_harmonic_matrix(model, mode=((0,), (0,)), t_max=12.0, n=2048):
+    """The mode system matrix of ``solve_harmonic`` (CSR), assembled block
+    by block with one coefficient evaluation per row."""
     base_mode, fiber_mode = mode
     op = hodge_mode_operator(model, base_mode, fiber_mode)
     dim = op.dim
-    component = _default_component(model, form_degree)
-    g = np.zeros(dim, dtype=complex)
-    g[component] = 1.0
-
     h = t_max / n
     t = np.linspace(0.0, t_max, n + 1)
     rows, cols, vals = [], [], []
@@ -249,9 +249,36 @@ def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2
     put(0, 0, np.eye(dim))
     put(n, n, np.eye(dim))
 
-    A = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.array(vals, dtype=complex), (rows, cols)), shape=((n + 1) * dim, (n + 1) * dim)
     )
+
+
+@contextmanager
+def _fixed_global_rng():
+    """Run a block on NumPy's global generator seeded with 0, then give the
+    caller back the generator state it had (``onenormest`` draws its random
+    starting vectors from the global generator)."""
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
+
+
+def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2048):
+    """``solve_harmonic`` with unit boundary data on the default component,
+    on the matrix of ``loop_harmonic_matrix``; the condition is estimated by
+    SciPy's randomized block estimator ``onenormest`` under a fixed seed,
+    for both A and the inverse."""
+    base_mode, fiber_mode = mode
+    A = loop_harmonic_matrix(model, mode, t_max, n)
+    dim = A.shape[0] // (n + 1)
+    component = _default_component(model, form_degree)
+    g = np.zeros(dim, dtype=complex)
+    g[component] = 1.0
+    t = np.linspace(0.0, t_max, n + 1)
     rhs = np.zeros((n + 1) * dim, dtype=complex)
     rhs[:dim] = g
     lu = spla.splu(A.tocsc())

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +28,11 @@ from phicalc.models import (
 )
 from phicalc.jsonio import dumps
 from phicalc.models import harmonic
-from phicalc.models.harmonic import SampledSolution, _scalar_root
+from phicalc.models.harmonic import SampledSolution, _inv_one_norm, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
 from phicalc.models.spectrum import _mode_roots
 
-from oracles import loop_discrete_residual, loop_solve_harmonic, scan_imspec
+from oracles import loop_discrete_residual, loop_harmonic_matrix, loop_solve_harmonic, scan_imspec
 
 GOLD = (-1 + math.sqrt(5)) / 2
 MODEL = ModelGeometry()  # a=1, one base circle, one fiber circle, both 2*pi
@@ -469,14 +471,17 @@ def _fit_outcome(sol):
     return fit.fitted_exponent, fit.fitted_log_power, fit.superpolynomial_flag
 
 
+ORACLE_MODELS = (MODEL, ModelGeometry(a=2),
+                 ModelGeometry(base_circumferences=(5.0,), fiber_circumferences=(3.0,)))
+ORACLE_MODES = [((j,), (0,)) for j in range(3)] + [((0,), (1,)), ((1,), (1,))]
+
+
 def test_vectorized_solve_matches_loop_oracle():
     # two assemblies of the same mode system: stacked coefficient arrays
-    # and one Python block insertion per grid row
-    models = (MODEL, ModelGeometry(a=2),
-              ModelGeometry(base_circumferences=(5.0,), fiber_circumferences=(3.0,)))
-    modes = [((j,), (0,)) for j in range(3)] + [((0,), (1,)), ((1,), (1,))]
-    for model in models:
-        for mode in modes:
+    # and one Python block insertion per grid row; two condition
+    # estimators: the deterministic one and SciPy's randomized onenormest
+    for model in ORACLE_MODELS:
+        for mode in ORACLE_MODES:
             for degree in (0, 1):
                 got = solve_harmonic(model, degree, mode)
                 want = loop_solve_harmonic(model, degree, mode)
@@ -485,7 +490,7 @@ def test_vectorized_solve_matches_loop_oracle():
                 assert np.abs(got.values - want.values).max() <= 1e-12 * scale, case
                 assert abs(got.cond_estimate - want.cond_estimate) <= 1e-9 * want.cond_estimate, case
                 assert _fit_outcome(got) == _fit_outcome(want), case
-    for model in models:
+    for model in ORACLE_MODELS:
         root = _scalar_root(model, 1)
         for n in (128, 256, 512):
             got = discrete_residual(model, (1,), root, n=n)
@@ -493,8 +498,40 @@ def test_vectorized_solve_matches_loop_oracle():
             assert abs(got - want) <= 1e-12 * want, (model.a, n)
 
 
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=("a1", "a2", "circles5-3"))
+def test_cond_estimate_is_the_exact_condition_on_small_grids(model):
+    # on grids small enough for a dense inverse, the estimate is the 1-norm
+    # condition number itself
+    for mode in ORACLE_MODES:
+        for n in (4, 8, 16, 32):
+            for t_max in (2.0, 12.0):
+                A = loop_harmonic_matrix(model, mode, t_max, n).toarray()
+                exact = np.abs(A).sum(axis=0).max() * np.abs(np.linalg.inv(A)).sum(axis=0).max()
+                got = solve_harmonic(model, 0, mode, t_max=t_max, n=n).cond_estimate
+                assert abs(got - exact) <= 1e-9 * exact, (mode, n, t_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    col_scales=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+)
+def test_inverse_norm_estimate_is_a_lower_bound(size, seed, col_scales):
+    # badly scaled columns make the largest column of A^-1 hard to find; the
+    # exact norm comes from the same factor, column by column, so the bound
+    # measures the estimator and not the factorization
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    M = M * 10.0 ** np.array(col_scales[:size])
+    lu = spla.splu(sp.csc_matrix(M))
+    exact = max(np.abs(lu.solve(e)).sum() for e in np.eye(size, dtype=complex))
+    assert _inv_one_norm(lu) <= exact * (1 + 1e-12)
+
+
 def test_cond_estimate_is_reproducible_and_keeps_global_rng():
-    # onenormest draws its starting vectors from NumPy's global generator
+    # the estimate uses no random starting vectors: it neither varies
+    # between calls nor moves NumPy's global generator
     model = ModelGeometry(base_circumferences=(5.0,), fiber_circumferences=(3.0,))
     np.random.seed(12345)
     state = np.random.get_state()

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -416,6 +417,8 @@ _TAMPERS = st.one_of(
     st.tuples(st.just("drop-input"), st.integers(0, 1)),
     st.tuples(st.just("repeat-input"), st.integers(0, 1)),
     st.tuples(st.just("output"), st.integers(min_value=0)),
+    st.tuples(st.just("input-order"), st.integers(0, 1),
+              st.sampled_from((math.inf, NEG_INF, 0, 1, -1, Fraction(1, 2)))),
 )
 
 
@@ -436,9 +439,13 @@ def _tamper(rec, how, pool):
         return replace(rec, inputs=ins), True
     if kind == "output":
         return replace(rec, output=pool[arg % len(pool)].output), False
+    if kind == "input-order" and ins:
+        i = arg % len(ins)
+        return replace(rec, inputs=ins[:i] + (replace(ins[i], order=rest[0]),) + ins[i + 1:]), False
     return rec, False
 
 
+@pytest.mark.filterwarnings("ignore:lift of a b-class of nonnegative order")
 @settings(max_examples=300, deadline=None)
 @given(which=st.integers(min_value=0), how=_TAMPERS)
 @example(which=0, how=("set-param", "a", 0))
@@ -447,9 +454,15 @@ def _tamper(rec, how, pool):
 @example(which=2, how=("rule", "no-such-rule"))
 @example(which=1, how=("drop-input", 1))
 @example(which=1, how=("set-param", "c", "-inf"))
+# record 52 composes weight phi-classes of orders -inf and 0: order +inf
+# on the second makes the order sum inf + (-inf)
+@example(which=52, how=("input-order", 1, math.inf))
+# record 0 lifts a full b-class: an infinite order has no lift
+@example(which=0, how=("input-order", 0, math.inf))
 def test_replay_of_a_tampered_record_returns_a_bool(which, how):
     geom, pool = replay_pool()
     assert [r.rule for r in pool[:2]] == ["lift-full", "compose-full"]
+    assert pool[52].rule == "compose-weight-phi" and pool[52].inputs[0].order == NEG_INF
     rec = pool[which % len(pool)]
     tampered, reshaped = _tamper(rec, how, pool)
     got = replay_chain([tampered], geom)
