@@ -25,18 +25,23 @@ does not depend on the order of the generators, and the JSON form (whole
 numbers as ints, other fractions as "p/q" strings) reads back to the same
 set.
 
-The algebra is decided on the common-denominator lattice of the generators
-at hand: with D the least common multiple of their denominators, every
+The algebra runs on the common-denominator lattice of the generators at
+hand: with D the least common multiple of their denominators, every
 exponent of the closures lies on (1/D)Z + i (1/D)Z, and scaled by D a
-generator (re, im, k) is a point (n, m) of ints.  g reaches h exactly when
-both lie in one class (m, n mod D) and g's n is not larger, so canonical
-form, membership, containment, the extended union and truncation compare
-and hash ints only.  The public types stay as they were: the generators of
-an :class:`IndexSet` are the tuples it was built from, and exponents are
-``int`` or ``Fraction``.  :meth:`IndexSet.truncate` converts back once per
-member it returns, whole members to ``int`` (equal, with equal hashes, to
-the ``Fraction(n, 1)`` a whole generator such as 1/2 + 3/2 carries, and
-written the same way by :func:`number_to_json`).
+generator (re, im, k) is a point (n, m, k) of ints.  g reaches h exactly
+when both lie in one class (m, n mod D) and g's n is not larger, so the one
+canonical pass, membership, containment, the sum, the extended union and
+truncation compare, add and hash ints only.  Each public operation converts
+its operands onto the lattice once and its result back once; family
+composition (``opclasses.compose_families``) takes one D over all eight
+faces and runs its whole formula on the points.  Coming back, whole parts
+are ``int`` and the others ``Fraction``: the generators of
+``add(real_set(1/2), real_set(3/2))`` are ``((2, 0, 0),)``.  An ``int`` is
+equal to, and hashes the same as, the ``Fraction(n, 1)`` it replaces, and
+:func:`number_to_json` writes both the same way, so equality and the JSON
+form do not depend on which one a set holds.  :func:`shift` adds its amount
+to the generators as they are, in one pass: a common shift keeps the
+canonical form.
 """
 
 from __future__ import annotations
@@ -122,16 +127,25 @@ def _log_power(k) -> int:
 Gen = tuple
 
 
-def _lattice(gens: Sequence[Gen]) -> tuple[int, list[tuple[int, int]]]:
-    """The common denominator D of the generators' real and imaginary parts,
-    and each generator's (re, im) scaled by D to a pair of ints (n, m).
-    Every exponent of their closures lies on (1/D)Z + i (1/D)Z, and g
-    reaches the point (n, m) when it lies in g's class (m, n mod D) with
-    g's n not larger."""
-    D = math.lcm(*(g[0].denominator for g in gens), *(g[1].denominator for g in gens))
-    return D, [
-        (re.numerator * (D // re.denominator), im.numerator * (D // im.denominator))
-        for (re, im, _) in gens
+# Lattice points (n, m, k) at a denominator D, as in the module docstring.
+# A class (m, n mod D) is keyed as the int m D + n mod D.
+
+
+def _denominator(*gen_lists) -> int:
+    """The least common multiple of the denominators of every real and
+    imaginary part in the given generator sequences (1 when there are none)."""
+    D = 1
+    for gens in gen_lists:
+        for re, im, _ in gens:
+            D = math.lcm(D, re.denominator, im.denominator)
+    return D
+
+
+def _points(gens: Sequence[Gen], D: int) -> list[tuple[int, int, int]]:
+    """The generators as lattice points at the denominator D."""
+    return [
+        (re.numerator * (D // re.denominator), im.numerator * (D // im.denominator), k)
+        for (re, im, k) in gens
     ]
 
 
@@ -141,27 +155,75 @@ def _unscaled(n: int, D: int) -> Exact:
     return q if r == 0 else Fraction(n, D)
 
 
-def _canonical(gens: Sequence[Gen]) -> tuple[Gen, ...]:
-    """The generators sorted, with every one dominated by another removed.
+def _generators(points, D: int) -> tuple[Gen, ...]:
+    """Lattice points back as generators, whole parts as ``int``."""
+    if D == 1:
+        return tuple(points)
+    return tuple((_unscaled(n, D), _unscaled(m, D), k) for (n, m, k) in points)
 
-    On the lattice of :func:`_lattice`, in (n, m, -k) order each generator
-    comes after every generator that dominates it, so h is kept when its log
-    power exceeds every earlier one of its class.
-    """
-    if len(gens) < 2:
-        return tuple(gens)
-    D, points = _lattice(gens)
+
+def _canonical(points, D: int) -> list[tuple[int, int, int]]:
+    """The points sorted by (n, m, -k), with every dominated one removed.
+
+    In (n, m, k) order a point comes after every point that dominates it,
+    except a point at the same (n, m) with a larger k: that one comes right
+    after it and takes its place.  So a point is kept when its log power
+    exceeds every earlier one of its class."""
     best: dict = {}
-    kept: list[Gen] = []
-    # the index breaks ties in input order, as a stable sort would
-    for n, m, negk, i in sorted(
-        (n, m, -g[2], i) for i, ((n, m), g) in enumerate(zip(points, gens))
-    ):
-        cls = (m, n % D)
-        if -negk > best.get(cls, -1):
-            best[cls] = -negk
-            kept.append(gens[i])
-    return tuple(kept)
+    kept: list = []
+    for p in sorted(points):
+        n, m, k = p
+        cls = m * D + n % D
+        if k > best.get(cls, -1):
+            best[cls] = k
+            if kept and kept[-1][0] == n and kept[-1][1] == m:
+                kept[-1] = p
+            else:
+                kept.append(p)
+    return kept
+
+
+def _sum(P: list, Q: list, D: int) -> list:
+    """Canonical points of the set sum {(z + z', k + k')}."""
+    return _canonical(
+        [(n1 + n2, m1 + m2, k1 + k2) for (n1, m1, k1) in P for (n2, m2, k2) in Q], D
+    )
+
+
+def _classes(P: list, D: int) -> dict:
+    """Class -> its points (n, k) of the canonical points P, in rising n
+    and so in rising k."""
+    out: dict = {}
+    for n, m, k in P:
+        out.setdefault(m * D + n % D, []).append((n, k))
+    return out
+
+
+def _union(P: list, Q: list, D: int) -> list:
+    """Canonical points of the extended union of the canonical points P, Q.
+
+    The generators of both are all the points where the combined log power
+    can jump; at (n, m) each set contributes the log power of its last point
+    of the class with n' <= n, the largest there (-1 for none)."""
+    if not P:
+        return Q
+    if not Q:
+        return P
+    cp, cq = _classes(P, D), _classes(Q, D)
+    out = []
+    for n, m, _ in P + Q:
+        cls = m * D + n % D
+        ki = kj = -1
+        for n2, k2 in cp.get(cls, ()):
+            if n2 > n:
+                break
+            ki = k2
+        for n2, k2 in cq.get(cls, ()):
+            if n2 > n:
+                break
+            kj = k2
+        out.append((n, m, ki + kj + 1 if ki >= 0 and kj >= 0 else (ki if ki > kj else kj)))
+    return _canonical(out, D)
 
 
 @dataclass(frozen=True)
@@ -187,8 +249,11 @@ class IndexSet:
         """Whether the closure of ``other`` lies in this closed set: each of
         its generators is dominated by one of ours, so adding them leaves
         our canonical form as it is."""
-        gens = self.generators
-        return not other.generators or _canonical(gens + other.generators) == gens
+        if not other.generators:
+            return True
+        D = _denominator(self.generators, other.generators)
+        mine = _points(self.generators, D)
+        return _canonical(mine + _points(other.generators, D), D) == mine
 
     def min_re(self) -> RealLike:
         """Smallest real part among minimal elements (inf for the empty set)."""
@@ -202,12 +267,10 @@ class IndexSet:
         walks its ray n, n + D, ... of scaled real parts up to re_max D,
         keeping the largest log power per scaled point (n, m).
         """
-        gens = self.generators
-        D, points = _lattice(gens)
+        D = _denominator(self.generators)
         top = math.floor(exact_real(re_max) * D)
         kmax: dict = {}
-        for (n0, m), g in zip(points, gens):
-            k = g[2]
+        for n0, m, k in _points(self.generators, D):
             for n in range(n0, top + 1, D):
                 if kmax.get((n, m), -1) < k:
                     kmax[n, m] = k
@@ -296,7 +359,8 @@ def make_index_set(generators: Sequence) -> IndexSet:
     for z, k in generators:
         re, im = _split_exponent(z)
         gens.append((re, im, _log_power(k)))
-    return IndexSet(_canonical(gens))
+    D = _denominator(gens)
+    return IndexSet(_generators(_canonical(_points(gens, D), D), D))
 
 
 def real_set(r: RealLike) -> IndexSet:
@@ -304,16 +368,18 @@ def real_set(r: RealLike) -> IndexSet:
     return make_index_set([(r, 0)])
 
 
+def _on_lattice(op, I: IndexSet, J: IndexSet) -> IndexSet:
+    """``op(P, Q, D)`` on the points of I and J at their common denominator
+    D, its canonical points converted back once."""
+    D = _denominator(I.generators, J.generators)
+    return IndexSet(_generators(op(_points(I.generators, D), _points(J.generators, D), D), D))
+
+
 def add(I: IndexSet, J: IndexSet) -> IndexSet:
     """Set addition {(z + z', k + k')}; the empty set is absorbing."""
     if I.is_empty or J.is_empty:
         return EMPTY
-    gens = [
-        (g[0] + h[0], g[1] + h[1], g[2] + h[2])
-        for g in I.generators
-        for h in J.generators
-    ]
-    return IndexSet(_canonical(gens))
+    return _on_lattice(_sum, I, J)
 
 
 def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
@@ -327,22 +393,7 @@ def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
         return J
     if J.is_empty:
         return I
-    both = I.generators + J.generators
-    D, points = _lattice(both)
-    # per set, class (m, n mod D) -> its generators (n, k); a point (n, m)
-    # of the class has the largest log power among those with n' <= n
-    buckets: tuple[dict, dict] = ({}, {})
-    split = len(I.generators)
-    for i, ((n, m), g) in enumerate(zip(points, both)):
-        buckets[i >= split].setdefault((m, n % D), []).append((n, g[2]))
-    gens = []
-    for (n, m), g in zip(points, both):
-        cls = (m, n % D)
-        mi, mj = (
-            max((k for (n2, k) in b.get(cls, ()) if n2 <= n), default=-1) for b in buckets
-        )
-        gens.append((g[0], g[1], mi + mj + 1 if mi >= 0 and mj >= 0 else max(mi, mj)))
-    return IndexSet(_canonical(gens))
+    return _on_lattice(_union, I, J)
 
 
 def shift(I: IndexSet, r: RealLike) -> IndexSet:
@@ -362,7 +413,9 @@ def scale(I: IndexSet, a: int) -> IndexSet:
     """
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"scale factor must be a positive integer, got {a!r}")
-    return IndexSet(_canonical([(a * g[0], a * g[1], g[2]) for g in I.generators]))
+    D = _denominator(I.generators)
+    points = [(a * n, a * m, k) for (n, m, k) in _points(I.generators, D)]
+    return IndexSet(_generators(_canonical(points, D), D))
 
 
 def exact_extended(v: RealLike):

@@ -40,6 +40,7 @@ call returns its first output and re-records its rule applications.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from contextlib import contextmanager
@@ -50,11 +51,17 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .indexsets import (
     EMPTY,
+    _denominator,
+    _generators,
+    _points,
+    _sum,
+    _union,
     IndexFamily,
     IndexSet,
     RealLike,
     add,
     exact_extended,
+    exact_real,
     extended_union,
     geq,
     greater_than,
@@ -965,22 +972,29 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
     """Combine two phi-type index families under composition.
 
     With A = a(b_dim + 1), the four faces of the composite are built from
-    extended unions of shifted sums of the factors' faces.
+    extended unions of shifted sums of the factors' faces.  The formula runs
+    on the lattice of one common denominator D of all eight faces and A:
+    each face goes in once, the A-shift is + A D, and each result face comes
+    out once.
     """
     if I.kind != "phi" or J.kind != "phi":
         raise UnsupportedComposition("family composition is mechanized for phi-type only")
-    eu = extended_union
-    Klf = eu(eu(I.lf, add(I.bf, J.lf)), add(I.ff, J.lf))
-    Krf = eu(eu(J.rf, add(I.rf, J.bf)), add(I.rf, J.ff))
-    Kbf = eu(
-        eu(eu(add(I.lf, J.rf), add(I.bf, J.bf)), add(I.ff, J.bf)),
-        add(I.bf, J.ff),
-    )
+    A = exact_real(A)
+    faces = [I.lf, I.rf, I.bf, I.ff, J.lf, J.rf, J.bf, J.ff]
+    D = math.lcm(_denominator(*(F.generators for F in faces)), A.denominator)
+    Ilf, Irf, Ibf, Iff, Jlf, Jrf, Jbf, Jff = (_points(F.generators, D) for F in faces)
+    s = A.numerator * (D // A.denominator)
+    plus, eu = partial(_sum, D=D), partial(_union, D=D)
+    Klf = eu(eu(Ilf, plus(Ibf, Jlf)), plus(Iff, Jlf))
+    Krf = eu(eu(Jrf, plus(Irf, Jbf)), plus(Irf, Jff))
+    lf_rf, bf_bf = plus(Ilf, Jrf), plus(Ibf, Jbf)
+    Kbf = eu(eu(eu(lf_rf, bf_bf), plus(Iff, Jbf)), plus(Ibf, Jff))
     Kff = eu(
-        eu(shift(add(I.lf, J.rf), A), shift(add(I.bf, J.bf), A)),
-        add(I.ff, J.ff),
+        eu([(n + s, m, k) for (n, m, k) in lf_rf], [(n + s, m, k) for (n, m, k) in bf_bf]),
+        plus(Iff, Jff),
     )
-    return IndexFamily("phi", lf=Klf, rf=Krf, bf=Kbf, ff=Kff)
+    lf, rf, bf, ff = (IndexSet(_generators(K, D)) for K in (Klf, Krf, Kbf, Kff))
+    return IndexFamily("phi", lf=lf, rf=rf, bf=bf, ff=ff)
 
 
 def _e_normalize(P: OpClass) -> OpClass:
@@ -1180,6 +1194,9 @@ def _lift_full(inputs, params, geom):
     _same_geom(geom, a=params["a"], b_dim=params["b_dim"])
     if not (T.kind == "b" and isinstance(T.spec, IndexFamily)):
         raise UnsupportedComposition("lifting needs a b-kind class with a full index family")
+    if 0 <= T.order < INF:
+        # lift_b_to_phi only warns: its formula is stated for negative orders
+        raise UnsupportedComposition(f"lifting needs a negative order, got {T.order}")
     return ClassSum(lift_b_to_phi(T, geom.a, geom.b_dim))
 
 

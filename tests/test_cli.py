@@ -86,6 +86,19 @@ def test_compose_cli(tmp_path):
     assert got["kind"] == "phi" and got["order"] == -1
 
 
+@pytest.mark.filterwarnings("error")
+def test_compose_cli_refuses_a_full_b_class_of_nonnegative_order(tmp_path, capsys):
+    # the lifting formula holds for negative orders only: exit 2, no warning
+    s = lambda *r: {"empty": not r, "generators": [{"re": x, "im": 0, "k": 0} for x in r]}
+    b = jdump(tmp_path, "b.json", {"kind": "b", "order": 0, "spec": {"family": {
+        "kind": "b", "lf": s(1), "rf": s(1), "bf": s(0)}}})
+    q = jdump(tmp_path, "q.json", {"kind": "phi", "order": -1, "spec": {"family": {
+        "kind": "phi", "lf": s(1), "rf": s(1), "bf": s(), "ff": s(0)}}})
+    out = tmp_path / "k.json"
+    assert main(["compose", b, q, "-a", "1", "--b-dim", "1", "--out", str(out)]) == 2
+    assert "negative order" in capsys.readouterr().err and not out.exists()
+
+
 def test_lift_cli(tmp_path):
     fam = {
         "kind": "b",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import phicalc.opclasses as oc
 
-from phicalc.acceptance import _enum_closure
+from phicalc.acceptance import _display_compose, _enum_closure
 from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, small_family
 from phicalc.jsonio import dumps
 from phicalc.opclasses import (
@@ -115,6 +115,54 @@ def test_b_full_composes_with_phi_full_via_lifting():
     want_main = compose(main, Q, G11)
     want_res = compose(res, Q, G11)
     assert eq_classes(got, ClassSum((want_main, want_res)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_b_full_of_nonnegative_order_is_refused_not_lifted():
+    # lift_b_to_phi only warns outside its scope; the lift rule refuses
+    bfam = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
+    Q = full_class("phi", 0, phi_family(lf=real_set(1), rf=real_set(1),
+                                        bf=real_set(0), ff=real_set(0)))
+    for m in (0, Fraction(1, 2), 1):
+        with pytest.raises(UnsupportedComposition, match="negative order"):
+            compose(full_class("b", m, bfam), Q, G11)
+        with pytest.raises(UnsupportedComposition, match="negative order"):
+            compose(Q, full_class("b", m, bfam), G11)
+
+
+# Faces for the property below: denominators 1, 2, 3, 4 and 6, so that the
+# two families seldom share a common denominator; lf and rf positive, so
+# that every pairing is integrable; bf and ff down to -2.
+def _face(positive):
+    re = st.sampled_from((1, 2, 3, 4, 6)).flatmap(
+        lambda q: st.integers(1 if positive else -2 * q, 3 * q).map(lambda n: Fraction(n, q))
+    )
+    im = st.sampled_from((0, Fraction(1, 2), Fraction(-1, 2), 1, -1))
+    gens = st.lists(st.tuples(st.tuples(re, im), st.integers(0, 2)), max_size=3)
+    return gens.map(make_index_set)
+
+
+PHI_FAMILIES = st.builds(phi_family, lf=_face(True), rf=_face(True), bf=_face(False), ff=_face(False))
+# truncation cutoff: no exponent is below -2, so closures up to FAMILY_CUT + 3
+# hold every sum up to the cutoff
+FAMILY_CUT = 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(I=PHI_FAMILIES, J=PHI_FAMILIES, A=st.integers(1, 6))
+# thirds against quarters, with half-integer imaginary parts on both sides
+@example(
+    I=phi_family(lf=iset((Fraction(1, 3), 0)), rf=iset(((Fraction(2, 3), Fraction(1, 2)), 1)),
+                 bf=iset((Fraction(-1, 3), 1)), ff=iset(((0, Fraction(-1, 2)), 0))),
+    J=phi_family(lf=iset(((Fraction(3, 4), Fraction(1, 2)), 0)), rf=iset((Fraction(1, 4), 2)),
+                 bf=iset((Fraction(-5, 4), 0)), ff=iset(((Fraction(1, 2), Fraction(1, 2)), 1))),
+    A=3,
+)
+def test_compose_families_matches_the_displayed_combination(I, J, A):
+    D, want = _display_compose(I, J, A, FAMILY_CUT, FAMILY_CUT + 3)
+    got = compose_families(I, J, A)
+    for name in ("lf", "rf", "bf", "ff"):
+        assert {(re * D, im, k) for (re, im, k) in got.face(name).truncate(FAMILY_CUT)} == want[name]
 
 
 def test_integrability_condition():
