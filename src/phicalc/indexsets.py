@@ -275,8 +275,11 @@ class IndexSet:
                 if kmax.get((n, m), -1) < k:
                     kmax[n, m] = k
         out = []
+        last = None
         for (n, m), k in sorted(kmax.items()):
-            re, im = _unscaled(n, D), _unscaled(m, D)
+            if n != last:  # sorted: the points of one real part are adjacent
+                last, re = n, _unscaled(n, D)
+            im = _unscaled(m, D)
             out.extend((re, im, kk) for kk in range(k + 1))
         return out
 
@@ -420,8 +423,12 @@ def scale(I: IndexSet, a: int) -> IndexSet:
 
 def exact_extended(v: RealLike):
     """An extended real: exact as by :func:`exact_real`, except that +-inf
-    stays as it is (comparison thresholds, operator orders, x-powers)."""
-    if isinstance(v, float) and math.isinf(v):
+    stays as it is (comparison thresholds, operator orders, x-powers).
+
+    An ``int`` or ``Fraction`` returns at once; the exact type test lets a
+    ``bool`` through to :func:`exact_real`, which refuses it."""
+    t = type(v)
+    if t is int or t is Fraction or (t is float and math.isinf(v)):
         return v
     return exact_real(v)
 

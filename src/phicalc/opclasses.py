@@ -45,7 +45,7 @@ import operator
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -355,13 +355,14 @@ def _derive(P: OpClass, **changes) -> OpClass:
 
 #: the dict of the open :func:`_reuse_scope` (None outside): a class maps to
 #: the first equal class met, a key (P, Q, geom, route) to the output and
-#: rule applications of that :func:`compose` call
+#: rule applications of that :func:`compose` call, and a key (target builder,
+#: a, m, alpha) to a target class matrix of :mod:`phicalc.parametrix`
 _REUSE: ContextVar[Optional[dict]] = ContextVar("phicalc_reuse", default=None)
 
 
 @contextmanager
 def _reuse_scope():
-    """Share folds, JSON and compositions within the block only."""
+    """Share folds, JSON, compositions and targets within the block only."""
     token = _REUSE.set({})
     try:
         yield
@@ -844,6 +845,13 @@ def is_compact(P: Entry, alpha, beta) -> bool:
     )
 
 
+def _integrable(I: IndexSet, J: IndexSet) -> bool:
+    """I + J > 0, decided without building the sum: the smallest real part
+    of the sum is the sum of the smallest real parts (inf for an empty set,
+    whose sum with any set is empty)."""
+    return I.min_re() + J.min_re() > 0
+
+
 def map_phg(P: OpClass, I: IndexSet) -> IndexSet:
     """Index set of P u for polyhomogeneous u with index set I.
 
@@ -858,7 +866,7 @@ def map_phg(P: OpClass, I: IndexSet) -> IndexSet:
                 "mapping of polyhomogeneous sections needs exact index sets; "
                 f"face {name} only carries a bound"
             )
-    if not greater_than(add(faces["rf"], I), 0):
+    if not _integrable(faces["rf"], I):
         raise IntegrabilityError(
             "non-integrable pairing: rf index set + input set is not > 0"
         )
@@ -881,14 +889,21 @@ class RuleApp:
     inputs: tuple
     params: dict
     output: Entry
+    _json: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def to_json(self):
-        return {
-            "rule": self.rule,
-            "inputs": [i.to_json() for i in self.inputs],
-            "params": self.params,
-            "output": self.output.to_json(),
-        }
+        """The JSON form, made once and stored on the record like
+        :meth:`OpClass.to_json`'s: a record re-recorded by a repeated
+        composition is written from one shared dict.  Read it, never
+        mutate it."""
+        if self._json is None:
+            self._json = {
+                "rule": self.rule,
+                "inputs": [i.to_json() for i in self.inputs],
+                "params": self.params,
+                "output": self.output.to_json(),
+            }
+        return self._json
 
     @staticmethod
     def from_json(data: dict) -> "RuleApp":
@@ -1192,7 +1207,7 @@ def _lift_full(inputs, params, geom):
     """The pair of phi-classes of :func:`lift_b_to_phi`, with ``geom``."""
     (T,) = inputs
     _same_geom(geom, a=params["a"], b_dim=params["b_dim"])
-    if not (T.kind == "b" and isinstance(T.spec, IndexFamily)):
+    if not (isinstance(T, OpClass) and T.kind == "b" and isinstance(T.spec, IndexFamily)):
         raise UnsupportedComposition("lifting needs a b-kind class with a full index family")
     if 0 <= T.order < INF:
         # lift_b_to_phi only warns: its formula is stated for negative orders
@@ -1220,7 +1235,7 @@ def _compose_full(inputs, params, geom):
         raise UnsupportedComposition("family composition needs two full phi-family classes")
     if params["c"] != 0:
         Q = _apply("power-into-family", (Q,), geom, c=params["c"])
-    if not greater_than(add(P.spec.rf, Q.spec.lf), 0):
+    if not _integrable(P.spec.rf, Q.spec.lf):
         raise IntegrabilityError(
             "composition needs rf index set of the left factor plus lf index "
             "set of the right factor > 0"

@@ -114,6 +114,17 @@ def test_lift_cli(tmp_path):
     assert res_ff == [{"re": 2, "im": 0, "k": 0}, {"re": 4, "im": 0, "k": 1}]
 
 
+@pytest.mark.filterwarnings("error")
+def test_lift_cli_refuses_a_full_b_class_of_nonnegative_order(tmp_path, capsys):
+    # lift applies the lift-full rule's precondition, as compose does: exit 2, no warning
+    s = lambda *r: {"empty": not r, "generators": [{"re": x, "im": 0, "k": 0} for x in r]}
+    b = jdump(tmp_path, "b.json", {"kind": "b", "order": 0, "spec": {"family": {
+        "kind": "b", "lf": s(1), "rf": s(1), "bf": s(0)}}})
+    out = tmp_path / "lift.json"
+    assert main(["lift", b, "-a", "1", "--b-dim", "1", "--out", str(out)]) == 2
+    assert "negative order" in capsys.readouterr().err and not out.exists()
+
+
 def test_lift_cli_refuses_a_decorated_class(tmp_path, capsys):
     fam = {
         "kind": "b",

@@ -17,6 +17,7 @@ from phicalc.indexsets import (
     IndexFamily,
     IndexSet,
     add,
+    exact_extended,
     exact_real,
     extended_union,
     geq,
@@ -179,6 +180,19 @@ def test_exact_real_quantizes_floats_once():
             exact_real(bad)
     with pytest.raises(ValueError):
         make_index_set([(math.nan, 0)])
+
+
+def test_exact_extended_passes_exact_values_and_infinities_through():
+    third = Fraction(1, 3)
+    assert exact_extended(3) == 3 and exact_extended(third) is third
+    assert exact_extended(math.inf) == math.inf and exact_extended(-math.inf) == -math.inf
+    assert exact_extended(0.5) == Fraction(1, 2) and type(exact_extended(2.0)) is int
+    # bool is an int subclass: the exact type test still refuses it
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            exact_extended(bad)
+    with pytest.raises(ValueError):
+        exact_extended(math.nan)
 
 
 def test_comparisons_against_infinite_thresholds():

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 import phicalc.opclasses as oc
 
 from phicalc.acceptance import _display_compose, _enum_closure
-from phicalc.indexsets import EMPTY, IndexFamily, make_index_set, real_set, small_family
+from phicalc.indexsets import (
+    EMPTY,
+    IndexFamily,
+    add,
+    greater_than,
+    make_index_set,
+    real_set,
+    shift,
+    small_family,
+)
 from phicalc.jsonio import dumps
 from phicalc.opclasses import (
     NEG_INF,
@@ -170,6 +179,15 @@ def test_integrability_condition():
     J = phi_family(lf=real_set(0), ff=real_set(0))
     with pytest.raises(IntegrabilityError):
         compose(full_class("phi", 0, I), full_class("phi", 0, J), G11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rf=_face(False), lf=_face(False))
+@example(rf=EMPTY, lf=iset((-2, 0)))
+@example(rf=iset((Fraction(1, 3), 2)), lf=iset((Fraction(-1, 3), 0)))
+def test_integrability_is_decided_on_the_smallest_real_parts(rf, lf):
+    # the sum's smallest real part is the sum of the smallest real parts
+    assert oc._integrable(rf, lf) == greater_than(add(rf, lf), 0)
 
 
 def test_full_composition_needs_geometry():
@@ -536,6 +554,72 @@ def test_absorbed_sum_matches_the_all_pairs_rule(terms, geom):
         got = absorbed_sum(geom, *terms)
     assert as_terms(got) == all_pairs_absorbed(geom, *terms)
     assert len(decided) == len(set(decided))  # no ordered pair decided twice
+
+
+def _shifted_face(I, c):
+    return EMPTY if c == INF else shift(I, c)
+
+
+def _rewritten(draw, P):
+    """A class written otherwise than ``P`` that folds as ``P`` does."""
+    if P.is_zero:
+        return P
+    ext = draw(st.booleans())  # folded classes do not compare the extended flag
+    d = draw(st.sampled_from([0, 1, Fraction(-1, 2), 2]))
+    if P.kind == "bphi":  # a finite power moves from one side to the other
+        if INF in (P.xl, P.xr):
+            return replace(P, ext=ext)
+        return bphi_class(P.order, ext=ext, xl=P.xl - d, xr=P.xr + d)
+    if isinstance(P.spec, Weight):
+        # x^c P = (x^c P x^-c) x^c: the weight moves with the power; an
+        # x^inf side makes the b- and phi-versions one class
+        kind = P.kind
+        if INF in (P.xl, P.xr) and draw(st.booleans()):
+            kind = "phi" if kind == "b" else "b"
+        return OpClass(kind, P.order, Weight(P.spec.alpha + d), xl=P.xl - d, xr=P.xr + d,
+                       ext=ext, vanish=P.vanish)
+    # a full family takes its powers into its faces
+    fam = P.spec
+    faces = {"lf": _shifted_face(fam.lf, P.xl), "rf": _shifted_face(fam.rf, P.xr)}
+    for f in fam.faces[2:]:
+        faces[f] = _shifted_face(_shifted_face(fam.face(f), P.xl), P.xr)
+    return OpClass(P.kind, P.order, fam.replace(**faces), ext=ext)
+
+
+_FULL_FAMILIES = st.one_of(
+    PHI_FAMILIES,
+    st.builds(IndexFamily, st.just("b"), lf=_face(True), rf=_face(True), bf=_face(False)),
+    st.sampled_from([small_family("b"), small_family("phi")]),
+)
+
+
+@st.composite
+def _equal_pairs(draw):
+    """A sum of weight-tier, full-family, bphi and zero classes, and the sum
+    of a rewriting of each of its terms, in any order."""
+    terms = draw(_class_sums())
+    for _ in range(draw(st.integers(0, 2))):
+        fam = draw(_FULL_FAMILIES)
+        order, xl, xr = draw(_ORDERS), draw(_POWERS), draw(_POWERS)
+        terms.append(OpClass(fam.kind, order, fam, xl=xl, xr=xr))
+    terms += [ZERO] * draw(st.integers(0, 1)) + draw(st.lists(st.sampled_from(terms), max_size=2))
+    twins = draw(st.permutations([_rewritten(draw, t) for t in terms]))
+    return oc.sum_of(*terms), ClassSum(tuple(twins))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_equal_pairs(), other=_class_sums(),
+       geom=st.sampled_from([None, G11, GeomConstants(a=2, b_dim=2)]))
+@example(pair=(ZERO, ClassSum(())), other=[ZERO], geom=None)
+@example(pair=(weight_b(-1, 0, xl=INF), weight_phi(-1, 0, xl=INF, ext=True)), other=[ZERO], geom=None)
+def test_equal_classes_contain_each_other(pair, other, geom):
+    # the reason an exact assertion entry needs no containment walk
+    P, Q = pair
+    assert eq_classes(P, Q) and eq_classes(Q, P)
+    assert contains(P, Q, geom) and contains(Q, P, geom)
+    R = oc.sum_of(*other)
+    for X, Y in ((P, R), (R, P)):
+        assert not eq_classes(X, Y) or contains(X, Y, geom)
 
 
 # ---------------------------------------------------------------------------

@@ -664,6 +664,50 @@ def test_reuse_scope_closes_after_a_report_and_after_an_error(monkeypatch):
     assert len(seen) == 2 and seen[0] is seen[1] and isinstance(seen[0], dict)
 
 
+def test_targets_and_record_json_are_shared_within_one_report_only(monkeypatch):
+    op, alpha = op_gb(), Fraction(13, 10)
+    names = [n for n in dir(px) if n.startswith("target_")]
+    assert len(names) == 15
+    # outside a report every call builds its target afresh
+    assert px.target_r3_space(1, 1, alpha) is not px.target_r3_space(1, 1, alpha)
+    built = [{}, {}]  # per report: (target, a, m, alpha) -> every matrix handed out
+
+    def spy(name, target):
+        def spied(a, m, al):
+            mat = target(a, m, al)
+            built[len(reports)].setdefault((name, a, m, al), []).append(mat)
+            return mat
+        return spied
+
+    for name in names:
+        monkeypatch.setattr(px, name, spy(name, getattr(px, name)))
+    reports = []
+    reports.append(json.dumps(parametrix_report(op, alpha)))
+    assert oc._REUSE.get() is None
+    reports.append(json.dumps(parametrix_report(op, alpha)))
+    assert oc._REUSE.get() is None
+    assert reports[0] == reports[1]
+    first, second = built
+    assert first.keys() == second.keys()
+    assert len(first[("target_parametrix_statement", 1, 1, alpha)]) == 4
+    for key, mats in first.items():
+        # one matrix per key within a report, another one in the next report
+        assert all(m is mats[0] for m in mats), key
+        assert all(m is second[key][0] for m in second[key]) and second[key][0] is not mats[0], key
+
+
+def test_repeated_compositions_share_their_record_json():
+    op, alpha = op_gb(), Fraction(13, 10)
+    with oc._reuse_scope():
+        steps, _, _ = right_parametrix(op, alpha)
+    records = [r for s in steps for x in s.assertions for r in x.chain]
+    assert all(r.to_json() is r.to_json() for r in records)
+    # a composition met again re-records its first call's records
+    assert len({id(r) for r in records}) < len(records)
+    chains = [d for s in parametrix_report(op, alpha)["steps"] for x in s["assertions"] for d in x["chain"]]
+    assert len({id(d) for d in chains}) < len(chains)
+
+
 def test_report_json_round_trips_operator():
     op = op_gb()
     again = SplitOperator.from_json(op.to_json())
