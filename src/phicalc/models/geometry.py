@@ -353,15 +353,23 @@ class ModeOperator:
     def max_dt_order(self) -> int:
         return max(p for p, _ in self.terms)
 
-    def coefficient(self, t, p: int) -> np.ndarray:
+    def coefficient(self, t, p: int, entries=None) -> np.ndarray:
         """Matrix coefficient of d_t^p at time t, or the stack of
         coefficients with shape t.shape + (dim, dim) when t is an array
-        of times."""
+        of times.  With ``entries`` = (rows, cols), only those E entries
+        are evaluated, with shape t.shape + (E,); each value is the one
+        the full matrix holds there, bit for bit."""
         t = np.asarray(t, dtype=float)
-        M = np.zeros(t.shape + (self.dim, self.dim), dtype=complex)
+        if entries is None:
+            shape = (self.dim, self.dim)
+        else:
+            rows, cols = entries
+            shape = (len(rows),)
+        M = np.zeros(t.shape + shape, dtype=complex)
         for (pp, q), block in self.terms.items():
             if pp == p:
-                M = M + block * np.exp(q * self.a * t)[..., None, None]
+                values = block if entries is None else block[rows, cols]
+                M = M + values * np.exp(q * self.a * t).reshape(t.shape + (1,) * len(shape))
         return M
 
     def symbol_on_power(self, t: float, s: complex) -> np.ndarray:

@@ -4,14 +4,18 @@ The harmonic equation of the model metric is solved per Fourier mode as a
 matrix ODE system in t = -log x, discretized with second-order central
 differences, with the prescribed data at x = x_max and the decaying
 solution selected by a zero condition at t = T_max.  The block-tridiagonal
-system is assembled with array operations from the coefficient matrices of
-all interior grid points at once and factorized by sparse LU.  Its 1-norm
-condition number is estimated from that factor: the exact column-sum norm
-of the matrix times Higham's deterministic estimate of the inverse's norm
-(the iteration behind LAPACK's ``xGECON``), so it draws no random
-starting vectors.  Fitted exponents of the components are then compared
-against the critical weights of the metric-volume indicial family: two
-independent computations of the same asymptotics.
+system is assembled with array operations from the coefficient entries of
+all interior grid points at once.  Its unknowns fall into a few
+independent coupling components (single form components, or pairs of them,
+each a chain along the grid), so with the unknowns ordered component by
+component the matrix is banded with one or two diagonals on either side,
+and one banded LU factors it.  Its 1-norm condition number is estimated
+from that factor: the exact column-sum norm of the matrix times Higham's
+deterministic estimate of the inverse's norm (the iteration behind
+LAPACK's ``xGECON``), so it draws no random starting vectors.  Fitted
+exponents of the components are then compared against the critical
+weights of the metric-volume indicial family: two independent
+computations of the same asymptotics.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse.csgraph import connected_components
 
 from ..indexsets import exact_real, number_to_json
 from ..parametrix import kernel_index_set
@@ -118,9 +124,59 @@ def _default_component(model: ModelGeometry, form_degree: int) -> int:
     raise ValueError(f"no component of form degree {form_degree}")
 
 
+class _BandLU:
+    """LU factor of a square sparse matrix A, banded in coupling-component
+    order.
+
+    Unknowns are labelled by the weakly connected component of A's
+    sparsity graph and ordered component by component, each keeping its
+    own order; the permuted matrix P A P^T is stored in LAPACK band form
+    with the lower and upper bandwidths its entries reach, and ``xGBTRF``
+    factors it with partial pivoting.  ``norm1`` is the 1-norm of A (the
+    largest column sum of the band).  Raises ``LinAlgError`` when A is
+    exactly singular.
+    """
+
+    _TRANS = {"N": 0, "T": 1, "H": 2}
+
+    def __init__(self, A):
+        A = sp.csr_array(A, copy=True)
+        A.sum_duplicates()
+        self.shape = A.shape
+        size = A.shape[0]
+        pattern = sp.csr_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+        _, label = connected_components(pattern, connection="weak")
+        self._perm = np.argsort(label, kind="stable")
+        order = np.empty_like(self._perm)
+        order[self._perm] = np.arange(size)
+        i = order[np.repeat(np.arange(size), np.diff(A.indptr))]
+        j = order[A.indices]
+        kl = self._kl = int((i - j).max(initial=0))
+        ku = self._ku = int((j - i).max(initial=0))
+        band = np.zeros((2 * kl + ku + 1, size), dtype=complex)
+        band[kl + ku + i - j, j] = A.data
+        self.norm1 = float(np.abs(band).sum(axis=0).max(initial=0.0))
+        self._lu, self._piv, info = zgbtrf(band, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise LinAlgError(f"the matrix is exactly singular (zero pivot {info})")
+
+    def solve(self, b, trans: str = "N") -> np.ndarray:
+        """x with A x = b (``trans`` "N"), A^T x = b ("T") or A^H x = b
+        ("H"); x is complex whatever the dtype of b."""
+        x, _ = zgbtrs(
+            self._lu, self._kl, self._ku, np.asarray(b, dtype=complex)[self._perm],
+            self._piv, trans=self._TRANS[trans],
+        )
+        out = np.empty_like(x)
+        out[self._perm] = x
+        return out
+
+
 def _inv_one_norm(lu) -> float:
-    """Lower bound on the 1-norm of A^-1 from a ``splu`` factor of an N x N
-    matrix A, N >= 2 (a mode system has at least three unknowns).
+    """Lower bound on the 1-norm of A^-1 from an LU factor of an N x N
+    matrix A, N >= 2 (a mode system has at least three unknowns): any
+    object with ``shape`` and ``solve(b, trans)``, such as a ``_BandLU``
+    or a SciPy ``splu`` factor.
 
     The iteration of Hager and Higham in the form of LAPACK's ZLACN2
     (Higham, ACM TOMS 14(4), 1988): start from the uniform vector, move to
@@ -171,8 +227,10 @@ def solve_harmonic(
     value on the form degree's default component is prescribed at t = 0
     and the L2-admissible branch is selected by u(t_max) = 0.  The lower,
     diagonal and upper blocks of every interior row come from one stacked
-    coefficient evaluation; exact zeros are left out of the sparsity
-    pattern.  The one-norm condition estimate of the solve is recorded so
+    coefficient evaluation on the operator's sparsity pattern only; exact
+    zeros are left out of the matrix.  The system is factored by a banded
+    LU in coupling-component order (``_BandLU``), and the one-norm
+    condition estimate taken from that factor is recorded so
     contamination by the growing branch can be flagged.  Raises
     ``ValueError`` unless t_max is finite and positive and n >= 2.
     """
@@ -197,9 +255,9 @@ def solve_harmonic(
     # blocks[i - 1, k, e] couples unknown r[e] of interior point i to
     # unknown c[e] of point i - 1 + k
     r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
-    A2 = op.coefficient(t[1:-1], 2)[:, r, c] / h**2
-    A1 = op.coefficient(t[1:-1], 1)[:, r, c] / (2 * h)
-    A0 = op.coefficient(t[1:-1], 0)[:, r, c]
+    A2 = op.coefficient(t[1:-1], 2, (r, c)) / h**2
+    A1 = op.coefficient(t[1:-1], 1, (r, c)) / (2 * h)
+    A0 = op.coefficient(t[1:-1], 0, (r, c))
     blocks = np.stack([A2 - A1, -2 * A2 + A0, A2 + A1], axis=1)
     nonzero = blocks != 0
     i, k, e = np.nonzero(nonzero)
@@ -212,9 +270,9 @@ def solve_harmonic(
     rhs = np.zeros((n + 1) * dim, dtype=complex)
     rhs[:dim] = g
 
-    lu = spla.splu(A.tocsc())
+    lu = _BandLU(A)
     u = lu.solve(rhs)
-    cond = float(spla.norm(A, 1)) * _inv_one_norm(lu)
+    cond = lu.norm1 * _inv_one_norm(lu)
     values = u.reshape(n + 1, dim)
     return SampledSolution(
         t=t,

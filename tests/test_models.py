@@ -28,7 +28,7 @@ from phicalc.models import (
 )
 from phicalc.jsonio import dumps
 from phicalc.models import harmonic
-from phicalc.models.harmonic import SampledSolution, _inv_one_norm, _scalar_root
+from phicalc.models.harmonic import SampledSolution, _BandLU, _inv_one_norm, _scalar_root
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
 from phicalc.models.spectrum import _mode_roots
 
@@ -461,6 +461,12 @@ def test_mode_operator_coefficient_stack_matches_pointwise():
         for ti, M in zip(t, stack):
             assert np.allclose(M, op.coefficient(ti, p), rtol=1e-15, atol=0)
         assert op.coefficient(1.0, p).shape == (op.dim, op.dim)
+        # the entries of the pattern alone, exactly as the full stack has them
+        r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
+        entries = op.coefficient(t, p, (r, c))
+        assert entries.shape == (len(t), len(r))
+        assert np.array_equal(entries, stack[..., r, c])
+        assert np.array_equal(op.coefficient(1.0, p, (r, c)), op.coefficient(1.0, p)[r, c])
 
 
 def _fit_outcome(sol):
@@ -498,6 +504,74 @@ def test_vectorized_solve_matches_loop_oracle():
             assert abs(got - want) <= 1e-12 * want, (model.a, n)
 
 
+def _backward_error(A, x, b):
+    """Normwise backward error ||b - A x|| / (||A|| ||x|| + ||b||), max-norms."""
+    a_norm = np.abs(A).sum(axis=1).max()
+    return np.abs(A @ x - b).max() / (a_norm * np.abs(x).max() + np.abs(b).max())
+
+
+def test_solve_has_a_tiny_backward_error_on_the_loop_matrix():
+    # the banded factor is checked against the row-by-row assembly of the
+    # same system, independent of the factor the oracle shares
+    for model in ORACLE_MODELS:
+        for mode in ORACLE_MODES:
+            A = loop_harmonic_matrix(model, mode)
+            for degree in (0, 1):
+                sol = solve_harmonic(model, degree, mode)
+                b = np.zeros(A.shape[0], dtype=complex)
+                b[sol.component] = 1.0
+                err = _backward_error(A, sol.values.ravel(), b)
+                assert err < 1e-14, (model.a, model.base_circumferences, mode, degree, err)
+
+
+def _shuffled_band_blocks(rng, shapes):
+    """A dense complex matrix of independent banded blocks, one per (size,
+    kl, ku), with its unknowns shuffled by one permutation."""
+    blocks = []
+    for size, kl, ku in shapes:
+        B = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        i, j = np.indices(B.shape)
+        B[(i - j > kl) | (j - i > ku)] = 0
+        blocks.append(B)
+    M = scipy.linalg.block_diag(*blocks)
+    perm = rng.permutation(M.shape[0])
+    return M[np.ix_(perm, perm)]
+
+
+_BAND_SHAPES = st.lists(
+    st.tuples(st.integers(1, 10), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=_BAND_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_band_lu_solves_like_a_dense_solve(shapes, seed):
+    rng = np.random.default_rng(seed)
+    M = _shuffled_band_blocks(rng, shapes)
+    lu = _BandLU(sp.csr_matrix(M))
+    assert lu.shape == M.shape
+    assert lu.norm1 == pytest.approx(np.abs(M).sum(axis=0).max(), rel=1e-14)
+    # a real right-hand side must come back complex, imaginary parts kept
+    b = rng.standard_normal(M.shape[0])
+    for trans, op in (("N", M), ("T", M.T), ("H", M.conj().T)):
+        x = lu.solve(b, trans=trans)
+        assert x.dtype == complex
+        assert _backward_error(op, x, b) < 1e-14, trans
+        want = np.linalg.solve(op, b)
+        cond = np.linalg.cond(op, np.inf)
+        assert np.abs(x - want).max() <= 1e-12 * cond * np.abs(want).max(), trans
+
+
+@settings(max_examples=50, deadline=None)
+@given(shapes=_BAND_SHAPES, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_band_lu_refuses_a_structurally_singular_matrix(shapes, seed, data):
+    rng = np.random.default_rng(seed)
+    M = _shuffled_band_blocks(rng, shapes)
+    M[:, data.draw(st.integers(0, M.shape[0] - 1))] = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        _BandLU(sp.csr_matrix(M))
+
+
 @pytest.mark.parametrize("model", ORACLE_MODELS, ids=("a1", "a2", "circles5-3"))
 def test_cond_estimate_is_the_exact_condition_on_small_grids(model):
     # on grids small enough for a dense inverse, the estimate is the 1-norm
@@ -524,9 +598,10 @@ def test_inverse_norm_estimate_is_a_lower_bound(size, seed, col_scales):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     M = M * 10.0 ** np.array(col_scales[:size])
-    lu = spla.splu(sp.csc_matrix(M))
-    exact = max(np.abs(lu.solve(e)).sum() for e in np.eye(size, dtype=complex))
-    assert _inv_one_norm(lu) <= exact * (1 + 1e-12)
+    # any factor with ``shape`` and ``solve(b, trans)`` will do
+    for lu in (spla.splu(sp.csc_matrix(M)), _BandLU(sp.csr_matrix(M))):
+        exact = max(np.abs(lu.solve(e)).sum() for e in np.eye(size, dtype=complex))
+        assert _inv_one_norm(lu) <= exact * (1 + 1e-12), type(lu).__name__
 
 
 def test_cond_estimate_is_reproducible_and_keeps_global_rng():
