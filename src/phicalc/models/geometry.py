@@ -137,10 +137,24 @@ def _positive(v, what) -> float:
     return float(v)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _as_tuple(v, length, what):
-    if isinstance(v, (int, np.integer)):
-        v = (int(v),) * length
-    v = tuple(int(x) for x in v)
+    """A Fourier mode as a tuple of ``length`` Python ints; one integer
+    stands for all entries.  Raises ``ValueError`` on an entry that is not
+    an integer (a float, even a whole one, or a bool), so that nothing is
+    truncated, and on a wrong length."""
+    if _is_int(v):
+        v = (v,) * length
+    try:
+        entries = tuple(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer or a tuple of integers, got {v!r}") from None
+    if not all(_is_int(x) for x in entries):
+        raise ValueError(f"{what} entries must be integers, got {v!r}")
+    v = tuple(int(x) for x in entries)
     if len(v) != length:
         raise ValueError(f"{what} must have {length} entries, got {v}")
     return v

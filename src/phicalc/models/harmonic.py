@@ -3,19 +3,22 @@
 The harmonic equation of the model metric is solved per Fourier mode as a
 matrix ODE system in t = -log x, discretized with second-order central
 differences, with the prescribed data at x = x_max and the decaying
-solution selected by a zero condition at t = T_max.  The block-tridiagonal
-system is assembled with array operations from the coefficient entries of
-all interior grid points at once.  Its unknowns fall into a few
-independent coupling components (single form components, or pairs of them,
-each a chain along the grid), so with the unknowns ordered component by
-component the matrix is banded with one or two diagonals on either side,
-and one banded LU factors it.  Its 1-norm condition number is estimated
-from that factor: the exact column-sum norm of the matrix times Higham's
+solution selected by a zero condition at t = T_max.  The coefficient
+entries of all interior grid points are evaluated at once with array
+operations.  The unknowns fall into a few independent coupling components
+(single form components, or pairs of them, each a chain along the grid),
+read off the dim x dim sparsity pattern of the mode operator; with the
+unknowns ordered component by component the matrix is banded with one or
+two diagonals on either side, and each coefficient entry is written
+straight into LAPACK band storage as one strided row of the band.  One
+banded LU factors it.  Its 1-norm condition number is estimated from that
+factor: the exact column-sum norm of the matrix times Higham's
 deterministic estimate of the inverse's norm (the iteration behind
-LAPACK's ``xGECON``), so it draws no random starting vectors.  Fitted
-exponents of the components are then compared against the critical
-weights of the metric-volume indicial family: two independent
-computations of the same asymptotics.
+LAPACK's ``xGECON``), so it draws no random starting vectors; the
+estimate's two fixed right-hand sides are solved in one call together
+with the boundary data.  Fitted exponents of the components are then
+compared against the critical weights of the metric-volume indicial
+family: two independent computations of the same asymptotics.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.sparse.csgraph import connected_components
 
 from ..indexsets import exact_real, number_to_json
 from ..parametrix import kernel_index_set
-from .geometry import ModelGeometry, assemble_DV, hodge_mode_operator
+from .geometry import ModelGeometry, _as_tuple, assemble_DV, hodge_mode_operator
 from .spectrum import imspec
 
 __all__ = [
@@ -125,58 +126,64 @@ def _default_component(model: ModelGeometry, form_degree: int) -> int:
 
 
 class _BandLU:
-    """LU factor of a square sparse matrix A, banded in coupling-component
-    order.
+    """LU factor of a square matrix A handed over in LAPACK band storage,
+    with its unknowns permuted.
 
-    Unknowns are labelled by the weakly connected component of A's
-    sparsity graph and ordered component by component, each keeping its
-    own order; the permuted matrix P A P^T is stored in LAPACK band form
-    with the lower and upper bandwidths its entries reach, and ``xGBTRF``
-    factors it with partial pivoting.  ``norm1`` is the 1-norm of A (the
-    largest column sum of the band).  Raises ``LinAlgError`` when A is
+    ``band`` holds P A P^T in the layout of ``xGBTRF``: 2 kl + ku + 1 rows,
+    entry (i, j) of P A P^T in row kl + ku + i - j of column j, the first
+    kl rows left zero for the fill of partial pivoting; ``perm[i]`` is the
+    unknown of A at position i.  The band is factored in place with
+    ``xGBTRF``.  ``norm1`` is the 1-norm of A (the largest column sum of
+    the band), taken before factoring.  Raises ``LinAlgError`` when A is
     exactly singular.
     """
 
     _TRANS = {"N": 0, "T": 1, "H": 2}
 
-    def __init__(self, A):
-        A = sp.csr_array(A, copy=True)
-        A.sum_duplicates()
-        self.shape = A.shape
-        size = A.shape[0]
-        pattern = sp.csr_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
-        _, label = connected_components(pattern, connection="weak")
-        self._perm = np.argsort(label, kind="stable")
-        order = np.empty_like(self._perm)
-        order[self._perm] = np.arange(size)
-        i = order[np.repeat(np.arange(size), np.diff(A.indptr))]
-        j = order[A.indices]
-        kl = self._kl = int((i - j).max(initial=0))
-        ku = self._ku = int((j - i).max(initial=0))
-        band = np.zeros((2 * kl + ku + 1, size), dtype=complex)
-        band[kl + ku + i - j, j] = A.data
-        self.norm1 = float(np.abs(band).sum(axis=0).max(initial=0.0))
+    def __init__(self, band: np.ndarray, kl: int, ku: int, perm: np.ndarray):
+        size = band.shape[1]
+        self.shape = (size, size)
+        self.kl, self.ku, self.perm = kl, ku, perm
+        self._order = np.empty_like(perm)  # the position of each unknown
+        self._order[perm] = np.arange(size)
+        self.norm1 = float(np.abs(band[kl:]).sum(axis=0).max(initial=0.0))
         self._lu, self._piv, info = zgbtrf(band, kl, ku, overwrite_ab=True)
         if info > 0:
             raise LinAlgError(f"the matrix is exactly singular (zero pivot {info})")
 
     def solve(self, b, trans: str = "N") -> np.ndarray:
         """x with A x = b (``trans`` "N"), A^T x = b ("T") or A^H x = b
-        ("H"); x is complex whatever the dtype of b."""
+        ("H"); x is complex whatever the dtype of b.  The columns of an
+        (N, k) right-hand side are solved in one ``xGBTRS`` call, each
+        exactly as it would be on its own."""
+        # permuted along the first axis, laid out column by column as
+        # LAPACK takes it, so that no copy is made on the way in
+        b = np.asarray(b, dtype=complex).T[..., self.perm].T
         x, _ = zgbtrs(
-            self._lu, self._kl, self._ku, np.asarray(b, dtype=complex)[self._perm],
-            self._piv, trans=self._TRANS[trans],
+            self._lu, self.kl, self.ku, b, self._piv, trans=self._TRANS[trans], overwrite_b=True
         )
-        out = np.empty_like(x)
-        out[self._perm] = x
-        return out
+        return x.T[..., self._order].T
 
 
-def _inv_one_norm(lu) -> float:
+def _estimate_rhs(size: int) -> np.ndarray:
+    """The two right-hand sides of the inverse-norm estimate that do not
+    depend on its iteration, as the columns of a (size, 2) array: the
+    uniform start 1/N and LAPACK's alternating-sign vector."""
+    i = np.arange(size)
+    rhs = np.empty((size, 2), dtype=complex, order="F")
+    rhs[:, 0] = 1.0 / size
+    rhs[:, 1] = np.where(i % 2, -1.0, 1.0) * (1.0 + i / (size - 1))
+    return rhs
+
+
+def _inv_one_norm(lu, fixed=None) -> float:
     """Lower bound on the 1-norm of A^-1 from an LU factor of an N x N
     matrix A, N >= 2 (a mode system has at least three unknowns): any
     object with ``shape`` and ``solve(b, trans)``, such as a ``_BandLU``
-    or a SciPy ``splu`` factor.
+    or a SciPy ``splu`` factor.  ``fixed`` is A^-1 applied to the columns
+    of ``_estimate_rhs(N)`` when the caller has solved them already (a
+    mode solve takes them in one call with its boundary data); otherwise
+    they are solved here.
 
     The iteration of Hager and Higham in the form of LAPACK's ZLACN2
     (Higham, ACM TOMS 14(4), 1988): start from the uniform vector, move to
@@ -192,7 +199,9 @@ def _inv_one_norm(lu) -> float:
         return np.divide(v, a, out=np.ones_like(v), where=a > _SAFMIN)
 
     size = lu.shape[0]
-    x = lu.solve(np.full(size, 1.0 / size, dtype=complex))
+    if fixed is None:
+        fixed = lu.solve(_estimate_rhs(size))
+    x, x_alt = fixed.T
     est = np.abs(x).sum()
     j = np.argmax(np.abs(lu.solve(signs(x), trans="H")))
     for _ in range(_LACN2_ITMAX - 1):
@@ -207,9 +216,73 @@ def _inv_one_norm(lu) -> float:
         j_last, j = j, np.argmax(z)
         if z[j_last] == z[j]:
             break
-    i = np.arange(size)
-    alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / (size - 1)) + 0j
-    return float(max(est, 2.0 * np.abs(lu.solve(alt)).sum() / (3 * size)))
+    return float(max(est, 2.0 * np.abs(x_alt).sum() / (3 * size)))
+
+
+def _factor_mode_system(op, t: np.ndarray, h: float) -> _BandLU:
+    """Banded LU factor of the finite-difference mode system of ``op`` on
+    the uniform grid ``t`` of step ``h``, written straight into band
+    storage.
+
+    Unknown (p, s) is the value of form component s at grid point p.  The
+    interior rows hold the central-difference blocks, evaluated on the
+    union (r, c) of the terms' sparsity patterns only; the rows of the
+    first and last grid points are the identity.  The form components
+    fall into coupling components: the weakly connected components of the
+    dim x dim graph of the entries that are nonzero somewhere on the grid.
+    These are ordered by their smallest member and each keeps its own
+    order, and the grid runs inside each component, so unknown (p, s) sits
+    at band position base[s] + p size(comp(s)).  Every (block, entry)
+    coefficient column then lies on one band row and is one strided
+    write, and the bandwidths are the largest offsets these rows reach.
+    """
+    dim = op.dim
+    n = len(t) - 1
+    # blocks[k][i - 1, e] couples unknown r[e] of interior point i to
+    # unknown c[e] of point i - 1 + k
+    r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
+    A2 = op.coefficient(t[1:-1], 2, (r, c)) / h**2
+    A1 = op.coefficient(t[1:-1], 1, (r, c)) / (2 * h)
+    A0 = op.coefficient(t[1:-1], 0, (r, c))
+    blocks = (A2 - A1, -2 * A2 + A0, A2 + A1)
+    present = np.array([np.any(block != 0, axis=0) for block in blocks])  # exact zeros stay out
+
+    # each form component is labelled by the smallest member of its coupling
+    # component: the smaller label moves along every linking entry until
+    # none moves
+    link = present.any(axis=0)
+    rl, cl = r[link], c[link]
+    label = np.arange(dim)
+    while True:
+        low = np.minimum(label[rl], label[cl])
+        moved = label.copy()
+        np.minimum.at(moved, rl, low)
+        np.minimum.at(moved, cl, low)
+        if np.array_equal(moved, label):
+            break
+        label = moved
+    rank = np.empty(dim, dtype=int)
+    rank[np.argsort(label, kind="stable")] = np.arange(dim)
+    start = rank[label]  # where the component begins, in form components
+    size = np.bincount(label, minlength=dim)[label]
+    base = (n + 1) * start + rank - start
+
+    k, e = np.nonzero(present)
+    offset = base[r[e]] - base[c[e]] + (1 - k) * size[r[e]]  # band row minus kl + ku
+    kl = int(offset.max(initial=0))
+    ku = int(-offset.min(initial=0))
+    band = np.zeros((2 * kl + ku + 1, (n + 1) * dim), dtype=complex)
+    for kk, ee, off in zip(k, e, offset):
+        sz = size[c[ee]]
+        first = base[c[ee]] + kk * sz
+        band[kl + ku + off, first : first + (n - 1) * sz : sz] = blocks[kk][:, ee]
+    band[kl + ku, base] = 1.0  # identity rows at t = 0 and t_max
+    band[kl + ku, base + n * size] = 1.0
+
+    perm = np.empty((n + 1) * dim, dtype=int)
+    p = np.arange(n + 1)[:, None]
+    perm[base + p * size] = np.arange((n + 1) * dim).reshape(n + 1, dim)
+    return _BandLU(band, kl, ku, perm)
 
 
 def solve_harmonic(
@@ -221,65 +294,53 @@ def solve_harmonic(
 ) -> SampledSolution:
     """Solve the model harmonic equation for one Fourier mode.
 
-    ``mode`` is (base j-tuple, fiber m-tuple).  The second-order mode
-    system is discretized on the uniform t-grid of ``n`` steps over
-    [0, t_max] (x from x_max down to x_max e^(-t_max)); a unit boundary
-    value on the form degree's default component is prescribed at t = 0
-    and the L2-admissible branch is selected by u(t_max) = 0.  The lower,
-    diagonal and upper blocks of every interior row come from one stacked
-    coefficient evaluation on the operator's sparsity pattern only; exact
-    zeros are left out of the matrix.  The system is factored by a banded
-    LU in coupling-component order (``_BandLU``), and the one-norm
-    condition estimate taken from that factor is recorded so
-    contamination by the growing branch can be flagged.  Raises
-    ``ValueError`` unless t_max is finite and positive and n >= 2.
+    ``mode`` is (base j-tuple, fiber m-tuple) of integers.  The
+    second-order mode system is discretized on the uniform t-grid of ``n``
+    steps over [0, t_max] (x from x_max down to x_max e^(-t_max)); a unit
+    boundary value on the form degree's default component is prescribed
+    at t = 0 and the L2-admissible branch is selected by u(t_max) = 0.
+    The coefficients of every interior row come from one stacked
+    evaluation on the operator's sparsity pattern only and are written
+    straight into LAPACK band storage in coupling-component order
+    (``_factor_mode_system``); exact zeros are left out.  One banded LU
+    factors the system, and one multi-column solve takes the boundary
+    data together with the two fixed vectors of the inverse-norm
+    estimate, so the one-norm condition estimate of that factor is
+    recorded at the cost of its iteration's solves only, and contamination
+    by the growing branch can be flagged.  Raises ``ValueError`` unless
+    t_max is finite and positive and n >= 2, or when a mode entry is not
+    an integer.
     """
     if not (math.isfinite(t_max) and t_max > 0 and n >= 2):
         raise ValueError(f"the solve grid needs a finite T > 0 and N >= 2, got T={t_max}, N={n}")
     base_mode, fiber_mode = mode
+    base_mode = _as_tuple(base_mode, model.b, "base mode")
+    fiber_mode = _as_tuple(fiber_mode, model.f, "fiber mode")
     op = hodge_mode_operator(model, base_mode, fiber_mode)
     dim = op.dim
     if op.max_dt_order() != 2:
         raise ValueError("the harmonic mode system should be second order")
 
     component = _default_component(model, form_degree)
-    g = np.zeros(dim, dtype=complex)
-    g[component] = 1.0
-
     h = t_max / n
     t = np.linspace(0.0, t_max, n + 1)
     # x = x_max e^{-t}
     x = model.x_max * np.exp(-t)
 
-    # every coefficient vanishes off the union (r, c) of the terms' patterns;
-    # blocks[i - 1, k, e] couples unknown r[e] of interior point i to
-    # unknown c[e] of point i - 1 + k
-    r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
-    A2 = op.coefficient(t[1:-1], 2, (r, c)) / h**2
-    A1 = op.coefficient(t[1:-1], 1, (r, c)) / (2 * h)
-    A0 = op.coefficient(t[1:-1], 0, (r, c))
-    blocks = np.stack([A2 - A1, -2 * A2 + A0, A2 + A1], axis=1)
-    nonzero = blocks != 0
-    i, k, e = np.nonzero(nonzero)
-    ends = np.r_[0:dim, n * dim : (n + 1) * dim]  # identity rows at t = 0 and t_max
-    rows = np.concatenate([(i + 1) * dim + r[e], ends])
-    cols = np.concatenate([(i + k) * dim + c[e], ends])
-    vals = np.concatenate([blocks[nonzero], np.ones(2 * dim)])
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=((n + 1) * dim, (n + 1) * dim))
-    rhs = np.zeros((n + 1) * dim, dtype=complex)
-    rhs[:dim] = g
-
-    lu = _BandLU(A)
-    u = lu.solve(rhs)
-    cond = lu.norm1 * _inv_one_norm(lu)
-    values = u.reshape(n + 1, dim)
+    lu = _factor_mode_system(op, t, h)
+    rhs = np.zeros((lu.shape[0], 3), dtype=complex, order="F")
+    rhs[component, 0] = 1.0
+    rhs[:, 1:] = _estimate_rhs(lu.shape[0])
+    solved = lu.solve(rhs)
+    cond = lu.norm1 * _inv_one_norm(lu, solved[:, 1:])
+    # a copy, so the solution does not keep the whole solve array alive
+    values = solved[:, 0].reshape(n + 1, dim).copy()
     return SampledSolution(
         t=t,
         x=x,
         values=values,
-        base_mode=tuple(np.atleast_1d(base_mode).astype(int)),
-        fiber_mode=tuple(np.atleast_1d(fiber_mode).astype(int)),
+        base_mode=base_mode,
+        fiber_mode=fiber_mode,
         form_degree=form_degree,
         component=component,
         cond_estimate=cond,
@@ -343,16 +404,13 @@ def _clean_mask(vals: np.ndarray) -> np.ndarray:
     minimum once the values sit far below the overall scale.
     """
     scale = float(vals.max())
+    # running minimum of the positive samples (exact zeros are handled by
+    # the noise threshold); a sample that sets a new minimum is no bounce
+    runmin = np.minimum.accumulate(np.where(vals > 0, vals, math.inf))
+    bounce = (runmin < 1e-6 * scale) & (vals > _BOUNCE * runmin)
     mask = np.ones(len(vals), dtype=bool)
-    runmin = math.inf
-    for i, v in enumerate(vals):
-        if v <= 0:
-            continue  # exact zeros are handled by the noise threshold
-        if v < runmin:
-            runmin = v
-        elif 0 < runmin < 1e-6 * scale and v > _BOUNCE * runmin:
-            mask[i:] = False
-            break
+    if bounce.any():
+        mask[np.argmax(bounce):] = False
     return mask
 
 

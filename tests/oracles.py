@@ -25,8 +25,16 @@ from the operator's terms at one time; the package builds all rows from
 stacked coefficient arrays.  The solve oracle estimates the condition with
 SciPy's randomized ``onenormest`` under a fixed seed, where the package
 takes the exact norm of the matrix and a deterministic estimate of the
-inverse's norm; both factor with the package's banded ``_BandLU``, whose
-accuracy is checked on its own against dense solves.
+inverse's norm.  Both factor with the package's banded ``_BandLU``, whose
+accuracy is checked on its own against dense solves; the oracle hands it
+a band built by ``component_band_lu`` from any sparse matrix, with the
+coupling components found by a search of the whole N-unknown sparsity
+graph, where the package reads them off the dim x dim pattern of the mode
+operator and writes the band directly.
+
+The noise-plateau oracle ``loop_clean_mask`` walks the samples one by one
+with a running minimum, as the package did before it took the minimum with
+one accumulate.
 """
 
 from __future__ import annotations
@@ -38,11 +46,12 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from phicalc.indexsets import exact_real
 from phicalc.opclasses import CompositionError, as_terms, contains
 from phicalc.models.geometry import hodge_mode_operator
-from phicalc.models.harmonic import SampledSolution, _BandLU, _default_component
+from phicalc.models.harmonic import _BOUNCE, SampledSolution, _BandLU, _default_component
 from phicalc.models.spectrum import SpectrumPoint
 
 
@@ -255,6 +264,31 @@ def loop_harmonic_matrix(model, mode=((0,), (0,)), t_max=12.0, n=2048):
     )
 
 
+def component_band_lu(A) -> _BandLU:
+    """``_BandLU`` of a square sparse matrix A in coupling-component order.
+
+    Every unknown is labelled by the weakly connected component of A's
+    whole sparsity graph and the unknowns are ordered component by
+    component, each keeping its own order; the permuted matrix goes into
+    LAPACK band storage with the lower and upper bandwidths its entries
+    reach."""
+    A = sp.csr_array(A, copy=True)
+    A.sum_duplicates()
+    size = A.shape[0]
+    pattern = sp.csr_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    _, label = connected_components(pattern, connection="weak")
+    perm = np.argsort(label, kind="stable")
+    order = np.empty_like(perm)
+    order[perm] = np.arange(size)
+    i = order[np.repeat(np.arange(size), np.diff(A.indptr))]
+    j = order[A.indices]
+    kl = int((i - j).max(initial=0))
+    ku = int((j - i).max(initial=0))
+    band = np.zeros((2 * kl + ku + 1, size), dtype=complex)
+    band[kl + ku + i - j, j] = A.data
+    return _BandLU(band, kl, ku, perm)
+
+
 @contextmanager
 def _fixed_global_rng():
     """Run a block on NumPy's global generator seeded with 0, then give the
@@ -273,7 +307,7 @@ def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2
     on the matrix of ``loop_harmonic_matrix``; the condition is estimated by
     SciPy's randomized block estimator ``onenormest`` under a fixed seed,
     for both A and the inverse, the latter applied through the package's
-    ``_BandLU`` factor."""
+    ``_BandLU`` factor of ``component_band_lu``."""
     base_mode, fiber_mode = mode
     A = loop_harmonic_matrix(model, mode, t_max, n)
     dim = A.shape[0] // (n + 1)
@@ -283,7 +317,7 @@ def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2
     t = np.linspace(0.0, t_max, n + 1)
     rhs = np.zeros((n + 1) * dim, dtype=complex)
     rhs[:dim] = g
-    lu = _BandLU(A)
+    lu = component_band_lu(A)
     u = lu.solve(rhs)
     inv_op = spla.LinearOperator(
         A.shape,
@@ -297,8 +331,8 @@ def loop_solve_harmonic(model, form_degree=0, mode=((0,), (0,)), t_max=12.0, n=2
         t=t,
         x=model.x_max * np.exp(-t),
         values=u.reshape(n + 1, dim),
-        base_mode=tuple(np.atleast_1d(base_mode).astype(int)),
-        fiber_mode=tuple(np.atleast_1d(fiber_mode).astype(int)),
+        base_mode=tuple(int(v) for v in np.atleast_1d(base_mode)),
+        fiber_mode=tuple(int(v) for v in np.atleast_1d(fiber_mode)),
         form_degree=form_degree,
         component=component,
         cond_estimate=cond,
@@ -328,3 +362,21 @@ def loop_discrete_residual(model, base_mode, exponent, component=0, t_window=(1.
         )
         worst = max(worst, float(np.linalg.norm(r, ord=np.inf)))
     return worst
+
+
+def loop_clean_mask(vals):
+    """``harmonic._clean_mask`` as a walk over the samples: cut at the first
+    sample above ``_BOUNCE`` times the running minimum of the positive
+    samples before it, once that minimum is below 1e-6 of the largest."""
+    scale = float(vals.max())
+    mask = np.ones(len(vals), dtype=bool)
+    runmin = math.inf
+    for i, v in enumerate(vals):
+        if v <= 0:
+            continue
+        if v < runmin:
+            runmin = v
+        elif 0 < runmin < 1e-6 * scale and v > _BOUNCE * runmin:
+            mask[i:] = False
+            break
+    return mask

@@ -28,11 +28,16 @@ from phicalc.models import (
 )
 from phicalc.jsonio import dumps
 from phicalc.models import harmonic
-from phicalc.models.harmonic import SampledSolution, _BandLU, _inv_one_norm, _scalar_root
+from phicalc.models.harmonic import (
+    SampledSolution, _clean_mask, _factor_mode_system, _inv_one_norm, _scalar_root,
+)
 from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
 from phicalc.models.spectrum import _mode_roots
 
-from oracles import loop_discrete_residual, loop_harmonic_matrix, loop_solve_harmonic, scan_imspec
+from oracles import (
+    component_band_lu, loop_clean_mask, loop_discrete_residual, loop_harmonic_matrix,
+    loop_solve_harmonic, scan_imspec,
+)
 
 GOLD = (-1 + math.sqrt(5)) / 2
 MODEL = ModelGeometry()  # a=1, one base circle, one fiber circle, both 2*pi
@@ -548,11 +553,14 @@ _BAND_SHAPES = st.lists(
 def test_band_lu_solves_like_a_dense_solve(shapes, seed):
     rng = np.random.default_rng(seed)
     M = _shuffled_band_blocks(rng, shapes)
-    lu = _BandLU(sp.csr_matrix(M))
+    lu = component_band_lu(sp.csr_matrix(M))
     assert lu.shape == M.shape
     assert lu.norm1 == pytest.approx(np.abs(M).sum(axis=0).max(), rel=1e-14)
     # a real right-hand side must come back complex, imaginary parts kept
     b = rng.standard_normal(M.shape[0])
+    # the columns of a multi-column right-hand side are solved in one call,
+    # each bit for bit as on its own
+    B = rng.standard_normal((M.shape[0], 3)) + 1j * rng.standard_normal((M.shape[0], 3))
     for trans, op in (("N", M), ("T", M.T), ("H", M.conj().T)):
         x = lu.solve(b, trans=trans)
         assert x.dtype == complex
@@ -560,6 +568,10 @@ def test_band_lu_solves_like_a_dense_solve(shapes, seed):
         want = np.linalg.solve(op, b)
         cond = np.linalg.cond(op, np.inf)
         assert np.abs(x - want).max() <= 1e-12 * cond * np.abs(want).max(), trans
+        X = lu.solve(B, trans=trans)
+        assert X.shape == B.shape
+        for j in range(B.shape[1]):
+            assert lu.solve(B[:, j], trans=trans).tobytes() == X[:, j].tobytes(), (trans, j)
 
 
 @settings(max_examples=50, deadline=None)
@@ -569,7 +581,27 @@ def test_band_lu_refuses_a_structurally_singular_matrix(shapes, seed, data):
     M = _shuffled_band_blocks(rng, shapes)
     M[:, data.draw(st.integers(0, M.shape[0] - 1))] = 0
     with pytest.raises(np.linalg.LinAlgError):
-        _BandLU(sp.csr_matrix(M))
+        component_band_lu(sp.csr_matrix(M))
+
+
+def test_mode_system_components_are_those_of_the_whole_graph():
+    # the library reads the coupling components off the dim x dim pattern;
+    # the oracle searches the sparsity graph of all (n + 1) dim unknowns
+    t_max, n = 12.0, 2048
+    t = np.linspace(0.0, t_max, n + 1)
+    two_circles = ModelGeometry(base_circumferences=(2 * math.pi, 2 * math.pi))
+    cases = [(model, mode) for model in ORACLE_MODELS for mode in ORACLE_MODES]
+    cases += [(two_circles, ((1, 2), (0,))), (two_circles, ((0, 1), (1,)))]
+    for model, mode in cases:
+        lu = _factor_mode_system(hodge_mode_operator(model, *mode), t, t_max / n)
+        want = component_band_lu(loop_harmonic_matrix(model, mode, t_max, n))
+        case = (model.base_circumferences, model.a, mode)
+        assert np.array_equal(lu.perm, want.perm), case
+        # single components on the fibre-harmonic modes, coupled pairs on
+        # the fibre-perpendicular ones
+        width = 1 if not any(mode[1]) else 2
+        assert (lu.kl, lu.ku) == (want.kl, want.ku) == (width, width), case
+        assert lu.norm1 == pytest.approx(want.norm1, rel=1e-14), case
 
 
 @pytest.mark.parametrize("model", ORACLE_MODELS, ids=("a1", "a2", "circles5-3"))
@@ -599,7 +631,7 @@ def test_inverse_norm_estimate_is_a_lower_bound(size, seed, col_scales):
     M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     M = M * 10.0 ** np.array(col_scales[:size])
     # any factor with ``shape`` and ``solve(b, trans)`` will do
-    for lu in (spla.splu(sp.csc_matrix(M)), _BandLU(sp.csr_matrix(M))):
+    for lu in (spla.splu(sp.csc_matrix(M)), component_band_lu(sp.csr_matrix(M))):
         exact = max(np.abs(lu.solve(e)).sum() for e in np.eye(size, dtype=complex))
         assert _inv_one_norm(lu) <= exact * (1 + 1e-12), type(lu).__name__
 
@@ -614,6 +646,50 @@ def test_cond_estimate_is_reproducible_and_keeps_global_rng():
     assert len(estimates) == 1
     after = np.random.get_state()
     assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+
+
+@pytest.mark.parametrize("mode", [
+    ((1.5,), (0,)), ((True,), (0,)), ((1,), (np.bool_(False),)), (np.float64(1.0), (0,)),
+    ((1.0,), (0,)), (("1",), (0,)), ((1,), None),
+])
+def test_solve_refuses_mode_entries_that_are_not_integers(mode):
+    # a mode entry is never truncated: 1.5 is not mode 1, True is not 1
+    with pytest.raises(ValueError, match="mode"):
+        solve_harmonic(MODEL, 0, mode, n=8)
+
+
+def test_solve_records_modes_as_python_ints():
+    sol = solve_harmonic(MODEL, 0, (np.int64(1), [np.int32(0)]), n=8)
+    assert sol.base_mode == (1,) and sol.fiber_mode == (0,)
+    assert all(type(v) is int for v in sol.base_mode + sol.fiber_mode)
+    assert solve_harmonic(MODEL, 0, ((1,), (0,)), n=8).values.tobytes() == sol.values.tobytes()
+    with pytest.raises(ValueError, match="2 entries"):
+        ModelGeometry(base_circumferences=(1.0, 2.0)).base_frequency((1,))
+
+
+# positive samples spread over many decades, with exact zeros, and the
+# decays, plateaus and bounces that the running minimum has to follow
+_SAMPLES = st.lists(
+    st.one_of(st.just(0.0), st.floats(-4.0, 1.0)), min_size=1, max_size=80
+).map(lambda steps: np.array([
+    0.0 if step == 0.0 else 10.0 ** level
+    for step, level in zip(steps, np.cumsum(steps))
+]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=_SAMPLES)
+@example(vals=np.array([1.0, 1e-7, 1e-8, 6e-8, 1e-9]))
+@example(vals=np.array([1.0, 0.0, 1e-7, 0.0, 5e-7, 5.1e-7]))
+def test_clean_mask_matches_the_sample_walk(vals):
+    assert np.array_equal(_clean_mask(vals), loop_clean_mask(vals))
+
+
+def test_clean_mask_matches_the_sample_walk_on_solved_modes():
+    for mode in ORACLE_MODES:
+        sol = solve_harmonic(MODEL, 0, mode)
+        vals = np.abs(sol.values[:, sol.component])
+        assert np.array_equal(_clean_mask(vals), loop_clean_mask(vals)), mode
 
 
 @pytest.mark.parametrize("t_window, n", [
