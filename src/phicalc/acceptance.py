@@ -184,17 +184,24 @@ def _random_family(rng) -> IndexFamily:
     return IndexFamily("phi", lf=face(min_re=True), rf=face(min_re=True), bf=face(), ff=face())
 
 
-def _display_compose(I: IndexFamily, J: IndexFamily, A, cutoff, reach):
+def _display_reach(I: IndexFamily, J: IndexFamily, cutoff):
+    """How far the closures of ``_display_compose`` are enumerated: a member
+    above cutoff - min(0, m), m the smallest real part over the eight
+    faces, is in no sum at or below the cutoff (the A-shift only raises)."""
+    return cutoff - min(0, *(F.face(name).min_re() for F in (I, J) for name in F.faces))
+
+
+def _display_compose(I: IndexFamily, J: IndexFamily, A, cutoff):
     """Second implementation of the composite family, straight from the
     displayed combination: extended unions of shifted sums, evaluated on
-    finite truncations.
+    finite truncations up to :func:`_display_reach`.
 
     Real parts are multiplied by the common denominator D of all
     generators, so the enumeration adds integers; returns D and the four
     truncations in that scale."""
     D = math.lcm(*(Fraction(g[0]).denominator for F in (I, J) for name in F.faces
                    for g in F.face(name).generators))
-    cutoff, reach, A = cutoff * D, reach * D, A * D
+    cutoff, reach, A = cutoff * D, _display_reach(I, J, cutoff) * D, A * D
 
     def closure(face):
         return _enum_closure([(int(re * D), im, k) for (re, im, k) in face.generators], reach, D)
@@ -228,7 +235,7 @@ def _display_compose(I: IndexFamily, J: IndexFamily, A, cutoff, reach):
 @_criterion(2, "composite index families vs direct combination on truncations", 30.0)
 def criterion_2(model):
     rng = random.Random(2_000_003)
-    cutoff, reach = 6, 14
+    cutoff = 6
     mismatches = []
     count = 0
     for _ in range(200):
@@ -238,7 +245,7 @@ def criterion_2(model):
                 count += 1
                 geom = GeomConstants(a, b_dim)
                 got = compose(full_class("phi", 0, I), full_class("phi", 0, J), geom)
-                D, want = _display_compose(I, J, geom.A, cutoff, reach)
+                D, want = _display_compose(I, J, geom.A, cutoff)
                 for name in ("lf", "rf", "bf", "ff"):
                     mine = {(re * D, im, k) for (re, im, k) in got.spec.face(name).truncate(cutoff)}
                     if mine != want[name]:

@@ -28,11 +28,11 @@ from .models import (
 from .models.geometry import assemble_DV
 from .models.harmonic import FitError
 from .opclasses import (
-    RULES,
     CompositionError,
     GeomConstants,
     compose,
     entry_from_json,
+    lift_b_to_phi,
 )
 from .parametrix import ParametrixError, SplitOperator, parametrix_report
 
@@ -109,10 +109,7 @@ def _cmd_compose(args) -> int:
 def _cmd_lift(args) -> int:
     T = load_document(args.input, entry_from_json, "operator-class")
     geom = GeomConstants(a=args.a, b_dim=args.b_dim)
-    # the rule's precondition, as compose applies it: a single full-family
-    # b-class of negative order, else exit 2
-    lift = RULES["lift-full"].formula((T,), {"a": geom.a, "b_dim": geom.b_dim}, geom)
-    main, res = lift.terms
+    main, res = lift_b_to_phi(T, geom.a, geom.b_dim)
     write_json({"main": main.to_json(), "residual": res.to_json()}, args.out)
     return 0
 

@@ -386,13 +386,6 @@ class ModeOperator:
                 M = M + values * np.exp(q * self.a * t).reshape(t.shape + (1,) * len(shape))
         return M
 
-    def symbol_on_power(self, t: float, s: complex) -> np.ndarray:
-        """Action matrix on e^(-s t) v, i.e. on x^s v."""
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        for (p, q), block in self.terms.items():
-            M = M + block * ((-s) ** p) * math.exp(q * self.a * t)
-        return M
-
 
 def gauss_bonnet_mode_operator(model: ModelGeometry, base_mode, fiber_mode) -> ModeOperator:
     """First-order reduced system of the geometric Gauss-Bonnet operator

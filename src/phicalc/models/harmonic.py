@@ -138,7 +138,7 @@ class _BandLU:
     exactly singular.
     """
 
-    _TRANS = {"N": 0, "T": 1, "H": 2}
+    _TRANS = {"N": 0, "H": 2}
 
     def __init__(self, band: np.ndarray, kl: int, ku: int, perm: np.ndarray):
         size = band.shape[1]
@@ -152,10 +152,10 @@ class _BandLU:
             raise LinAlgError(f"the matrix is exactly singular (zero pivot {info})")
 
     def solve(self, b, trans: str = "N") -> np.ndarray:
-        """x with A x = b (``trans`` "N"), A^T x = b ("T") or A^H x = b
-        ("H"); x is complex whatever the dtype of b.  The columns of an
-        (N, k) right-hand side are solved in one ``xGBTRS`` call, each
-        exactly as it would be on its own."""
+        """x with A x = b (``trans`` "N") or A^H x = b ("H"); x is
+        complex whatever the dtype of b.  The columns of an (N, k)
+        right-hand side are solved in one ``xGBTRS`` call, each exactly as
+        it would be on its own."""
         # permuted along the first axis, laid out column by column as
         # LAPACK takes it, so that no copy is made on the way in
         b = np.asarray(b, dtype=complex).T[..., self.perm].T
@@ -176,22 +176,21 @@ def _estimate_rhs(size: int) -> np.ndarray:
     return rhs
 
 
-def _inv_one_norm(lu, fixed=None) -> float:
+def _inv_one_norm(lu, fixed) -> float:
     """Lower bound on the 1-norm of A^-1 from an LU factor of an N x N
     matrix A, N >= 2 (a mode system has at least three unknowns): any
     object with ``shape`` and ``solve(b, trans)``, such as a ``_BandLU``
     or a SciPy ``splu`` factor.  ``fixed`` is A^-1 applied to the columns
-    of ``_estimate_rhs(N)`` when the caller has solved them already (a
-    mode solve takes them in one call with its boundary data); otherwise
-    they are solved here.
+    of ``_estimate_rhs(N)`` (a mode solve takes them in one call with its
+    boundary data).
 
     The iteration of Hager and Higham in the form of LAPACK's ZLACN2
     (Higham, ACM TOMS 14(4), 1988): start from the uniform vector, move to
-    the unit column e_j that the transposed solve of the sign vector points
-    at, for at most ``_LACN2_ITMAX`` iterations in all, and end with
-    LAPACK's alternating-sign vector.  Every candidate is the 1-norm of
-    A^-1 applied to a vector of 1-norm at most one, so the largest one
-    kept is a lower bound; it is usually exact.
+    the unit column e_j that the conjugate-transposed solve of the sign
+    vector points at, for at most ``_LACN2_ITMAX`` iterations in all, and
+    end with LAPACK's alternating-sign vector.  Every candidate is the
+    1-norm of A^-1 applied to a vector of 1-norm at most one, so the
+    largest one kept is a lower bound; it is usually exact.
     """
 
     def signs(v):
@@ -199,8 +198,6 @@ def _inv_one_norm(lu, fixed=None) -> float:
         return np.divide(v, a, out=np.ones_like(v), where=a > _SAFMIN)
 
     size = lu.shape[0]
-    if fixed is None:
-        fixed = lu.solve(_estimate_rhs(size))
     x, x_alt = fixed.T
     est = np.abs(x).sum()
     j = np.argmax(np.abs(lu.solve(signs(x), trans="H")))
@@ -509,10 +506,21 @@ def check_L2(samples: SampledSolution, gamma: float = 0.0) -> bool:
     condition that selects the decaying branch distorts the profile there)
     and rates within ``_DECISION_MARGIN`` of the borderline are resolved as
     non-membership, which is correct for the borderline rate itself.
+    Raises ``ValueError`` when ``gamma`` has no float value or x^(-2 gamma)
+    is not a positive finite float on every sample weighed.
     """
+    try:
+        g = float(gamma)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"the L2 weight gamma has no float value ({exc})") from None
     keep = samples.t <= samples.t[-1] - _ARTIFACT_CUT
     t, x = samples.t[keep], samples.x[keep]
-    vals = np.abs(samples.values[keep, samples.component]) * x ** (-float(gamma))
+    with np.errstate(over="ignore", under="ignore"):
+        weight2 = x ** (-2 * g)
+    if not np.all((weight2 > 0) & (weight2 < math.inf)):
+        raise ValueError(f"the L2 weight x^(-2 gamma) at gamma = {gamma} leaves the "
+                         f"float range on the samples x in [{x.min():.6g}, {x.max():.6g}]")
+    vals = np.abs(samples.values[keep, samples.component]) * x ** (-g)
     scale = vals.max()
     if scale == 0:
         return True

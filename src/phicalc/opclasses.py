@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -520,8 +519,9 @@ class FoldedClass:
     """Per-face view of a class after x-powers and refinements are applied.
 
     ``faces`` maps face name to either an exact IndexSet or a Bound.  A
-    b-kind class whose lf and bf data are exactly empty is normalized to
-    phi-kind with empty ff, reflecting that x^inf b- and phi-classes agree.
+    b-kind class whose bf data and lf or rf data are exactly empty is
+    normalized to phi-kind with empty ff, reflecting that x^inf b- and
+    phi-classes agree (:func:`_x_inf`).
     """
 
     kind: str
@@ -592,10 +592,7 @@ def _fold(cls: OpClass) -> FoldedClass:
         if f in faces:
             faces[f] = EMPTY
 
-    # x^inf identification of b- and phi-classes (either side)
-    if kind == "b" and faces["bf"] == EMPTY and (
-        faces["lf"] == EMPTY or faces["rf"] == EMPTY
-    ):
+    if kind == "b" and _x_inf(faces.__getitem__):
         kind = "phi"
         faces["ff"] = EMPTY
 
@@ -606,6 +603,12 @@ def _fold(cls: OpClass) -> FoldedClass:
         cls.ext,
         tuple((f, faces[f]) for f in order if f in faces),
     )
+
+
+def _x_inf(face) -> bool:
+    """Kernels vanishing to infinite order at bf and lf or rf (``face(name)``
+    gives face data): a b-class and a phi-class with empty ff agree there."""
+    return face("bf") == EMPTY and (face("lf") == EMPTY or face("rf") == EMPTY)
 
 
 def _face_implies(sub, sup) -> bool:
@@ -664,13 +667,8 @@ def _contains_single(sub: OpClass, sup: OpClass, geom) -> bool:
             ff = _shift_face(bf, geom.a * (-fs.order))
         pairs = [(fs.face(f), ft.face(f)) for f in ("lf", "rf", "bf")]
         pairs.append((ff, ft.face("ff")))
-    elif fs.kind in ("phi", "bphi") and ft.kind == "b":
-        # a phi-class with empty bf and ff data and one empty side face is
-        # an x^inf class on that side, hence equals the corresponding b-class
-        if not (fs.face("bf") == EMPTY and fs.face("ff") == EMPTY):
-            return False
-        if not (fs.face("lf") == EMPTY or fs.face("rf") == EMPTY):
-            return False
+    elif ft.kind == "b" and fs.face("ff") == EMPTY and _x_inf(fs.face):
+        # a phi- or bphi-class with empty ff data, x^inf on one side, is a b-class
         pairs = [(fs.face(f), ft.face(f)) for f in ("lf", "rf", "bf")]
     else:
         return False
@@ -742,23 +740,19 @@ def adjoint_class(P: Entry) -> Entry:
 
 
 def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
-    """Lift a full-family b-class along the quasihomogeneous blow-up.
+    """Lift a full-family b-class of finite negative order along the
+    quasihomogeneous blow-up; any other input, where the formula is not
+    stated, raises :class:`UnsupportedComposition`.
 
     Returns the pair of phi-classes whose sum contains the lift: the first
     keeps the conormal order with ff-set bf + a(-m); the second is
     smoothing with ff-set bf + a((-m) extended-union (b_dim + 1)).
     """
     if not (isinstance(T, OpClass) and T.kind == "b" and isinstance(T.spec, IndexFamily)):
-        raise TypeError("lifting needs a single b-kind class with a full index family")
+        raise UnsupportedComposition("lifting needs a single b-kind class with a full index family")
     m = T.order
-    if abs(m) == INF:
-        raise UnsupportedComposition(f"lifting needs a finite order, got {m}")
-    if m >= 0:
-        warnings.warn(
-            "lift of a b-class of nonnegative order is outside the stated "
-            "scope of the lifting formula",
-            stacklevel=2,
-        )
+    if not NEG_INF < m < 0:
+        raise UnsupportedComposition(f"lifting needs a finite negative order, got {m}")
     fam = T.spec
     base = dict(lf=fam.lf, rf=fam.rf, bf=fam.bf)
     ff_main = add(fam.bf, scale(real_set(-m), a))
@@ -1013,23 +1007,17 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
 
 
 def _e_normalize(P: OpClass) -> OpClass:
-    """Identify x^inf b-classes with their phi-counterparts.
-
-    A b-class whose kernels vanish to infinite order at lf and bf equals the
-    corresponding phi-class with empty front-face data, so it may enter
-    phi-side compositions of any order.
-    """
-    if P.kind != "b":
+    """The phi twin of a b-class that :func:`fold` makes phi-kind, any other
+    class as it is: a family gains empty ff data, a weight-tier class an ff
+    refinement unless an x^inf power already empties ff."""
+    if P.kind != "b" or fold(P).kind != "phi":
         return P
-    if P.xl == INF or P.xr == INF:
-        spec = P.spec
-        if isinstance(spec, IndexFamily):
-            spec = IndexFamily("phi", lf=spec.lf, rf=spec.rf, bf=spec.bf, ff=EMPTY)
-        return _derive(P, kind="phi", spec=spec)
-    # only a weight-tier class keeps a vanish set: a family folds it in
-    if "bf" in P.vanish and P.vanish & {"lf", "rf"}:
-        return _derive(P, kind="phi", vanish=P.vanish | {"ff"})
-    return P
+    spec, vanish = P.spec, P.vanish
+    if isinstance(spec, IndexFamily):
+        spec = IndexFamily("phi", lf=spec.lf, rf=spec.rf, bf=spec.bf, ff=EMPTY)
+    elif INF not in (P.xl, P.xr):
+        vanish = vanish | {"ff"}
+    return _derive(P, kind="phi", spec=spec, vanish=vanish)
 
 
 def _strip(P: OpClass) -> OpClass:
@@ -1205,14 +1193,8 @@ def _conjugate_small(inputs, params, geom):
 @register_rule("lift-full", 1, "a", "b_dim")
 def _lift_full(inputs, params, geom):
     """The pair of phi-classes of :func:`lift_b_to_phi`, with ``geom``."""
-    (T,) = inputs
     _same_geom(geom, a=params["a"], b_dim=params["b_dim"])
-    if not (isinstance(T, OpClass) and T.kind == "b" and isinstance(T.spec, IndexFamily)):
-        raise UnsupportedComposition("lifting needs a b-kind class with a full index family")
-    if 0 <= T.order < INF:
-        # lift_b_to_phi only warns: its formula is stated for negative orders
-        raise UnsupportedComposition(f"lifting needs a negative order, got {T.order}")
-    return ClassSum(lift_b_to_phi(T, geom.a, geom.b_dim))
+    return ClassSum(lift_b_to_phi(inputs[0], geom.a, geom.b_dim))
 
 
 @register_rule("power-into-family", 1, "c")

@@ -49,6 +49,26 @@ def test_criterion_2_composition_reproduction(results):
     assert res.details["mismatches"] == 0
 
 
+def test_criterion_2_oracle_reach_is_derived_from_the_faces(monkeypatch):
+    # the derived reach truncates every one of c2's 800 evaluations exactly
+    # as the fixed reach 14 it replaced, and never needs more than 8
+    calls = []
+    display = acceptance._display_compose
+
+    def spy(I, J, A, cutoff):
+        got = display(I, J, A, cutoff)
+        calls.append((I, J, A, cutoff, got))
+        return got
+
+    monkeypatch.setattr(acceptance, "_display_compose", spy)
+    assert acceptance.criterion_2(MODEL).passed
+    assert len(calls) == 800 and all(c[3] == 6 for c in calls)
+    assert max(acceptance._display_reach(I, J, cutoff) for I, J, _, cutoff, _ in calls) == 8
+    monkeypatch.setattr(acceptance, "_display_reach", lambda I, J, cutoff: 14)
+    for I, J, A, cutoff, got in calls:
+        assert display(I, J, A, cutoff) == got
+
+
 def test_criterion_3_parametrix_grid(results):
     res = results[3]
     _check(res, ["instances", "records_replayed", "failures"])

@@ -99,6 +99,27 @@ def test_compose_cli_refuses_a_full_b_class_of_nonnegative_order(tmp_path, capsy
     assert "negative order" in capsys.readouterr().err and not out.exists()
 
 
+def test_compose_cli_takes_an_x_inf_b_class_as_its_phi_twin(tmp_path):
+    # a full b-class with empty lf and bf data is its phi twin (empty ff
+    # data): composed on either side of a full phi-class, at order 0 where
+    # no lift exists, it writes the twin's output byte for byte
+    s = lambda *r: {"empty": not r, "generators": [{"re": x, "im": 0, "k": 0} for x in r]}
+    b = jdump(tmp_path, "b.json", {"kind": "b", "order": 0, "spec": {"family": {
+        "kind": "b", "lf": s(), "rf": s(1), "bf": s()}}})
+    p = jdump(tmp_path, "p.json", {"kind": "phi", "order": 0, "spec": {"family": {
+        "kind": "phi", "lf": s(), "rf": s(1), "bf": s(), "ff": s()}}})
+    q = jdump(tmp_path, "q.json", {"kind": "phi", "order": -1, "spec": {"family": {
+        "kind": "phi", "lf": s(1), "rf": s(1), "bf": s(), "ff": s(0)}}})
+    for left in (True, False):
+        outs = []
+        for i, twin in enumerate((b, p)):
+            out = tmp_path / f"k{i}.json"
+            pair = (twin, q) if left else (q, twin)
+            assert main(["compose", *pair, "-a", "1", "--b-dim", "1", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 def test_lift_cli(tmp_path):
     fam = {
         "kind": "b",
@@ -331,6 +352,15 @@ def test_verify_cli_rejects_non_finite_alpha_first(tmp_path, monkeypatch, capsys
     assert err.value.code == 2
     assert "--alpha" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["400", "1e400"])
+def test_verify_cli_exits_2_on_a_weight_outside_the_float_range(tmp_path, capsys, alpha):
+    # the L2 test weighs samples by x^(-alpha): a weight whose square leaves
+    # the float range on the grid, or that has no float value, gives no verdict
+    out = tmp_path / "verify.json"
+    assert main(["verify", f"--alpha={alpha}", "--out", str(out)]) == 2
+    assert "L2 weight" in capsys.readouterr().err and not out.exists()
 
 
 def test_compose_cli_split_route(tmp_path):

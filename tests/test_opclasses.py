@@ -128,7 +128,7 @@ def test_b_full_composes_with_phi_full_via_lifting():
 
 @pytest.mark.filterwarnings("error")
 def test_b_full_of_nonnegative_order_is_refused_not_lifted():
-    # lift_b_to_phi only warns outside its scope; the lift rule refuses
+    # the lifting formula is stated for negative orders only
     bfam = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
     Q = full_class("phi", 0, phi_family(lf=real_set(1), rf=real_set(1),
                                         bf=real_set(0), ff=real_set(0)))
@@ -152,8 +152,7 @@ def _face(positive):
 
 
 PHI_FAMILIES = st.builds(phi_family, lf=_face(True), rf=_face(True), bf=_face(False), ff=_face(False))
-# truncation cutoff: no exponent is below -2, so closures up to FAMILY_CUT + 3
-# hold every sum up to the cutoff
+# truncation cutoff of the displayed combination
 FAMILY_CUT = 3
 
 
@@ -168,7 +167,7 @@ FAMILY_CUT = 3
     A=3,
 )
 def test_compose_families_matches_the_displayed_combination(I, J, A):
-    D, want = _display_compose(I, J, A, FAMILY_CUT, FAMILY_CUT + 3)
+    D, want = _display_compose(I, J, A, FAMILY_CUT)
     got = compose_families(I, J, A)
     for name in ("lf", "rf", "bf", "ff"):
         assert {(re * D, im, k) for (re, im, k) in got.face(name).truncate(FAMILY_CUT)} == want[name]
@@ -206,6 +205,57 @@ def test_b_full_composition_not_mechanized():
         compose(P, P, G11)
 
 
+@st.composite
+def _x_inf_twins(draw):
+    """A full b-class vanishing to infinite order at bf and at lf or rf, and
+    its phi twin (empty ff data): :func:`eq_classes` makes them one class."""
+    lf, rf = draw(_face(True)), draw(_face(True))
+    if draw(st.booleans()):
+        lf = EMPTY
+    else:
+        rf = EMPTY
+    order = draw(st.sampled_from([-2, -1, Fraction(-1, 2), 0, 1]))
+    ext = draw(st.booleans())
+    B = full_class("b", order, IndexFamily("b", lf=lf, rf=rf, bf=EMPTY), ext=ext)
+    return B, full_class("phi", order, phi_family(lf=lf, rf=rf), ext=ext)
+
+
+def _composed(P, Q, geom):
+    try:
+        return compose(P, Q, geom)
+    except oc.CompositionError:
+        return None
+
+
+_B0 = full_class("b", 0, IndexFamily("b", lf=EMPTY, rf=real_set(1), bf=EMPTY))
+_PARTNER = phi_family(lf=real_set(1), rf=real_set(1), ff=real_set(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(twins=_x_inf_twins(),
+       partner=st.builds(phi_family, lf=_face(False), rf=_face(False), bf=_face(False),
+                         ff=_face(False)),
+       order=st.sampled_from([-1, 0, 2]), left=st.booleans(),
+       geom=st.sampled_from([G11, GeomConstants(a=2, b_dim=2)]))
+@example(twins=(_B0, full_class("phi", 0, phi_family(rf=real_set(1)))),
+         partner=_PARTNER, order=-1, left=True, geom=G11)
+@example(twins=(replace(_B0, order=-1), full_class("phi", -1, phi_family(rf=real_set(1)))),
+         partner=_PARTNER, order=-1, left=False, geom=G11)
+def test_compose_respects_x_inf_twins(twins, partner, order, left, geom):
+    # an x^inf b-class composes as its phi twin: both products are refused,
+    # or they are one class
+    B, P = twins
+    assert eq_classes(B, P)
+    Q = full_class("phi", order, partner)
+
+    def product(T):
+        return _composed(T, Q, geom) if left else _composed(Q, T, geom)
+
+    got, want = product(B), product(P)
+    assert (got is None) == (want is None)
+    assert got is None or eq_classes(got, want)
+
+
 # ---------------------------------------------------------------------------
 # lifting
 
@@ -233,10 +283,20 @@ def test_lift_empty_bf_absorbs():
     assert main.spec.ff == EMPTY and res.spec.ff == EMPTY
 
 
-def test_lift_warns_outside_scope():
+@pytest.mark.filterwarnings("error")
+def test_lift_refuses_outside_scope():
+    # the formula is stated for a single full b-class of finite negative
+    # order; anything else is refused, not lifted with a warning
     fam = IndexFamily("b", bf=real_set(0))
-    with pytest.warns(UserWarning):
-        lift_b_to_phi(full_class("b", 1, fam), a=1, b_dim=1)
+    outside = [full_class("b", m, fam) for m in (0, Fraction(1, 2), INF, NEG_INF)]
+    outside += [
+        full_class("phi", -1, phi_family(bf=real_set(0))),
+        weight_b(-1, 0),
+        ClassSum((full_class("b", -1, fam),)),
+    ]
+    for T in outside:
+        with pytest.raises(UnsupportedComposition, match="lifting needs"):
+            lift_b_to_phi(T, a=1, b_dim=1)
 
 
 # ---------------------------------------------------------------------------
