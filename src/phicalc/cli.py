@@ -3,7 +3,8 @@
 Exit codes: 0 on success or PASS, 1 when a verification reports FAIL, 2 on
 usage errors or malformed input (with a line/column diagnostic for JSON).
 All file output goes through the deterministic writers in
-:mod:`phicalc.jsonio`.
+:mod:`phicalc.jsonio`.  Only the numerics subcommands import numpy and
+scipy (through :mod:`phicalc.models` and :mod:`phicalc.acceptance`).
 """
 
 from __future__ import annotations
@@ -13,20 +14,9 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import acceptance
 from .indexsets import IndexSet, geq, greater_than
 from . import indexsets
 from .jsonio import JsonInputError, load_document, write_csv, write_json
-from .models import (
-    ModelGeometry,
-    fit_exponents,
-    imspec,
-    normal_family_gap,
-    solve_harmonic,
-    verify_predictions,
-)
-from .models.geometry import assemble_DV
-from .models.harmonic import FitError
 from .opclasses import (
     CompositionError,
     GeomConstants,
@@ -38,6 +28,8 @@ from .parametrix import ParametrixError, SplitOperator, parametrix_report
 
 
 def _load_model(path: str | None) -> ModelGeometry:
+    from .models import ModelGeometry
+
     if path is None:
         return ModelGeometry()
     return load_document(path, ModelGeometry.from_json, "model")
@@ -122,6 +114,8 @@ def _cmd_parametrix(args) -> int:
 
 
 def _cmd_imspec(args) -> int:
+    from .models import assemble_DV, imspec
+
     model = _load_model(args.model)
     family = assemble_DV(model).family(args.family, args.volume)
     with warnings.catch_warnings(record=True) as caught:
@@ -143,6 +137,8 @@ def _cmd_imspec(args) -> int:
 def _cmd_gap(args) -> int:
     import numpy as np
 
+    from .models import normal_family_gap
+
     model = _load_model(args.model)
     lo, hi = args.window
     grid = np.linspace(lo, hi, args.grid_points)
@@ -152,6 +148,8 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .models import FitError, fit_exponents, solve_harmonic
+
     model = _load_model(args.model)
     t_max, n = _parse_grid(args.grid)
     base = _parse_mode(args.mode[0])
@@ -177,6 +175,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .models import verify_predictions
+
     model = _load_model(args.model)
     rep = verify_predictions(model, alpha=args.alpha)
     write_json(rep.to_json(), args.out)
@@ -184,6 +184,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from . import acceptance
+
     model = _load_model(args.model)
     results = acceptance.run_all(model)
     if args.out:

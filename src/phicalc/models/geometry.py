@@ -367,23 +367,25 @@ class ModeOperator:
     def max_dt_order(self) -> int:
         return max(p for p, _ in self.terms)
 
-    def coefficient(self, t, p: int, entries=None) -> np.ndarray:
-        """Matrix coefficient of d_t^p at time t, or the stack of
-        coefficients with shape t.shape + (dim, dim) when t is an array
-        of times.  With ``entries`` = (rows, cols), only those E entries
-        are evaluated, with shape t.shape + (E,); each value is the one
-        the full matrix holds there, bit for bit."""
+    def coefficients(self, t, entries=None) -> np.ndarray:
+        """Matrix coefficients of d_t^0 .. d_t^P (P = ``max_dt_order()``)
+        at time t, stacked with shape (P + 1,) + t.shape + (dim, dim).
+        With ``entries`` = (rows, cols), only those E entries are
+        evaluated, with shape (P + 1,) + t.shape + (E,), bit for bit the
+        values the full matrices hold there.  Each e^(q a t) is evaluated
+        once; the terms of one order are summed in ``terms`` order."""
         t = np.asarray(t, dtype=float)
         if entries is None:
             shape = (self.dim, self.dim)
         else:
             rows, cols = entries
             shape = (len(rows),)
-        M = np.zeros(t.shape + shape, dtype=complex)
-        for (pp, q), block in self.terms.items():
-            if pp == p:
-                values = block if entries is None else block[rows, cols]
-                M = M + values * np.exp(q * self.a * t).reshape(t.shape + (1,) * len(shape))
+        M = np.zeros((self.max_dt_order() + 1,) + t.shape + shape, dtype=complex)
+        powers = {}
+        for (p, q), block in self.terms.items():
+            if q not in powers:
+                powers[q] = np.exp(q * self.a * t).reshape(t.shape + (1,) * len(shape))
+            M[p] += (block if entries is None else block[rows, cols]) * powers[q]
         return M
 
 

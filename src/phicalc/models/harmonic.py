@@ -3,20 +3,21 @@
 The harmonic equation of the model metric is solved per Fourier mode as a
 matrix ODE system in t = -log x, discretized with second-order central
 differences, with the prescribed data at x = x_max and the decaying
-solution selected by a zero condition at t = T_max.  The coefficient
-entries of all interior grid points are evaluated at once with array
-operations.  The unknowns fall into a few independent coupling components
-(single form components, or pairs of them, each a chain along the grid),
-read off the dim x dim sparsity pattern of the mode operator; with the
-unknowns ordered component by component the matrix is banded with one or
-two diagonals on either side, and each coefficient entry is written
-straight into LAPACK band storage as one strided row of the band.  One
-banded LU factors it.  Its 1-norm condition number is estimated from that
-factor: the exact column-sum norm of the matrix times Higham's
-deterministic estimate of the inverse's norm (the iteration behind
-LAPACK's ``xGECON``), so it draws no random starting vectors; the
-estimate's two fixed right-hand sides are solved in one call together
-with the boundary data.  Fitted exponents of the components are then
+solution selected by a zero condition at t = T_max.  The coefficients of
+all interior grid points come from one pass over the operator's terms.
+The unknowns fall into a few independent coupling components (single form
+components, or pairs of them, each a chain along the grid), found by
+SciPy's component search on the dim x dim sparsity pattern of the mode
+operator.  Numbered component by component, the grid inside each, the
+matrix is banded with one or two diagonals on either side; each
+coefficient entry is written straight into LAPACK band storage as one
+strided row of the band, and one banded LU factors and solves it in that
+order.  Its 1-norm condition number (which no symmetric permutation
+changes) is estimated from that factor: the exact column-sum norm of the
+matrix times Higham's deterministic estimate of the inverse's norm (the
+iteration behind LAPACK's ``xGECON``), so it draws no random starting
+vectors; the estimate's two fixed right-hand sides are solved in one call
+together with the boundary data.  Fitted exponents of the components are then
 compared against the critical weights of the metric-volume indicial
 family: two independent computations of the same asymptotics.
 """
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from ..indexsets import exact_real, number_to_json
 from ..parametrix import kernel_index_set
@@ -126,26 +129,22 @@ def _default_component(model: ModelGeometry, form_degree: int) -> int:
 
 
 class _BandLU:
-    """LU factor of a square matrix A handed over in LAPACK band storage,
-    with its unknowns permuted.
+    """LU factor of a square matrix A handed over in LAPACK band storage.
 
-    ``band`` holds P A P^T in the layout of ``xGBTRF``: 2 kl + ku + 1 rows,
-    entry (i, j) of P A P^T in row kl + ku + i - j of column j, the first
-    kl rows left zero for the fill of partial pivoting; ``perm[i]`` is the
-    unknown of A at position i.  The band is factored in place with
-    ``xGBTRF``.  ``norm1`` is the 1-norm of A (the largest column sum of
-    the band), taken before factoring.  Raises ``LinAlgError`` when A is
-    exactly singular.
+    ``band`` holds A in the layout of ``xGBTRF``: 2 kl + ku + 1 rows,
+    entry (i, j) of A in row kl + ku + i - j of column j, the first kl rows
+    left zero for the fill of partial pivoting.  The band is factored in
+    place with ``xGBTRF``.  ``norm1`` is the 1-norm of A (the largest
+    column sum of the band), taken before factoring.  Raises
+    ``LinAlgError`` when A is exactly singular.
     """
 
     _TRANS = {"N": 0, "H": 2}
 
-    def __init__(self, band: np.ndarray, kl: int, ku: int, perm: np.ndarray):
+    def __init__(self, band: np.ndarray, kl: int, ku: int):
         size = band.shape[1]
         self.shape = (size, size)
-        self.kl, self.ku, self.perm = kl, ku, perm
-        self._order = np.empty_like(perm)  # the position of each unknown
-        self._order[perm] = np.arange(size)
+        self.kl, self.ku = kl, ku
         self.norm1 = float(np.abs(band[kl:]).sum(axis=0).max(initial=0.0))
         self._lu, self._piv, info = zgbtrf(band, kl, ku, overwrite_ab=True)
         if info > 0:
@@ -156,13 +155,12 @@ class _BandLU:
         complex whatever the dtype of b.  The columns of an (N, k)
         right-hand side are solved in one ``xGBTRS`` call, each exactly as
         it would be on its own."""
-        # permuted along the first axis, laid out column by column as
-        # LAPACK takes it, so that no copy is made on the way in
-        b = np.asarray(b, dtype=complex).T[..., self.perm].T
+        # one copy, column by column as LAPACK takes it, that the solve overwrites
+        b = np.array(b, dtype=complex, order="F")
         x, _ = zgbtrs(
             self._lu, self.kl, self.ku, b, self._piv, trans=self._TRANS[trans], overwrite_b=True
         )
-        return x.T[..., self._order].T
+        return x
 
 
 def _estimate_rhs(size: int) -> np.ndarray:
@@ -216,10 +214,10 @@ def _inv_one_norm(lu, fixed) -> float:
     return float(max(est, 2.0 * np.abs(x_alt).sum() / (3 * size)))
 
 
-def _factor_mode_system(op, t: np.ndarray, h: float) -> _BandLU:
+def _factor_mode_system(op, t: np.ndarray, h: float):
     """Banded LU factor of the finite-difference mode system of ``op`` on
     the uniform grid ``t`` of step ``h``, written straight into band
-    storage.
+    storage, and the (n + 1, dim) array of band positions of its unknowns.
 
     Unknown (p, s) is the value of form component s at grid point p.  The
     interior rows hold the central-difference blocks, evaluated on the
@@ -232,32 +230,25 @@ def _factor_mode_system(op, t: np.ndarray, h: float) -> _BandLU:
     at band position base[s] + p size(comp(s)).  Every (block, entry)
     coefficient column then lies on one band row and is one strided
     write, and the bandwidths are the largest offsets these rows reach.
+    The system is factored and solved in this band order.
     """
     dim = op.dim
     n = len(t) - 1
     # blocks[k][i - 1, e] couples unknown r[e] of interior point i to
     # unknown c[e] of point i - 1 + k
     r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
-    A2 = op.coefficient(t[1:-1], 2, (r, c)) / h**2
-    A1 = op.coefficient(t[1:-1], 1, (r, c)) / (2 * h)
-    A0 = op.coefficient(t[1:-1], 0, (r, c))
+    A0, A1, A2 = op.coefficients(t[1:-1], (r, c))
+    A2 = A2 / h**2
+    A1 = A1 / (2 * h)
     blocks = (A2 - A1, -2 * A2 + A0, A2 + A1)
     present = np.array([np.any(block != 0, axis=0) for block in blocks])  # exact zeros stay out
 
     # each form component is labelled by the smallest member of its coupling
-    # component: the smaller label moves along every linking entry until
-    # none moves
+    # component
     link = present.any(axis=0)
-    rl, cl = r[link], c[link]
-    label = np.arange(dim)
-    while True:
-        low = np.minimum(label[rl], label[cl])
-        moved = label.copy()
-        np.minimum.at(moved, rl, low)
-        np.minimum.at(moved, cl, low)
-        if np.array_equal(moved, label):
-            break
-        label = moved
+    graph = csr_array((np.ones(link.sum()), (r[link], c[link])), shape=(dim, dim))
+    _, component = connected_components(graph, connection="weak")
+    label = np.unique(component, return_index=True)[1][component]
     rank = np.empty(dim, dtype=int)
     rank[np.argsort(label, kind="stable")] = np.arange(dim)
     start = rank[label]  # where the component begins, in form components
@@ -275,11 +266,7 @@ def _factor_mode_system(op, t: np.ndarray, h: float) -> _BandLU:
         band[kl + ku + off, first : first + (n - 1) * sz : sz] = blocks[kk][:, ee]
     band[kl + ku, base] = 1.0  # identity rows at t = 0 and t_max
     band[kl + ku, base + n * size] = 1.0
-
-    perm = np.empty((n + 1) * dim, dtype=int)
-    p = np.arange(n + 1)[:, None]
-    perm[base + p * size] = np.arange((n + 1) * dim).reshape(n + 1, dim)
-    return _BandLU(band, kl, ku, perm)
+    return _BandLU(band, kl, ku), base + np.arange(n + 1)[:, None] * size
 
 
 def solve_harmonic(
@@ -298,13 +285,15 @@ def solve_harmonic(
     at t = 0 and the L2-admissible branch is selected by u(t_max) = 0.
     The coefficients of every interior row come from one stacked
     evaluation on the operator's sparsity pattern only and are written
-    straight into LAPACK band storage in coupling-component order
+    straight into LAPACK band storage in band order
     (``_factor_mode_system``); exact zeros are left out.  One banded LU
-    factors the system, and one multi-column solve takes the boundary
-    data together with the two fixed vectors of the inverse-norm
-    estimate, so the one-norm condition estimate of that factor is
-    recorded at the cost of its iteration's solves only, and contamination
-    by the growing branch can be flagged.  Raises ``ValueError`` unless
+    factors the system as written, and one multi-column solve takes the
+    boundary data, at the band positions of the default component,
+    together with the two fixed vectors of the inverse-norm estimate; the
+    values are read back through the band positions.  So the one-norm
+    condition estimate of that factor is recorded at the cost of its
+    iteration's solves only, and contamination by the growing branch can
+    be flagged.  Raises ``ValueError`` unless
     t_max is finite and positive and n >= 2, or when a mode entry is not
     an integer.
     """
@@ -314,7 +303,6 @@ def solve_harmonic(
     base_mode = _as_tuple(base_mode, model.b, "base mode")
     fiber_mode = _as_tuple(fiber_mode, model.f, "fiber mode")
     op = hodge_mode_operator(model, base_mode, fiber_mode)
-    dim = op.dim
     if op.max_dt_order() != 2:
         raise ValueError("the harmonic mode system should be second order")
 
@@ -324,14 +312,13 @@ def solve_harmonic(
     # x = x_max e^{-t}
     x = model.x_max * np.exp(-t)
 
-    lu = _factor_mode_system(op, t, h)
+    lu, position = _factor_mode_system(op, t, h)
     rhs = np.zeros((lu.shape[0], 3), dtype=complex, order="F")
-    rhs[component, 0] = 1.0
+    rhs[position[0, component], 0] = 1.0
     rhs[:, 1:] = _estimate_rhs(lu.shape[0])
     solved = lu.solve(rhs)
     cond = lu.norm1 * _inv_one_norm(lu, solved[:, 1:])
-    # a copy, so the solution does not keep the whole solve array alive
-    values = solved[:, 0].reshape(n + 1, dim).copy()
+    values = solved[position, 0]
     return SampledSolution(
         t=t,
         x=x,
@@ -373,9 +360,7 @@ def discrete_residual(
     v = np.zeros(dim, dtype=complex)
     v[component] = 1.0
     u = (np.exp(-exponent * t)[:, None] * v[None, :])[..., None]
-    A2 = op.coefficient(t[1:-1], 2)
-    A1 = op.coefficient(t[1:-1], 1)
-    A0 = op.coefficient(t[1:-1], 0)
+    A0, A1, A2 = op.coefficients(t[1:-1])
     r = (
         A2 @ (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
         + A1 @ (u[2:] - u[:-2]) / (2 * h)

@@ -237,12 +237,17 @@ def normal_family_gap(
     perpendicular subspace is trivial and the gap is infinite.  The family
     is i times a real antisymmetric matrix, hence Hermitian, so its singular
     values are the absolute values of its eigenvalues; these are computed
-    for all eta points of one (fibre mode, tau) slice at once.
+    for all eta points of one (fibre mode, tau) slice at once.  Raises
+    ``ValueError`` when ``taus`` or ``etas`` is empty, not 1-D or not finite.
     """
     if mode_cutoff < 0:
         raise ValueError(f"mode cutoff must be non-negative, got {mode_cutoff}")
     taus = np.linspace(-5, 5, 21) if taus is None else np.asarray(taus, float)
     etas = np.linspace(-5, 5, 21) if etas is None else np.asarray(etas, float)
+    for name, grid in (("taus", taus), ("etas", etas)):
+        if not (grid.ndim == 1 and grid.size and np.isfinite(grid).all()):
+            raise ValueError(f"the {name} grid must be a nonempty 1-D array of finite numbers, "
+                             f"got {np.array2string(grid, threshold=6)}")
     lam1 = model.smallest_fiber_eigenvalue()
     shape = (len(taus),) + (len(etas),) * model.b
     if model.f == 0:

@@ -29,8 +29,10 @@ inverse's norm.  Both factor with the package's banded ``_BandLU``, whose
 accuracy is checked on its own against dense solves; the oracle hands it
 a band built by ``component_band_lu`` from any sparse matrix, with the
 coupling components found by a search of the whole N-unknown sparsity
-graph, where the package reads them off the dim x dim pattern of the mode
-operator and writes the band directly.
+graph, and permutes every right-hand side into band order and every
+solution back, where the package reads the components off the dim x dim
+pattern of the mode operator, writes the band directly and solves in band
+order.
 
 The noise-plateau oracle ``loop_clean_mask`` walks the samples one by one
 with a running minimum, as the package did before it took the minimum with
@@ -264,8 +266,23 @@ def loop_harmonic_matrix(model, mode=((0,), (0,)), t_max=12.0, n=2048):
     )
 
 
-def component_band_lu(A) -> _BandLU:
-    """``_BandLU`` of a square sparse matrix A in coupling-component order.
+class PermutedBandLU:
+    """A ``_BandLU`` of P A P^T that solves with A itself: the right-hand
+    side is gathered into band order and the solution scattered back.
+    ``perm[i]`` is the unknown of A at band position i and ``position[u]``
+    the band position of unknown u."""
+
+    def __init__(self, band, kl, ku, perm, position):
+        self._lu = _BandLU(band, kl, ku)
+        self.shape, self.kl, self.ku, self.norm1 = self._lu.shape, kl, ku, self._lu.norm1
+        self.perm, self.position = perm, position
+
+    def solve(self, b, trans="N"):
+        return self._lu.solve(np.asarray(b)[self.perm], trans)[self.position]
+
+
+def component_band_lu(A) -> PermutedBandLU:
+    """Banded LU of a square sparse matrix A in coupling-component order.
 
     Every unknown is labelled by the weakly connected component of A's
     whole sparsity graph and the unknowns are ordered component by
@@ -278,15 +295,15 @@ def component_band_lu(A) -> _BandLU:
     pattern = sp.csr_array((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
     _, label = connected_components(pattern, connection="weak")
     perm = np.argsort(label, kind="stable")
-    order = np.empty_like(perm)
-    order[perm] = np.arange(size)
-    i = order[np.repeat(np.arange(size), np.diff(A.indptr))]
-    j = order[A.indices]
+    position = np.empty_like(perm)
+    position[perm] = np.arange(size)
+    i = position[np.repeat(np.arange(size), np.diff(A.indptr))]
+    j = position[A.indices]
     kl = int((i - j).max(initial=0))
     ku = int((j - i).max(initial=0))
     band = np.zeros((2 * kl + ku + 1, size), dtype=complex)
     band[kl + ku + i - j, j] = A.data
-    return _BandLU(band, kl, ku, perm)
+    return PermutedBandLU(band, kl, ku, perm, position)
 
 
 @contextmanager

@@ -86,6 +86,30 @@ def test_compose_cli(tmp_path):
     assert got["kind"] == "phi" and got["order"] == -1
 
 
+def test_compose_cli_loads_neither_numpy_nor_scipy(tmp_path):
+    # the numerics are imported by the subcommands that use them only
+    import os
+    import subprocess
+    import sys
+
+    import phicalc
+
+    p = jdump(tmp_path, "p.json", {"kind": "phi", "order": -1, "spec": {"weight": 0.0}})
+    q = jdump(tmp_path, "q.json", {"kind": "phi", "order": 0, "spec": {"weight": 0.0}})
+    out = str(tmp_path / "k.json")
+    code = (
+        "import json, sys; from phicalc.cli import main; "
+        f"rc = main(['compose', {p!r}, {q!r}, '-a', '1', '--b-dim', '1', '--out', {out!r}]); "
+        "print(json.dumps([rc, [m for m in ('numpy', 'scipy') if m in sys.modules]]))"
+    )
+    src = os.path.dirname(os.path.dirname(phicalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, []]
+    assert json.load(open(out))["order"] == -1
+
+
 @pytest.mark.filterwarnings("error")
 def test_compose_cli_refuses_a_full_b_class_of_nonnegative_order(tmp_path, capsys):
     # the lifting formula holds for negative orders only: exit 2, no warning
@@ -249,14 +273,15 @@ def test_imspec_csv_flags_window_edge_root(tmp_path, capsys):
 def test_imspec_prints_warnings_and_keeps_exit_code(tmp_path, capsys, monkeypatch):
     import warnings
 
-    import phicalc.cli
+    import phicalc.models
 
     def warning_imspec(family, **kwargs):
         warnings.warn("mode (0,): 2 eigenvalue(s) with real part in the window dropped as non-real",
                       RuntimeWarning)
         return []
 
-    monkeypatch.setattr(phicalc.cli, "imspec", warning_imspec)
+    # the handler imports imspec from phicalc.models when it runs
+    monkeypatch.setattr(phicalc.models, "imspec", warning_imspec)
     out = tmp_path / "s.csv"
     assert main(["imspec", "--model", model_file(tmp_path), "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -340,12 +365,13 @@ def test_verify_cli_fits_a_decay_between_x3_and_x10(tmp_path):
 
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_verify_cli_rejects_non_finite_alpha_first(tmp_path, monkeypatch, capsys, alpha):
-    import phicalc.cli as cli
+    import phicalc.models
 
     def no_run(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli, "verify_predictions", no_run)
+    # the handler imports verify_predictions from phicalc.models when it runs
+    monkeypatch.setattr(phicalc.models, "verify_predictions", no_run)
     out = tmp_path / "verify.json"
     with pytest.raises(SystemExit) as err:
         main(["verify", f"--alpha={alpha}", "--out", str(out)])
@@ -456,6 +482,20 @@ def test_gap_negative_modes_exit_2(tmp_path, capsys):
     m = model_file(tmp_path)
     assert main(["gap", "--model", m, "--modes", "-1", "--out", str(tmp_path / "g.json")]) == 2
     assert "mode cutoff" in capsys.readouterr().err
+
+
+def test_gap_cli_refuses_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gap", "--model", model_file(tmp_path), "--grid-points", "0", "--out", str(out)]) == 2
+    assert "the taus grid must be a nonempty 1-D array" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gap_cli_refuses_a_non_finite_window(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gap", "--model", model_file(tmp_path), "--window", "nan", "1", "--out", str(out)]) == 2
+    assert "the taus grid must be a nonempty 1-D array of finite numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exit_2():

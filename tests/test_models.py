@@ -340,6 +340,15 @@ def test_gap_without_fiber_is_vacuous():
     assert math.isinf(rep.min_gap) and rep.normal_invertible
 
 
+def test_gap_refuses_a_grid_that_is_not_one_dimensional():
+    # a grid that is not 1-D is refused before any eigen-solve, with or without a fiber
+    for model in (MODEL, ModelGeometry(fiber_circumferences=())):
+        with pytest.raises(ValueError, match="the taus grid must be a nonempty 1-D array"):
+            normal_family_gap(model, taus=[[0, 1]])
+        with pytest.raises(ValueError, match="the etas grid must be a nonempty 1-D array"):
+            normal_family_gap(model, etas=[[0.0], [1.0]])
+
+
 def test_normal_family_square_identity():
     nf = NormalFamily(MODEL)
     for tau, eta, mmode in [(0.0, 0.0, (1,)), (3.0, 4.0, (1,)), (1.0, -2.0, (2,))]:
@@ -469,25 +478,31 @@ def test_mode_operator_annihilates_exact_solution():
     v[0] = 1.0
     # on x^s v = e^(-s t) v the operator acts by sum_p coefficient(t, p) (-s)^p
     for t in (0.5, 2.0, 7.0):
-        symbol = sum(op.coefficient(t, p) * (-GOLD) ** p for p in (0, 1, 2))
+        symbol = sum(A * (-GOLD) ** p for p, A in enumerate(op.coefficients(t)))
         assert np.linalg.norm(symbol @ v) < 1e-12
 
 
 def test_mode_operator_coefficient_stack_matches_pointwise():
     op = hodge_mode_operator(ModelGeometry(a=2), (1,), (1,))
     t = np.array([0.0, 0.3, 2.5, 7.0])
-    for p in (0, 1, 2):
-        stack = op.coefficient(t, p)
-        assert stack.shape == (len(t), op.dim, op.dim)
+    stacks = op.coefficients(t)
+    assert stacks.shape == (3, len(t), op.dim, op.dim)
+    assert op.coefficients(1.0).shape == (3, op.dim, op.dim)
+    # the entries of the pattern alone, exactly as the full stack has them
+    r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
+    entries = op.coefficients(t, (r, c))
+    assert entries.shape == (3, len(t), len(r))
+    assert np.array_equal(entries, stacks[..., r, c])
+    assert np.array_equal(op.coefficients(1.0, (r, c)), op.coefficients(1.0)[..., r, c])
+    for p, stack in enumerate(stacks):
         for ti, M in zip(t, stack):
-            assert np.allclose(M, op.coefficient(ti, p), rtol=1e-15, atol=0)
-        assert op.coefficient(1.0, p).shape == (op.dim, op.dim)
-        # the entries of the pattern alone, exactly as the full stack has them
-        r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
-        entries = op.coefficient(t, p, (r, c))
-        assert entries.shape == (len(t), len(r))
-        assert np.array_equal(entries, stack[..., r, c])
-        assert np.array_equal(op.coefficient(1.0, p, (r, c)), op.coefficient(1.0, p)[r, c])
+            assert np.allclose(M, op.coefficients(ti)[p], rtol=1e-15, atol=0)
+        # bit for bit the sum of the order-p terms, added in terms order
+        want = np.zeros(stack.shape, dtype=complex)
+        for (pp, q), block in op.terms.items():
+            if pp == p:
+                want = want + block * np.exp(q * op.a * t)[:, None, None]
+        assert np.array_equal(stack, want), p
 
 
 def _fit_outcome(sol):
@@ -609,10 +624,10 @@ def test_mode_system_components_are_those_of_the_whole_graph():
     cases = [(model, mode) for model in ORACLE_MODELS for mode in ORACLE_MODES]
     cases += [(two_circles, ((1, 2), (0,))), (two_circles, ((0, 1), (1,)))]
     for model, mode in cases:
-        lu = _factor_mode_system(hodge_mode_operator(model, *mode), t, t_max / n)
+        lu, position = _factor_mode_system(hodge_mode_operator(model, *mode), t, t_max / n)
         want = component_band_lu(loop_harmonic_matrix(model, mode, t_max, n))
         case = (model.base_circumferences, model.a, mode)
-        assert np.array_equal(lu.perm, want.perm), case
+        assert np.array_equal(position.ravel(), want.position), case
         # single components on the fibre-harmonic modes, coupled pairs on
         # the fibre-perpendicular ones
         width = 1 if not any(mode[1]) else 2
