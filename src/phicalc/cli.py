@@ -141,6 +141,8 @@ def _cmd_gap(args) -> int:
 
     model = _load_model(args.model)
     lo, hi = args.window
+    if args.grid_points < 0:
+        raise ValueError(f"--grid-points must be non-negative, got {args.grid_points}")
     grid = np.linspace(lo, hi, args.grid_points)
     rep = normal_family_gap(model, grid, grid, mode_cutoff=args.modes, tol=_positive(args.tol, "--tol"))
     write_json(rep.to_json(), args.out)

@@ -7,7 +7,12 @@ so every sign comes out of the exterior algebra rather than hand
 computation.  Fourier transforming in y and z reduces each operator to a
 matrix-valued family per mode.
 
-Two volume conventions appear:
+The Gauss-Bonnet operator is assembled in one place,
+:func:`gauss_bonnet_mode_operator`, as a matrix ODE operator in
+t = -log x per (base, fibre) mode; the Hodge operator is its square under
+``ModeOperator.compose``.  The harmonic solver discretizes these, and the
+indicial families are their coefficients on the fibre-harmonic mode, read
+off exactly (:class:`IndicialFamily`).  Two volume conventions appear:
 
 * ``volume="b"``: adjoints with respect to the b-volume dx/x dy dz and the
   x-independent frame on the fibre-harmonic bundle.  This is the cylinder
@@ -212,24 +217,42 @@ class _Frame:
 
 
 class IndicialFamily:
-    """Matrix family I(lambda; mode) of a reduced x-direction operator.
+    """Matrix family I(lambda; mode) of a reduced x-direction operator:
+    ``name`` is ``"gb"`` (Gauss-Bonnet), ``"hodge"`` (its square) or
+    ``"scalar"`` (the function block of the square), in the ``volume``
+    convention ``"b"`` or ``"g"``.
 
-    ``matrix(s, mode)`` evaluates at lambda = -i s, i.e. on the ray where
-    the critical weights live; ``matrix_lambda`` takes a general lambda.
+    On a fibre-harmonic mode every term of the mode operator is
+    x-independent, so the Mellin substitution lambda = -i s turns d_t into
+    -s and the family is the matrix polynomial F(s) = sum_k C_k s^k with
+    C_k = (-1)^k times the d_t^k coefficient.  ``coefficients(mode)`` reads
+    the C_k off :func:`gauss_bonnet_mode_operator`; ``matrix(s, mode)``
+    evaluates F on the ray lambda = -i s where the critical weights live,
+    and ``matrix_lambda`` takes a general lambda.
     """
 
-    def __init__(self, model, builder, dim, label, order):
+    def __init__(self, model: ModelGeometry, name: str, volume: str = "b"):
+        if name not in ("gb", "hodge", "scalar"):
+            raise ValueError(f"unknown family {name!r}; pick gb, hodge or scalar")
+        _check_volume(volume)
         self.model = model
-        self._builder = builder
-        self.dim = dim
-        self.label = label
-        self.order = order
+        self.name = name
+        self.volume = volume
+        self.dim = 1 if name == "scalar" else model.form_dim
+
+    def coefficients(self, mode) -> np.ndarray:
+        """C_0..C_d of F(s) = sum_k C_k s^k, shape (d + 1, dim, dim)."""
+        D = gauss_bonnet_mode_operator(self.model, mode, 0, self.volume)
+        if self.name != "gb":
+            D = D.compose(D)
+        C = D.coefficients(0.0)[:, : self.dim, : self.dim]
+        return C * (-1.0) ** np.arange(len(C))[:, None, None]
+
+    def matrix(self, s, mode) -> np.ndarray:
+        return sum(c * s**k for k, c in enumerate(self.coefficients(mode)))
 
     def matrix_lambda(self, lam: complex, mode) -> np.ndarray:
-        return self._builder(complex(lam), mode)
-
-    def matrix(self, s: float, mode) -> np.ndarray:
-        return self._builder(-1j * s, mode)
+        return self.matrix(1j * lam, mode)
 
     def modes(self, cutoff: int):
         return self.model.base_modes(cutoff)
@@ -246,52 +269,19 @@ class DVBuilder:
 
     def __init__(self, model: ModelGeometry):
         self.model = model
-        self.frame = _Frame(model)
-
-    def _gb_matrix(self, lam, mode, volume):
-        fr = self.frame
-        mu = self.model.base_frequency(mode)
-        M = (1j * lam) * fr.D(0).astype(complex)
-        for k in range(self.model.b):
-            M = M + (1j * mu[k]) * fr.D(1 + k)
-        if volume == "g":
-            M = M + fr.drift()
-        return M
 
     def gauss_bonnet(self, volume: str = "b") -> IndicialFamily:
-        _check_volume(volume)
-        return IndicialFamily(
-            self.model,
-            lambda lam, mode: self._gb_matrix(lam, mode, volume),
-            self.model.form_dim,
-            f"gauss-bonnet[{volume}]",
-            order=1,
-        )
+        return self.family("gb", volume)
 
     def hodge(self, volume: str = "b") -> IndicialFamily:
-        _check_volume(volume)
-
-        def build(lam, mode):
-            M = self._gb_matrix(lam, mode, volume)
-            return M @ M
-
-        return IndicialFamily(self.model, build, self.model.form_dim, f"hodge[{volume}]", order=2)
+        return self.family("hodge", volume)
 
     def scalar(self, volume: str = "b") -> IndicialFamily:
         """The function-component block of the squared family (1x1)."""
-        _check_volume(volume)
-
-        def build(lam, mode):
-            M = self._gb_matrix(lam, mode, volume)
-            return (M @ M)[:1, :1]
-
-        return IndicialFamily(self.model, build, 1, f"scalar[{volume}]", order=2)
+        return self.family("scalar", volume)
 
     def family(self, name: str, volume: str = "b") -> IndicialFamily:
-        table = {"gauss-bonnet": self.gauss_bonnet, "gb": self.gauss_bonnet, "hodge": self.hodge, "scalar": self.scalar}
-        if name not in table:
-            raise ValueError(f"unknown family {name!r}; pick gb, hodge or scalar")
-        return table[name](volume)
+        return IndicialFamily(self.model, "gb" if name == "gauss-bonnet" else name, volume)
 
 
 def _check_volume(volume):
@@ -389,18 +379,20 @@ class ModeOperator:
         return M
 
 
-def gauss_bonnet_mode_operator(model: ModelGeometry, base_mode, fiber_mode) -> ModeOperator:
-    """First-order reduced system of the geometric Gauss-Bonnet operator
-    at a single (base, fiber) Fourier mode, in t = -log x.
+def gauss_bonnet_mode_operator(model: ModelGeometry, base_mode, fiber_mode, volume="g") -> ModeOperator:
+    """First-order reduced system of the Gauss-Bonnet operator at a single
+    (base, fiber) Fourier mode, in t = -log x.
 
-    The fibre derivatives carry x^(-a) = e^(at); adjoints are taken in the
-    metric volume, producing the drift term.
+    The fibre derivatives carry x^(-a) = e^(at).  With ``volume="g"``
+    adjoints are taken in the metric volume, producing the drift term;
+    ``volume="b"`` leaves it out.
     """
+    _check_volume(volume)
     fr = _Frame(model)
     mu = model.base_frequency(base_mode)
     nu = model.fiber_frequency(fiber_mode)
     dim = model.form_dim
-    const = fr.drift().astype(complex)
+    const = fr.drift().astype(complex) if volume == "g" else np.zeros((dim, dim), dtype=complex)
     for k in range(model.b):
         const = const + (1j * mu[k]) * fr.D(1 + k)
     terms = {(1, 0): (fr.C[0] - fr.W[0]).astype(complex), (0, 0): const}

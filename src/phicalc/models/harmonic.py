@@ -19,7 +19,10 @@ iteration behind LAPACK's ``xGECON``), so it draws no random starting
 vectors; the estimate's two fixed right-hand sides are solved in one call
 together with the boundary data.  Fitted exponents of the components are then
 compared against the critical weights of the metric-volume indicial
-family: two independent computations of the same asymptotics.
+family.  The fits and the roots are two computations from the one mode
+operator, a finite-difference solve and an eigen-solve of its
+coefficients; the closed-form roots of the scalar mode system
+(:func:`_scalar_root`) are the independent check of both.
 """
 
 from __future__ import annotations
@@ -573,8 +576,8 @@ def verify_predictions(model: ModelGeometry, alpha=0) -> VerifyReport:
     (iii) square integrability of each mode agrees with the exponent rule:
     the fitted exponent, snapped to the nearest exponent generated by all
     roots, exceeds alpha.  The fits come from finite-difference solves, the
-    predictions from the eigen-solve of the indicial polynomial: two
-    independent routes to the same exponents.  ``alpha`` is read exactly
+    predictions from the eigen-solve of the indicial polynomial: two routes
+    from the one mode operator to the same exponents.  ``alpha`` is read exactly
     (:func:`phicalc.indexsets.exact_real`).
     """
     if model.b != 1:

@@ -3,9 +3,11 @@
 The critical weights of a reduced x-direction operator are the real s at
 which the indicial family fails to be invertible on the ray lambda = -i s.
 Per Fourier mode the family is a matrix polynomial F(s) = sum_k C_k s^k of
-order d (1 for Gauss-Bonnet, 2 for Hodge and the scalar block), interpolated
-from d + 1 evaluations; its roots are the real eigenvalue clusters of the
-companion linearization (Tisseur & Meerbergen, SIAM Review 43, 2001).
+order d (1 for Gauss-Bonnet, 2 for Hodge and the scalar block), whose
+coefficients ``family.coefficients(mode)`` reads off the mode operator
+exactly, so F is never evaluated; its roots are the real eigenvalue
+clusters of the companion linearization (Tisseur & Meerbergen, SIAM
+Review 43, 2001).
 
 Pole orders are decided, not estimated (Gohberg, Lancaster & Rodman,
 "Matrix Polynomials", 1982, ch. 1): the lower block-Toeplitz T_j = [F_(r-c)]
@@ -70,14 +72,6 @@ _SPLIT_TOL = 1e-14
 _RANK_TOL = 1e-7
 
 
-def _coefficients(family: IndicialFamily, mode) -> np.ndarray:
-    """C_0..C_d of F(s) = sum C_k s^k from d + 1 evaluations about s = 0."""
-    nodes = np.arange(family.order + 1) - family.order / 2
-    values = np.array([family.matrix(s, mode) for s in nodes])
-    coeffs = np.linalg.solve(np.vander(nodes, increasing=True), values.reshape(len(nodes), -1))
-    return coeffs.reshape(values.shape)
-
-
 def _companion_eigvals(C: np.ndarray) -> np.ndarray:
     """Finite eigenvalues of the first companion pencil A - s B of sum C_k s^k:
     A z = s B z with z = (x, s x, ..., s^(d-1) x) holds iff F(s) x = 0."""
@@ -128,7 +122,7 @@ def _clusters(C, ev, lo, hi, tol=_CLUSTER_TOL):
 
 
 def _mode_roots(family, mode, lo, hi, scan_step, sv_tol) -> list:
-    C = _coefficients(family, mode)
+    C = family.coefficients(mode)
     points, dropped = [], collections.Counter()
     for s, size, structure in _clusters(C, _companion_eigvals(C), lo, hi):
         if structure is None:

@@ -9,6 +9,12 @@ The truncation oracle is the set comprehension that ``IndexSet.truncate``
 used before it walked the common-denominator lattice: every generator's
 members (re + n, im, k), collected in a set of exact numbers and sorted.
 
+The indicial-family oracle ``HandBuiltFamily`` writes the family out by
+hand at each lambda, i lambda D_0 + sum_k i mu_k D_k plus the volume drift
+for the metric volume, squared for Hodge and sliced for the scalar block;
+the package reads the polynomial's coefficients off the Gauss-Bonnet mode
+operator instead.
+
 The critical-weight oracle finds roots of an indicial family by scanning
 its smallest singular value, and measures pole and determinant orders by
 log-log slopes, with no use of the family's polynomial structure; the
@@ -52,7 +58,7 @@ from scipy.sparse.csgraph import connected_components
 
 from phicalc.indexsets import exact_real
 from phicalc.opclasses import CompositionError, as_terms, contains
-from phicalc.models.geometry import hodge_mode_operator
+from phicalc.models.geometry import _Frame, hodge_mode_operator
 from phicalc.models.harmonic import _BOUNCE, SampledSolution, _BandLU, _default_component
 from phicalc.models.spectrum import SpectrumPoint
 
@@ -109,6 +115,36 @@ def all_pairs_absorbed(geom, *entries) -> tuple:
             if j != i
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# indicial families, written out at each lambda
+
+
+class HandBuiltFamily:
+    """The indicial family ``name`` ("gb", "hodge" or "scalar") of a model
+    in the ``volume`` convention, built from the frame's matrices at each
+    lambda = -i s."""
+
+    def __init__(self, model, name, volume):
+        self.model, self.name, self.volume = model, name, volume
+        self.frame = _Frame(model)
+
+    def modes(self, cutoff):
+        return self.model.base_modes(cutoff)
+
+    def matrix(self, s, mode):
+        fr = self.frame
+        lam = -1j * s
+        mu = self.model.base_frequency(mode)
+        M = (1j * lam) * fr.D(0).astype(complex)
+        for k in range(self.model.b):
+            M = M + (1j * mu[k]) * fr.D(1 + k)
+        if self.volume == "g":
+            M = M + fr.drift()
+        if self.name == "gb":
+            return M
+        return (M @ M) if self.name == "hodge" else (M @ M)[:1, :1]
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,13 @@ def test_gap_cli_refuses_an_empty_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gap_cli_refuses_a_negative_grid_count(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gap", "--model", model_file(tmp_path), "--grid-points", "-1", "--out", str(out)]) == 2
+    assert "--grid-points must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gap_cli_refuses_a_non_finite_window(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["gap", "--model", model_file(tmp_path), "--window", "nan", "1", "--out", str(out)]) == 2

@@ -33,11 +33,13 @@ from phicalc.models.harmonic import (
     SampledSolution, _clean_mask, _estimate_rhs, _factor_mode_system, _inv_one_norm,
     _scalar_root,
 )
-from phicalc.models.geometry import gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix
+from phicalc.models.geometry import (
+    IndicialFamily, gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix,
+)
 from phicalc.models.spectrum import _mode_roots
 
 from oracles import (
-    component_band_lu, loop_clean_mask, loop_discrete_residual, loop_harmonic_matrix,
+    HandBuiltFamily, component_band_lu, loop_clean_mask, loop_discrete_residual, loop_harmonic_matrix,
     loop_solve_harmonic, scan_imspec,
 )
 
@@ -121,6 +123,48 @@ def test_scalar_family_volume_g_oracle():
             got = fam.matrix(s, (j,))[0, 0]
             assert abs(abs(got) - abs(s * s + af * s - j * j)) < 1e-12
     assert abs(fam.matrix(GOLD, (1,))[0, 0]) < 1e-12
+
+
+REFERENCE_MODELS = {
+    "unit": MODEL,
+    "a2": ModelGeometry(a=2),
+    "base2": ModelGeometry(base_circumferences=(2 * math.pi, 2 * math.pi)),
+    "nofiber": ModelGeometry(fiber_circumferences=()),
+}
+
+
+@pytest.mark.parametrize("name", ["gb", "hodge", "scalar"])
+@pytest.mark.parametrize("volume", ["b", "g"])
+@pytest.mark.parametrize("key", list(REFERENCE_MODELS))
+def test_family_matches_the_hand_built_matrix(key, volume, name):
+    # the coefficients read off the mode operator, evaluated, against the
+    # family written out at each lambda
+    model = REFERENCE_MODELS[key]
+    fam = assemble_DV(model).family(name, volume)
+    want = HandBuiltFamily(model, name, volume)
+    for mode in model.base_modes(2):
+        for s in (-2.2, -0.7, 0.0, 0.3, 1.9):
+            W = want.matrix(s, mode)
+            assert np.abs(fam.matrix(s, mode) - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
+        lam = 0.4 - 1.3j
+        W = want.matrix(1j * lam, mode)
+        assert np.abs(fam.matrix_lambda(lam, mode) - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
+
+
+class _UnevaluatedFamily(IndicialFamily):
+    """A model family that refuses to be evaluated."""
+
+    def matrix(self, s, mode):
+        raise AssertionError("imspec evaluated the indicial matrix")
+
+
+def test_imspec_never_evaluates_the_family():
+    for model in REFERENCE_MODELS.values():
+        for name in ("gb", "hodge", "scalar"):
+            for volume in ("b", "g"):
+                got = imspec(_UnevaluatedFamily(model, name, volume), window=(-5, 4), mode_cutoff=2)
+                assert got == imspec(assemble_DV(model).family(name, volume), window=(-5, 4), mode_cutoff=2)
+                assert got
 
 
 def test_family_dimension_count():
@@ -223,14 +267,13 @@ class _PolynomialFamily:
     """One-mode indicial family F(s) = sum_k C_k s^k given by its coefficients."""
 
     def __init__(self, *coefficients):
-        self.C = [np.atleast_2d(np.asarray(c, float)) for c in coefficients]
-        self.order = len(self.C) - 1
+        self.C = np.array([np.atleast_2d(np.asarray(c, float)) for c in coefficients])
 
     def modes(self, cutoff):
         return [(0,)]
 
-    def matrix(self, s, mode):
-        return sum(c * s**k for k, c in enumerate(self.C))
+    def coefficients(self, mode):
+        return self.C
 
 
 def _jordan_pencil(blocks, lam, seed):
@@ -768,7 +811,7 @@ def test_imspec_matches_scan_oracle():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)  # model roots are real and complete
                 got = imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
-            want = scan_imspec(fam, window=(-2.5, 2.5), mode_cutoff=2)
+            want = scan_imspec(HandBuiltFamily(MODEL, name, volume), window=(-2.5, 2.5), mode_cutoff=2)
             assert len(got) == len(want), (name, volume)
             for p, q in zip(got, want):
                 assert abs(p.lambda_root - q.lambda_root) < 1e-8
