@@ -7,7 +7,7 @@ solution selected by a zero condition at t = T_max.  The coefficients of
 all interior grid points come from one pass over the operator's terms.
 The unknowns fall into a few independent coupling components (single form
 components, or pairs of them, each a chain along the grid), found by
-SciPy's component search on the dim x dim sparsity pattern of the mode
+a dense component labeller on the dim x dim sparsity pattern of the mode
 operator.  Numbered component by component, the grid inside each, the
 matrix is banded with one or two diagonals on either side; each
 coefficient entry is written straight into LAPACK band storage as one
@@ -33,13 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import zgbtrf, zgbtrs
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from ..indexsets import exact_real, number_to_json
 from ..parametrix import kernel_index_set
 from .geometry import ModelGeometry, _as_tuple, assemble_DV, hodge_mode_operator
-from .spectrum import imspec
+from .spectrum import _components, imspec
 
 __all__ = [
     "SampledSolution",
@@ -249,9 +247,9 @@ def _factor_mode_system(op, t: np.ndarray, h: float):
     # each form component is labelled by the smallest member of its coupling
     # component
     link = present.any(axis=0)
-    graph = csr_array((np.ones(link.sum()), (r[link], c[link])), shape=(dim, dim))
-    _, component = connected_components(graph, connection="weak")
-    label = np.unique(component, return_index=True)[1][component]
+    graph = np.zeros((dim, dim), dtype=bool)
+    graph[r[link], c[link]] = True
+    label = _components(graph | graph.T)
     rank = np.empty(dim, dtype=int)
     rank[np.argsort(label, kind="stable")] = np.arange(dim)
     start = rank[label]  # where the component begins, in form components

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.csgraph
 
 from .geometry import IndicialFamily, ModelGeometry, NormalFamily
 
@@ -85,46 +84,67 @@ def _companion_eigvals(C: np.ndarray) -> np.ndarray:
     return ev[np.isfinite(ev)]
 
 
-def _jordan_structure(C: np.ndarray, s: float, size: int):
-    """(sigma_min F(s), Jordan chain count, longest chain, sum of lengths) at s."""
-    d = len(C) - 1
+def _components(linked: np.ndarray) -> np.ndarray:
+    """Label each node of the symmetric boolean adjacency matrix ``linked``
+    by the smallest node of its connected component: every node takes the
+    smallest label among itself and its neighbours, then the label of its
+    label (pointer jumping), until nothing changes."""
+    n = len(linked)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label, np.where(linked, label, n).min(axis=1, initial=n))
+        new = low[low]
+        if (new == label).all():
+            return label
+        label = new
+
+
+def _jordan_structure(C: np.ndarray, norms: np.ndarray, s: float, size: int):
+    """(sigma_min F(s), Jordan chain count, longest chain, sum of lengths) at
+    s; ``norms`` are the 2-norms of the C_k, which do not depend on s."""
+    d, n = len(C) - 1, C.shape[1]
     taylor = [sum(math.comb(k, j) * s ** (k - j) * C[k] for k in range(j, d + 1)) for j in range(d + 1)]
     # the scale of the terms C_k s^k that make up the Taylor data at s
-    scale = np.linalg.norm(C, 2, axis=(1, 2)) * max(1.0, abs(s)) ** np.arange(d + 1)
+    scale = norms * max(1.0, abs(s)) ** np.arange(d + 1)
     tol = _RANK_TOL * scale.max()
     sv = np.linalg.svd(taylor[0], compute_uv=False)
     kers = [0, int(np.count_nonzero(sv <= tol))]  # dim ker T_j, j = 0, 1, ... until it stops growing
     while kers[-2] < kers[-1] <= size:
         j = len(kers)
-        T = np.block([[taylor[r - c] if 0 <= r - c <= d else 0 * C[0] for c in range(j)] for r in range(j)])
+        T = np.zeros((j * n, j * n), dtype=C.dtype)
+        for r in range(j):
+            for c in range(max(0, r - d), r + 1):
+                T[r * n : (r + 1) * n, c * n : (c + 1) * n] = taylor[r - c]
         kers.append(int(np.count_nonzero(np.linalg.svd(T, compute_uv=False) <= tol)))
     return sv[-1], kers[1], int(np.count_nonzero(np.diff(kers))), kers[-1]
 
 
-def _clusters(C, ev, lo, hi, tol=_CLUSTER_TOL):
+def _clusters(C, norms, ev, lo, hi, tol=_CLUSTER_TOL):
     """(mean s, size, Jordan structure at s or None if s is non-real) of each
-    eigenvalue cluster with s in [lo, hi].  A real cluster is re-linked at
-    tol / 10 unless its chain lengths sum to its size and fit its radius."""
+    eigenvalue cluster with s in [lo, hi], in the order of each cluster's
+    first eigenvalue; ``norms`` are the 2-norms of the C_k.  A real cluster
+    is re-linked at tol / 10 unless its chain lengths sum to its size and
+    fit its radius."""
     mag = np.maximum(1.0, np.abs(ev))
-    linked = scipy.sparse.csr_array(np.abs(ev[:, None] - ev) <= tol * (mag[:, None] + mag))
-    count, labels = scipy.sparse.csgraph.connected_components(linked)
-    for cluster in (ev[labels == c] for c in range(count)):
+    labels = _components(np.abs(ev[:, None] - ev) <= tol * (mag[:, None] + mag))
+    for cluster in (ev[labels == c] for c in np.unique(labels)):
         if (cluster.real < lo).all() or (cluster.real > hi).all():
             continue
         s = complex(cluster.mean())
         real = abs(s.imag) <= _REAL_TOL * max(1.0, abs(s))
-        structure = _jordan_structure(C, s.real, cluster.size) if real else None
+        structure = _jordan_structure(C, norms, s.real, cluster.size) if real else None
         radius = np.abs(cluster - s).max() / max(1.0, abs(s))
         if real and radius > 0 and (structure[3] != cluster.size or radius ** structure[2] > _SPLIT_TOL):
-            yield from _clusters(C, cluster, lo, hi, tol / 10)
+            yield from _clusters(C, norms, cluster, lo, hi, tol / 10)
         elif lo <= s.real <= hi:
             yield s, cluster.size, structure
 
 
 def _mode_roots(family, mode, lo, hi, scan_step, sv_tol) -> list:
     C = family.coefficients(mode)
+    norms = np.linalg.norm(C, 2, axis=(1, 2))
     points, dropped = [], collections.Counter()
-    for s, size, structure in _clusters(C, _companion_eigvals(C), lo, hi):
+    for s, size, structure in _clusters(C, norms, _companion_eigvals(C), lo, hi):
         if structure is None:
             dropped["eigenvalue(s) with real part in the window dropped as non-real"] += size
         elif structure[0] >= sv_tol:
@@ -154,12 +174,18 @@ def imspec(
     within ``scan_step`` of either end; a ``RuntimeWarning`` names each mode
     that drops an in-window candidate or miscounts a root.  Results are
     deduplicated across modes (keeping the smallest mode) and sorted by root.
+    Raises ``ValueError`` unless the window is a finite interval, the mode
+    cutoff a non-negative integer that is not a bool, and ``scan_step`` and
+    ``sv_tol`` finite and positive.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be a finite interval, got {window}")
-    if mode_cutoff < 0:
-        raise ValueError(f"mode cutoff must be non-negative, got {mode_cutoff}")
+    if isinstance(mode_cutoff, bool) or mode_cutoff < 0:
+        raise ValueError(f"mode cutoff must be a non-negative integer, got {mode_cutoff!r}")
+    for name, value in (("scan_step", scan_step), ("sv_tol", sv_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     modes = sorted(family.modes(mode_cutoff), key=lambda m: (sum(abs(v) for v in m), m))
     # a plain loop: _mode_roots warns at stacklevel 3, imspec's caller, and a
     # comprehension would add a frame of its own before Python 3.12

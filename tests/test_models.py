@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from phicalc.models.harmonic import (
 from phicalc.models.geometry import (
     IndicialFamily, gauss_bonnet_mode_operator, hodge_mode_operator, wedge_matrix,
 )
-from phicalc.models.spectrum import _mode_roots
+from phicalc.models.spectrum import _components, _mode_roots
 
 from oracles import (
     HandBuiltFamily, component_band_lu, loop_clean_mask, loop_discrete_residual, loop_harmonic_matrix,
@@ -261,6 +262,65 @@ def test_imspec_window_edge_flag():
     pts = imspec(assemble_DV(MODEL).scalar("b"), window=(-1.0005, 2.5), mode_cutoff=2)
     edge = [p for p in pts if abs(p.lambda_root + 1) < 1e-6]
     assert edge and edge[0].at_window_edge
+
+
+@pytest.mark.parametrize("bad, name", [
+    ({"scan_step": math.nan}, "scan_step"),
+    ({"scan_step": -1e-2}, "scan_step"),
+    ({"scan_step": 0.0}, "scan_step"),
+    ({"scan_step": math.inf}, "scan_step"),
+    ({"sv_tol": math.nan}, "sv_tol"),
+    ({"sv_tol": -1e-8}, "sv_tol"),
+    ({"sv_tol": math.inf}, "sv_tol"),
+    ({"mode_cutoff": True}, "mode cutoff"),
+])
+def test_imspec_refuses_bad_tolerances(bad, name):
+    # a nan or negative scan_step once left the root 1.5616, 1e-3 inside the
+    # window's end, unflagged; a nan sv_tol accepted every real cluster
+    fam = IndicialFamily(MODEL, "hodge", "g")
+    kwargs = {"window": (-5, 1.5626), "mode_cutoff": 2} | bad
+    with pytest.raises(ValueError, match=name):
+        imspec(fam, **kwargs)
+
+
+def _chain(n):
+    linked = np.zeros((n, n), dtype=bool)
+    order = np.random.default_rng(n).permutation(n)
+    linked[order[1:], order[:-1]] = linked[order[:-1], order[1:]] = True
+    return linked
+
+
+@st.composite
+def _graphs(draw):
+    """Symmetric boolean adjacency matrices on 0..40 nodes: a few random
+    edges, and sometimes a chain through every node in a random order, the
+    graph of longest diameter."""
+    n = draw(st.integers(0, 40))
+    linked = np.zeros((n, n), dtype=bool)
+    if n:
+        node = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        if draw(st.booleans()):
+            order = draw(st.permutations(range(n)))
+            edges += list(zip(order, order[1:]))
+        for i, j in edges:
+            linked[i, j] = linked[j, i] = True
+    return linked
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+@example(np.zeros((0, 0), dtype=bool))  # no nodes
+@example(np.zeros((7, 7), dtype=bool))  # isolated nodes only
+@example(_chain(40))
+def test_components_match_scipy(linked):
+    label = _components(linked)
+    count, component = connected_components(linked, directed=False)
+    assert len(label) == len(linked) and len(np.unique(label)) == count
+    assert ((label[:, None] == label) == (component[:, None] == component)).all()
+    for c in range(count):
+        members = np.flatnonzero(component == c)
+        assert (label[members] == members[0]).all()
 
 
 class _PolynomialFamily:
