@@ -36,6 +36,8 @@ re-runs the formula of the rule that each record names.
 Inside a ``with _reuse_scope():`` block (one parametrix report) equal
 classes share one fold and one JSON dict, and a repeated :func:`compose`
 call returns its first output and re-records its rule applications.
+:func:`fold` builds a weight-tier class's faces directly from its weight,
+x-powers and vanishing faces; full families and bphi go face by face.
 """
 
 from __future__ import annotations
@@ -152,10 +154,15 @@ class Weight:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", exact_extended(self.alpha))
+        # stored: the weight-tier rules pass their input's weight on, so many
+        # classes hash one Weight
+        object.__setattr__(self, "_hash", hash(self.alpha))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """A one-sided face bound: 'some index set > t' (strict) or '>= t'."""
 
     threshold: RealLike
@@ -472,7 +479,7 @@ Entry = Union[OpClass, ClassSum]
 
 
 def as_terms(entry: Entry) -> tuple:
-    if isinstance(entry, ClassSum):
+    if type(entry) is ClassSum:
         return entry.terms
     if entry.is_zero:
         return ()
@@ -521,12 +528,12 @@ class FoldedClass:
     ``faces`` maps face name to either an exact IndexSet or a Bound.  A
     b-kind class whose bf data and lf or rf data are exactly empty is
     normalized to phi-kind with empty ff, reflecting that x^inf b- and
-    phi-classes agree (:func:`_x_inf`).
+    phi-classes agree (:func:`_x_inf`).  The extended flag is not kept
+    (see :func:`contains`).
     """
 
     kind: str
     order: RealLike
-    ext: bool
     faces: tuple  # sorted tuple of (face, data)
 
     def face(self, name):
@@ -538,12 +545,6 @@ class FoldedClass:
     @property
     def face_names(self):
         return tuple(f for f, _ in self.faces)
-
-    def __eq__(self, other):
-        # the extended flag is not compared (see :func:`contains`)
-        if not isinstance(other, FoldedClass):
-            return NotImplemented
-        return (self.kind, self.order, self.faces) == (other.kind, other.order, other.faces)
 
 
 def _shift_face(data, c):
@@ -567,16 +568,12 @@ def fold(cls: OpClass) -> FoldedClass:
 
 def _fold(cls: OpClass) -> FoldedClass:
     if cls.is_zero:
-        return FoldedClass("zero", NEG_INF, False, ())
+        return FoldedClass("zero", NEG_INF, ())
+    if type(cls.spec) is Weight:
+        return _fold_weight(cls)
     if cls.kind == "bphi":
         faces = {"lf": EMPTY, "rf": EMPTY, "bf": Bound(0, False), "ff": Bound(0, True)}
         kind = "bphi"
-    elif isinstance(cls.spec, Weight):
-        a = cls.spec.alpha
-        faces = {"lf": Bound(a, True), "rf": Bound(-a, True), "bf": Bound(0, False)}
-        if cls.kind == "phi":
-            faces["ff"] = Bound(0, True)
-        kind = cls.kind
     else:  # a full index family
         faces = {f: cls.spec.face(f) for f in cls.spec.faces}
         kind = cls.kind
@@ -597,12 +594,27 @@ def _fold(cls: OpClass) -> FoldedClass:
         faces["ff"] = EMPTY
 
     order = ["lf", "rf", "bf", "ff"]
-    return FoldedClass(
-        kind,
-        cls.order,
-        cls.ext,
-        tuple((f, faces[f]) for f in order if f in faces),
-    )
+    return FoldedClass(kind, cls.order, tuple((f, faces[f]) for f in order if f in faces))
+
+
+def _fold_weight(cls: OpClass) -> FoldedClass:
+    """:func:`_fold` of a weight-tier class, each face built at once from
+    alpha, the x-powers and the vanishing faces, the x^inf twin inline."""
+    a, xl, xr, vanish = cls.spec.alpha, cls.xl, cls.xr, cls.vanish
+    # a zero power, even Fraction(0), leaves a threshold's type: reports keep Bound reprs
+    lf = EMPTY if xl == INF or "lf" in vanish else Bound(a if xl == 0 else a + xl, True)
+    rf = EMPTY if xr == INF or "rf" in vanish else Bound(-a if xr == 0 else -a + xr, True)
+    corner = None if INF in (xl, xr) else (0 if xl == 0 else xl)
+    if corner is not None and xr != 0:
+        corner += xr
+    bf = EMPTY if corner is None or "bf" in vanish else Bound(corner, False)
+    faces = (("lf", lf), ("rf", rf), ("bf", bf))
+    if cls.kind == "phi":
+        ff = EMPTY if corner is None or "ff" in vanish else Bound(corner, True)
+        return FoldedClass("phi", cls.order, faces + (("ff", ff),))
+    if bf is EMPTY and (lf is EMPTY or rf is EMPTY):
+        return FoldedClass("phi", cls.order, faces + (("ff", EMPTY),))
+    return FoldedClass("b", cls.order, faces)
 
 
 def _x_inf(face) -> bool:
@@ -613,6 +625,8 @@ def _x_inf(face) -> bool:
 
 def _face_implies(sub, sup) -> bool:
     """Does face data ``sub`` certify face data ``sup``?"""
+    if sub is sup:
+        return True
     if isinstance(sub, IndexSet):
         if isinstance(sup, IndexSet):
             return sup.issuperset(sub)
@@ -1270,7 +1284,7 @@ def _mixed_split(inputs, params, geom):
         raise UnsupportedComposition("the mixed rule requires the left order <= 0")
     return ClassSum(
         (
-            OpClass("b", NEG_INF, Weight(P.spec.alpha), ext=True),
+            OpClass("b", NEG_INF, P.spec, ext=True),
             OpClass("bphi", _xadd(P.order, Q.order), None, xl=c, ext=P.ext or Q.ext),
         )
     )
@@ -1320,7 +1334,7 @@ def _compose_weight(kind: str, inputs, params, geom):
             f"{P.spec.alpha} and {Q.spec.alpha}"
         )
     vanish = P.vanish & Q.vanish & {"lf", "rf"}
-    return OpClass(kind, _xadd(P.order, Q.order), Weight(P.spec.alpha), ext=P.ext or Q.ext, vanish=vanish)
+    return OpClass(kind, _xadd(P.order, Q.order), P.spec, ext=P.ext or Q.ext, vanish=vanish)
 
 
 register_rule("compose-weight-b", 2)(partial(_compose_weight, "b"))

@@ -161,7 +161,7 @@ class Mat:
 
     def matmul(self, other: "Mat", geom) -> "Mat":
         def entry(i, j):
-            pairs = [(self[i, k], other[k, j]) for k in (0, 1)]
+            pairs = [(self.entries[i][k], other.entries[k][j]) for k in (0, 1)]
             products = [compose(p, q, geom) for p, q in pairs if not (p.is_zero or q.is_zero)]
             return absorbed_sum(geom, *products)
 
@@ -177,7 +177,7 @@ class Mat:
         """(contained, exact) against ``other``.  Each entry is decided by
         equality first; equal classes contain each other, so containment is
         decided only for the entries that differ."""
-        pairs = [(self[i, j], other[i, j]) for i in (0, 1) for j in (0, 1)]
+        pairs = list(zip(self.entries[0] + self.entries[1], other.entries[0] + other.entries[1]))
         equal = [eq_classes(d, t) for d, t in pairs]
         contained = all(e or contains(d, t, geom) for e, (d, t) in zip(equal, pairs))
         return contained, all(equal)

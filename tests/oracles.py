@@ -21,6 +21,12 @@ log-log slopes, with no use of the family's polynomial structure; the
 package solves the companion eigenproblem and reads the orders off the
 Jordan structure instead.
 
+The fold oracle ``loop_fold_weight`` folds a weight-tier class by the
+generic per-face loop that the package used for every class before it
+built weight-tier faces directly: start from the weight's bounds, shift
+each face by its x-powers one side at a time, empty the vanishing faces,
+then identify an x^inf b-class with its phi twin.
+
 The absorption oracle keeps the all-pairs rule that the package used
 before it absorbed sums in one pass: every summand is checked against
 every other one, in both orders.
@@ -56,8 +62,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from phicalc.indexsets import exact_real
-from phicalc.opclasses import CompositionError, as_terms, contains
+from phicalc.indexsets import EMPTY, IndexSet, exact_real, shift
+from phicalc.opclasses import Bound, CompositionError, FoldedClass, as_terms, contains
 from phicalc.models.geometry import _Frame, hodge_mode_operator
 from phicalc.models.harmonic import _BOUNCE, SampledSolution, _BandLU, _default_component
 from phicalc.models.spectrum import SpectrumPoint
@@ -88,7 +94,35 @@ def comprehension_truncate(generators, re_max) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sums of operator classes
+# folds and sums of operator classes
+
+
+def loop_fold_weight(cls) -> FoldedClass:
+    """``fold`` of a weight-tier class through the per-face loop."""
+    alpha = cls.spec.alpha
+    faces = {"lf": Bound(alpha, True), "rf": Bound(-alpha, True), "bf": Bound(0, False)}
+    if cls.kind == "phi":
+        faces["ff"] = Bound(0, True)
+
+    def shifted(data, c):
+        if c == 0:
+            return data
+        if c == math.inf:
+            return EMPTY
+        if isinstance(data, IndexSet):
+            return shift(data, c)
+        return Bound(data.threshold + c, data.strict)
+
+    for f in list(faces):
+        for c in {"lf": (cls.xl,), "rf": (cls.xr,)}.get(f, (cls.xl, cls.xr)):
+            faces[f] = shifted(faces[f], c)
+    for f in cls.vanish:
+        if f in faces:
+            faces[f] = EMPTY
+    kind = cls.kind
+    if kind == "b" and faces["bf"] == EMPTY and EMPTY in (faces["lf"], faces["rf"]):
+        kind, faces["ff"] = "phi", EMPTY
+    return FoldedClass(kind, cls.order, tuple((f, faces[f]) for f in ("lf", "rf", "bf", "ff") if f in faces))
 
 
 def all_pairs_absorbed(geom, *entries) -> tuple:

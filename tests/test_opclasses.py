@@ -61,7 +61,7 @@ from phicalc.opclasses import (
     weight_phi,
     x_left,
 )
-from oracles import all_pairs_absorbed
+from oracles import all_pairs_absorbed, loop_fold_weight
 
 INF = float("inf")
 G11 = GeomConstants(a=1, b_dim=1)
@@ -323,6 +323,36 @@ def test_fold_is_stored_once_per_class():
     moved = replace(P, xl=2)  # a new class folds afresh
     assert fold(moved) == fold(x_left(weight_phi(-2, Fraction(1, 3)), 2))
     assert fold(moved) != fold(P)
+
+
+_EXACT = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    kind=st.sampled_from(["b", "phi"]),
+    alpha=_EXACT,
+    xl=st.one_of(_EXACT, st.just(INF)),
+    xr=st.one_of(_EXACT, st.just(INF)),
+    vanish=st.sets(st.sampled_from(["lf", "rf", "bf", "ff"])),
+)
+@example(kind="phi", alpha=Fraction(1, 2), xl=INF, xr=0, vanish=set())
+@example(kind="phi", alpha=Fraction(1, 2), xl=-1, xr=INF, vanish={"ff"})
+@example(kind="b", alpha=0, xl=INF, xr=Fraction(1, 3), vanish=set())
+@example(kind="b", alpha=-2, xl=Fraction(-1, 2), xr=INF, vanish=set())
+@example(kind="b", alpha=Fraction(-1, 3), xl=1, xr=2, vanish={"bf", "rf"})  # normalises to phi
+@example(kind="phi", alpha=1, xl=1, xr=Fraction(0), vanish=set())  # a Fraction 0 power moves nothing
+def test_fold_matches_the_per_face_loop(kind, alpha, xl, xr, vanish):
+    # the repr pins the number types too: rf-sets-stabilize reports it
+    P = OpClass(kind, -1, Weight(alpha), xl=xl, xr=xr, vanish=frozenset(vanish))
+    want = loop_fold_weight(P)
+    assert fold(P) == want and repr(fold(P)) == repr(want)
+
+
+def test_folded_class_hash_agrees_with_equality():
+    # the extended flag is not part of the fold, so equal folds hash alike
+    folds = {fold(weight_phi(0, 0, ext=True)), fold(weight_phi(0, 0))}
+    assert len(folds) == 1
 
 
 def test_derived_classes_fold_and_serialize_afresh():

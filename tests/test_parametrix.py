@@ -695,6 +695,35 @@ def test_targets_and_record_json_are_shared_within_one_report_only(monkeypatch):
         assert all(m is second[key][0] for m in second[key]) and second[key][0] is not mats[0], key
 
 
+def test_reuse_does_not_outlive_a_report(monkeypatch):
+    # two equal reports fold afresh and share no fold or class JSON dict: a
+    # cache or intern table kept across calls would fold less the second
+    # time, or hand out the first report's objects again
+    folds = []
+    fold_once = oc._fold
+    monkeypatch.setattr(oc, "_fold", lambda cls: folds.append(fold_once(cls)) or folds[-1])
+    reports, made = [], []
+    for _ in range(2):
+        start = len(folds)
+        reports.append(parametrix_report(op_gb(), Fraction(13, 10)))
+        made.append(folds[start:])
+    assert len(made[0]) == len(made[1]) > 0
+    assert not {id(f) for f in made[0]} & {id(f) for f in made[1]}
+
+    def class_dicts(node):
+        if isinstance(node, dict):
+            if "kind" in node and "order" in node:
+                yield node
+            for v in node.values():
+                yield from class_dicts(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from class_dicts(v)
+
+    first = {id(d) for d in class_dicts(reports[0])}
+    assert first and not any(id(d) in first for d in class_dicts(reports[1]))
+
+
 def test_repeated_compositions_share_their_record_json():
     op, alpha = op_gb(), Fraction(13, 10)
     with oc._reuse_scope():
