@@ -12,7 +12,12 @@ operator.  Numbered component by component, the grid inside each, the
 matrix is banded with one or two diagonals on either side; each
 coefficient entry is written straight into LAPACK band storage as one
 strided row of the band, and one banded LU factors and solves it in that
-order.  Its 1-norm condition number (which no symmetric permutation
+order.  A fibre-harmonic mode system (single components) is tridiagonal
+and goes to LAPACK's tridiagonal LU ``zgttrf``/``zgttrs``, which runs in
+plain loops; a fibre-perpendicular one (pairs, two diagonals on either
+side) goes to the general band LU ``zgbtrf``/``zgbtrs``, which makes one
+level-2 BLAS call per column.
+Its 1-norm condition number (which no symmetric permutation
 changes) is estimated from that factor: the exact column-sum norm of the
 matrix times Higham's deterministic estimate of the inverse's norm (the
 iteration behind LAPACK's ``xGECON``), so it draws no random starting
@@ -28,11 +33,12 @@ coefficients; the closed-form roots of the scalar mode system
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgttrf, zgttrs
 
 from ..indexsets import exact_real, number_to_json
 from ..parametrix import kernel_index_set
@@ -122,6 +128,17 @@ class HarmonicFit:
         }
 
 
+def _step_count(n) -> int:
+    """The step count ``n`` of a grid as a Python ``int``: an integer,
+    NumPy's included, never a bool or a float (not even a whole one)."""
+    if isinstance(n, (bool, np.bool_)):
+        raise ValueError(f"the grid step count n must be an integer, got {n!r}")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"the grid step count n must be an integer, got {n!r}") from None
+
+
 def _default_component(model: ModelGeometry, form_degree: int) -> int:
     for s in range(model.form_dim):
         if bin(s).count("1") == form_degree:
@@ -134,33 +151,55 @@ class _BandLU:
 
     ``band`` holds A in the layout of ``xGBTRF``: 2 kl + ku + 1 rows,
     entry (i, j) of A in row kl + ku + i - j of column j, the first kl rows
-    left zero for the fill of partial pivoting.  The band is factored in
-    place with ``xGBTRF``.  ``norm1`` is the 1-norm of A (the largest
-    column sum of the band), taken before factoring.  Raises
-    ``LinAlgError`` when A is exactly singular.
+    left zero for the fill of partial pivoting.  ``norm1`` is the 1-norm of
+    A (the largest column sum of the band), taken before factoring.
+
+    A tridiagonal A (kl = ku = 1) of at least three unknowns, such as a
+    fibre-harmonic mode system, is factored with ``xGTTRF`` from the three
+    diagonals, rows 1 to 3 of the band, and solved with ``xGTTRS``: plain
+    loops, where the band routines make one level-2 BLAS call per column.
+    (SciPy's ``xGTTRF`` wrapper refuses fewer than three unknowns.)  Every
+    other band, such as a fibre-perpendicular mode system with kl = ku = 2,
+    is factored in place with ``xGBTRF`` and solved with ``xGBTRS``.  Both
+    factor with partial pivoting; raises ``LinAlgError`` when A is exactly
+    singular.
     """
 
-    _TRANS = {"N": 0, "H": 2}
+    _GB_TRANS = {"N": 0, "H": 2}
+    _GT_TRANS = {"N": "N", "H": "C"}
 
     def __init__(self, band: np.ndarray, kl: int, ku: int):
         size = band.shape[1]
         self.shape = (size, size)
         self.kl, self.ku = kl, ku
         self.norm1 = float(np.abs(band[kl:]).sum(axis=0).max(initial=0.0))
-        self._lu, self._piv, info = zgbtrf(band, kl, ku, overwrite_ab=True)
+        self._tridiagonal = kl == ku == 1 and size >= 3
+        if self._tridiagonal:
+            # (dl, d, du, du2, ipiv), the diagonals factored in place
+            *self._factor, info = zgttrf(
+                band[3, :-1], band[2], band[1, 1:],
+                overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+            )
+        else:
+            # (lu, ipiv)
+            *self._factor, info = zgbtrf(band, kl, ku, overwrite_ab=True)
         if info > 0:
             raise LinAlgError(f"the matrix is exactly singular (zero pivot {info})")
 
     def solve(self, b, trans: str = "N") -> np.ndarray:
         """x with A x = b (``trans`` "N") or A^H x = b ("H"); x is
         complex whatever the dtype of b.  The columns of an (N, k)
-        right-hand side are solved in one ``xGBTRS`` call, each exactly as
-        it would be on its own."""
+        right-hand side are solved in one ``xGTTRS`` or ``xGBTRS`` call,
+        each exactly as it would be on its own."""
         # one copy, column by column as LAPACK takes it, that the solve overwrites
         b = np.array(b, dtype=complex, order="F")
-        x, _ = zgbtrs(
-            self._lu, self.kl, self.ku, b, self._piv, trans=self._TRANS[trans], overwrite_b=True
-        )
+        if self._tridiagonal:
+            x, _ = zgttrs(*self._factor, b, trans=self._GT_TRANS[trans], overwrite_b=True)
+        else:
+            lu, piv = self._factor
+            x, _ = zgbtrs(
+                lu, self.kl, self.ku, b, piv, trans=self._GB_TRANS[trans], overwrite_b=True
+            )
         return x
 
 
@@ -190,6 +229,11 @@ def _inv_one_norm(lu, fixed) -> float:
     end with LAPACK's alternating-sign vector.  Every candidate is the
     1-norm of A^-1 applied to a vector of 1-norm at most one, so the
     largest one kept is a lower bound; it is usually exact.
+
+    Its cost is its band solves, two of them conjugate-transposed per
+    step: on a ``_BandLU`` of a tridiagonal system ``zgttrs`` takes a
+    conjugate-transposed solve as fast as a plain one, while ``zgbtrs``
+    (the fibre-perpendicular systems) is slower on it than on a plain one.
     """
 
     def signs(v):
@@ -295,9 +339,10 @@ def solve_harmonic(
     condition estimate of that factor is recorded at the cost of its
     iteration's solves only, and contamination by the growing branch can
     be flagged.  Raises ``ValueError`` unless
-    t_max is finite and positive and n >= 2, or when a mode entry is not
-    an integer.
+    t_max is finite and positive and n is an integer >= 2, or when a mode
+    entry is not an integer.
     """
+    n = _step_count(n)
     if not (math.isfinite(t_max) and t_max > 0 and n >= 2):
         raise ValueError(f"the solve grid needs a finite T > 0 and N >= 2, got T={t_max}, N={n}")
     base_mode, fiber_mode = mode
@@ -346,9 +391,10 @@ def discrete_residual(
     For an indicial root s of the mode system, x^s times the component
     vector solves the continuous equation exactly, so the discrete defect
     is pure truncation error, O(h^2).  The defect of all interior points
-    is one stacked matrix product.  Raises ``ValueError`` unless n >= 2 and
-    the window ends are finite and increasing.
+    is one stacked matrix product.  Raises ``ValueError`` unless n is an
+    integer >= 2 and the window ends are finite and increasing.
     """
+    n = _step_count(n)
     t0, t1 = t_window
     if not (n >= 2 and math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError(

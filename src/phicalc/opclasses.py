@@ -359,6 +359,15 @@ def _derive(P: OpClass, **changes) -> OpClass:
     return Q
 
 
+def _exact_class(kind, order, spec=None, xl=0, xr=0, ext=False, vanish=frozenset()) -> OpClass:
+    """A new class of fields trusted to be exact and valid, built like
+    :func:`_derive` (no :meth:`OpClass.__post_init__`): the weight-tier
+    rules' outputs, made from the exact fields of their inputs."""
+    Q = object.__new__(OpClass)
+    Q.__dict__.update(kind=kind, order=order, spec=spec, xl=xl, xr=xr, ext=ext, vanish=vanish)
+    return Q
+
+
 #: the dict of the open :func:`_reuse_scope` (None outside): a class maps to
 #: the first equal class met, a key (P, Q, geom, route) to the output and
 #: rule applications of that :func:`compose` call, and a key (target builder,
@@ -506,10 +515,13 @@ def absorbed_sum(geom: GeomConstants | None, *entries: Entry) -> Entry:
     it contains are dropped and it is kept.  Survivors keep their input
     order, of two summands that contain each other the first stays, and
     each ordered pair is decided at most once.  A lone summand comes back
-    bare, no summand as ``ZERO``.
+    bare and unhashed, no summand as ``ZERO``.
     """
+    terms = [t for e in entries for t in as_terms(e)]
+    if len(terms) < 2:
+        return terms[0] if terms else ZERO
     kept = []
-    for t in dict.fromkeys(t for e in entries for t in as_terms(e)):
+    for t in dict.fromkeys(terms):
         if any(_contains_single(t, k, geom) for k in kept):
             continue
         kept = [k for k in kept if not _contains_single(k, t, geom)]
@@ -1284,8 +1296,8 @@ def _mixed_split(inputs, params, geom):
         raise UnsupportedComposition("the mixed rule requires the left order <= 0")
     return ClassSum(
         (
-            OpClass("b", NEG_INF, P.spec, ext=True),
-            OpClass("bphi", _xadd(P.order, Q.order), None, xl=c, ext=P.ext or Q.ext),
+            _exact_class("b", NEG_INF, P.spec, ext=True),
+            _exact_class("bphi", _xadd(P.order, Q.order), xl=c, ext=P.ext or Q.ext),
         )
     )
 
@@ -1334,7 +1346,7 @@ def _compose_weight(kind: str, inputs, params, geom):
             f"{P.spec.alpha} and {Q.spec.alpha}"
         )
     vanish = P.vanish & Q.vanish & {"lf", "rf"}
-    return OpClass(kind, _xadd(P.order, Q.order), P.spec, ext=P.ext or Q.ext, vanish=vanish)
+    return _exact_class(kind, _xadd(P.order, Q.order), P.spec, ext=P.ext or Q.ext, vanish=vanish)
 
 
 register_rule("compose-weight-b", 2)(partial(_compose_weight, "b"))

@@ -682,8 +682,19 @@ _BAND_SHAPES = st.lists(
 )
 
 
+# 2 x 2 blocks in any order make a tridiagonal band (kl = ku = 1), which
+# xGTTRF factors from three unknowns on; with one or two unknowns it stays
+# on xGBTRF
+_TRIDIAGONAL = [(2, 1, 1), (2, 1, 1), (2, 1, 1)]
+_TWO_UNKNOWNS = [(2, 1, 1)]
+_ONE_UNKNOWN = [(1, 1, 1)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(shapes=_BAND_SHAPES, seed=st.integers(0, 2**32 - 1))
+@example(shapes=_TRIDIAGONAL, seed=1)
+@example(shapes=_TWO_UNKNOWNS, seed=2)
+@example(shapes=_ONE_UNKNOWN, seed=3)
 def test_band_lu_solves_like_a_dense_solve(shapes, seed):
     rng = np.random.default_rng(seed)
     M = _shuffled_band_blocks(rng, shapes)
@@ -709,13 +720,41 @@ def test_band_lu_solves_like_a_dense_solve(shapes, seed):
 
 
 @settings(max_examples=50, deadline=None)
-@given(shapes=_BAND_SHAPES, seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_band_lu_refuses_a_structurally_singular_matrix(shapes, seed, data):
+@given(shapes=_BAND_SHAPES, seed=st.integers(0, 2**32 - 1), column=st.integers(0, 39))
+@example(shapes=_TRIDIAGONAL, seed=1, column=3)
+@example(shapes=_TWO_UNKNOWNS, seed=2, column=1)
+@example(shapes=_ONE_UNKNOWN, seed=3, column=0)
+def test_band_lu_refuses_a_structurally_singular_matrix(shapes, seed, column):
     rng = np.random.default_rng(seed)
     M = _shuffled_band_blocks(rng, shapes)
-    M[:, data.draw(st.integers(0, M.shape[0] - 1))] = 0
+    M[:, column % M.shape[0]] = 0
     with pytest.raises(np.linalg.LinAlgError):
         component_band_lu(sp.csr_matrix(M))
+
+
+def test_mode_systems_factor_with_the_routine_of_their_band(monkeypatch):
+    # fibre-harmonic mode systems are tridiagonal and factor through
+    # xGTTRF; fibre-perpendicular ones (kl = ku = 2), and tridiagonal bands
+    # of fewer than three unknowns, through xGBTRF
+    calls = []
+    for name in ("zgttrf", "zgbtrf"):
+        def spy(*args, _name=name, _routine=getattr(harmonic, name), **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(harmonic, name, spy)
+    for model in ORACLE_MODELS:
+        for mode in ORACLE_MODES:
+            calls.clear()
+            solve_harmonic(model, 0, mode, n=64)
+            want = "zgbtrf" if any(mode[1]) else "zgttrf"
+            assert calls == [want], (model.a, model.base_circumferences, mode)
+    for size in (1, 2):
+        calls.clear()
+        band = np.zeros((4, size), dtype=complex)
+        band[2] = 2.0
+        assert harmonic._BandLU(band, 1, 1).solve(np.ones(size)).tolist() == [0.5] * size
+        assert calls == ["zgbtrf"], size
 
 
 def test_mode_system_components_are_those_of_the_whole_graph():
@@ -834,6 +873,22 @@ def test_clean_mask_matches_the_sample_walk_on_solved_modes():
 def test_discrete_residual_rejects_bad_grid(t_window, n):
     with pytest.raises(ValueError, match="residual grid"):
         discrete_residual(MODEL, (1,), 1.0, t_window=t_window, n=n)
+
+
+@pytest.mark.parametrize("n", [2.0, 64.0, np.float64(8), True, np.bool_(True), "8", None])
+def test_grids_refuse_a_step_count_that_is_not_an_integer(n):
+    # a whole float is not truncated, nor a bool read as 1
+    with pytest.raises(ValueError, match="step count n"):
+        solve_harmonic(MODEL, 0, ((1,), (0,)), n=n)
+    with pytest.raises(ValueError, match="step count n"):
+        discrete_residual(MODEL, (1,), 1.0, n=n)
+
+
+def test_grids_take_numpy_integer_step_counts():
+    for n in (np.int64(8), np.int32(8)):
+        got = solve_harmonic(MODEL, 0, ((1,), (0,)), n=n)
+        assert got.values.tobytes() == solve_harmonic(MODEL, 0, ((1,), (0,)), n=8).values.tobytes()
+        assert discrete_residual(MODEL, (1,), 1.0, n=n) == discrete_residual(MODEL, (1,), 1.0, n=8)
 
 
 def test_gb_mode_operator_squares_to_hodge():

@@ -602,6 +602,29 @@ def test_sum_canonical_absorbs():
     assert absorbed_sum(None, small_term, big_term) == big_term
     assert absorbed_sum(None) is ZERO
     assert absorbed_sum(None, ZERO, small_term) is small_term
+    # a lone summand is returned without hashing it
+    lone = weight_phi(-1, 0)
+    assert absorbed_sum(None, lone, ZERO) is lone and lone.__dict__.get("_hash") is None
+
+
+def _fields(P):
+    return [(v, type(v)) for v in (P.kind, P.order, P.spec, P.xl, P.xr, P.ext, P.vanish)]
+
+
+def test_weight_tier_rules_build_what_the_checked_constructor_builds():
+    # the rules build their outputs from exact fields without
+    # OpClass.__post_init__: the same values, of the same types
+    half = Fraction(1, 2)
+    P = weight_b(Fraction(-3, 2), half, vanish=("lf", "rf"))
+    Q = weight_b(-1, half, ext=True, vanish=("lf",))
+    got = oc.RULES["compose-weight-b"].formula((P, Q), {}, None)
+    want = OpClass("b", Fraction(-5, 2), Weight(half), ext=True, vanish=frozenset({"lf"}))
+    assert _fields(got) == _fields(want) and hash(got) == hash(want)
+    P, Q = weight_phi(-1, half), weight_phi(NEG_INF, half, ext=True)
+    got = oc.RULES["mixed-split"].formula((P, Q), {"c": Fraction(1, 3)}, None)
+    want = (OpClass("b", NEG_INF, Weight(half), ext=True),
+            OpClass("bphi", NEG_INF, None, xl=Fraction(1, 3), ext=True))
+    assert [_fields(t) for t in got.terms] == [_fields(t) for t in want]
 
 
 _ORDERS = st.sampled_from([NEG_INF, -2, -1, Fraction(-1, 2), 0, 1])
