@@ -28,13 +28,13 @@ from .parametrix import (
     parametrix_report,
 )
 from .models import (
+    IndicialFamily,
     ModelGeometry,
     imspec,
     imspec_roots,
     normal_family_gap,
     verify_predictions,
 )
-from .models.geometry import assemble_DV
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -314,7 +314,7 @@ def criterion_3(model):
 
 @_criterion(4, "scalar-component critical weights are the integers, double root at 0", 60.0)
 def criterion_4(model: ModelGeometry):
-    fam = assemble_DV(model).scalar("b")
+    fam = IndicialFamily(model, "scalar", "b")
     pts = imspec(fam, window=(-2.5, 2.5), mode_cutoff=3)
     roots = imspec_roots(pts)
     want = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -360,7 +360,7 @@ def criterion_6(model: ModelGeometry):
 
 @_criterion(7, "Fredholm gates flag exactly the critical weights on the sweep", 5.0)
 def criterion_7(model: ModelGeometry):
-    pts = imspec(assemble_DV(model).scalar("b"), window=(-3.5, 4.5), mode_cutoff=4)
+    pts = imspec(IndicialFamily(model, "scalar", "b"), window=(-3.5, 4.5), mode_cutoff=4)
     spectrum = imspec_roots(pts)
     spec_ints = {int(round(s)) for s in spectrum}
     op = gauss_bonnet_split(a=model.a, b_dim=model.b, imspec=spectrum)

@@ -114,10 +114,9 @@ def _cmd_parametrix(args) -> int:
 
 
 def _cmd_imspec(args) -> int:
-    from .models import assemble_DV, imspec
+    from .models import IndicialFamily, imspec
 
-    model = _load_model(args.model)
-    family = assemble_DV(model).family(args.family, args.volume)
+    family = IndicialFamily(_load_model(args.model), args.family, args.volume)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         points = imspec(

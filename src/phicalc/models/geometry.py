@@ -146,6 +146,14 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _count(v, what) -> int:
+    """``v`` as a Python ``int`` >= 0: an integer, NumPy's included, never a
+    bool or a float (not even a whole one).  The ``ValueError`` names ``what``."""
+    if not _is_int(v) or v < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {v!r}")
+    return int(v)
+
+
 def _as_tuple(v, length, what):
     """A Fourier mode as a tuple of ``length`` Python ints; one integer
     stands for all entries.  Raises ``ValueError`` on an entry that is not

@@ -33,7 +33,6 @@ coefficients; the closed-form roots of the scalar mode system
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs, zgttrf, zgttrs
 
 from ..indexsets import exact_real, number_to_json
 from ..parametrix import kernel_index_set
-from .geometry import ModelGeometry, _as_tuple, assemble_DV, hodge_mode_operator
+from .geometry import IndicialFamily, ModelGeometry, _as_tuple, _count, hodge_mode_operator
 from .spectrum import _components, imspec
 
 __all__ = [
@@ -128,17 +127,6 @@ class HarmonicFit:
         }
 
 
-def _step_count(n) -> int:
-    """The step count ``n`` of a grid as a Python ``int``: an integer,
-    NumPy's included, never a bool or a float (not even a whole one)."""
-    if isinstance(n, (bool, np.bool_)):
-        raise ValueError(f"the grid step count n must be an integer, got {n!r}")
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"the grid step count n must be an integer, got {n!r}") from None
-
-
 def _default_component(model: ModelGeometry, form_degree: int) -> int:
     for s in range(model.form_dim):
         if bin(s).count("1") == form_degree:
@@ -217,10 +205,9 @@ def _estimate_rhs(size: int) -> np.ndarray:
 def _inv_one_norm(lu, fixed) -> float:
     """Lower bound on the 1-norm of A^-1 from an LU factor of an N x N
     matrix A, N >= 2 (a mode system has at least three unknowns): any
-    object with ``shape`` and ``solve(b, trans)``, such as a ``_BandLU``
-    or a SciPy ``splu`` factor.  ``fixed`` is A^-1 applied to the columns
-    of ``_estimate_rhs(N)`` (a mode solve takes them in one call with its
-    boundary data).
+    object with ``shape`` and ``solve(b, trans)``, such as a ``_BandLU``.
+    ``fixed`` is A^-1 applied to the columns of ``_estimate_rhs(N)`` (a
+    mode solve takes them in one call with its boundary data).
 
     The iteration of Hager and Higham in the form of LAPACK's ZLACN2
     (Higham, ACM TOMS 14(4), 1988): start from the uniform vector, move to
@@ -342,7 +329,7 @@ def solve_harmonic(
     t_max is finite and positive and n is an integer >= 2, or when a mode
     entry is not an integer.
     """
-    n = _step_count(n)
+    n = _count(n, "the grid step count n")
     if not (math.isfinite(t_max) and t_max > 0 and n >= 2):
         raise ValueError(f"the solve grid needs a finite T > 0 and N >= 2, got T={t_max}, N={n}")
     base_mode, fiber_mode = mode
@@ -394,7 +381,7 @@ def discrete_residual(
     is one stacked matrix product.  Raises ``ValueError`` unless n is an
     integer >= 2 and the window ends are finite and increasing.
     """
-    n = _step_count(n)
+    n = _count(n, "the grid step count n")
     t0, t1 = t_window
     if not (n >= 2 and math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError(
@@ -627,8 +614,7 @@ def verify_predictions(model: ModelGeometry, alpha=0) -> VerifyReport:
     if model.b != 1:
         raise ValueError("the verification sweep is wired for one base circle")
     alpha = exact_real(alpha)
-    builder = assemble_DV(model)
-    family = builder.scalar("g")
+    family = IndicialFamily(model, "scalar", "g")
     top = _BASE_MODE_MAX + 2
     window = (-(model.a * model.f + top), top)
     points = imspec(family, window=window, mode_cutoff=_BASE_MODE_MAX)

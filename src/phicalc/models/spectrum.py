@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import IndicialFamily, ModelGeometry, NormalFamily
+from .geometry import IndicialFamily, ModelGeometry, NormalFamily, _count
 
 __all__ = ["SpectrumPoint", "imspec", "imspec_roots", "normal_family_gap", "GapReport"]
 
@@ -181,8 +181,7 @@ def imspec(
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"window must be a finite interval, got {window}")
-    if isinstance(mode_cutoff, bool) or mode_cutoff < 0:
-        raise ValueError(f"mode cutoff must be a non-negative integer, got {mode_cutoff!r}")
+    mode_cutoff = _count(mode_cutoff, "mode cutoff")
     for name, value in (("scan_step", scan_step), ("sv_tol", sv_tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -258,10 +257,10 @@ def normal_family_gap(
     is i times a real antisymmetric matrix, hence Hermitian, so its singular
     values are the absolute values of its eigenvalues; these are computed
     for all eta points of one (fibre mode, tau) slice at once.  Raises
-    ``ValueError`` when ``taus`` or ``etas`` is empty, not 1-D or not finite.
+    ``ValueError`` unless the mode cutoff is a non-negative integer (not a
+    bool), and when ``taus`` or ``etas`` is empty, not 1-D or not finite.
     """
-    if mode_cutoff < 0:
-        raise ValueError(f"mode cutoff must be non-negative, got {mode_cutoff}")
+    mode_cutoff = _count(mode_cutoff, "mode cutoff")
     taus = np.linspace(-5, 5, 21) if taus is None else np.asarray(taus, float)
     etas = np.linspace(-5, 5, 21) if etas is None else np.asarray(etas, float)
     for name, grid in (("taus", taus), ("etas", etas)):

@@ -14,7 +14,8 @@ lifting of b-kernels, mapping of polyhomogeneous sections).  Everywhere
 else the weight tier is used: ``Weight(alpha)`` certifies index sets
 lf > alpha, rf > -alpha, bf >= 0 for b-kind, plus ff > 0 for phi-kind.
 Predicates evaluated on the weight tier are certifications, sound but not
-necessarily sharp.
+necessarily sharp.  A b-class lies in a phi- or bphi-class when every term
+of its lift does, deliberately: no ff decay beyond what the lift derives.
 
 Sums of operator spaces (as produced by the mixed b/phi composition rule)
 are represented by :class:`ClassSum`; a predicate holds for a sum iff it
@@ -655,9 +656,11 @@ def contains(sub: Entry, sup: Entry, geom: GeomConstants | None = None) -> bool:
 
     Sums: every summand of ``sub`` must sit in some summand of ``sup``.
     Cross-kind inclusions use the lifting of b-classes into phi-classes
-    (negative order) and the definition of the bphi space.  The extended
-    flag is not compared: every combination rule holds uniformly for the
-    extended calculi.
+    (negative order) and the definition of the bphi space: a b-class lies
+    in a phi- or bphi-class when every term of its lift (:func:`_lift`)
+    does, deliberately no more; a full b-family needs ``geom`` for that.
+    The extended flag is not compared: every combination rule holds
+    uniformly for the extended calculi.
     """
     sub_terms, sup_terms = as_terms(sub), as_terms(sup)
     if not sub_terms:
@@ -680,19 +683,12 @@ def _contains_single(sub: OpClass, sup: OpClass, geom) -> bool:
     if fs.kind == ft.kind or {fs.kind, ft.kind} == {"bphi", "phi"}:
         pairs = [(fs.face(f), ft.face(f)) for f in ft.face_names]
     elif fs.kind == "b" and ft.kind in ("phi", "bphi"):
-        # lift: faces at lf, rf, bf persist; the ff data of the lift is
-        # bf + a(-order) (empty for smoothing order)
-        if fs.order >= 0:
+        # a b-class lies where every term of its lift, a phi-class, does
+        try:
+            lifted = _lift(sub, geom)
+        except CompositionError:
             return False
-        bf = fs.face("bf")
-        if fs.order == NEG_INF or bf == EMPTY:
-            ff = EMPTY
-        else:
-            if geom is None:
-                return False
-            ff = _shift_face(bf, geom.a * (-fs.order))
-        pairs = [(fs.face(f), ft.face(f)) for f in ("lf", "rf", "bf")]
-        pairs.append((ff, ft.face("ff")))
+        pairs = [(u, ft.face(f)) for L in lifted for f, u in _fold(L).faces]
     elif ft.kind == "b" and fs.face("ff") == EMPTY and _x_inf(fs.face):
         # a phi- or bphi-class with empty ff data, x^inf on one side, is a b-class
         pairs = [(fs.face(f), ft.face(f)) for f in ("lf", "rf", "bf")]
@@ -791,6 +787,20 @@ def lift_b_to_phi(T: OpClass, a: int, b_dim: int):
         "phi", NEG_INF, IndexFamily("phi", ff=ff_res, **base), xl=T.xl, xr=T.xr, ext=T.ext
     )
     return main, res
+
+
+def _lift(T: OpClass, geom) -> tuple:
+    """The phi-classes whose sum contains the lift of a b-class ``T`` of
+    negative order: the lift rules and :func:`contains` read it.  On the
+    weight tier ``T`` itself as a phi-class; for a full family the pair of
+    :func:`lift_b_to_phi` at ``geom``.  Else :class:`UnsupportedComposition`."""
+    if type(T.spec) is not Weight:
+        _same_geom(geom)
+        return lift_b_to_phi(T, geom.a, geom.b_dim)
+    if T.kind != "b" or T.order >= 0:
+        raise UnsupportedComposition("the weight-tier lift needs a b-class of negative order")
+    # a b-class has no ff face: a refinement there says nothing about the lift
+    return (_derive(T, kind="phi", vanish=T.vanish - {"ff"}),)
 
 
 def decompose_near_ff(S: Entry):
@@ -1220,7 +1230,9 @@ def _conjugate_small(inputs, params, geom):
 def _lift_full(inputs, params, geom):
     """The pair of phi-classes of :func:`lift_b_to_phi`, with ``geom``."""
     _same_geom(geom, a=params["a"], b_dim=params["b_dim"])
-    return ClassSum(lift_b_to_phi(inputs[0], geom.a, geom.b_dim))
+    if type(inputs[0].spec) is Weight:
+        raise UnsupportedComposition("lifting needs a single b-kind class with a full index family")
+    return ClassSum(_lift(inputs[0], geom))
 
 
 @register_rule("power-into-family", 1, "c")
@@ -1325,13 +1337,9 @@ def _absorb_power(inputs, params, geom):
 
 @register_rule("lift-weight", 1)
 def _lift_weight(inputs, params, geom):
-    """Weight-tier lifting of a b-class into the phi-calculus (order < 0)."""
-    (P,) = inputs
-    if P.kind != "b" or not isinstance(P.spec, Weight):
-        raise UnsupportedComposition("weight-tier lift needs a b-kind weight class")
-    if P.order >= 0:
-        raise UnsupportedComposition("lifting requires negative order")
-    return _derive(P, kind="phi")
+    """Weight-tier lifting of a b-class into the phi-calculus (order < 0):
+    :func:`_lift` without the geometry, which refuses a full family."""
+    return _lift(inputs[0], None)[0]
 
 
 def _compose_weight(kind: str, inputs, params, geom):

@@ -273,6 +273,8 @@ def test_imspec_window_edge_flag():
     ({"sv_tol": -1e-8}, "sv_tol"),
     ({"sv_tol": math.inf}, "sv_tol"),
     ({"mode_cutoff": True}, "mode cutoff"),
+    ({"mode_cutoff": 2.0}, "mode cutoff"),
+    ({"mode_cutoff": 1.5}, "mode cutoff"),
 ])
 def test_imspec_refuses_bad_tolerances(bad, name):
     # a nan or negative scan_step once left the root 1.5616, 1e-3 inside the
@@ -450,6 +452,13 @@ def test_gap_refuses_a_grid_that_is_not_one_dimensional():
             normal_family_gap(model, taus=[[0, 1]])
         with pytest.raises(ValueError, match="the etas grid must be a nonempty 1-D array"):
             normal_family_gap(model, etas=[[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("cutoff", [True, 2.0])
+def test_gap_refuses_a_mode_cutoff_that_is_not_an_integer(cutoff):
+    # a bool once scanned cutoff 1, and a whole float reached range()
+    with pytest.raises(ValueError, match="mode cutoff must be a non-negative integer"):
+        normal_family_gap(MODEL, [0.0], [0.0], mode_cutoff=cutoff)
 
 
 def test_normal_family_square_identity():

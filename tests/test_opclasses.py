@@ -735,6 +735,57 @@ def test_equal_classes_contain_each_other(pair, other, geom):
         assert not eq_classes(X, Y) or contains(X, Y, geom)
 
 
+_B_FAMILY = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
+
+
+@st.composite
+def _lift_pairs(draw):
+    """A b-class T of negative order on either tier, with x-powers and
+    vanishing faces, and a phi- or bphi-class S of either tier; a
+    weight-tier S shares T's weight or lies one below, a full-family S
+    shares T's lf, rf and bf, its ff at times bf shifted by 1, 2 or 3."""
+    alpha = draw(st.sampled_from([-1, 0, Fraction(1, 2), 1]))
+    fam = draw(st.builds(IndexFamily, st.just("b"), lf=_face(True), rf=_face(True), bf=_face(False)))
+    spec = draw(st.sampled_from([Weight(alpha), fam, small_family("b")]))
+    order = draw(st.sampled_from([NEG_INF, -3, -2, -1, Fraction(-1, 2)]))
+    vanish = st.frozensets(st.sampled_from(["lf", "rf", "bf", "ff"]))
+    T = OpClass("b", order, spec, xl=draw(_POWERS), xr=draw(_POWERS), vanish=draw(vanish))
+    sup = draw(st.sampled_from([
+        Weight(alpha), Weight(alpha - 1), small_family("phi"), None,
+        phi_family(fam.lf, fam.rf, fam.bf, draw(st.one_of(
+            _face(False), st.sampled_from([1, 2, 3]).map(lambda k: shift(fam.bf, k))))),
+    ]))
+    kind = "bphi" if sup is None else "phi"
+    S = OpClass(kind, draw(_ORDERS), sup, xl=draw(_POWERS), xr=draw(_POWERS),
+                vanish=draw(vanish) if isinstance(sup, Weight) else frozenset())
+    return T, S
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pair=_lift_pairs(), geom=st.sampled_from([None, G11, GeomConstants(a=2, b_dim=2)]))
+# a full b-class whose lift's residual term has ff = {(2, 1)}, not in ff = {2}
+@example(pair=(full_class("b", -2, _B_FAMILY),
+               full_class("phi", -2, phi_family(_B_FAMILY.lf, _B_FAMILY.rf, _B_FAMILY.bf, real_set(2)))),
+         geom=G11)
+# a smoothing b-class: its weight-tier lift has ff > 0, not ff = 0
+@example(pair=(weight_b(NEG_INF, Fraction(1, 2)), weight_phi(NEG_INF, Fraction(1, 2), vanish=("ff",))),
+         geom=G11)
+# an ff refinement on a b-class, which has no ff face, lifts to nothing
+@example(pair=(weight_b(-1, 0, vanish=("ff",)), weight_phi(-1, 0, vanish=("ff",))), geom=None)
+def test_a_b_class_lies_in_a_phi_class_only_where_its_lift_does(pair, geom):
+    T, S = pair
+    plain = replace(T, vanish=T.vanish - {"ff"})  # folds as T does
+    assert eq_classes(T, plain) and contains(T, S, geom) == contains(plain, S, geom)
+    if fold(T).kind != "b" or not contains(T, S, geom):
+        return  # an x^inf b-class is its phi twin (ff empty) and is not lifted
+    if isinstance(T.spec, Weight):
+        lifted = [oc.RULES["lift-weight"].formula((T,), {}, geom)]
+    else:  # a full family lifts only at known geometry constants, at finite order
+        assert geom is not None and T.order > NEG_INF
+        lifted = lift_b_to_phi(T, geom.a, geom.b_dim)
+    assert all(contains(L, S, geom) for L in lifted)
+
+
 # ---------------------------------------------------------------------------
 # weight-tier composition and routes
 
