@@ -25,23 +25,19 @@ does not depend on the order of the generators, and the JSON form (whole
 numbers as ints, other fractions as "p/q" strings) reads back to the same
 set.
 
-The algebra runs on the common-denominator lattice of the generators at
-hand: with D the least common multiple of their denominators, every
-exponent of the closures lies on (1/D)Z + i (1/D)Z, and scaled by D a
-generator (re, im, k) is a point (n, m, k) of ints.  g reaches h exactly
-when both lie in one class (m, n mod D) and g's n is not larger, so the one
-canonical pass, membership, containment, the sum, the extended union and
-truncation compare, add and hash ints only.  Each public operation converts
-its operands onto the lattice once and its result back once; family
-composition (``opclasses.compose_families``) takes one D over all eight
-faces and runs its whole formula on the points.  Coming back, whole parts
-are ``int`` and the others ``Fraction``: the generators of
-``add(real_set(1/2), real_set(3/2))`` are ``((2, 0, 0),)``.  An ``int`` is
-equal to, and hashes the same as, the ``Fraction(n, 1)`` it replaces, and
-:func:`number_to_json` writes both the same way, so equality and the JSON
-form do not depend on which one a set holds.  :func:`shift` adds its amount
-to the generators as they are, in one pass: a common shift keeps the
-canonical form.
+The stored form is the lattice: with D the least common multiple of the
+generators' denominators, every exponent of the closure lies on
+(1/D)Z + i (1/D)Z, and scaled by D a generator (re, im, k) is a point
+(n, m, k) of ints.  An :class:`IndexSet` keeps the least D and its sorted
+canonical points, so equality and hashing compare (D, points).  g reaches
+h exactly when both lie in one class (m, n mod D) and g's n is not larger,
+so every operation compares, adds and hashes ints only.  A binary
+operation rescales its operands to the least common multiple of their D's,
+and each result is stored at its least D again (1/3 shifted by 1/6 is 1/2,
+at D = 2); ``opclasses.compose_families`` rescales all eight faces to one D.
+``generators`` is a view, made at its first read (JSON, repr): whole parts
+``int``, the others ``Fraction``, so the generators of
+``add(real_set(1/2), real_set(3/2))`` are ``((2, 0, 0),)``.
 """
 
 from __future__ import annotations
@@ -113,14 +109,16 @@ def _split_exponent(z) -> tuple[Exact, Exact]:
     return (exact_real(z), 0)
 
 
-def _log_power(k) -> int:
-    """A log power: a nonnegative integer (booleans and floats rejected)."""
-    if isinstance(k, bool):
-        raise TypeError("log power must be an integer, got a boolean")
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError(f"log power must be nonnegative, got {k}")
-    return k
+def _integer(name: str, v, low: int) -> int:
+    """``v`` as an ``int`` >= ``low`` through ``operator.index`` (NumPy's
+    integers too, never a bool or a float): log powers, scale factors and
+    the geometry constants."""
+    if isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got a boolean")
+    v = operator.index(v)
+    if v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {v}")
+    return v
 
 
 # A generator is a triple (re, im, k) with k a nonnegative int.
@@ -131,13 +129,12 @@ Gen = tuple
 # A class (m, n mod D) is keyed as the int m D + n mod D.
 
 
-def _denominator(*gen_lists) -> int:
+def _denominator(gens: Sequence[Gen]) -> int:
     """The least common multiple of the denominators of every real and
-    imaginary part in the given generator sequences (1 when there are none)."""
+    imaginary part of the generators (1 when there are none)."""
     D = 1
-    for gens in gen_lists:
-        for re, im, _ in gens:
-            D = math.lcm(D, re.denominator, im.denominator)
+    for re, im, _ in gens:
+        D = math.lcm(D, re.denominator, im.denominator)
     return D
 
 
@@ -153,13 +150,6 @@ def _unscaled(n: int, D: int) -> Exact:
     """n / D, an int when it is whole."""
     q, r = divmod(n, D)
     return q if r == 0 else Fraction(n, D)
-
-
-def _generators(points, D: int) -> tuple[Gen, ...]:
-    """Lattice points back as generators, whole parts as ``int``."""
-    if D == 1:
-        return tuple(points)
-    return tuple((_unscaled(n, D), _unscaled(m, D), k) for (n, m, k) in points)
 
 
 def _canonical(points, D: int) -> list[tuple[int, int, int]]:
@@ -211,7 +201,7 @@ def _union(P: list, Q: list, D: int) -> list:
         return P
     cp, cq = _classes(P, D), _classes(Q, D)
     out = []
-    for n, m, _ in P + Q:
+    for n, m, _ in (*P, *Q):
         cls = m * D + n % D
         ki = kj = -1
         for n2, k2 in cp.get(cls, ()):
@@ -226,61 +216,93 @@ def _union(P: list, Q: list, D: int) -> list:
     return _canonical(out, D)
 
 
-@dataclass(frozen=True)
 class IndexSet:
-    """Canonical index set given by its minimal generators.
-
-    ``generators`` is a sorted tuple of (re, im, k) triples, none dominated
-    by another.  The empty tuple represents the empty index set.
+    """Canonical index set, stored as its lattice: ``points`` is the sorted
+    tuple of the minimal generators' points (n, m, k), none dominated by
+    another, at ``D``, the least common denominator of their parts; the
+    empty tuple is the empty set.  ``IndexSet(generators)`` takes
+    (re, im, k) triples of ``int`` and ``Fraction`` parts.
     """
 
-    generators: tuple = ()
+    __slots__ = ("D", "points", "_generators")
+
+    def __new__(cls, generators: Sequence[Gen] = ()):
+        gens = tuple(generators)
+        D = _denominator(gens)
+        return _lattice(D, _canonical(_points(gens, D), D))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an IndexSet is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return (_lattice, (self.D, self.points))
+
+    def __eq__(self, other):
+        return other.__class__ is IndexSet and self.D == other.D and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.D, self.points))
+
+    @property
+    def generators(self) -> tuple:
+        """The points as generators (re, im, k), whole parts as ``int``,
+        the others as ``Fraction``: the points themselves at D = 1, else
+        made at the first read and stored."""
+        gens = self._generators
+        if gens is None:
+            D = self.D
+            gens = tuple((_unscaled(n, D), _unscaled(m, D), k) for n, m, k in self.points)
+            _set_generators(self, gens)
+        return gens
 
     @property
     def is_empty(self) -> bool:
-        return not self.generators
+        return not self.points
 
     def member(self, z, k: int = 0) -> bool:
         """Decide membership of (z, k) in the closed set."""
         re, im = _split_exponent(z)
-        return self.issuperset(IndexSet(((re, im, _log_power(k)),)))
+        return self.issuperset(IndexSet(((re, im, _integer("log power", k, 0)),)))
 
     def issuperset(self, other: "IndexSet") -> bool:
         """Whether the closure of ``other`` lies in this closed set: each of
-        its generators is dominated by one of ours, so adding them leaves
-        our canonical form as it is."""
-        if not other.generators:
+        its points is dominated by one of ours, so adding them leaves our
+        canonical points as they are."""
+        if not other.points:
             return True
-        D = _denominator(self.generators, other.generators)
-        mine = _points(self.generators, D)
-        return _canonical(mine + _points(other.generators, D), D) == mine
+        D = math.lcm(self.D, other.D)
+        mine = _rescaled(self, D)
+        return _canonical([*mine, *_rescaled(other, D)], D) == list(mine)
 
     def min_re(self) -> RealLike:
         """Smallest real part among minimal elements (inf for the empty set)."""
-        return self.generators[0][0] if self.generators else float("inf")
+        return _unscaled(self.points[0][0], self.D) if self.points else float("inf")
 
     def truncate(self, re_max: RealLike = 10) -> list[tuple[Exact, Exact, int]]:
         """All members (re, im, k) with re <= re_max, sorted.
 
         Used for display and serialization of the (infinite) closed set.
-        Whole real and imaginary parts come out as ``int``.  Each generator
-        walks its ray n, n + D, ... of scaled real parts up to re_max D,
-        keeping the largest log power per scaled point (n, m).
+        Whole real and imaginary parts come out as ``int``.  Each point
+        walks its ray n, n + D, ... up to re_max D or to the next point of
+        its class, whose larger log power takes over there.
         """
-        D = _denominator(self.generators)
-        top = math.floor(exact_real(re_max) * D)
-        kmax: dict = {}
-        for n0, m, k in _points(self.generators, D):
-            for n in range(n0, top + 1, D):
-                if kmax.get((n, m), -1) < k:
-                    kmax[n, m] = k
+        D = self.D
+        r = exact_real(re_max)
+        end = r.numerator * D // r.denominator + 1  # past floor(re_max D)
+        stop: dict = {}
+        walked = []
+        for n0, m, k in reversed(self.points):
+            cls = m * D + n0 % D
+            walked.extend((n, m, k) for n in range(n0, min(end, stop.get(cls, end)), D))
+            stop[cls] = n0
+        walked.sort()
+        ims = {m: _unscaled(m, D) for _, m, _ in self.points}
         out = []
         last = None
-        for (n, m), k in sorted(kmax.items()):
+        for n, m, k in walked:
             if n != last:  # sorted: the points of one real part are adjacent
                 last, re = n, _unscaled(n, D)
-            im = _unscaled(m, D)
-            out.extend((re, im, kk) for kk in range(k + 1))
+            out.extend((re, ims[m], kk) for kk in range(k + 1))
         return out
 
     def to_json(self) -> dict:
@@ -309,6 +331,35 @@ class IndexSet:
             for g in self.generators
         )
         return f"IndexSet[{parts}]"
+
+
+# the slots' own setters, past the refusing __setattr__
+_set_D, _set_points, _set_generators = (getattr(IndexSet, a).__set__ for a in IndexSet.__slots__)
+
+
+def _lattice(D: int, points) -> IndexSet:
+    """The index set of the canonical points at D, stored at its least
+    denominator: D and every coordinate divided by their common divisor."""
+    g = D
+    for n, m, _ in points:
+        if g == 1:
+            break
+        g = math.gcd(g, n, m)
+    if g > 1:
+        D //= g
+        points = [(n // g, m // g, k) for n, m, k in points]
+    points = tuple(points)
+    I = object.__new__(IndexSet)
+    _set_D(I, D)
+    _set_points(I, points)
+    _set_generators(I, points if D == 1 else None)
+    return I
+
+
+def _rescaled(I: IndexSet, D: int):
+    """The points of I at D, a multiple of ``I.D``."""
+    f = D // I.D
+    return I.points if f == 1 else [(n * f, m * f, k) for n, m, k in I.points]
 
 
 def number_to_json(v: RealLike):
@@ -361,9 +412,8 @@ def make_index_set(generators: Sequence) -> IndexSet:
     gens = []
     for z, k in generators:
         re, im = _split_exponent(z)
-        gens.append((re, im, _log_power(k)))
-    D = _denominator(gens)
-    return IndexSet(_generators(_canonical(_points(gens, D), D), D))
+        gens.append((re, im, _integer("log power", k, 0)))
+    return IndexSet(gens)
 
 
 def real_set(r: RealLike) -> IndexSet:
@@ -372,10 +422,9 @@ def real_set(r: RealLike) -> IndexSet:
 
 
 def _on_lattice(op, I: IndexSet, J: IndexSet) -> IndexSet:
-    """``op(P, Q, D)`` on the points of I and J at their common denominator
-    D, its canonical points converted back once."""
-    D = _denominator(I.generators, J.generators)
-    return IndexSet(_generators(op(_points(I.generators, D), _points(J.generators, D), D), D))
+    """``op(P, Q, D)`` on the points of I and J at their common D."""
+    D = math.lcm(I.D, J.D)
+    return _lattice(D, op(_rescaled(I, D), _rescaled(J, D), D))
 
 
 def add(I: IndexSet, J: IndexSet) -> IndexSet:
@@ -402,23 +451,23 @@ def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
 def shift(I: IndexSet, r: RealLike) -> IndexSet:
     """Shift every exponent by the real number r (empty set unchanged).
 
-    A common shift keeps the generators' order and domination, hence the
-    canonical form."""
+    A common shift keeps the points' order and domination, hence the
+    canonical form; only the denominator can change (1/3 + 1/6 = 1/2)."""
     r = exact_real(r)
-    return IndexSet(tuple((g[0] + r, g[1], g[2]) for g in I.generators))
+    D = math.lcm(I.D, r.denominator)
+    s = r.numerator * (D // r.denominator)
+    return _lattice(D, [(n + s, m, k) for n, m, k in _rescaled(I, D)])
 
 
 def scale(I: IndexSet, a: int) -> IndexSet:
     """Map the minimal elements by (z, k) -> (a z, k), then re-close.
 
     The scaling acts on minimal generators and the result is the closure of
-    the scaled generators (integer steps, not steps of a).
+    the scaled generators (integer steps, not steps of a).  ``a`` is an
+    integer >= 1, NumPy's included, never a bool.
     """
-    if not isinstance(a, int) or a < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {a!r}")
-    D = _denominator(I.generators)
-    points = [(a * n, a * m, k) for (n, m, k) in _points(I.generators, D)]
-    return IndexSet(_generators(_canonical(points, D), D))
+    a = _integer("scale factor", a, 1)
+    return _lattice(I.D, _canonical([(a * n, a * m, k) for n, m, k in I.points], I.D))
 
 
 def exact_extended(v: RealLike):
@@ -436,13 +485,13 @@ def exact_extended(v: RealLike):
 def greater_than(I: IndexSet, alpha: RealLike) -> bool:
     """I > alpha: every element has Re z > alpha.  Empty set: True."""
     alpha = exact_extended(alpha)
-    return all(g[0] > alpha for g in I.generators)
+    return not I.points or I.points[0][0] > alpha * I.D
 
 
 def geq(I: IndexSet, alpha: RealLike) -> bool:
     """I >= alpha: Re z >= alpha throughout, and k = 0 where Re z = alpha."""
-    alpha = exact_extended(alpha)
-    return all(g[0] > alpha or (g[0] == alpha and g[2] == 0) for g in I.generators)
+    cut = exact_extended(alpha) * I.D
+    return all(n > cut or (n == cut and k == 0) for n, _, k in I.points)
 
 
 # ---------------------------------------------------------------------------

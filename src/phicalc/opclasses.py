@@ -44,18 +44,17 @@ x-powers and vanishing faces; full families and bphi go face by face.
 from __future__ import annotations
 
 import math
-import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from .indexsets import (
     EMPTY,
-    _denominator,
-    _generators,
-    _points,
+    _integer,
+    _lattice,
+    _rescaled,
     _sum,
     _union,
     IndexFamily,
@@ -181,13 +180,7 @@ class GeomConstants:
 
     def __post_init__(self):
         for name, low in (("a", 1), ("b_dim", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer, got a boolean")
-            v = operator.index(v)
-            if v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
 
     @property
     def A(self) -> int:
@@ -247,6 +240,9 @@ class OpClass:
         bad = self.vanish - {"lf", "rf", "bf", "ff"}
         if bad:
             raise ValueError(f"unknown faces in vanish set: {sorted(bad)}")
+        if self.kind == "b" and "ff" in self.vanish:
+            # a b-class has no ff face: a refinement there says nothing
+            object.__setattr__(self, "vanish", self.vanish - {"ff"})
 
     def __hash__(self):
         # stored like the fold: a reuse scope hashes every class it meets
@@ -511,18 +507,27 @@ def absorbed_sum(geom: GeomConstants | None, *entries: Entry) -> Entry:
     """The sum of the entries with every summand that another summand
     contains dropped (a space absorbs the spaces it contains).
 
-    One pass in input order, after equal summands are merged: a summand
-    that a kept summand contains is skipped; otherwise the kept summands
-    it contains are dropped and it is kept.  Survivors keep their input
-    order, of two summands that contain each other the first stays, and
-    each ordered pair is decided at most once.  A lone summand comes back
-    bare and unhashed, no summand as ``ZERO``.
+    After equal summands are merged, a summand goes when another contains
+    it, unless that one comes later and is contained back: of two that
+    contain each other the first stays.  Survivors keep their input order,
+    each ordered pair is decided at most once, and a lone summand comes back
+    bare and unhashed, no summand as ``ZERO``.  One pass in input order
+    suffices while containment is transitive.  It is not where a full-family
+    b-class lies in a phi-class only through a lift that needs ``geom`` and
+    a finite order, so with one among three or more summands all pairs are
+    compared.
     """
     terms = [t for e in entries for t in as_terms(e)]
     if len(terms) < 2:
         return terms[0] if terms else ZERO
+    terms = list(dict.fromkeys(terms))
+    if len(terms) > 2 and any(t.kind == "b" and type(t.spec) is IndexFamily for t in terms):
+        within = cache(lambda i, j: _contains_single(terms[i], terms[j], geom))
+        drops = lambda i, j: (j < i or not within(j, i)) and within(i, j)
+        kept = (t for i, t in enumerate(terms) if not any(drops(i, j) for j in range(len(terms)) if j != i))
+        return sum_of(*kept)
     kept = []
-    for t in dict.fromkeys(terms):
+    for t in terms:
         if any(_contains_single(t, k, geom) for k in kept):
             continue
         kept = [k for k in kept if not _contains_single(k, t, geom)]
@@ -799,8 +804,7 @@ def _lift(T: OpClass, geom) -> tuple:
         return lift_b_to_phi(T, geom.a, geom.b_dim)
     if T.kind != "b" or T.order >= 0:
         raise UnsupportedComposition("the weight-tier lift needs a b-class of negative order")
-    # a b-class has no ff face: a refinement there says nothing about the lift
-    return (_derive(T, kind="phi", vanish=T.vanish - {"ff"}),)
+    return (_derive(T, kind="phi"),)
 
 
 def decompose_near_ff(S: Entry):
@@ -876,10 +880,10 @@ def is_compact(P: Entry, alpha, beta) -> bool:
 
 
 def _integrable(I: IndexSet, J: IndexSet) -> bool:
-    """I + J > 0, decided without building the sum: the smallest real part
-    of the sum is the sum of the smallest real parts (inf for an empty set,
-    whose sum with any set is empty)."""
-    return I.min_re() + J.min_re() > 0
+    """I + J > 0, decided on the leading points without building the sum:
+    the smallest real part of the sum is n/D + n'/D', the sum of the
+    smallest real parts (an empty set's sum with any set is empty)."""
+    return not (I.points and J.points) or I.points[0][0] * J.D + J.points[0][0] * I.D > 0
 
 
 def map_phg(P: OpClass, I: IndexSet) -> IndexSet:
@@ -1019,15 +1023,15 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
     With A = a(b_dim + 1), the four faces of the composite are built from
     extended unions of shifted sums of the factors' faces.  The formula runs
     on the lattice of one common denominator D of all eight faces and A:
-    each face goes in once, the A-shift is + A D, and each result face comes
-    out once.
+    each face's stored points are rescaled to D, the A-shift is + A D, and
+    each result face is stored from its points.
     """
     if I.kind != "phi" or J.kind != "phi":
         raise UnsupportedComposition("family composition is mechanized for phi-type only")
     A = exact_real(A)
     faces = [I.lf, I.rf, I.bf, I.ff, J.lf, J.rf, J.bf, J.ff]
-    D = math.lcm(_denominator(*(F.generators for F in faces)), A.denominator)
-    Ilf, Irf, Ibf, Iff, Jlf, Jrf, Jbf, Jff = (_points(F.generators, D) for F in faces)
+    D = math.lcm(A.denominator, *(F.D for F in faces))
+    Ilf, Irf, Ibf, Iff, Jlf, Jrf, Jbf, Jff = (_rescaled(F, D) for F in faces)
     s = A.numerator * (D // A.denominator)
     plus, eu = partial(_sum, D=D), partial(_union, D=D)
     Klf = eu(eu(Ilf, plus(Ibf, Jlf)), plus(Iff, Jlf))
@@ -1038,7 +1042,7 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
         eu([(n + s, m, k) for (n, m, k) in lf_rf], [(n + s, m, k) for (n, m, k) in bf_bf]),
         plus(Iff, Jff),
     )
-    lf, rf, bf, ff = (IndexSet(_generators(K, D)) for K in (Klf, Krf, Kbf, Kff))
+    lf, rf, bf, ff = (_lattice(D, K) for K in (Klf, Krf, Kbf, Kff))
     return IndexFamily("phi", lf=lf, rf=rf, bf=bf, ff=ff)
 
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -149,6 +151,14 @@ def test_scale_rejects_bad_factor():
         scale(real_set(0), 0)
     with pytest.raises(ValueError):
         scale(real_set(0), -2)
+
+
+def test_scale_reads_its_factor_as_an_integer():
+    # the check of GeomConstants: never a bool, NumPy integers through operator.index
+    I = iset((Fraction(1, 3), 1))
+    with pytest.raises(TypeError):
+        scale(I, True)
+    assert scale(I, np.int64(2)) == scale(I, 2) == iset((Fraction(2, 3), 1))
 
 
 def test_comparisons():
@@ -443,6 +453,37 @@ def test_lattice_algebra_matches_scaled_bruteforce(ga, gb):
     assert _scaled_members(extended_union(A, B), D) == cut(_enum_eu(ea, eb, reach * D))
     for I in (A, B, add(A, B), extended_union(A, B)):
         _assert_truncate_is_the_comprehension(I)
+
+
+_sixths = st.builds(Fraction, st.integers(-12, 18), st.sampled_from([1, 2, 3, 6]))
+_exact_gens = st.lists(
+    st.tuples(_sixths, st.sampled_from([0, 1, -1, Fraction(1, 2)]), st.integers(0, 2)), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_gens, _exact_gens, _sixths, st.randoms(use_true_random=False))
+# 1/3 shifted by 1/6 is stored at D = 2, and shifted back at D = 3 again
+@example([(Fraction(1, 3), 0, 1)], [], Fraction(1, 6), random.Random(0))
+def test_every_route_to_a_set_stores_it_alike(ga, gb, r, rng):
+    """One set built by different routes is ==, hashes the same and has the
+    same generators, whole parts as ``int``."""
+    forms = {"int": lambda x: int(x) if x.denominator == 1 else x, "Fraction": Fraction, "float": float}
+
+    def written(gens, form):
+        pairs = [((forms[form](re), forms[form](im)), k) for re, im, k in gens]
+        rng.shuffle(pairs)
+        return make_index_set(pairs)
+
+    I, J = written(ga, "Fraction"), written(gb, "int")
+    same = [(I, written(ga, "int")), (I, written(ga, "float")), (I, IndexSet.from_json(I.to_json())),
+            (I, IndexSet(I.generators)), (I, shift(shift(I, r), -r)), (I, pickle.loads(pickle.dumps(I))),
+            (add(I, J), add(J, I)), (extended_union(I, J), extended_union(J, I))]
+    for A, B in same:
+        assert A == B and hash(A) == hash(B)
+        assert A.generators == B.generators
+        assert [tuple(map(type, g)) for g in A.generators] == [tuple(map(type, g)) for g in B.generators]
+        assert all(type(x) is int or x.denominator > 1 for g in A.generators for x in g[:2])
 
 
 def test_whole_fraction_generator_truncates_to_ints():

@@ -15,6 +15,7 @@ from phicalc.acceptance import _display_compose, _enum_closure
 from phicalc.indexsets import (
     EMPTY,
     IndexFamily,
+    IndexSet,
     add,
     greater_than,
     make_index_set,
@@ -77,6 +78,25 @@ def phi_family(lf=EMPTY, rf=EMPTY, bf=EMPTY, ff=EMPTY):
 
 # ---------------------------------------------------------------------------
 # composition of full families
+
+
+def test_family_composition_and_truncation_read_no_generators(monkeypatch):
+    """Composition and truncation run on the stored points: neither builds
+    the generator view of a set."""
+    third = Fraction(1, 3)
+    I = phi_family(lf=iset((third, 1), ((Fraction(2, 3), 1), 0)), rf=real_set(Fraction(1, 2)),
+                   bf=iset((0, 0), (Fraction(-1, 3), 1)), ff=real_set(-third))
+    J = phi_family(lf=real_set(third), rf=iset((1, 0), (Fraction(5, 6), 2)), bf=real_set(Fraction(-1, 2)),
+                   ff=iset((0, 1)))
+    reads = []
+    view = IndexSet.generators
+    monkeypatch.setattr(IndexSet, "generators", property(lambda S: reads.append(S) or view.fget(S)))
+    for geom in (G11, GeomConstants(a=2, b_dim=1)):
+        K = compose(full_class("phi", 0, I), full_class("phi", -1, J), geom)
+        assert all(K.spec.face(f).truncate(3) for f in K.spec.faces)
+    assert reads == []
+    K.spec.lf.generators  # the spy sees a read
+    assert reads == [K.spec.lf]
 
 
 def test_small_factor_preserves_family():
@@ -655,6 +675,12 @@ def _class_sums(draw):
 @example(terms=[weight_phi(-1, 0, ext=True), weight_phi(-1, 0)], geom=G11)
 @example(terms=[weight_b(-1, 0, xl=INF), weight_phi(-1, 0, xl=INF)], geom=G11)
 @example(terms=[weight_phi(-1, 0, xl=1), weight_phi(-2, 0, xl=2), weight_phi(0, 0)], geom=G11)
+# containment is not transitive: the first summand lies in the third and the
+# third in the second, but the first not in the second (a full b-family of
+# order -inf has no lift); the second lies in the third and the third in the
+# first, but not the second in the first (without geom no full family lifts)
+@example(terms=[small_b(NEG_INF), bphi_class(-2), small_b(-2)], geom=G11)
+@example(terms=[weight_phi(NEG_INF, -1), small_b(NEG_INF), weight_b(NEG_INF, -1)], geom=None)
 def test_absorbed_sum_matches_the_all_pairs_rule(terms, geom):
     decided = []
     contains_single = oc._contains_single
@@ -784,6 +810,14 @@ def test_a_b_class_lies_in_a_phi_class_only_where_its_lift_does(pair, geom):
         assert geom is not None and T.order > NEG_INF
         lifted = lift_b_to_phi(T, geom.a, geom.b_dim)
     assert all(contains(L, S, geom) for L in lifted)
+
+
+def test_a_b_class_drops_an_ff_refinement():
+    # a b-class has no ff face; a phi-class keeps its ff refinement
+    plain, refined = weight_b(-1, 0), weight_b(-1, 0, vanish=("ff",))
+    assert refined == plain and hash(refined) == hash(plain)
+    assert refined.to_json() == plain.to_json() and refined.vanish == frozenset()
+    assert weight_phi(-1, 0, vanish=("ff",)) != weight_phi(-1, 0)
 
 
 # ---------------------------------------------------------------------------
