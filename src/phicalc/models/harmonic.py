@@ -8,26 +8,29 @@ all interior grid points come from one pass over the operator's terms.
 The unknowns fall into a few independent coupling components (single form
 components, or pairs of them, each a chain along the grid), found by
 a dense component labeller on the dim x dim sparsity pattern of the mode
-operator.  Numbered component by component, the grid inside each, the
-matrix is banded with one or two diagonals on either side; each
-coefficient entry is written straight into LAPACK band storage as one
-strided row of the band, and one banded LU factors and solves it in that
-order.  A fibre-harmonic mode system (single components) is tridiagonal
-and goes to LAPACK's tridiagonal LU ``zgttrf``/``zgttrs``, which runs in
-plain loops; a fibre-perpendicular one (pairs, two diagonals on either
-side) goes to the general band LU ``zgbtrf``/``zgbtrs``, which makes one
-level-2 BLAS call per column.
-Its 1-norm condition number (which no symmetric permutation
-changes) is estimated from that factor: the exact column-sum norm of the
-matrix times Higham's deterministic estimate of the inverse's norm (the
-iteration behind LAPACK's ``xGECON``), so it draws no random starting
-vectors; the estimate's two fixed right-hand sides are solved in one call
-together with the boundary data.  Fitted exponents of the components are then
-compared against the critical weights of the metric-volume indicial
-family.  The fits and the roots are two computations from the one mode
-operator, a finite-difference solve and an eigen-solve of its
-coefficients; the closed-form roots of the scalar mode system
-(:func:`_scalar_root`) are the independent check of both.
+operator, so the system is block diagonal with one block per coupling
+component.  Blocks recur: coupling components whose band data are exactly
+equal share one block, which is written straight into LAPACK band storage
+(the grid outermost, each coefficient entry one strided row of the band)
+and factored once.  A single component is a tridiagonal chain and goes to
+LAPACK's tridiagonal LU ``zgttrf``/``zgttrs``, which runs in plain loops;
+a coupled pair has two diagonals on either side and goes to the general
+band LU ``zgbtrf``/``zgbtrs``, which makes one level-2 BLAS call per
+column.  The boundary data lie in one coupling component, so only its
+block is solved with them; every other component's values are exactly
+zero.
+The 1-norm condition number of the whole system is estimated from the
+blocks' factors: a block-diagonal matrix and its inverse have the 1-norms
+of their largest blocks, so it is the largest exact column-sum norm of a
+block times the largest of Higham's deterministic estimates of a block
+inverse's norm (the iteration behind LAPACK's ``xGECON``), which draws no
+random starting vectors; the estimate's two fixed right-hand sides are
+solved in one call together with the boundary data.  Fitted exponents of
+the components are then compared against the critical weights of the
+metric-volume indicial family.  The fits and the roots are two
+computations from the one mode operator, a finite-difference solve and an
+eigen-solve of its coefficients; the closed-form roots of the scalar mode
+system (:func:`_scalar_root`) are the independent check of both.
 """
 
 from __future__ import annotations
@@ -142,15 +145,15 @@ class _BandLU:
     left zero for the fill of partial pivoting.  ``norm1`` is the 1-norm of
     A (the largest column sum of the band), taken before factoring.
 
-    A tridiagonal A (kl = ku = 1) of at least three unknowns, such as a
-    fibre-harmonic mode system, is factored with ``xGTTRF`` from the three
-    diagonals, rows 1 to 3 of the band, and solved with ``xGTTRS``: plain
-    loops, where the band routines make one level-2 BLAS call per column.
-    (SciPy's ``xGTTRF`` wrapper refuses fewer than three unknowns.)  Every
-    other band, such as a fibre-perpendicular mode system with kl = ku = 2,
-    is factored in place with ``xGBTRF`` and solved with ``xGBTRS``.  Both
-    factor with partial pivoting; raises ``LinAlgError`` when A is exactly
-    singular.
+    A tridiagonal A (kl = ku = 1) of at least three unknowns, such as the
+    block of a single-component chain of a mode system, is factored with
+    ``xGTTRF`` from the three diagonals, rows 1 to 3 of the band, and
+    solved with ``xGTTRS``: plain loops, where the band routines make one
+    level-2 BLAS call per column.  (SciPy's ``xGTTRF`` wrapper refuses
+    fewer than three unknowns.)  Every other band, such as the block of a
+    coupled pair with kl = ku = 2, is factored in place with ``xGBTRF``
+    and solved with ``xGBTRS``.  Both factor with partial pivoting; raises
+    ``LinAlgError`` when A is exactly singular.
     """
 
     _GB_TRANS = {"N": 0, "H": 2}
@@ -204,10 +207,14 @@ def _estimate_rhs(size: int) -> np.ndarray:
 
 def _inv_one_norm(lu, fixed) -> float:
     """Lower bound on the 1-norm of A^-1 from an LU factor of an N x N
-    matrix A, N >= 2 (a mode system has at least three unknowns): any
-    object with ``shape`` and ``solve(b, trans)``, such as a ``_BandLU``.
-    ``fixed`` is A^-1 applied to the columns of ``_estimate_rhs(N)`` (a
-    mode solve takes them in one call with its boundary data).
+    matrix A, N >= 2 (a block of a mode system has at least three
+    unknowns): any object with ``shape`` and ``solve(b, trans)``, such as
+    a ``_BandLU``.  ``fixed`` is A^-1 applied to the columns of
+    ``_estimate_rhs(N)`` (a mode solve takes them in one call with its
+    boundary data).  A mode solve runs it on each distinct block: the
+    inverse of a block-diagonal matrix has the 1-norm of its largest
+    block inverse, so the largest of these lower bounds is one for the
+    whole system.
 
     The iteration of Hager and Higham in the form of LAPACK's ZLACN2
     (Higham, ACM TOMS 14(4), 1988): start from the uniform vector, move to
@@ -218,9 +225,10 @@ def _inv_one_norm(lu, fixed) -> float:
     largest one kept is a lower bound; it is usually exact.
 
     Its cost is its band solves, two of them conjugate-transposed per
-    step: on a ``_BandLU`` of a tridiagonal system ``zgttrs`` takes a
+    step: on a ``_BandLU`` of a tridiagonal block ``zgttrs`` takes a
     conjugate-transposed solve as fast as a plain one, while ``zgbtrs``
-    (the fibre-perpendicular systems) is slower on it than on a plain one.
+    (the coupled pairs of the fibre-perpendicular modes) is slower on it
+    than on a plain one.
     """
 
     def signs(v):
@@ -247,22 +255,30 @@ def _inv_one_norm(lu, fixed) -> float:
 
 
 def _factor_mode_system(op, t: np.ndarray, h: float):
-    """Banded LU factor of the finite-difference mode system of ``op`` on
-    the uniform grid ``t`` of step ``h``, written straight into band
-    storage, and the (n + 1, dim) array of band positions of its unknowns.
+    """Banded LU factors of the finite-difference mode system of ``op`` on
+    the uniform grid ``t`` of step ``h``, one per distinct coupling block,
+    each written straight into band storage.
 
     Unknown (p, s) is the value of form component s at grid point p.  The
     interior rows hold the central-difference blocks, evaluated on the
     union (r, c) of the terms' sparsity patterns only; the rows of the
     first and last grid points are the identity.  The form components
     fall into coupling components: the weakly connected components of the
-    dim x dim graph of the entries that are nonzero somewhere on the grid.
-    These are ordered by their smallest member and each keeps its own
-    order, and the grid runs inside each component, so unknown (p, s) sits
-    at band position base[s] + p size(comp(s)).  Every (block, entry)
-    coefficient column then lies on one band row and is one strided
-    write, and the bandwidths are the largest offsets these rows reach.
-    The system is factored and solved in this band order.
+    dim x dim graph of the entries that are nonzero somewhere on the grid,
+    ordered by their smallest member, each keeping its own order.  No
+    entry couples two of them, so the system is block diagonal with one
+    block per coupling component.  Inside a block of m form components
+    the grid runs outermost: unknown (p, s) sits at position
+    m p + (the place of s in its component), every (block, entry)
+    coefficient column lies on one band row and is one strided write, and
+    the bandwidths are the largest offsets these rows reach.
+
+    Two coupling components share one block only when their band data
+    are exactly equal: the same size, the same local (k, row, column)
+    entries and ``np.array_equal`` coefficient columns.  Returns a list of
+    (``_BandLU``, members) pairs in the order of their first member, one
+    per distinct block: ``members`` lists the coupling components whose
+    block it is, each a tuple of form components in band order.
     """
     dim = op.dim
     n = len(t) - 1
@@ -276,29 +292,43 @@ def _factor_mode_system(op, t: np.ndarray, h: float):
     present = np.array([np.any(block != 0, axis=0) for block in blocks])  # exact zeros stay out
 
     # each form component is labelled by the smallest member of its coupling
-    # component
+    # component, and placed by its rank among the members
     link = present.any(axis=0)
     graph = np.zeros((dim, dim), dtype=bool)
     graph[r[link], c[link]] = True
     label = _components(graph | graph.T)
     rank = np.empty(dim, dtype=int)
     rank[np.argsort(label, kind="stable")] = np.arange(dim)
-    start = rank[label]  # where the component begins, in form components
-    size = np.bincount(label, minlength=dim)[label]
-    base = (n + 1) * start + rank - start
+    place = rank - rank[label]
 
     k, e = np.nonzero(present)
-    offset = base[r[e]] - base[c[e]] + (1 - k) * size[r[e]]  # band row minus kl + ku
-    kl = int(offset.max(initial=0))
-    ku = int(-offset.min(initial=0))
-    band = np.zeros((2 * kl + ku + 1, (n + 1) * dim), dtype=complex)
-    for kk, ee, off in zip(k, e, offset):
-        sz = size[c[ee]]
-        first = base[c[ee]] + kk * sz
-        band[kl + ku + off, first : first + (n - 1) * sz : sz] = blocks[kk][:, ee]
-    band[kl + ku, base] = 1.0  # identity rows at t = 0 and t_max
-    band[kl + ku, base + n * size] = 1.0
-    return _BandLU(band, kl, ku), base + np.arange(n + 1)[:, None] * size
+    groups = []  # ((size, entries), columns, members)
+    for root in np.unique(label):
+        members = tuple(np.flatnonzero(label == root).tolist())
+        mine = label[r[e]] == root
+        key = (len(members), tuple(zip(k[mine].tolist(), place[r[e[mine]]].tolist(),
+                                       place[c[e[mine]]].tolist())))
+        columns = [blocks[kk][:, ee] for kk, ee in zip(k[mine], e[mine])]
+        for group in groups:
+            if group[0] == key and all(map(np.array_equal, group[1], columns)):
+                group[2].append(members)
+                break
+        else:
+            groups.append((key, columns, [members]))
+
+    factors = []
+    for (size, entries), columns, members in groups:
+        kk, row, col = np.array(entries, dtype=int).reshape(-1, 3).T
+        offset = row - col + (1 - kk) * size  # band row minus kl + ku
+        kl = int(offset.max(initial=0))
+        ku = int(-offset.min(initial=0))
+        band = np.zeros((2 * kl + ku + 1, (n + 1) * size), dtype=complex)
+        for first, off, column in zip(col + kk * size, offset, columns):
+            band[kl + ku + off, first : first + (n - 1) * size : size] = column
+        band[kl + ku, :size] = 1.0  # identity rows at t = 0 and t_max
+        band[kl + ku, n * size :] = 1.0
+        factors.append((_BandLU(band, kl, ku), members))
+    return factors
 
 
 def solve_harmonic(
@@ -317,15 +347,17 @@ def solve_harmonic(
     at t = 0 and the L2-admissible branch is selected by u(t_max) = 0.
     The coefficients of every interior row come from one stacked
     evaluation on the operator's sparsity pattern only and are written
-    straight into LAPACK band storage in band order
-    (``_factor_mode_system``); exact zeros are left out.  One banded LU
-    factors the system as written, and one multi-column solve takes the
-    boundary data, at the band positions of the default component,
-    together with the two fixed vectors of the inverse-norm estimate; the
-    values are read back through the band positions.  So the one-norm
-    condition estimate of that factor is recorded at the cost of its
-    iteration's solves only, and contamination by the growing branch can
-    be flagged.  Raises ``ValueError`` unless
+    straight into LAPACK band storage, one band per distinct coupling
+    block (``_factor_mode_system``); exact zeros are left out.  Each band
+    is factored once.  The block of the default component's coupling
+    component takes the boundary data in one multi-column solve together
+    with the two fixed vectors of the inverse-norm estimate, and its
+    values go to that component's own columns; the other blocks solve the
+    two fixed vectors only, and their components' values are zero.  So
+    the one-norm condition estimate of the whole system is recorded at
+    the cost of the estimate's solves only, and contamination by the
+    growing branch can be flagged.  Raises ``LinAlgError`` when any block
+    is exactly singular, and ``ValueError`` unless
     t_max is finite and positive and n is an integer >= 2, or when a mode
     entry is not an integer.
     """
@@ -345,13 +377,26 @@ def solve_harmonic(
     # x = x_max e^{-t}
     x = model.x_max * np.exp(-t)
 
-    lu, position = _factor_mode_system(op, t, h)
-    rhs = np.zeros((lu.shape[0], 3), dtype=complex, order="F")
-    rhs[position[0, component], 0] = 1.0
-    rhs[:, 1:] = _estimate_rhs(lu.shape[0])
-    solved = lu.solve(rhs)
-    cond = lu.norm1 * _inv_one_norm(lu, solved[:, 1:])
-    values = solved[position, 0]
+    # the data lie in the default component's block: the other blocks have
+    # zero data, so their values are exactly zero
+    values = np.zeros((n + 1, op.dim), dtype=complex)
+    norm1 = inv_norm1 = 0.0
+    for lu, members in _factor_mode_system(op, t, h):
+        size = lu.shape[0]
+        home = next((m for m in members if component in m), None)
+        if home is None:
+            fixed = lu.solve(_estimate_rhs(size))
+        else:
+            rhs = np.zeros((size, 3), dtype=complex, order="F")
+            rhs[home.index(component), 0] = 1.0
+            rhs[:, 1:] = _estimate_rhs(size)
+            solved = lu.solve(rhs)
+            values[:, list(home)] = solved[:, 0].reshape(n + 1, len(home))
+            fixed = solved[:, 1:]
+        # the system is block diagonal: both 1-norms are the largest block's
+        norm1 = max(norm1, lu.norm1)
+        inv_norm1 = max(inv_norm1, _inv_one_norm(lu, fixed))
+    cond = norm1 * inv_norm1
     return SampledSolution(
         t=t,
         x=x,
@@ -434,7 +479,9 @@ def fit_exponents(samples: SampledSolution) -> HarmonicFit:
     """Fit x^w (log x)^k to the solved component of a sampled mode solution.
 
     The exponent and log power come from a joint regression of log|u|
-    against log x and log|log x| over the fit window.  When the window
+    against log x and log|log x| over the fit window, less the last
+    ``_ARTIFACT_CUT`` units of t, where the terminal zero condition bends
+    the profile (the samples :func:`check_L2` leaves out).  When the window
     content has fallen below the numerical noise floor, the decay is
     measured on the innermost still-resolved decade instead and the mode is
     classified superpolynomial once that slope exceeds the threshold
@@ -450,9 +497,10 @@ def fit_exponents(samples: SampledSolution) -> HarmonicFit:
         raise FitError("component is identically zero")
     usable = (vals > _NOISE_REL * scale) & _clean_mask(vals)
 
-    window = _window_mask(x, *_FIT_WINDOW)
+    window = _window_mask(x, *_FIT_WINDOW) & (samples.t <= samples.t[-1] - _ARTIFACT_CUT)
     if window.sum() < 8:
-        raise FitError(f"fit window {_FIT_WINDOW} holds too few samples for a regression")
+        raise FitError(f"fit window {_FIT_WINDOW}, cut {_ARTIFACT_CUT} units of t before "
+                       f"t_max, holds too few samples for a regression")
 
     if not usable[window].all():
         return _superpoly_fit(samples, x, vals, usable)

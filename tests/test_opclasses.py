@@ -1,12 +1,13 @@
 """Operator-class algebra: combination rules, predicates, derivation replay."""
 
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import phicalc.opclasses as oc
@@ -161,17 +162,25 @@ def test_b_full_of_nonnegative_order_is_refused_not_lifted():
 
 # Faces for the property below: denominators 1, 2, 3, 4 and 6, so that the
 # two families seldom share a common denominator; lf and rf positive, so
-# that every pairing is integrable; bf and ff down to -2.
+# that every pairing is integrable; bf and ff down to -2.  Every strategy
+# the composites below draw from is built once, here: Hypothesis validates
+# a strategy again each time one is built.
+def _exponents(positive):
+    return st.one_of(*(
+        st.integers(1 if positive else -2 * q, 3 * q).map(lambda n, q=q: Fraction(n, q))
+        for q in (1, 2, 3, 4, 6)
+    ))
+
+
 def _face(positive):
-    re = st.sampled_from((1, 2, 3, 4, 6)).flatmap(
-        lambda q: st.integers(1 if positive else -2 * q, 3 * q).map(lambda n: Fraction(n, q))
-    )
     im = st.sampled_from((0, Fraction(1, 2), Fraction(-1, 2), 1, -1))
-    gens = st.lists(st.tuples(st.tuples(re, im), st.integers(0, 2)), max_size=3)
+    gens = st.lists(st.tuples(st.tuples(_exponents(positive), im), st.integers(0, 2)), max_size=3)
     return gens.map(make_index_set)
 
 
-PHI_FAMILIES = st.builds(phi_family, lf=_face(True), rf=_face(True), bf=_face(False), ff=_face(False))
+_POSITIVE_FACES, _FACES = _face(True), _face(False)
+PHI_FAMILIES = st.builds(phi_family, lf=_POSITIVE_FACES, rf=_POSITIVE_FACES, bf=_FACES, ff=_FACES)
+B_FAMILIES = st.builds(IndexFamily, st.just("b"), lf=_POSITIVE_FACES, rf=_POSITIVE_FACES, bf=_FACES)
 # truncation cutoff of the displayed combination
 FAMILY_CUT = 3
 
@@ -201,7 +210,7 @@ def test_integrability_condition():
 
 
 @settings(max_examples=300, deadline=None)
-@given(rf=_face(False), lf=_face(False))
+@given(rf=_FACES, lf=_FACES)
 @example(rf=EMPTY, lf=iset((-2, 0)))
 @example(rf=iset((Fraction(1, 3), 2)), lf=iset((Fraction(-1, 3), 0)))
 def test_integrability_is_decided_on_the_smallest_real_parts(rf, lf):
@@ -225,16 +234,19 @@ def test_b_full_composition_not_mechanized():
         compose(P, P, G11)
 
 
+_TWIN_ORDERS = st.sampled_from([-2, -1, Fraction(-1, 2), 0, 1])
+
+
 @st.composite
 def _x_inf_twins(draw):
     """A full b-class vanishing to infinite order at bf and at lf or rf, and
     its phi twin (empty ff data): :func:`eq_classes` makes them one class."""
-    lf, rf = draw(_face(True)), draw(_face(True))
+    lf, rf = draw(_POSITIVE_FACES), draw(_POSITIVE_FACES)
     if draw(st.booleans()):
         lf = EMPTY
     else:
         rf = EMPTY
-    order = draw(st.sampled_from([-2, -1, Fraction(-1, 2), 0, 1]))
+    order = draw(_TWIN_ORDERS)
     ext = draw(st.booleans())
     B = full_class("b", order, IndexFamily("b", lf=lf, rf=rf, bf=EMPTY), ext=ext)
     return B, full_class("phi", order, phi_family(lf=lf, rf=rf), ext=ext)
@@ -253,8 +265,7 @@ _PARTNER = phi_family(lf=real_set(1), rf=real_set(1), ff=real_set(0))
 
 @settings(max_examples=300, deadline=None)
 @given(twins=_x_inf_twins(),
-       partner=st.builds(phi_family, lf=_face(False), rf=_face(False), bf=_face(False),
-                         ff=_face(False)),
+       partner=st.builds(phi_family, lf=_FACES, rf=_FACES, bf=_FACES, ff=_FACES),
        order=st.sampled_from([-1, 0, 2]), left=st.booleans(),
        geom=st.sampled_from([G11, GeomConstants(a=2, b_dim=2)]))
 @example(twins=(_B0, full_class("phi", 0, phi_family(rf=real_set(1)))),
@@ -649,20 +660,39 @@ def test_weight_tier_rules_build_what_the_checked_constructor_builds():
 
 _ORDERS = st.sampled_from([NEG_INF, -2, -1, Fraction(-1, 2), 0, 1])
 _POWERS = st.sampled_from([0, 0, 1, 2, Fraction(1, 2), -1, INF])
+_WEIGHTS = st.sampled_from([-1, 0, Fraction(1, 2), 1])
+_WEIGHT_SETS = st.lists(_WEIGHTS, min_size=1, max_size=2, unique=True)
+_KINDS = st.sampled_from(["b", "phi", "bphi", "small-b", "small-phi"])
+_VANISH = st.frozensets(st.sampled_from(["lf", "rf", "bf", "ff"]))
+
+
+def _pick(draw, items):
+    """One of ``items``, drawn by its index (``st.integers`` of literal
+    bounds is built once and cached; a ``sampled_from`` of a fresh list is
+    not)."""
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+def _shuffled(draw, items):
+    """``items`` in any order, by a Fisher-Yates shuffle of drawn indices."""
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = draw(st.integers(0, i))
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 @st.composite
 def _class_sums(draw):
     """1-6 weight-tier, bphi and small-calculus classes on one or two weights."""
-    weights = draw(st.lists(st.sampled_from([-1, 0, Fraction(1, 2), 1]),
-                            min_size=1, max_size=2, unique=True))
+    weights = draw(_WEIGHT_SETS)
     terms = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["b", "phi", "bphi", "small-b", "small-phi"]))
+        kind = draw(_KINDS)
         order, xl, xr, ext = draw(_ORDERS), draw(_POWERS), draw(_POWERS), draw(st.booleans())
         if kind in ("b", "phi"):
-            vanish = draw(st.frozensets(st.sampled_from(["lf", "rf", "bf", "ff"])))
-            alpha = draw(st.sampled_from(weights))
+            vanish = draw(_VANISH)
+            alpha = _pick(draw, weights)
             terms.append(OpClass(kind, order, Weight(alpha), xl=xl, xr=xr, ext=ext, vanish=vanish))
         else:
             make = {"bphi": bphi_class, "small-b": small_b, "small-phi": small_phi}[kind]
@@ -699,12 +729,15 @@ def _shifted_face(I, c):
     return EMPTY if c == INF else shift(I, c)
 
 
+_MOVES = st.sampled_from([0, 1, Fraction(-1, 2), 2])
+
+
 def _rewritten(draw, P):
     """A class written otherwise than ``P`` that folds as ``P`` does."""
     if P.is_zero:
         return P
     ext = draw(st.booleans())  # folded classes do not compare the extended flag
-    d = draw(st.sampled_from([0, 1, Fraction(-1, 2), 2]))
+    d = draw(_MOVES)
     if P.kind == "bphi":  # a finite power moves from one side to the other
         if INF in (P.xl, P.xr):
             return replace(P, ext=ext)
@@ -726,9 +759,7 @@ def _rewritten(draw, P):
 
 
 _FULL_FAMILIES = st.one_of(
-    PHI_FAMILIES,
-    st.builds(IndexFamily, st.just("b"), lf=_face(True), rf=_face(True), bf=_face(False)),
-    st.sampled_from([small_family("b"), small_family("phi")]),
+    PHI_FAMILIES, B_FAMILIES, st.sampled_from([small_family("b"), small_family("phi")]),
 )
 
 
@@ -741,8 +772,9 @@ def _equal_pairs(draw):
         fam = draw(_FULL_FAMILIES)
         order, xl, xr = draw(_ORDERS), draw(_POWERS), draw(_POWERS)
         terms.append(OpClass(fam.kind, order, fam, xl=xl, xr=xr))
-    terms += [ZERO] * draw(st.integers(0, 1)) + draw(st.lists(st.sampled_from(terms), max_size=2))
-    twins = draw(st.permutations([_rewritten(draw, t) for t in terms]))
+    terms += [ZERO] * draw(st.integers(0, 1))
+    terms += [_pick(draw, terms) for _ in range(draw(st.integers(0, 2)))]
+    twins = _shuffled(draw, [_rewritten(draw, t) for t in terms])
     return oc.sum_of(*terms), ClassSum(tuple(twins))
 
 
@@ -764,26 +796,32 @@ def test_equal_classes_contain_each_other(pair, other, geom):
 _B_FAMILY = IndexFamily("b", lf=real_set(1), rf=real_set(1), bf=real_set(0))
 
 
+_NEGATIVE_ORDERS = st.sampled_from([NEG_INF, -3, -2, -1, Fraction(-1, 2)])
+# an ff face of its own, or the shift of bf by 1, 2 or 3
+_FF_OR_SHIFT = st.one_of(_FACES, st.sampled_from([1, 2, 3]))
+
+
 @st.composite
 def _lift_pairs(draw):
     """A b-class T of negative order on either tier, with x-powers and
     vanishing faces, and a phi- or bphi-class S of either tier; a
     weight-tier S shares T's weight or lies one below, a full-family S
     shares T's lf, rf and bf, its ff at times bf shifted by 1, 2 or 3."""
-    alpha = draw(st.sampled_from([-1, 0, Fraction(1, 2), 1]))
-    fam = draw(st.builds(IndexFamily, st.just("b"), lf=_face(True), rf=_face(True), bf=_face(False)))
-    spec = draw(st.sampled_from([Weight(alpha), fam, small_family("b")]))
-    order = draw(st.sampled_from([NEG_INF, -3, -2, -1, Fraction(-1, 2)]))
-    vanish = st.frozensets(st.sampled_from(["lf", "rf", "bf", "ff"]))
-    T = OpClass("b", order, spec, xl=draw(_POWERS), xr=draw(_POWERS), vanish=draw(vanish))
-    sup = draw(st.sampled_from([
+    alpha = draw(_WEIGHTS)
+    fam = draw(B_FAMILIES)
+    spec = _pick(draw, [Weight(alpha), fam, small_family("b")])
+    order = draw(_NEGATIVE_ORDERS)
+    T = OpClass("b", order, spec, xl=draw(_POWERS), xr=draw(_POWERS), vanish=draw(_VANISH))
+    ff = draw(_FF_OR_SHIFT)
+    if isinstance(ff, int):
+        ff = shift(fam.bf, ff)
+    sup = _pick(draw, [
         Weight(alpha), Weight(alpha - 1), small_family("phi"), None,
-        phi_family(fam.lf, fam.rf, fam.bf, draw(st.one_of(
-            _face(False), st.sampled_from([1, 2, 3]).map(lambda k: shift(fam.bf, k))))),
-    ]))
+        phi_family(fam.lf, fam.rf, fam.bf, ff),
+    ])
     kind = "bphi" if sup is None else "phi"
     S = OpClass(kind, draw(_ORDERS), sup, xl=draw(_POWERS), xr=draw(_POWERS),
-                vanish=draw(vanish) if isinstance(sup, Weight) else frozenset())
+                vanish=draw(_VANISH) if isinstance(sup, Weight) else frozenset())
     return T, S
 
 
@@ -800,8 +838,11 @@ def _lift_pairs(draw):
 @example(pair=(weight_b(-1, 0, vanish=("ff",)), weight_phi(-1, 0, vanish=("ff",))), geom=None)
 def test_a_b_class_lies_in_a_phi_class_only_where_its_lift_does(pair, geom):
     T, S = pair
-    plain = replace(T, vanish=T.vanish - {"ff"})  # folds as T does
-    assert eq_classes(T, plain) and contains(T, S, geom) == contains(plain, S, geom)
+    # a b-class has no ff face: an ff refinement is dropped, and T with one
+    # is T, folds as T and lies where T lies
+    refined = replace(T, vanish=T.vanish | {"ff"})
+    assert refined == T and hash(refined) == hash(T) and "ff" not in refined.vanish
+    assert eq_classes(T, refined) and contains(T, S, geom) == contains(refined, S, geom)
     if fold(T).kind != "b" or not contains(T, S, geom):
         return  # an x^inf b-class is its phi twin (ff empty) and is not lifted
     if isinstance(T.spec, Weight):
@@ -810,6 +851,29 @@ def test_a_b_class_lies_in_a_phi_class_only_where_its_lift_does(pair, geom):
         assert geom is not None and T.order > NEG_INF
         lifted = lift_b_to_phi(T, geom.a, geom.b_dim)
     assert all(contains(L, S, geom) for L in lifted)
+
+
+_ORDERS_OF_THREE = st.composite(lambda draw: tuple(_shuffled(draw, range(3))))()
+
+
+# the composites draw from these pieces: each reaches the corner values
+# that the strategy it replaced reached
+@pytest.mark.parametrize("strategy, corner", [
+    # the ends of each denominator's range of exponents
+    (_exponents(False), lambda re: re == -2),
+    (_exponents(False), lambda re: re == Fraction(-11, 6)),
+    (_exponents(False), lambda re: re == 3),
+    (_exponents(True), lambda re: re == Fraction(1, 6)),
+    (_exponents(True), lambda re: re == Fraction(11, 4)),
+    # ff as a face of its own, or bf shifted by 3
+    (_FF_OR_SHIFT, lambda ff: ff == 3),
+    (_FF_OR_SHIFT, lambda ff: isinstance(ff, IndexSet)),
+    # the last of five items, and every order of three
+    (st.composite(lambda draw: _pick(draw, "abcde"))(), lambda got: got == "e"),
+    *[(_ORDERS_OF_THREE, lambda got, want=want: got == want) for want in itertools.permutations(range(3))],
+])
+def test_strategy_pieces_reach_their_corner_cases(strategy, corner):
+    find(strategy, corner, settings=settings(database=None, derandomize=True, max_examples=1000))
 
 
 def test_a_b_class_drops_an_ff_refinement():
