@@ -3,16 +3,18 @@
 The harmonic equation of the model metric is solved per Fourier mode as a
 matrix ODE system in t = -log x, discretized with second-order central
 differences, with the prescribed data at x = x_max and the decaying
-solution selected by a zero condition at t = T_max.  The coefficients of
-all interior grid points come from one pass over the operator's terms.
-The unknowns fall into a few independent coupling components (single form
-components, or pairs of them, each a chain along the grid), found by
-a dense component labeller on the dim x dim sparsity pattern of the mode
-operator, so the system is block diagonal with one block per coupling
-component.  Blocks recur: coupling components whose band data are exactly
-equal share one block, which is written straight into LAPACK band storage
-(the grid outermost, each coefficient entry one strided row of the band)
-and factored once.  A single component is a tridiagonal chain and goes to
+solution selected by a zero condition at t = T_max.  The unknowns fall
+into a few independent coupling components (single form components, or
+pairs of them, each a chain along the grid), found by a dense component
+labeller on the dim x dim sparsity pattern of the mode operator's terms,
+so the system is block diagonal with one block per coupling component.
+Blocks recur: coupling components on which every term of the operator is
+exactly equal share one block, since equal terms give bit-identical
+coefficients.  Each distinct block's coefficients at all interior grid
+points come from one pass over the terms, on the entries of one of its
+components only; they are written straight into LAPACK band storage (the
+grid outermost, each coefficient entry one strided row of the band) and
+factored once.  A single component is a tridiagonal chain and goes to
 LAPACK's tridiagonal LU ``zgttrf``/``zgttrs``, which runs in plain loops;
 a coupled pair has two diagonals on either side and goes to the general
 band LU ``zgbtrf``/``zgbtrs``, which makes one level-2 BLAS call per
@@ -260,71 +262,57 @@ def _factor_mode_system(op, t: np.ndarray, h: float):
     each written straight into band storage.
 
     Unknown (p, s) is the value of form component s at grid point p.  The
-    interior rows hold the central-difference blocks, evaluated on the
-    union (r, c) of the terms' sparsity patterns only; the rows of the
+    interior rows hold the central-difference blocks; the rows of the
     first and last grid points are the identity.  The form components
-    fall into coupling components: the weakly connected components of the
-    dim x dim graph of the entries that are nonzero somewhere on the grid,
-    ordered by their smallest member, each keeping its own order.  No
-    entry couples two of them, so the system is block diagonal with one
-    block per coupling component.  Inside a block of m form components
-    the grid runs outermost: unknown (p, s) sits at position
-    m p + (the place of s in its component), every (block, entry)
-    coefficient column lies on one band row and is one strided write, and
-    the bandwidths are the largest offsets these rows reach.
+    fall into coupling components: the connected components of the union
+    of the terms' dim x dim sparsity patterns, ordered by their smallest
+    member, each keeping its own order.  No entry couples two of them, so
+    the system is block diagonal with one block per coupling component.
+    Inside a block of m form components the grid runs outermost: unknown
+    (p, s) sits at position m p + (the place of s in its component), every
+    (block, entry) coefficient column lies on one band row and is one
+    strided write, and the bandwidths are the largest offsets these rows
+    reach.
 
-    Two coupling components share one block only when their band data
-    are exactly equal: the same size, the same local (k, row, column)
-    entries and ``np.array_equal`` coefficient columns.  Returns a list of
-    (``_BandLU``, members) pairs in the order of their first member, one
-    per distinct block: ``members`` lists the coupling components whose
-    block it is, each a tuple of form components in band order.
+    Two coupling components share one block when every term of the
+    operator restricted to their members is exactly equal: the
+    coefficients are evaluated entry by entry with the same arithmetic
+    (``ModeOperator.coefficients``), so equal terms give bit-identical
+    bands.  Each distinct block is evaluated once, on the entries of its
+    first component only; exact zeros stay out of the band.  Returns a
+    list of (``_BandLU``, members) pairs in the order of their first
+    member, one per distinct block: ``members`` lists the coupling
+    components whose block it is, each a tuple of form components in band
+    order.
     """
-    dim = op.dim
     n = len(t) - 1
-    # blocks[k][i - 1, e] couples unknown r[e] of interior point i to
-    # unknown c[e] of point i - 1 + k
-    r, c = np.nonzero(np.any([block != 0 for block in op.terms.values()], axis=0))
-    A0, A1, A2 = op.coefficients(t[1:-1], (r, c))
-    A2 = A2 / h**2
-    A1 = A1 / (2 * h)
-    blocks = (A2 - A1, -2 * A2 + A0, A2 + A1)
-    present = np.array([np.any(block != 0, axis=0) for block in blocks])  # exact zeros stay out
-
-    # each form component is labelled by the smallest member of its coupling
-    # component, and placed by its rank among the members
-    link = present.any(axis=0)
-    graph = np.zeros((dim, dim), dtype=bool)
-    graph[r[link], c[link]] = True
-    label = _components(graph | graph.T)
-    rank = np.empty(dim, dtype=int)
-    rank[np.argsort(label, kind="stable")] = np.arange(dim)
-    place = rank - rank[label]
-
-    k, e = np.nonzero(present)
-    groups = []  # ((size, entries), columns, members)
+    pattern = np.any([term != 0 for term in op.terms.values()], axis=0)
+    label = _components(pattern | pattern.T)
+    groups = {}  # (size, restricted terms) -> members
     for root in np.unique(label):
         members = tuple(np.flatnonzero(label == root).tolist())
-        mine = label[r[e]] == root
-        key = (len(members), tuple(zip(k[mine].tolist(), place[r[e[mine]]].tolist(),
-                                       place[c[e[mine]]].tolist())))
-        columns = [blocks[kk][:, ee] for kk, ee in zip(k[mine], e[mine])]
-        for group in groups:
-            if group[0] == key and all(map(np.array_equal, group[1], columns)):
-                group[2].append(members)
-                break
-        else:
-            groups.append((key, columns, [members]))
+        mine = np.ix_(members, members)
+        key = (len(members), *(term[mine].tobytes() for term in op.terms.values()))
+        groups.setdefault(key, []).append(members)
 
     factors = []
-    for (size, entries), columns, members in groups:
-        kk, row, col = np.array(entries, dtype=int).reshape(-1, 3).T
-        offset = row - col + (1 - kk) * size  # band row minus kl + ku
+    for members in groups.values():
+        first = np.array(members[0])
+        size = len(first)
+        # blocks[k][i - 1, e] couples place row[e] of interior point i to
+        # place col[e] of point i - 1 + k
+        row, col = np.nonzero(pattern[np.ix_(first, first)])
+        A0, A1, A2 = op.coefficients(t[1:-1], (first[row], first[col]))
+        A2 = A2 / h**2
+        A1 = A1 / (2 * h)
+        blocks = (A2 - A1, -2 * A2 + A0, A2 + A1)
+        kk, e = np.nonzero([np.any(block != 0, axis=0) for block in blocks])  # exact zeros stay out
+        offset = row[e] - col[e] + (1 - kk) * size  # band row minus kl + ku
         kl = int(offset.max(initial=0))
         ku = int(-offset.min(initial=0))
         band = np.zeros((2 * kl + ku + 1, (n + 1) * size), dtype=complex)
-        for first, off, column in zip(col + kk * size, offset, columns):
-            band[kl + ku + off, first : first + (n - 1) * size : size] = column
+        for k, ee, start, off in zip(kk, e, col[e] + kk * size, offset):
+            band[kl + ku + off, start : start + (n - 1) * size : size] = blocks[k][:, ee]
         band[kl + ku, :size] = 1.0  # identity rows at t = 0 and t_max
         band[kl + ku, n * size :] = 1.0
         factors.append((_BandLU(band, kl, ku), members))
@@ -345,11 +333,12 @@ def solve_harmonic(
     steps over [0, t_max] (x from x_max down to x_max e^(-t_max)); a unit
     boundary value on the form degree's default component is prescribed
     at t = 0 and the L2-admissible branch is selected by u(t_max) = 0.
-    The coefficients of every interior row come from one stacked
-    evaluation on the operator's sparsity pattern only and are written
-    straight into LAPACK band storage, one band per distinct coupling
-    block (``_factor_mode_system``); exact zeros are left out.  Each band
-    is factored once.  The block of the default component's coupling
+    The coupling components are grouped on the operator's exact terms,
+    and each distinct block's interior coefficients come from one stacked
+    evaluation on the sparsity pattern of one of its components only; they
+    are written straight into LAPACK band storage, one band per distinct
+    block (``_factor_mode_system``), and exact zeros are left out.  Each
+    band is factored once.  The block of the default component's coupling
     component takes the boundary data in one multi-column solve together
     with the two fixed vectors of the inverse-norm estimate, and its
     values go to that component's own columns; the other blocks solve the
@@ -483,21 +472,22 @@ def fit_exponents(samples: SampledSolution) -> HarmonicFit:
     ``_ARTIFACT_CUT`` units of t, where the terminal zero condition bends
     the profile (the samples :func:`check_L2` leaves out).  When the window
     content has fallen below the numerical noise floor, the decay is
-    measured on the innermost still-resolved decade instead and the mode is
-    classified superpolynomial once that slope exceeds the threshold
-    (which grows as the probe window moves inward, matching the behaviour
-    of faster-than-polynomial decay).  A slope below the threshold is the
-    fitted exponent, with log power 0: in that regime the log power is not
-    fitted.
+    measured on the innermost still-resolved decade before the same cut
+    instead and the mode is classified superpolynomial once that slope
+    exceeds the threshold (which grows as the probe window moves inward,
+    matching the behaviour of faster-than-polynomial decay).  A slope below
+    the threshold is the fitted exponent, with log power 0: in that regime
+    the log power is not fitted.
     """
     x = samples.x
     vals = np.abs(samples.values[:, samples.component])
     scale = float(vals.max())
     if scale == 0.0:
         raise FitError("component is identically zero")
-    usable = (vals > _NOISE_REL * scale) & _clean_mask(vals)
+    kept = samples.t <= samples.t[-1] - _ARTIFACT_CUT
+    usable = (vals > _NOISE_REL * scale) & _clean_mask(vals) & kept
 
-    window = _window_mask(x, *_FIT_WINDOW) & (samples.t <= samples.t[-1] - _ARTIFACT_CUT)
+    window = _window_mask(x, *_FIT_WINDOW) & kept
     if window.sum() < 8:
         raise FitError(f"fit window {_FIT_WINDOW}, cut {_ARTIFACT_CUT} units of t before "
                        f"t_max, holds too few samples for a regression")

@@ -43,9 +43,10 @@ a band built by ``component_band_lu`` from any sparse matrix, with the
 coupling components found by a search of the whole N-unknown sparsity
 graph, and permutes every right-hand side into band order and every
 solution back, where the package reads the components off the dim x dim
-pattern of the mode operator, writes one band per distinct component
-block directly, factors each once and solves only the block that holds
-the boundary data.
+pattern of the mode operator's terms, groups them on the terms' exact
+entries, evaluates each distinct block once on one of its components,
+writes its band directly, factors each once and solves only the block that
+holds the boundary data.
 
 The noise-plateau oracle ``loop_clean_mask`` walks the samples one by one
 with a running minimum, as the package did before it took the minimum with

@@ -497,6 +497,20 @@ def test_fit_leaves_out_the_terminal_artifact():
     assert abs(fit.fitted_exponent - _scalar_root(MODEL, 1)) <= 1e-3
 
 
+def test_superpolynomial_branch_leaves_out_the_terminal_artifact():
+    # one exactly zero sample inside the fit window sends the fit to the
+    # innermost resolved decade; a bend past t_max - 4 to the zero at t_max,
+    # like the one the terminal zero condition makes, must not move it
+    x = np.exp(-np.linspace(0, 12, 2049))
+    t = -np.log(x)
+    clean = x**2
+    clean[np.searchsorted(t, 6.0)] = 0.0
+    bent = clean * np.where(t > 8.0, 1 - np.exp(-(12 - t)), 1.0)
+    fit = fit_exponents(_synthetic(x, clean))
+    assert fit.fitted_exponent == pytest.approx(2.0, abs=1e-9) and not fit.superpolynomial_flag
+    assert fit_exponents(_synthetic(x, bent)) == fit
+
+
 def test_fiber_mode_superpolynomial():
     for mode in (((0,), (1,)), ((1,), (1,))):
         fit = fit_exponents(solve_harmonic(MODEL, 0, mode))
@@ -719,16 +733,28 @@ def _perturbed(*components):
     return diagonal
 
 
-@pytest.mark.parametrize("diagonal, blocks", [
-    (_perturbed(), [[(0,), (2,), (5,), (7,)], [(1, 4), (3, 6)]]),
-    (_perturbed(5), [[(0,), (2,), (7,)], [(1, 4), (3, 6)], [(5,)]]),
-    (_perturbed(6), [[(0,), (2,), (5,), (7,)], [(1, 4)], [(3, 6)]]),
-    (_perturbed(0, 3), [[(0,)], [(1, 4)], [(2,), (5,), (7,)], [(3, 6)]]),
-], ids=("equal", "single", "pair", "both"))
-def test_blocks_that_differ_are_factored_apart(monkeypatch, diagonal, blocks):
+def _swapped_in_time(component):
+    """The hand operator with ``component``'s zeroth-order entries of the
+    terms (0, 0) and (0, 1) swapped: at t = 0 its coefficients are those of
+    the other single components, at every t > 0 they differ."""
+    op = _hand_operator(np.ones(8))
+    zeroth, first = op.terms[(0, 0)], op.terms[(0, 1)]
+    zeroth[component, component], first[component, component] = (
+        first[component, component], zeroth[component, component])
+    return op
+
+
+@pytest.mark.parametrize("op, blocks", [
+    (_hand_operator(_perturbed()), [[(0,), (2,), (5,), (7,)], [(1, 4), (3, 6)]]),
+    (_hand_operator(_perturbed(5)), [[(0,), (2,), (7,)], [(1, 4), (3, 6)], [(5,)]]),
+    (_hand_operator(_perturbed(6)), [[(0,), (2,), (5,), (7,)], [(1, 4)], [(3, 6)]]),
+    (_hand_operator(_perturbed(0, 3)), [[(0,)], [(1, 4)], [(2,), (5,), (7,)], [(3, 6)]]),
+    (_swapped_in_time(5), [[(0,), (2,), (7,)], [(1, 4), (3, 6)], [(5,)]]),
+], ids=("equal", "single", "pair", "both", "equal-at-t0"))
+def test_blocks_that_differ_are_factored_apart(monkeypatch, op, blocks):
     # one factor per distinct block, in the order of its first member, and
-    # the whole matrix's condition number from the blocks' norms
-    op = _hand_operator(diagonal)
+    # the whole matrix's condition number from the blocks' norms; blocks
+    # are told apart by every term (p, q), not by their values at one time
     t = np.linspace(0.0, 2.0, 17)
     assert [members for _, members in _factor_mode_system(op, t, 2.0 / 16)] == blocks
     calls = _spy_factorizations(monkeypatch)
@@ -857,6 +883,26 @@ def _spy_factorizations(monkeypatch):
 
         monkeypatch.setattr(harmonic, name, spy)
     return calls
+
+
+def test_each_distinct_block_is_evaluated_once(monkeypatch):
+    # the coefficients are evaluated on one coupling component per distinct
+    # block: its other components have equal terms, so bit-identical bands
+    entries = []
+    coefficients = ModeOperator.coefficients
+
+    def spy(self, t, which=None):
+        entries.append(which)
+        return coefficients(self, t, which)
+
+    monkeypatch.setattr(ModeOperator, "coefficients", spy)
+    t = np.linspace(0.0, 12.0, 257)
+    for mode, calls in ((((1,), (0,)), 1), (((0,), (1,)), 3)):
+        entries.clear()
+        factors = _factor_mode_system(hodge_mode_operator(MODEL, *mode), t, 12.0 / 256)
+        assert len(entries) == len(factors) == calls, mode
+        for (rows, cols), (_, members) in zip(entries, factors):
+            assert set(rows) | set(cols) == set(members[0]), (mode, members)
 
 
 def test_mode_systems_factor_with_the_routine_of_their_band(monkeypatch):
