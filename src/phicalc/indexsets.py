@@ -38,6 +38,13 @@ at D = 2); ``opclasses.compose_families`` rescales all eight faces to one D.
 ``generators`` is a view, made at its first read (JSON, repr): whole parts
 ``int``, the others ``Fraction``, so the generators of
 ``add(real_set(1/2), real_set(3/2))`` are ``((2, 0, 0),)``.
+
+An :class:`AlphaForm` is an exact affine form c + s alpha in a weight
+alpha, carrying its value at one alpha.  :func:`exact_real` and
+:func:`exact_extended` pass it through and :func:`number_to_json` writes
+its value, so the weight-tier construction of :mod:`phicalc.parametrix`
+runs on it unchanged, and :func:`alpha_decisions` collects the comparisons
+whose outcome depends on alpha.
 """
 
 from __future__ import annotations
@@ -45,20 +52,25 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .jsonio import json_list, json_object
 
 __all__ = [
+    "AlphaForm",
     "IndexSet",
     "IndexFamily",
     "EMPTY",
     "MAX_DENOMINATOR",
     "exact_real",
     "exact_extended",
+    "alpha_decisions",
+    "decided_alike",
     "number_to_json",
     "number_from_json",
     "make_index_set",
@@ -82,13 +94,14 @@ _INF_JSON = {math.inf: "inf", -math.inf: "-inf"}
 def exact_real(v: RealLike) -> Exact:
     """The exact number a real exponent part stands for.
 
-    ``int`` and ``Fraction`` pass through.  A finite ``float`` becomes the
-    fraction nearest to it with denominator at most ``MAX_DENOMINATOR``, an
-    ``int`` when that is whole.  Booleans, NaN and infinities are rejected.
+    ``int``, ``Fraction`` and :class:`AlphaForm` pass through.  A finite
+    ``float`` becomes the fraction nearest to it with denominator at most
+    ``MAX_DENOMINATOR``, an ``int`` when that is whole.  Booleans, NaN and
+    infinities are rejected.
     """
     if isinstance(v, bool):
         raise TypeError("boolean is not a valid exponent part")
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (int, Fraction, AlphaForm)):
         return v
     if not isinstance(v, float):
         raise TypeError(f"exponent part must be int, Fraction or float, got {type(v)!r}")
@@ -365,7 +378,9 @@ def _rescaled(I: IndexSet, D: int):
 def number_to_json(v: RealLike):
     """JSON form of an extended real: an int when it is whole, "p/q" for
     any other Fraction, "inf" and "-inf" for the infinities, and any other
-    float as it is."""
+    float as it is.  An :class:`AlphaForm` writes its value."""
+    if type(v) is AlphaForm:
+        v = v.value
     if isinstance(v, float):
         return int(v) if v.is_integer() else _INF_JSON.get(v, v)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
@@ -474,12 +489,233 @@ def exact_extended(v: RealLike):
     """An extended real: exact as by :func:`exact_real`, except that +-inf
     stays as it is (comparison thresholds, operator orders, x-powers).
 
-    An ``int`` or ``Fraction`` returns at once; the exact type test lets a
-    ``bool`` through to :func:`exact_real`, which refuses it."""
+    An ``int``, ``Fraction`` or :class:`AlphaForm` returns at once; the
+    exact type test lets a ``bool`` through to :func:`exact_real`, which
+    refuses it."""
     t = type(v)
-    if t is int or t is Fraction or (t is float and math.isinf(v)):
+    if t is int or t is Fraction or t is AlphaForm or (t is float and math.isinf(v)):
         return v
     return exact_real(v)
+
+
+# ---------------------------------------------------------------------------
+# exact affine forms in the weight
+
+
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: the decision list of the innermost open :func:`alpha_decisions` block
+#: (None outside)
+_DECISIONS: ContextVar[Optional[list]] = ContextVar("phicalc_alpha_decisions", default=None)
+
+
+@contextmanager
+def alpha_decisions():
+    """Collect the decisions that :class:`AlphaForm` comparisons make in
+    the block::
+
+        with alpha_decisions() as decided:
+            steps, Qr, Rr = right_parametrix(op, AlphaForm(alpha))
+        assert decided_alike(decided, op.am - alpha)
+
+    A decision is a tuple (dc, ds, op, result): the comparison
+    ``dc + ds alpha  op  0``, with ds != 0, came out as ``result`` at the
+    form's value.  Outside every block nothing is recorded; an inner block
+    collects its own decisions only.
+    """
+    decisions: list = []
+    token = _DECISIONS.set(decisions)
+    try:
+        yield decisions
+    finally:
+        _DECISIONS.reset(token)
+
+
+def decided_alike(decisions, alpha) -> bool:
+    """Whether every decision of :func:`alpha_decisions` comes out the
+    same at the weight ``alpha``."""
+    alpha = exact_real(alpha)
+    return all(_COMPARE[op](dc + ds * alpha, 0) == result for dc, ds, op, result in decisions)
+
+
+class AlphaForm:
+    """An exact affine form c + s alpha in the weight alpha, carrying its
+    value at the weight a run is made at.
+
+    ``c`` is an ``int`` or ``Fraction`` and ``s`` an ``int``.
+    ``AlphaForm(alpha)`` is alpha itself (c = 0, s = 1).  Sums and
+    differences with forms and exact numbers, negation and products with
+    an ``int`` are forms again, and each computes its ``value`` from the
+    operands' values by the same operation.  So a run on the form computes
+    every value by the concrete run's own arithmetic: ``hash``, ``repr``,
+    ``str`` and :func:`number_to_json` are those of the value, and the run
+    writes the concrete run's bytes.
+
+    A comparison is decided at the value.  When the two sides' coefficients
+    of alpha differ, the outcome depends on alpha, and it is appended to
+    the open :func:`alpha_decisions` list; :func:`decided_alike` replays the
+    list at another weight.  Against +-inf, or with equal coefficients, the
+    outcome holds at every alpha and nothing is recorded.  Truth is a
+    comparison with 0.  A run that used the weight in any other way would
+    take branches no list records, so the form refuses it with a
+    ``TypeError``: ``float()``, ``int()``, ``Fraction()``, ``numerator``,
+    ``denominator``, a comparison with a finite float, and a product with a
+    non-integer or with another form.  Equal values hash equal, so a hashed
+    lookup meets only forms of equal value, and its comparison is recorded.
+    """
+
+    __slots__ = ("c", "s", "value")
+
+    def __init__(self, alpha):
+        if type(alpha) is AlphaForm:
+            raise TypeError("an alpha-form is made from a number, not from a form")
+        self.c, self.s, self.value = 0, 1, exact_real(alpha)
+
+    def at(self, alpha):
+        """The value c + s alpha at the weight ``alpha``."""
+        return self.c + self.s * exact_real(alpha)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other):
+        o = _coefficients(other)
+        if o is None:
+            return NotImplemented
+        return _form(self.c + o[0], self.s + o[1], self.value + o[2])
+
+    def __radd__(self, other):
+        o = _coefficients(other)
+        if o is None:
+            return NotImplemented
+        return _form(o[0] + self.c, o[1] + self.s, o[2] + self.value)
+
+    def __sub__(self, other):
+        o = _coefficients(other)
+        if o is None:
+            return NotImplemented
+        return _form(self.c - o[0], self.s - o[1], self.value - o[2])
+
+    def __rsub__(self, other):
+        o = _coefficients(other)
+        if o is None:
+            return NotImplemented
+        return _form(o[0] - self.c, o[1] - self.s, o[2] - self.value)
+
+    def __neg__(self):
+        return _form(-self.c, -self.s, -self.value)
+
+    def __mul__(self, k):
+        if type(k) is not int:
+            raise TypeError(
+                f"an alpha-form is multiplied by an integer only, not by {type(k).__name__}: "
+                "the weight enters the construction affinely"
+            )
+        return _form(self.c * k, self.s * k, self.value * k)
+
+    def __rmul__(self, k):
+        if type(k) is not int:
+            return self.__mul__(k)
+        return _form(k * self.c, k * self.s, k * self.value)
+
+    # -- decisions --------------------------------------------------------
+
+    def _decide(self, other, op: str):
+        t = type(other)
+        if t is float and math.isinf(other):
+            return _COMPARE[op](self.value, other)  # every finite weight alike
+        o = _coefficients(other)
+        if o is None:
+            if t is float:
+                raise TypeError("an alpha-form compares with exact numbers only, not a float")
+            return NotImplemented
+        result = _COMPARE[op](self.value, o[2])
+        ds = self.s - o[1]
+        if ds:
+            decisions = _DECISIONS.get()
+            if decisions is not None:
+                decisions.append((self.c - o[0], ds, op, result))
+        return result
+
+    def __eq__(self, other):
+        return self._decide(other, "==")
+
+    def __ne__(self, other):
+        return self._decide(other, "!=")
+
+    def __lt__(self, other):
+        return self._decide(other, "<")
+
+    def __le__(self, other):
+        return self._decide(other, "<=")
+
+    def __gt__(self, other):
+        return self._decide(other, ">")
+
+    def __ge__(self, other):
+        return self._decide(other, ">=")
+
+    def __bool__(self):
+        return self._decide(0, "!=")
+
+    def __hash__(self):
+        return hash(self.value)
+
+    # -- the value's text -------------------------------------------------
+
+    def __repr__(self):
+        return repr(self.value)
+
+    def __str__(self):
+        return str(self.value)
+
+    def __format__(self, spec):
+        return format(self.value, spec)
+
+    # -- refusals ---------------------------------------------------------
+
+    def _refuse(self, what: str):
+        raise TypeError(
+            f"{what} of an alpha-form would read the weight outside a recorded "
+            "decision; read .value where the weight is meant (check_weight)"
+        )
+
+    def __float__(self):
+        self._refuse("float()")
+
+    def __int__(self):
+        self._refuse("int()")
+
+    @property
+    def numerator(self):
+        self._refuse("the numerator")
+
+    @property
+    def denominator(self):
+        self._refuse("the denominator")
+
+
+def _form(c, s, value) -> AlphaForm:
+    F = object.__new__(AlphaForm)
+    F.c, F.s, F.value = c, s, value
+    return F
+
+
+def _coefficients(v):
+    """(c, s, value) of a form or of an exact number (s = 0); None for
+    anything else, a bool included."""
+    t = type(v)
+    if t is AlphaForm:
+        return v.c, v.s, v.value
+    if t is int or t is Fraction:
+        return v, 0, v
+    return None
 
 
 def greater_than(I: IndexSet, alpha: RealLike) -> bool:

@@ -22,6 +22,17 @@ replayable chain of rule applications from :mod:`phicalc.opclasses`.
 Weights are exact: critical weights and the alpha of each entry point pass
 through :func:`phicalc.indexsets.exact_real`, so the weight gates are exact
 membership tests, and reports write non-integer numbers as "p/q" strings.
+
+The left parametrix is the right construction for the adjoint operator at
+the dual weight am - alpha.  When the adjoint's construction inputs are
+the operator's own (``adjoint_class(op.p10) == op.p01``, as for the
+Gauss-Bonnet and Hodge shapes), :func:`parametrix_report` runs the right
+construction once, on alpha as an exact affine form
+(:class:`phicalc.indexsets.AlphaForm`), which records every comparison
+whose outcome depends on alpha.  When every recorded outcome is the same
+at am - alpha, the adjoint run would take the same branches on the same
+data, so the left step is read off the right run; otherwise
+:func:`left_parametrix` runs the adjoint construction.
 """
 
 from __future__ import annotations
@@ -32,6 +43,9 @@ from dataclasses import dataclass, field, fields, replace
 from functools import wraps
 
 from .indexsets import (
+    AlphaForm,
+    alpha_decisions,
+    decided_alike,
     exact_extended,
     exact_real,
     make_index_set,
@@ -46,6 +60,7 @@ from .opclasses import (
     GeomConstants,
     NEG_INF,
     OpClass,
+    Weight,
     ZERO,
     absorbed_sum,
     adjoint_class,
@@ -586,12 +601,18 @@ def _prim_neumann_limit(inputs, params, geom):
 
 
 def check_weight(op: SplitOperator, alpha) -> bool:
-    """Admissibility of alpha: alpha - am is not a critical weight."""
+    """Admissibility of alpha: alpha - am is not a critical weight.
+
+    The one place that reads an :class:`~phicalc.indexsets.AlphaForm`'s
+    value: the gate decides the weight of the run, not a branch of it."""
     if not op.imspec_p00:
         raise WeightConditionError(
             "no critical-weight data supplied: the weight condition is unverifiable"
         )
-    return exact_real(alpha) - op.am not in op.imspec_p00
+    alpha = exact_real(alpha)
+    if type(alpha) is AlphaForm:
+        alpha = alpha.value
+    return alpha - op.am not in op.imspec_p00
 
 
 # ---------------------------------------------------------------------------
@@ -779,14 +800,19 @@ def step4_neumann(op: SplitOperator, alpha, step1, step2, step3) -> StepResult:
         )
 
     def rf_faces(mat: Mat):
-        return [
-            (i, j, tuple(sorted({repr(oc.fold(t).face("rf")) for t in oc.as_terms(mat[i, j])})))
-            for i in (0, 1)
-            for j in (0, 1)
-        ]
+        """The folded rf face data of each entry's summands, row by row."""
+        return [[oc.fold(t).face("rf") for t in oc.as_terms(mat[i, j])] for i in (0, 1) for j in (0, 1)]
+
+    def same_faces(us, vs):
+        # each face of one entry equals a face of the other, decided by ==
+        # on the face data, so a weight-dependent outcome is recorded
+        return all(any(u == v for v in vs) for u in us) and all(any(v == u for u in us) for v in vs)
+
+    def rf_reprs(faces):
+        return [(*divmod(k, 2), tuple(sorted({repr(f) for f in entry}))) for k, entry in enumerate(faces)]
 
     rf_sq, rf_4, rf_6 = (rf_faces(P) for P in powers[1:])
-    rf_stable = rf_sq == rf_4 == rf_6
+    rf_stable = all(same_faces(u, v) and same_faces(u, w) for u, v, w in zip(rf_sq, rf_4, rf_6))
 
     # the asymptotic sum of the tail stays in the remainder space
     tail = psi_R
@@ -816,7 +842,7 @@ def step4_neumann(op: SplitOperator, alpha, step1, step2, step3) -> StepResult:
     assertions = [
         _assert_mat("remainder-squared", R_sq, tgt_sq, geom, chain),
         Assertion("power-gain", powers[3], gain_target, growth_ok, False),
-        Assertion("rf-sets-stabilize", rf_sq, rf_6, rf_stable, rf_stable),
+        Assertion("rf-sets-stabilize", rf_reprs(rf_sq), rf_reprs(rf_6), rf_stable, rf_stable),
         _assert_mat("neumann-tail-products-diag", diag_products, target_products_diag(a, m, alpha), geom, chain_d),
         _assert_mat("neumann-tail-products-offdiag", offdiag_products, target_offdiag_correction(a, m, alpha), geom, chain_o),
         _assert_mat("lfsolve-times-tail", qprime_tail, target_lfsolve_times_tail(a, m, alpha), geom, chain_q),
@@ -900,11 +926,20 @@ def left_parametrix(op: SplitOperator, alpha):
     adjoint data at weight am - alpha, then take adjoints entrywise.
 
     The ``adjoint-construction`` assertion carries the adjoint run's step
-    verdicts: it holds iff every step of that run passed.
+    verdicts: it holds iff every step of that run passed.  This is the
+    adjoint run that :func:`parametrix_report` reads off its right run when
+    the operator is its own adjoint's construction input; it runs it here
+    otherwise.
     """
-    adj = op.adjoint()
-    adj_alpha = op.am - exact_real(alpha)
-    steps, Qr_adj, Rr_adj = right_parametrix(adj, adj_alpha)
+    alpha = exact_real(alpha)
+    steps, Qr_adj, Rr_adj = right_parametrix(op.adjoint(), op.am - alpha)
+    return steps, _left_step(op, alpha, steps, Qr_adj, Rr_adj)
+
+
+def _left_step(op: SplitOperator, alpha, steps, Qr_adj: Mat, Rr_adj: Mat) -> StepResult:
+    """The ``left-parametrix`` step from the adjoint run's steps and its
+    final classes at weight am - alpha."""
+    adj_alpha = op.am - alpha
     Ql = Qr_adj.adjoint()
     Rl = Rr_adj.adjoint()
     geom = op.geom
@@ -928,12 +963,52 @@ def left_parametrix(op: SplitOperator, alpha):
             ),
         ),
     ]
-    result = StepResult("left-parametrix", assertions, {"Ql": Ql, "Rl": Rl})
-    return steps, result
+    return StepResult("left-parametrix", assertions, {"Ql": Ql, "Rl": Rl})
+
+
+def _at_weight(entry, alpha):
+    """``entry`` with the weight form of each weight-tier class evaluated
+    at ``alpha``, a number or a form."""
+    if type(entry) is ClassSum:
+        return ClassSum(tuple(_at_weight(t, alpha) for t in entry.terms))
+    spec = entry.spec
+    if type(spec) is Weight and type(spec.alpha) is AlphaForm:
+        return oc._derive(entry, spec=Weight(spec.alpha.at(alpha)))
+    return entry
+
+
+def _reads_off(op: SplitOperator, alpha, decided) -> bool:
+    """Whether the right run on the form, whose construction inputs are
+    the adjoint's, is the adjoint run as well at weight am - alpha: the
+    adjoint's gate holds there, and every decision the run recorded comes
+    out the same there.  The adjoint's critical set is {-s - am}, so its
+    gate at am - alpha is the operator's gate at alpha, already passed;
+    the check keeps each side's gate on its own operator."""
+    adj_alpha = op.am - alpha
+    return check_weight(op.adjoint(), adj_alpha) and decided_alike(decided, adj_alpha)
 
 
 def parametrix_report(op: SplitOperator, alpha) -> dict:
     """Full right+left construction with per-assertion verdicts (JSON-able).
+
+    The left step needs the right construction for the adjoint operator
+    at am - alpha.  The construction reads of an operator only its orders,
+    flags and off-diagonal blocks, so when ``adjoint_class(op.p10) ==
+    op.p01`` the adjoint's inputs are the operator's own.  Then the right
+    construction runs once, on the weight as an exact form
+    (:class:`~phicalc.indexsets.AlphaForm`): it computes the values and
+    writes the bytes of the run at alpha, and records every comparison
+    whose outcome depends on alpha.  If the adjoint's weight gate holds at
+    am - alpha and every recorded decision comes out the same there, the
+    adjoint run takes every branch of the right run, and its classes are
+    the right run's with each weight evaluated at am - alpha.  The left
+    step is then read off the right run: its ``adjoint-construction``
+    verdicts are the right run's, and Ql, Rl are the adjoints of the
+    evaluated Qr, Rr.  Otherwise :func:`left_parametrix` runs the adjoint
+    construction, after a right run at the number alpha where the
+    operator's inputs are not the adjoint's, or after the form run where a
+    recorded decision comes out otherwise.  Either way the report has the
+    same bytes.
 
     Both constructions and the serialization of their steps run in one
     reuse scope (see :mod:`phicalc.opclasses`): equal classes share their
@@ -961,9 +1036,18 @@ def parametrix_report(op: SplitOperator, alpha) -> dict:
     }
     if not admissible:
         return report
-    with oc._reuse_scope():
-        steps, _, _ = right_parametrix(op, alpha)
-        _, left = left_parametrix(op, alpha)
+    # a form run is slower than a concrete one: take it only where the
+    # adjoint's construction inputs are the operator's own
+    self_adjoint = adjoint_class(op.p10) == op.p01
+    with oc._reuse_scope(), alpha_decisions() as decided:
+        form = AlphaForm(alpha) if self_adjoint else alpha
+        steps, Qr, Rr = right_parametrix(op, form)
+        if self_adjoint and _reads_off(op, alpha, decided):
+            adj_form = op.am - form
+            at_adj = lambda e: _at_weight(e, adj_form)
+            left = _left_step(op, form, steps, Qr.map(at_adj), Rr.map(at_adj))
+        else:
+            _, left = left_parametrix(op, alpha)
         all_steps = steps + [left]
         report["steps"] = [s.to_json() for s in all_steps]
     report["verdict"] = "PASS" if all(s.passed for s in all_steps) else "FAIL"

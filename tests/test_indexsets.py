@@ -16,15 +16,19 @@ from phicalc.acceptance import _enum_add, _enum_closure, _enum_eu, _enum_shift
 from phicalc.indexsets import (
     EMPTY,
     MAX_DENOMINATOR,
+    AlphaForm,
     IndexFamily,
     IndexSet,
     add,
+    alpha_decisions,
+    decided_alike,
     exact_extended,
     exact_real,
     extended_union,
     geq,
     greater_than,
     make_index_set,
+    number_to_json,
     real_set,
     scale,
     shift,
@@ -541,3 +545,92 @@ def test_family_json_round_trip():
     assert IndexFamily.from_json(fam.to_json()) == fam
     famb = small_family("b")
     assert IndexFamily.from_json(famb.to_json()) == famb
+
+
+# ---------------------------------------------------------------------------
+# affine forms in the weight
+
+
+@pytest.mark.parametrize("alpha", [0, 3, Fraction(1, 2), Fraction(2, 1), Fraction(-13, 10)])
+def test_alpha_form_values_are_the_concrete_arithmetic(alpha):
+    # every value, its type included, is what the same operations give on
+    # the number: hash, repr, str and JSON are the number's
+    A = AlphaForm(alpha)
+    ops = [
+        lambda x: x,
+        lambda x: -x,
+        lambda x: x + 2,
+        lambda x: 2 + x,
+        lambda x: x - Fraction(1, 3),
+        lambda x: Fraction(1, 3) - x,
+        lambda x: x * 3,
+        lambda x: -2 * x,
+        lambda x: (x + x) - (7 - x),
+    ]
+    for f in ops:
+        got, want = f(A), f(alpha)
+        assert type(got) is AlphaForm and type(got.value) is type(want) and got.value == want
+        assert (hash(got), repr(got), str(got), f"{got}") == (hash(want), repr(want), str(want), f"{want}")
+        assert number_to_json(got) == number_to_json(want)
+        assert exact_real(got) is got and exact_extended(got) is got
+    B = (A + A) - (7 - A)
+    assert (B.c, B.s) == (-7, 3) and B.at(Fraction(1, 2)) == Fraction(-11, 2)
+
+
+def test_alpha_form_records_only_decisions_that_depend_on_alpha():
+    A = AlphaForm(Fraction(1, 2))
+    with alpha_decisions() as decided:
+        # equal coefficients of alpha, or an infinity: the same at every alpha
+        assert A + 1 > A and -A == -A + 0 and A < math.inf and not A <= -math.inf
+        assert decided == []
+        assert A < 1 and not (A == 1 - A + Fraction(1, 4))
+        assert 1 > A  # reflected: recorded as A < 1
+    assert decided == [
+        (-1, 1, "<", True),
+        (Fraction(-5, 4), 2, "==", False),
+        (-1, 1, "<", True),
+    ]
+    assert decided_alike(decided, 0) and not decided_alike(decided, 1)
+    assert not decided_alike(decided, Fraction(5, 8))  # 2 alpha = 5/4 there
+    with alpha_decisions() as zero:
+        assert bool(AlphaForm(0)) is False and bool(A) is True
+    assert zero == [(0, 1, "!=", False), (0, 1, "!=", True)]
+    # outside a block a comparison decides and records nothing
+    assert A == Fraction(1, 2) and decided[-1] == (-1, 1, "<", True)
+
+
+def test_alpha_form_decisions_nest_like_recording():
+    A = AlphaForm(2)
+    with alpha_decisions() as outer:
+        A > 0
+        with alpha_decisions() as inner:
+            A > 1
+        A > 3
+    assert [d[0] for d in outer] == [0, -3] and [d[0] for d in inner] == [-1]
+
+
+_REFUSALS = {
+    "float": lambda A: float(A),
+    "int": lambda A: int(A),
+    "Fraction": lambda A: Fraction(A),
+    "numerator": lambda A: A.numerator,
+    "denominator": lambda A: A.denominator,
+    "times-fraction": lambda A: A * Fraction(1, 2),
+    "fraction-times": lambda A: Fraction(1, 2) * A,
+    "times-float": lambda A: A * 2.0,
+    "times-form": lambda A: A * A,
+    "times-bool": lambda A: A * True,
+    "divide": lambda A: A / 2,
+    "compare-finite-float": lambda A: A < 0.5,
+    "form-of-a-form": lambda A: AlphaForm(A),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_REFUSALS))
+def test_alpha_form_refuses_to_leak_the_weight(how):
+    # a use of the weight that no decision records raises, and records
+    # nothing on the way
+    with alpha_decisions() as decided:
+        with pytest.raises(TypeError):
+            _REFUSALS[how](AlphaForm(Fraction(3, 2)))
+    assert decided == []

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phicalc.opclasses import (
@@ -58,7 +58,15 @@ from phicalc.parametrix import (
     step3_lf_correction,
 )
 from phicalc.acceptance import _enum_closure
-from phicalc.indexsets import IndexFamily, exact_real, make_index_set, real_set, shift
+from phicalc.indexsets import (
+    AlphaForm,
+    IndexFamily,
+    alpha_decisions,
+    exact_real,
+    make_index_set,
+    real_set,
+    shift,
+)
 from phicalc.jsonio import dumps
 from phicalc.models.spectrum import SpectrumPoint
 from phicalc import opclasses as oc
@@ -616,6 +624,10 @@ def test_failing_adjoint_step_fails_the_report(monkeypatch):
         return out
 
     monkeypatch.setattr(px, "step2_offdiagonal", step2_failing_for_adjoint)
+    weights, decisions = [], []
+    monkeypatch.setattr(px, "step1_diagonal", _spied(px.step1_diagonal, weights))
+    reads_off = px._reads_off
+    monkeypatch.setattr(px, "_reads_off", lambda o, al, decided: decisions.extend(decided) or reads_off(o, al, decided))
     rep = parametrix_report(op, alpha)
     assert [s["verdict"] for s in rep["steps"][:5]] == ["PASS"] * 5
     left = rep["steps"][-1]
@@ -624,6 +636,11 @@ def test_failing_adjoint_step_fails_the_report(monkeypatch):
     assert x["verdict"] == "FAIL" and not x["exact"]
     assert {"step": "step2-offdiagonal", "verdict": "FAIL"} in x["derived"]
     assert left["verdict"] == "FAIL" and rep["verdict"] == "FAIL"
+    # the right run compared its form with am - alpha, a decision that
+    # comes out otherwise there: the adjoint construction ran at am - alpha
+    assert decisions == [(alpha - op.am, 1, "==", False)]
+    assert type(weights[0]) is AlphaForm and weights[0].value == alpha
+    assert weights[1:] == [adj_alpha] and type(weights[1]) is not AlphaForm
 
 
 def test_reuse_scope_is_transparent(monkeypatch, criterion3_reports):
@@ -812,3 +829,115 @@ def test_parametrix_imports_no_numerics():
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# one construction per report: the left step read off the right run
+
+
+def _spied(step1, weights):
+    def step1_spied(op, alpha):
+        weights.append(alpha)
+        return step1(op, alpha)
+
+    return step1_spied
+
+
+def _reference_report(op, alpha) -> dict:
+    """The report with its left step from :func:`left_parametrix`: the
+    right construction at the number alpha, then the adjoint construction
+    at am - alpha, in one reuse scope."""
+    rep = dict(parametrix_report(op, alpha))
+    with oc._reuse_scope():
+        steps, _, _ = right_parametrix(op, exact_real(alpha))
+        _, left = left_parametrix(op, alpha)
+        steps.append(left)
+        rep["steps"] = [s.to_json() for s in steps]
+    rep["verdict"] = "PASS" if all(s.passed for s in steps) else "FAIL"
+    return rep
+
+
+# critical weights in thirds: am/2 - am is never one of them
+THIRDS = [Fraction(-7, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(11, 3)]
+
+
+@st.composite
+def _admissible_instances(draw):
+    mk = draw(st.sampled_from([gauss_bonnet_split, hodge_split]))
+    op = mk(a=draw(st.integers(1, 3)), b_dim=draw(st.integers(0, 2)), imspec=THIRDS)
+    alpha = draw(
+        st.one_of(
+            st.sampled_from([Fraction(op.am, 2), op.am / 2, op.am // 2 if op.am % 2 == 0 else 0]),
+            st.sampled_from([10**6, -(10**6), Fraction(7 * 10**6 + 1, 7), 1e6 + 0.5, -999999.75]),
+            st.integers(-20, 20),
+            st.fractions(-20, 20, max_denominator=12),
+            st.floats(-1.5e6, 1.5e6, allow_nan=False, allow_infinity=False),
+        )
+    )
+    assume(check_weight(op, alpha))
+    return op, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(_admissible_instances())
+@example((gauss_bonnet_split(a=1, b_dim=1, imspec=THIRDS), Fraction(1, 2)))
+@example((hodge_split(a=2, b_dim=2, imspec=THIRDS), Fraction(2, 1)))  # am/2 as a Fraction
+@example((hodge_split(a=3, b_dim=0, imspec=THIRDS), 3.0))
+@example((gauss_bonnet_split(a=3, b_dim=2, imspec=THIRDS), -1e6 - 0.25))
+def test_report_reads_its_left_step_off_the_right_run(instance):
+    op, alpha = instance
+    got = parametrix_report(op, alpha)
+    assert json.dumps(got) == json.dumps(_reference_report(op, alpha))
+    assert got["verdict"] == "PASS"
+
+
+def test_a_self_adjoint_report_runs_the_construction_once(monkeypatch):
+    # the left step of gb and hodge comes from the right run: step 1 runs
+    # once per report, on the weight as a form (twice at the parent)
+    weights = []
+    monkeypatch.setattr(px, "step1_diagonal", _spied(px.step1_diagonal, weights))
+    for op, alpha in criterion3_instances():
+        weights.clear()
+        with alpha_decisions() as outer:
+            assert parametrix_report(op, alpha)["verdict"] == "PASS"
+        assert len(weights) == 1 and type(weights[0]) is AlphaForm
+        assert weights[0].value == exact_real(alpha)
+        # the report's own decisions go to its own block
+        assert outer == []
+
+
+def test_an_operator_that_is_not_its_adjoints_input_runs_the_adjoint(monkeypatch):
+    # p10 = x p01 is not the adjoint of p01: the adjoint construction has
+    # other inputs, and runs; nothing can be read off, so the right run
+    # takes the number, not the form
+    op = replace(op_gb(), p10=x_left(small_phi(1, ext=True), 1))
+    assert oc.adjoint_class(op.p10) != op.p01
+    weights = []
+    monkeypatch.setattr(px, "step1_diagonal", _spied(px.step1_diagonal, weights))
+    rep = parametrix_report(op, Fraction(1, 2))
+    assert rep["verdict"] == "PASS"
+    assert weights == [Fraction(1, 2), op.am - Fraction(1, 2)]
+    assert not any(type(w) is AlphaForm for w in weights)
+    assert json.dumps(rep) == json.dumps(_reference_report(op, Fraction(1, 2)))
+
+
+def test_check_weight_reads_the_form_without_a_decision():
+    # the gate is the one place that reads the value; the adjoint's gate at
+    # am - alpha holds exactly where the operator's gate at alpha does
+    op = op_gb()
+    for alpha in (Fraction(1, 2), 3, Fraction(13, 10)):
+        with alpha_decisions() as decided:
+            admissible = check_weight(op, AlphaForm(alpha))
+        assert decided == [] and admissible == check_weight(op, alpha)
+        assert check_weight(op.adjoint(), op.am - alpha) == admissible
+
+
+def test_rf_sets_stabilize_is_decided_on_the_faces_not_their_text(monkeypatch):
+    # every repr of a Bound is new text: the faces still compare equal, and
+    # the assertion still writes the reprs it compared at the parent
+    counter = iter(range(10**9))
+    monkeypatch.setattr(oc.Bound, "__repr__", lambda self: f"Bound#{next(counter)}")
+    steps, _, _ = right_parametrix(op_gb(), Fraction(1, 2))
+    x = next(x for x in steps[3].assertions if x.label == "rf-sets-stabilize")
+    assert x.contained and x.exact
+    assert x.derived != x.target and all(r.startswith("Bound#") for *_, rs in x.derived for r in rs)
