@@ -3,14 +3,17 @@ runs, the acceptance criteria's times, and what they were measured on.
 
 Run from the root of a checkout:
 
-    python3 scripts/bench.py --out BENCH_1.json
+    python3 scripts/bench.py --out BENCH_2.json
 
 Each workload of ``benchmark/run.py`` runs 5 times as its own process,
 ``--seed 1 --seconds 15 --trace 0``, in turn with the other workloads.  The last line of each run's output is read: the file
 keeps every run's metrics, ``correct`` and ``failed``, and per metric the
 median, the quartiles and their distance (IQR).  ``benchmark/reference.py``
 gives the time of each criterion of ``phicalc verify-paper``, with
-criterion 2's library and oracle time apart.  ``--root`` points the runs at
+criterion 2's library and oracle time apart.  The whole-process wall time
+of ``phicalc verify-paper``, ``phicalc compose`` and ``phicalc --help``,
+5 runs each, and of one Tier-1 run (``pytest -q``) follow, each with the
+checkout's ``src`` first on ``PYTHONPATH``.  ``--root`` points the runs at
 another checkout, for example a ``git archive`` of the parent commit, so
 that both are measured by one script.  Nothing is averaged away or bounded
 here: the file holds what the runs read.
@@ -25,11 +28,21 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ("algebra", "replay", "numerics")
 SETTINGS = {"seed": 1, "seconds": 15, "trace": 0, "repeats": 5}
+# phicalc commands timed as whole processes, run in a temporary directory
+# that holds phi.json, a weight-0 phi-class of order -1
+PHI = {"kind": "phi", "order": -1, "spec": {"weight": 0}}
+CLI = {
+    "verify-paper": ["verify-paper", "--out", "vp.json"],
+    "compose": ["compose", "phi.json", "phi.json", "-a", "1", "--b-dim", "1"],
+    "help": ["--help"],
+}
 
 
 def _stdout(cmd, cwd) -> str:
@@ -51,6 +64,32 @@ def _commit(root: Path):
     except (OSError, subprocess.CalledProcessError):
         return None
     return commit if Path(top).resolve() == root else None
+
+
+def _wall(cmd, cwd, env) -> float:
+    start = time.perf_counter()
+    subprocess.run(cmd, cwd=cwd, env=env, check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def _processes(root: Path) -> dict:
+    """Whole-process wall times of the ``CLI`` commands, then one Tier-1
+    run, with ``root/src`` first on the path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "phi.json").write_text(json.dumps(PHI))
+        for name, args in CLI.items():
+            walls = [_wall([sys.executable, "-m", "phicalc.cli", *args], tmp, env)
+                     for _ in range(SETTINGS["repeats"])]
+            out[f"phicalc {name}"] = {"runs": walls, **_spread(walls)}
+            print(f"bench: phicalc {name} timed", file=sys.stderr)
+    start = time.perf_counter()
+    tier1 = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                           cwd=root, env=env, capture_output=True, text=True)
+    out["tier1"] = {"wall_s": time.perf_counter() - start, "returncode": tier1.returncode,
+                    "summary": tier1.stdout.strip().splitlines()[-1]}
+    return out
 
 
 def _versions() -> dict:
@@ -103,6 +142,7 @@ def main(argv=None) -> int:
         "settings": SETTINGS,
         "workloads": workloads,
         "reference": reference,
+        "processes": _processes(root),
     }
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)

@@ -73,7 +73,7 @@ def test_criterion_3_parametrix_grid(results):
     res = results[3]
     _check(res, ["instances", "records_replayed", "failures"])
     assert res.details["instances"] == 13
-    assert res.details["records_replayed"] == 1352
+    assert res.details["records_replayed"] == 1768
     assert res.details["failures"] == []
 
 

@@ -374,7 +374,7 @@ _EXACT = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
 @example(kind="b", alpha=Fraction(-1, 3), xl=1, xr=2, vanish={"bf", "rf"})  # normalises to phi
 @example(kind="phi", alpha=1, xl=1, xr=Fraction(0), vanish=set())  # a Fraction 0 power moves nothing
 def test_fold_matches_the_per_face_loop(kind, alpha, xl, xr, vanish):
-    # the repr pins the number types too: rf-sets-stabilize reports it
+    # the repr pins the number types too: Fraction and int thresholds differ
     P = OpClass(kind, -1, Weight(alpha), xl=xl, xr=xr, vanish=frozenset(vanish))
     want = loop_fold_weight(P)
     assert fold(P) == want and repr(fold(P)) == repr(want)
