@@ -69,10 +69,11 @@ COND_LIMIT = 1e12
 _LACN2_ITMAX = 5
 _SAFMIN = np.finfo(float).tiny
 
-# exponent fits: the x-window of the regression, the sample level below which
-# a modulus is noise, the slope past which decay counts as superpolynomial,
-# and the jump over the running minimum that marks the round-off plateau
-_FIT_WINDOW = (1e-4, 1e-2)
+# exponent fits: the largest x the regression reads, the sample level below
+# which a modulus is noise, the exponent past which decay counts as
+# superpolynomial, and the jump over the running minimum that marks the
+# round-off plateau
+_FIT_TOP = 1e-1
 _NOISE_REL = 1e-12
 _SUPERPOLY_THRESHOLD = 10.0
 _BOUNCE = 5.0
@@ -441,10 +442,6 @@ def discrete_residual(
 # exponent fitting
 
 
-def _window_mask(x, lo, hi):
-    return (x >= lo) & (x <= hi)
-
-
 def _clean_mask(vals: np.ndarray) -> np.ndarray:
     """Samples before the numerical noise plateau.
 
@@ -464,21 +461,31 @@ def _clean_mask(vals: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _regress(logy, *columns):
+    """Least-squares coefficients of ``logy`` on ``columns`` and a constant,
+    and the RMS misfit of the fitted line."""
+    A = np.vstack([*columns, np.ones_like(logy)]).T
+    coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
+    return coef, float(np.sqrt(np.mean((A @ coef - logy) ** 2)))
+
+
 def fit_exponents(samples: SampledSolution) -> HarmonicFit:
     """Fit x^w (log x)^k to the solved component of a sampled mode solution.
 
-    The exponent and log power come from a joint regression of log|u|
-    against log x and log|log x| over the fit window, less the last
+    The exponent and log power come from one joint regression of log|u| on
+    (log x, log|log x|, 1) over every resolved sample with x <= ``_FIT_TOP``:
+    above the noise floor ``_NOISE_REL`` of the largest modulus, before the
+    round-off plateau (:func:`_clean_mask`), and before the last
     ``_ARTIFACT_CUT`` units of t, where the terminal zero condition bends
-    the profile (the samples :func:`check_L2` leaves out).  When the window
-    content has fallen below the numerical noise floor, the decay is
-    measured on the innermost still-resolved decade before the same cut
-    instead and the mode is classified superpolynomial once that slope
-    exceeds the threshold (which grows as the probe window moves inward,
-    matching the behaviour of faster-than-polynomial decay).  A slope below
-    the threshold is the fitted exponent, with log power 0: in that regime
-    the log power is not fitted.
+    the profile (the samples :func:`check_L2` leaves out).  A fitted
+    exponent above ``_SUPERPOLY_THRESHOLD`` is flagged superpolynomial.
+    With fewer than 8 such samples the decay has fallen below the noise
+    floor before x = ``_FIT_TOP``, and :func:`_superpoly_fit` only
+    classifies it.  Raises ``FitError`` when the component is zero, when
+    the modulus is not monotone over the samples read, or when the decay
+    cannot be classified.
     """
+    mode = (samples.base_mode, samples.fiber_mode)
     x = samples.x
     vals = np.abs(samples.values[:, samples.component])
     scale = float(vals.max())
@@ -486,69 +493,47 @@ def fit_exponents(samples: SampledSolution) -> HarmonicFit:
         raise FitError("component is identically zero")
     kept = samples.t <= samples.t[-1] - _ARTIFACT_CUT
     usable = (vals > _NOISE_REL * scale) & _clean_mask(vals) & kept
+    read = usable & (x <= _FIT_TOP)
+    if read.sum() < 8:
+        return _superpoly_fit(mode, x[usable], vals[usable])
 
-    window = _window_mask(x, *_FIT_WINDOW) & kept
-    if window.sum() < 8:
-        raise FitError(f"fit window {_FIT_WINDOW}, cut {_ARTIFACT_CUT} units of t before "
-                       f"t_max, holds too few samples for a regression")
-
-    if not usable[window].all():
-        return _superpoly_fit(samples, x, vals, usable)
-
-    xs = x[window]
-    ys = vals[window]
-    dy = np.diff(np.log(ys))
-    if dy.size and (dy.max() > 1e-8 and dy.min() < -1e-8):
-        raise FitError("component modulus is not monotone over the fit window")
-
-    logx = np.log(xs)
-    loglog = np.log(np.abs(np.log(xs)))
-    A = np.vstack([logx, loglog, np.ones_like(logx)]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
-    w, k_raw = float(coef[0]), float(coef[1])
-    fitted = A @ coef
-    residual = float(np.sqrt(np.mean((fitted - np.log(ys)) ** 2)))
-    k = max(int(round(k_raw)), 0)
+    logx = np.log(x[read])
+    logy = np.log(vals[read])
+    dy = np.diff(logy)
+    if dy.max() > 1e-8 and dy.min() < -1e-8:
+        raise FitError(f"component modulus is not monotone over the resolved samples "
+                       f"with x <= {_FIT_TOP}")
+    (w, k, _), residual = _regress(logy, logx, np.log(np.abs(logx)))
     if w > _SUPERPOLY_THRESHOLD:
-        return HarmonicFit(
-            (samples.base_mode, samples.fiber_mode), math.inf, 0, residual, True
-        )
-    return HarmonicFit((samples.base_mode, samples.fiber_mode), w, k, residual, False)
+        return HarmonicFit(mode, math.inf, 0, residual, True)
+    return HarmonicFit(mode, float(w), max(int(round(k)), 0), residual, False)
 
 
-def _superpoly_fit(samples, x, vals, usable):
-    """Classify decay past the resolved range from the innermost-decade
-    slope: below the threshold it is the polynomial exponent, at or above
-    it the decay is superpolynomial once the x^threshold envelope decays."""
-    xu = x[usable]
-    vu = vals[usable]
+def _superpoly_fit(mode, xu, vu):
+    """Classify a decay that falls below the noise floor before x =
+    ``_FIT_TOP`` from its resolved samples ``xu``, ``vu``: superpolynomial
+    when the slope of log|u| over the innermost resolved decade reaches the
+    threshold and the x^threshold envelope decays, with that decade
+    regression's RMS misfit as ``residual``.  Anything else raises
+    ``FitError``: no exponent is read off the slope."""
     if xu.size < 8:
         raise FitError("too few resolved samples to classify the decay")
     x_in = xu.min()
     decade = (xu <= 10 * x_in) & (xu >= x_in)
     if decade.sum() < 4:
         decade = xu <= 30 * x_in
-    logx = np.log(xu[decade])
-    logy = np.log(vu[decade])
-    A = np.vstack([logx, np.ones_like(logx)]).T
-    coef, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    slope = float(coef[0])
-    mode = (samples.base_mode, samples.fiber_mode)
-    if slope < _SUPERPOLY_THRESHOLD:
-        # polynomial decay that left the window below the noise floor: the
-        # decade slope is the exponent; a log power is not fitted here
-        residual = float(np.sqrt(np.mean((A @ coef - logy) ** 2)))
-        return HarmonicFit(mode, slope, 0, residual, False)
+    (slope, _), residual = _regress(np.log(vu[decade]), np.log(xu[decade]))
     # envelope constant for the |u| <= C x^threshold statement
     ratio = vu / xu**_SUPERPOLY_THRESHOLD
     imax = int(np.argmax(ratio))
     interior_max = xu[imax] > x_in * 1.5
     envelope_decays = ratio[np.argmin(xu)] < 0.5 * ratio[imax]
-    if interior_max and envelope_decays:
-        return HarmonicFit(mode, math.inf, 0, slope, True)
+    if slope >= _SUPERPOLY_THRESHOLD and interior_max and envelope_decays:
+        return HarmonicFit(mode, math.inf, 0, residual, True)
     raise FitError(
-        f"window content below noise but decay slope {slope:.2f} does not "
-        f"certify faster-than-x^{_SUPERPOLY_THRESHOLD} behaviour"
+        f"the decay falls below the noise floor before x = {_FIT_TOP}, and its "
+        f"decade slope {slope:.2f} does not certify faster-than-x^"
+        f"{_SUPERPOLY_THRESHOLD:g} behaviour"
     )
 
 
@@ -581,7 +566,7 @@ def check_L2(samples: SampledSolution, gamma: float = 0.0) -> bool:
     scale = vals.max()
     if scale == 0:
         return True
-    usable = (vals > 1e-13 * scale) & _clean_mask(vals)
+    usable = (vals > _NOISE_REL * scale) & _clean_mask(vals)
     if usable.any() and not usable[-1]:
         # decay beyond the resolved range: square-integrable
         return True

@@ -353,8 +353,8 @@ def test_verify_cli(tmp_path):
 
 
 def test_verify_cli_fits_a_decay_between_x3_and_x10(tmp_path):
-    # base circumference 3.0: mode (2,) decays like x^3.7185, below the
-    # noise floor inside the fit window, and is fitted from its decade slope
+    # base circumference 3.0: mode (2,) decays like x^3.7185, and the
+    # regression reads it over its samples resolved above the noise floor
     m = jdump(tmp_path, "c3.json", {"a": 1, "base": {"circumferences": [3.0]},
                                          "fiber": {"circumferences": [6.283185307179586]}})
     out = str(tmp_path / "verify.json")

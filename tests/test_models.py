@@ -497,10 +497,25 @@ def test_fit_leaves_out_the_terminal_artifact():
     assert abs(fit.fitted_exponent - _scalar_root(MODEL, 1)) <= 1e-3
 
 
-def test_superpolynomial_branch_leaves_out_the_terminal_artifact():
-    # one exactly zero sample inside the fit window sends the fit to the
-    # innermost resolved decade; a bend past t_max - 4 to the zero at t_max,
-    # like the one the terminal zero condition makes, must not move it
+def test_fit_reads_every_resolved_sample_up_to_x_one_tenth():
+    # the subleading terms of the solve bias a fit on a window ending at
+    # x = 1e-2 by 2.4e-4; every resolved sample up to x = 0.1 keeps the
+    # exponent within 1e-4 of the closed form
+    for model in (MODEL, ModelGeometry(a=2)):
+        fit = fit_exponents(solve_harmonic(model, 0, ((1,), (0,))))
+        assert abs(fit.fitted_exponent - _scalar_root(model, 1)) <= 1e-4, model.a
+        assert fit.fitted_log_power == 0
+    # base circumference 3.0: mode (2,) decays like x^3.7185
+    model = ModelGeometry(base_circumferences=(3.0,))
+    fit = fit_exponents(solve_harmonic(model, 0, ((2,), (0,))))
+    assert abs(fit.fitted_exponent - _scalar_root(model, 2)) <= 1e-4
+    assert fit.fitted_log_power == 0
+
+
+def test_fit_skips_a_zero_sample_and_leaves_out_the_terminal_artifact():
+    # one exactly zero sample is not resolved and is left out of the
+    # regression; a bend past t_max - 4 to the zero at t_max, like the one
+    # the terminal zero condition makes, must not move the fit
     x = np.exp(-np.linspace(0, 12, 2049))
     t = -np.log(x)
     clean = x**2
@@ -512,9 +527,11 @@ def test_superpolynomial_branch_leaves_out_the_terminal_artifact():
 
 
 def test_fiber_mode_superpolynomial():
-    for mode in (((0,), (1,)), ((1,), (1,))):
-        fit = fit_exponents(solve_harmonic(MODEL, 0, mode))
-        assert fit.superpolynomial_flag
+    # on the coarse grid n = 256 the innermost-decade slope is 9.978, just
+    # under the threshold: the regression must still flag the mode
+    for mode, n in ((((0,), (1,)), 2048), (((1,), (1,)), 2048), (((0,), (1,)), 256)):
+        fit = fit_exponents(solve_harmonic(MODEL, 0, mode, n=n))
+        assert fit.superpolynomial_flag, (mode, n)
         assert math.isinf(fit.fitted_exponent)
 
 
@@ -542,8 +559,8 @@ def _synthetic(x, values, component=0):
 
 
 def test_fit_synthetic_pure_power():
-    # past x^3 the fit window falls below the noise floor: the innermost
-    # resolved decade gives the exponent of a decay slower than x^10
+    # however fast a power below x^10 decays, the samples with x <= 0.1
+    # resolved above the noise floor hold the regression
     x = np.exp(-np.linspace(0, 12, 2049))
     for w in (0.618034, 4, 8):
         fit = fit_exponents(_synthetic(x, x**w))
@@ -556,6 +573,36 @@ def test_fit_synthetic_log_power():
     fit = fit_exponents(_synthetic(x, x * np.abs(np.log(x))))
     assert abs(fit.fitted_exponent - 1.0) < 1e-6
     assert fit.fitted_log_power == 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("w", [0.618034, 1, 2, 3.5, 4, 6, 8, 9.5])
+def test_fit_synthetic_power_and_log_power(w, k):
+    # each x^w |log x|^k is recovered, or refused: never a wrong exponent
+    # or log power (x^0.618 (log x)^2 turns at x = e^(-2/0.618) ~ 0.039,
+    # inside the samples read, and is refused as not monotone)
+    x = np.exp(-np.linspace(0, 12, 2049))
+    try:
+        fit = fit_exponents(_synthetic(x, x**w * np.abs(np.log(x)) ** k))
+    except FitError:
+        assert math.exp(-k / w) < 0.1, (w, k)
+        return
+    assert not fit.superpolynomial_flag
+    assert abs(fit.fitted_exponent - w) < 1e-4 and fit.fitted_log_power == k
+
+
+def test_fit_classifies_a_decay_with_no_resolved_sample_up_to_x_one_tenth():
+    # exp(-5/x) falls below the noise floor at x ~ 0.153: the innermost
+    # decade classifies it (slope 13.93), and the row's residual is that
+    # regression's misfit, not its slope
+    x = np.exp(-np.linspace(0, 12, 2049))
+    fit = fit_exponents(_synthetic(x, np.exp(-5 / x)))
+    assert fit.superpolynomial_flag and math.isinf(fit.fitted_exponent)
+    assert fit.residual == pytest.approx(1.81, abs=0.01)
+    # a power that leaves the resolved range before x = 0.1 is refused,
+    # not read off the decade slope
+    with pytest.raises(FitError, match="decade slope"):
+        fit_exponents(_synthetic(x, np.where(x > 0.2, x**2, 0.0)))
 
 
 def test_fit_synthetic_constant():

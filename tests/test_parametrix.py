@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -354,6 +355,26 @@ def test_full_construction_with_diagonal_input():
     op.p01 = op.p10 = ZERO
     rep = parametrix_report(op, 0.5)
     assert rep["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("mk", [gauss_bonnet_split, hodge_split])
+def test_diagonal_only_reports_pass_and_replay(mk):
+    # p01 = p10 = 0 takes step 2's short circuit: the off-diagonal terms
+    # vanish and the remainder stays the diagonal one
+    for a, al in itertools.product((1, 2), (Fraction(-1, 2), Fraction(1, 2), Fraction(13, 10))):
+        op = replace(mk(a=a, b_dim=1, imspec=SPEC), p01=ZERO, p10=ZERO)
+        assert op.diagonal_only
+        assert check_weight(op, al), (a, al)
+        rep = json.loads(json.dumps(parametrix_report(op, al)))
+        assert rep["verdict"] == "PASS", (a, al)
+        step2 = next(s for s in rep["steps"] if s["step"] == "step2-offdiagonal")
+        assert [x["label"] for x in step2["assertions"]] == [
+            "offdiag-vanishes", "remainder-after-offdiag"]
+        assert all(x["verdict"] == "PASS" for x in step2["assertions"]), (a, al)
+        for step in rep["steps"]:
+            for x in step["assertions"]:
+                chain = [RuleApp.from_json(r) for r in x["chain"]]
+                assert replay_chain(chain, op.geom), (a, al, x["label"])
 
 
 def test_check_weight_small_spectrum_examples():
