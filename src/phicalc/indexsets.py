@@ -34,7 +34,10 @@ h exactly when both lie in one class (m, n mod D) and g's n is not larger,
 so every operation compares, adds and hashes ints only.  A binary
 operation rescales its operands to the least common multiple of their D's,
 and each result is stored at its least D again (1/3 shifted by 1/6 is 1/2,
-at D = 2); ``opclasses.compose_families`` rescales all eight faces to one D.
+at D = 2).  ``extended_union`` and ``opclasses.compose_families`` make
+each result in one sweep (``_eu``) over the raw points of all the closures
+it unites: at (n, m) the union has log power sum (k_i + 1) - 1, with k_i
+the largest of closure i there (-1 for none).
 ``generators`` is a view, made at its first read (JSON, repr): whole parts
 ``int``, the others ``Fraction``, so the generators of
 ``add(real_set(1/2), real_set(3/2))`` are ``((2, 0, 0),)``.
@@ -52,6 +55,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -186,47 +190,32 @@ def _canonical(points, D: int) -> list[tuple[int, int, int]]:
     return kept
 
 
-def _sum(P: list, Q: list, D: int) -> list:
-    """Canonical points of the set sum {(z + z', k + k')}."""
-    return _canonical(
-        [(n1 + n2, m1 + m2, k1 + k2) for (n1, m1, k1) in P for (n2, m2, k2) in Q], D
-    )
+def _eu(lists, D: int) -> list[tuple[int, int, int]]:
+    """Canonical points of the extended union of the closures of the point
+    lists, each of them raw: dominated and repeated points allowed.
 
-
-def _classes(P: list, D: int) -> dict:
-    """Class -> its points (n, k) of the canonical points P, in rising n
-    and so in rising k."""
-    out: dict = {}
-    for n, m, k in P:
-        out.setdefault(m * D + n % D, []).append((n, k))
-    return out
-
-
-def _union(P: list, Q: list, D: int) -> list:
-    """Canonical points of the extended union of the canonical points P, Q.
-
-    The generators of both are all the points where the combined log power
-    can jump; at (n, m) each set contributes the log power of its last point
-    of the class with n' <= n, the largest there (-1 for none)."""
-    if not P:
-        return Q
-    if not Q:
-        return P
-    cp, cq = _classes(P, D), _classes(Q, D)
-    out = []
-    for n, m, _ in (*P, *Q):
+    At (n, m) closure i has the log power k_i of its largest point of the
+    class with n' <= n (-1 for none), and the union has sum (k_i + 1) - 1.
+    One pass over all points in (n, m, k) order keeps each list's k_i and
+    the sum per class; a point is kept when it raises the sum, and replaces
+    the last kept point at the same (n, m)."""
+    L = len(lists)
+    best: dict = {}
+    total: dict = {}
+    kept: list = []
+    ln = lm = None
+    for n, m, k, i in sorted([(n, m, k, i) for i, P in enumerate(lists) for (n, m, k) in P]):
         cls = m * D + n % D
-        ki = kj = -1
-        for n2, k2 in cp.get(cls, ()):
-            if n2 > n:
-                break
-            ki = k2
-        for n2, k2 in cq.get(cls, ()):
-            if n2 > n:
-                break
-            kj = k2
-        out.append((n, m, ki + kj + 1 if ki >= 0 and kj >= 0 else (ki if ki > kj else kj)))
-    return _canonical(out, D)
+        b = best.get(cls * L + i, -1)
+        if k > b:
+            best[cls * L + i] = k
+            t = total[cls] = total.get(cls, -1) + k - b
+            if n == ln and m == lm:
+                kept[-1] = (n, m, t)
+            else:
+                kept.append((n, m, t))
+                ln, lm = n, m
+    return kept
 
 
 class IndexSet:
@@ -296,27 +285,22 @@ class IndexSet:
 
         Used for display and serialization of the (infinite) closed set.
         Whole real and imaginary parts come out as ``int``.  Each point
-        walks its ray n, n + D, ... up to re_max D or to the next point of
-        its class, whose larger log power takes over there.
+        below re_max D walks its ray n, n + D, ... up to re_max D or to the
+        next point of its class, whose larger log power takes over there.
         """
         D = self.D
         r = exact_real(re_max)
         end = r.numerator * D // r.denominator + 1  # past floor(re_max D)
+        points = self.points
         stop: dict = {}
         walked = []
-        for n0, m, k in reversed(self.points):
+        for n0, m, k in reversed(points[:bisect_left(points, (end,))]):
             cls = m * D + n0 % D
-            walked.extend((n, m, k) for n in range(n0, min(end, stop.get(cls, end)), D))
+            im = _unscaled(m, D) if m else 0
+            walked += [(n, m, k, _unscaled(n, D), im) for n in range(n0, stop.get(cls, end), D)]
             stop[cls] = n0
-        walked.sort()
-        ims = {m: _unscaled(m, D) for _, m, _ in self.points}
-        out = []
-        last = None
-        for n, m, k in walked:
-            if n != last:  # sorted: the points of one real part are adjacent
-                last, re = n, _unscaled(n, D)
-            out.extend((re, ims[m], kk) for kk in range(k + 1))
-        return out
+        walked.sort()  # by (n, m) alone: no two rows share both
+        return [(re, im, kk) for _, _, k, re, im in walked for kk in range(k + 1)]
 
     def to_json(self) -> dict:
         return {
@@ -436,31 +420,30 @@ def real_set(r: RealLike) -> IndexSet:
     return make_index_set([(r, 0)])
 
 
-def _on_lattice(op, I: IndexSet, J: IndexSet) -> IndexSet:
-    """``op(P, Q, D)`` on the points of I and J at their common D."""
-    D = math.lcm(I.D, J.D)
-    return _lattice(D, op(_rescaled(I, D), _rescaled(J, D), D))
-
-
 def add(I: IndexSet, J: IndexSet) -> IndexSet:
     """Set addition {(z + z', k + k')}; the empty set is absorbing."""
     if I.is_empty or J.is_empty:
         return EMPTY
-    return _on_lattice(_sum, I, J)
+    D = math.lcm(I.D, J.D)
+    P, Q = _rescaled(I, D), _rescaled(J, D)
+    points = [(n1 + n2, m1 + m2, k1 + k2) for (n1, m1, k1) in P for (n2, m2, k2) in Q]
+    return _lattice(D, _canonical(points, D))
 
 
 def extended_union(I: IndexSet, J: IndexSet) -> IndexSet:
     """Extended union: I u J plus (z, l1 + l2 + 1) at shared exponents z.
 
     The log boost applies at every exponent of the *closed* sets, not just
-    at generator exponents; the generator exponents of I and J are all the
-    points where the combined maximal log power can jump.
+    at generator exponents: there the union has log power (l1 + 1) +
+    (l2 + 1) - 1, l = -1 where a set has none.  One ``_eu`` sweep over
+    both sets' points on their common lattice makes the canonical points.
     """
     if I.is_empty:
         return J
     if J.is_empty:
         return I
-    return _on_lattice(_union, I, J)
+    D = math.lcm(I.D, J.D)
+    return _lattice(D, _eu((_rescaled(I, D), _rescaled(J, D)), D))
 
 
 def shift(I: IndexSet, r: RealLike) -> IndexSet:

@@ -52,11 +52,10 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .indexsets import (
     EMPTY,
+    _eu,
     _integer,
     _lattice,
     _rescaled,
-    _sum,
-    _union,
     IndexFamily,
     IndexSet,
     RealLike,
@@ -1020,11 +1019,12 @@ def _apply(name: str, inputs: tuple, geom=None, **params) -> Entry:
 def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
     """Combine two phi-type index families under composition.
 
-    With A = a(b_dim + 1), the four faces of the composite are built from
-    extended unions of shifted sums of the factors' faces.  The formula runs
-    on the lattice of one common denominator D of all eight faces and A:
-    each face's stored points are rescaled to D, the A-shift is + A D, and
-    each result face is stored from its points.
+    With A = a(b_dim + 1), each face of the composite is the extended union
+    of shifted sums of the factors' faces.  The formula runs on the lattice
+    of one common denominator D of all eight faces and A: every sum is the
+    raw list of its pairs' points (the A-shift is + A D), and each face is
+    one ``_eu`` sweep over its lists, with log power sum (k_i + 1) - 1; no
+    sum is made canonical on its own.
     """
     if I.kind != "phi" or J.kind != "phi":
         raise UnsupportedComposition("family composition is mechanized for phi-type only")
@@ -1033,15 +1033,14 @@ def compose_families(I: IndexFamily, J: IndexFamily, A) -> IndexFamily:
     D = math.lcm(A.denominator, *(F.D for F in faces))
     Ilf, Irf, Ibf, Iff, Jlf, Jrf, Jbf, Jff = (_rescaled(F, D) for F in faces)
     s = A.numerator * (D // A.denominator)
-    plus, eu = partial(_sum, D=D), partial(_union, D=D)
-    Klf = eu(eu(Ilf, plus(Ibf, Jlf)), plus(Iff, Jlf))
-    Krf = eu(eu(Jrf, plus(Irf, Jbf)), plus(Irf, Jff))
-    lf_rf, bf_bf = plus(Ilf, Jrf), plus(Ibf, Jbf)
-    Kbf = eu(eu(eu(lf_rf, bf_bf), plus(Iff, Jbf)), plus(Ibf, Jff))
-    Kff = eu(
-        eu([(n + s, m, k) for (n, m, k) in lf_rf], [(n + s, m, k) for (n, m, k) in bf_bf]),
-        plus(Iff, Jff),
-    )
+
+    def plus(P, Q, by=0):
+        return [(n1 + n2 + by, m1 + m2, k1 + k2) for (n1, m1, k1) in P for (n2, m2, k2) in Q]
+
+    Klf = _eu((Ilf, plus(Ibf, Jlf), plus(Iff, Jlf)), D)
+    Krf = _eu((Jrf, plus(Irf, Jbf), plus(Irf, Jff)), D)
+    Kbf = _eu((plus(Ilf, Jrf), plus(Ibf, Jbf), plus(Iff, Jbf), plus(Ibf, Jff)), D)
+    Kff = _eu((plus(Ilf, Jrf, s), plus(Ibf, Jbf, s), plus(Iff, Jff)), D)
     lf, rf, bf, ff = (_lattice(D, K) for K in (Klf, Krf, Kbf, Kff))
     return IndexFamily("phi", lf=lf, rf=rf, bf=bf, ff=ff)
 

@@ -1,5 +1,6 @@
 """Index-set algebra: worked examples, oracle agreement, and invariants."""
 
+import functools
 import json
 import math
 import pickle
@@ -34,6 +35,7 @@ from phicalc.indexsets import (
     shift,
     small_family,
 )
+from phicalc.indexsets import _canonical, _denominator, _eu, _lattice, _points
 
 from oracles import comprehension_truncate, random_generators
 
@@ -446,6 +448,13 @@ def _assert_truncate_is_the_comprehension(I):
 @example([((Fraction(-1, 3), 0), 0), ((Fraction(5, 3), 0), 2)], [((Fraction(2, 3), 0), 1)])
 # add gives the whole generator Fraction(2, 1); truncate writes its members as ints
 @example([((Fraction(1, 2), 0), 0)], [((Fraction(3, 2), 0), 1)])
+# two classes share each real part, with imaginary parts 1/2 and -1/3
+@example([((Fraction(1, 3), Fraction(1, 2)), 1), ((Fraction(1, 3), Fraction(-1, 3)), 0)],
+         [((Fraction(4, 3), Fraction(-1, 3)), 2)])
+# a k = 0 point next to a k = 2 point of its class
+@example([((Fraction(1, 2), 0), 0), ((Fraction(3, 2), 0), 2)], [((-1, 1), 0)])
+# the cutoff lies below every point: every truncation is []
+@example([((Fraction(10, 3), 0), 1)], [((4, Fraction(1, 2)), 0)])
 def test_lattice_algebra_matches_scaled_bruteforce(ga, gb):
     D = math.lcm(*(exact_real(re).denominator for ((re, _), _) in ga + gb))
     reach = LATTICE_CUT + 3
@@ -488,6 +497,33 @@ def test_every_route_to_a_set_stores_it_alike(ga, gb, r, rng):
         assert A.generators == B.generators
         assert [tuple(map(type, g)) for g in A.generators] == [tuple(map(type, g)) for g in B.generators]
         assert all(type(x) is int or x.denominator > 1 for g in A.generators for x in g[:2])
+
+
+# raw point lists for the one sweep: parts as in _exact_gens, each list
+# with copies of its own points moved up by whole steps or down in log
+# power (dominated) or not moved at all (repeated)
+@st.composite
+def _raw_gens(draw):
+    ims = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3)])
+    gens = draw(st.lists(st.tuples(_sixths, ims, st.integers(0, 3)), max_size=4))
+    for re, im, k in draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else ():
+        gens.append((re + draw(st.integers(0, 2)), im, draw(st.integers(0, k))))
+    return gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_gens(), min_size=1, max_size=4))
+# a repeated point, a dominated one and the same exponent in three lists
+@example([[(Fraction(1, 3), 0, 1), (Fraction(1, 3), 0, 1), (Fraction(4, 3), 0, 0)],
+          [(Fraction(1, 3), 0, 0)],
+          [(Fraction(-2, 3), Fraction(-1, 3), 2), (Fraction(1, 3), 0, 2)]])
+def test_one_sweep_is_the_fold_of_extended_unions(lists):
+    D = _denominator([g for gens in lists for g in gens])
+    got = _eu([_points(gens, D) for gens in lists], D)
+    assert got == _canonical(got, D)
+    assert _lattice(D, got) == functools.reduce(extended_union, map(IndexSet, lists))
+    if len(lists) == 1:
+        assert got == _canonical(_points(lists[0], D), D)
 
 
 def test_whole_fraction_generator_truncates_to_ints():

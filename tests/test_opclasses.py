@@ -1,5 +1,6 @@
 """Operator-class algebra: combination rules, predicates, derivation replay."""
 
+import functools
 import itertools
 import json
 from dataclasses import replace
@@ -18,6 +19,7 @@ from phicalc.indexsets import (
     IndexFamily,
     IndexSet,
     add,
+    extended_union,
     greater_than,
     make_index_set,
     real_set,
@@ -185,21 +187,43 @@ B_FAMILIES = st.builds(IndexFamily, st.just("b"), lf=_POSITIVE_FACES, rf=_POSITI
 FAMILY_CUT = 3
 
 
-@settings(max_examples=200, deadline=None)
-@given(I=PHI_FAMILIES, J=PHI_FAMILIES, A=st.integers(1, 6))
 # thirds against quarters, with half-integer imaginary parts on both sides
-@example(
+THIRDS_AGAINST_QUARTERS = dict(
     I=phi_family(lf=iset((Fraction(1, 3), 0)), rf=iset(((Fraction(2, 3), Fraction(1, 2)), 1)),
                  bf=iset((Fraction(-1, 3), 1)), ff=iset(((0, Fraction(-1, 2)), 0))),
     J=phi_family(lf=iset(((Fraction(3, 4), Fraction(1, 2)), 0)), rf=iset((Fraction(1, 4), 2)),
                  bf=iset((Fraction(-5, 4), 0)), ff=iset(((Fraction(1, 2), Fraction(1, 2)), 1))),
     A=3,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(I=PHI_FAMILIES, J=PHI_FAMILIES, A=st.integers(1, 6))
+@example(**THIRDS_AGAINST_QUARTERS)
 def test_compose_families_matches_the_displayed_combination(I, J, A):
     D, want = _display_compose(I, J, A, FAMILY_CUT)
     got = compose_families(I, J, A)
     for name in ("lf", "rf", "bf", "ff"):
         assert {(re * D, im, k) for (re, im, k) in got.face(name).truncate(FAMILY_CUT)} == want[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(I=PHI_FAMILIES, J=PHI_FAMILIES, A=st.integers(1, 6))
+@example(**THIRDS_AGAINST_QUARTERS)
+def test_compose_families_is_the_formula_on_index_sets(I, J, A):
+    # exact and untruncated: one sweep per face gives the sets that the
+    # public add, extended_union and shift make one operation at a time
+    def eu(*sets):
+        return functools.reduce(extended_union, sets)
+
+    want = IndexFamily(
+        "phi",
+        lf=eu(I.lf, add(I.bf, J.lf), add(I.ff, J.lf)),
+        rf=eu(J.rf, add(I.rf, J.bf), add(I.rf, J.ff)),
+        bf=eu(add(I.lf, J.rf), add(I.bf, J.bf), add(I.ff, J.bf), add(I.bf, J.ff)),
+        ff=eu(shift(add(I.lf, J.rf), A), shift(add(I.bf, J.bf), A), add(I.ff, J.ff)),
+    )
+    assert compose_families(I, J, A) == want
 
 
 def test_integrability_condition():
